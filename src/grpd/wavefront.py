@@ -1,14 +1,16 @@
 """Numerical wave-front-set estimation by windowed-DFT directional decay.
 
-For each probe center the distribution is multiplied by a compactly
-supported bump window, DFT'd, and the max modulus per direction cone and
-dyadic frequency shell is collected; a least-squares slope of log max
-modulus against log shell radius decides smoothness per direction
-(slopes above ``slope_threshold`` flag a singular direction).
+One array kernel, ``_probe_tables``, does the spectral work: per probe
+center it windows the distribution with a compactly supported bump, DFTs
+it, and takes the max modulus of every (direction cone, dyadic frequency
+shell) bin in one gather over a flattened bin index; one batched
+least-squares fit of log max modulus against log shell radius then gives
+every (probe, direction) decay slope.  Slopes above ``slope_threshold``
+flag a singular direction.
 
 Every direction cone within the window's angular ray response of a true
 singular ray reads as non-decaying, so reported cells deconvolve the
-maximal flagged runs by that response, measured by running the pipeline
+maximal flagged runs by that response, measured by running the kernel
 itself on a canonical conormal comb (see ``ray_response_halfwidth``),
 then dilate by one angular step.  Reporting is evidence-gated per probe
 (see WfParams); both mechanisms keep analytic truth covered while
@@ -27,7 +29,7 @@ import numpy as np
 from .cones import (Cap, CircInterval, ConeCell, ConeSet, TWO_PI, cone_contains,
                     cone_product_bar, full_interval, point_interval)
 from .convolution import convolve, convolve_gated, _as_distribution
-from .distributions import Distribution, rasterize
+from .distributions import Distribution, Layer, rasterize
 from .errors import ConeConditionError, DomainError, ModelUnsupportedError
 from .models import GroupoidModel
 from .spectral import bump
@@ -76,6 +78,16 @@ class WfParams:
             raise DomainError("n_directions must be >= 16")
         if not p.slope_threshold < 0:
             raise DomainError("slope_threshold must be negative")
+        if not 1 <= p.shell_lo < p.shell_hi <= n / 2:
+            raise DomainError("shells need 1 <= shell_lo < shell_hi <= n/2 "
+                              f"(Nyquist), got [{p.shell_lo}, {p.shell_hi}]")
+        # every shell then starts below Nyquist, where the n-axis holds a
+        # lattice frequency, so all are non-empty; the fit keeps two of them
+        if not 2 * p.shell_lo < p.shell_hi:
+            raise DomainError("[shell_lo, shell_hi] must span at least two "
+                              "dyadic shells (2 * shell_lo < shell_hi)")
+        if not 1 <= p.probe_stride <= n / 4:
+            raise DomainError(f"probe_stride must be in [1, n/4={n // 4}]")
         return p
 
     def to_json(self) -> dict:
@@ -129,13 +141,11 @@ class _Scaffold:
             bounds.append((b, min(2 * b, hi)))
             b *= 2
         self.shells = bounds
-        self.shell_radii = np.array([math.sqrt(a * b) for a, b in bounds])
         # calibrate the window's spectral profile on the largest axis:
         # shells dominated by the main lobe carry no directional decay
         # information and are dropped from the slope fit (at least two
         # kept); the ray-response halfwidth deconvolves reported runs.
         n_max = max(shape)
-        rad = min(p.window_radius, max(2, n_max // 2 - 1))
         self._axis_profiles = {}
         prof = np.abs(np.fft.fft(self._axis_window(n_max)))
         self.win_profile = prof / prof[0]
@@ -146,39 +156,51 @@ class _Scaffold:
                and self.shells[first][0] < lobe):
             first += 1
         self.fit_slice = slice(first, None)
-        self.fit_radii = self.shell_radii[self.fit_slice]
-        # direction table
+        self.fit_radii = np.array([math.sqrt(a * b) for a, b in self.shells[first:]])
+        # direction table over the grid points inside the shell band: point
+        # k may sit in bin cand[k, c] when hit[k, c] (cones overlap)
+        pts = np.flatnonzero((radius >= self.shells[0][0])
+                             & (radius <= self.shells[-1][1]))
+        r = radius.ravel()[pts]
+        n_dir = p.n_directions
         if self.dim == 1:
             self.dirs = [(1.0,), (-1.0,)]
-            masks = [freqs[0] > 0, freqs[0] < 0]
+            cand = np.where(freqs[0].ravel()[pts] > 0, 0, 1)[:, None]
+            hit = np.ones(cand.shape, dtype=bool)
         elif self.dim == 2:
-            step = TWO_PI / p.n_directions
+            step = TWO_PI / n_dir
             self.dirs = [(math.cos(i * step), math.sin(i * step))
-                         for i in range(p.n_directions)]
-            ang = np.arctan2(freqs[1], freqs[0]) % TWO_PI
-            masks = []
-            for i in range(p.n_directions):
-                d = np.abs((ang - i * step + math.pi) % TWO_PI - math.pi)
-                masks.append((d <= p.cone_half_angle) & (radius > 0))
+                         for i in range(n_dir)]
+            ang = (np.arctan2(freqs[1], freqs[0]) % TWO_PI).ravel()[pts]
+            # a cone reaches at most ``reach`` bins (plus rounding) either side
+            # of the bin below the point's angle; a candidate repeated mod
+            # n_dir only repeats the point within a bin
+            reach = math.ceil(p.cone_half_angle / step) + 1
+            below = np.floor(ang / step).astype(np.int64)
+            cand = (below[:, None] + np.arange(-reach, reach + 2)) % n_dir
+            d = np.abs((ang[:, None] - cand * step + math.pi) % TWO_PI - math.pi)
+            hit = d <= p.cone_half_angle
         else:
-            centers = _fibonacci_sphere(p.n_directions)
+            centers = _fibonacci_sphere(n_dir)
             self.cap_radius = max(p.cone_half_angle,
-                                  2.2 * math.sqrt(math.pi / p.n_directions))
+                                  2.2 * math.sqrt(math.pi / n_dir))
             self.dirs = [tuple(c) for c in centers]
-            unit = np.stack([f / np.maximum(radius, 1e-300) for f in freqs])
-            masks = []
-            for c in centers:
-                dots = sum(c[i] * unit[i] for i in range(3))
-                masks.append((dots >= math.cos(self.cap_radius)) & (radius > 0))
-        self.bins: list[list[np.ndarray]] = []
-        flat_r = radius.ravel()
-        for mask in masks:
-            flat_m = mask.ravel()
-            per_shell = []
-            for a, b in self.shells:
-                sel = flat_m & (flat_r >= a) & (flat_r <= b)
-                per_shell.append(np.nonzero(sel)[0])
-            self.bins.append(per_shell)
+            unit = [f.ravel()[pts] / np.maximum(r, 1e-300) for f in freqs]
+            dots = sum(centers[:, i] * unit[i][:, None] for i in range(3))
+            cand = np.broadcast_to(np.arange(n_dir), dots.shape)
+            hit = dots >= math.cos(self.cap_radius)
+        edges = np.array(self.shells)
+        in_shell = (r[:, None] >= edges[:, 0]) & (r[:, None] <= edges[:, 1])  # closed
+        pt, c, s = np.nonzero(hit[:, :, None] & in_shell[:, None, :])
+        n_shells = len(self.shells)
+        bin_id = cand[pt, c] * n_shells + s
+        # flattened bin index: grid points of bin (i, j) are
+        # bin_points[bin_starts[k]:...] for the k-th non-empty bin in
+        # row-major (direction, shell) order
+        self.bin_points = pts[pt[np.argsort(bin_id, kind="stable")]]
+        counts = np.bincount(bin_id, minlength=len(self.dirs) * n_shells)
+        self.bin_filled = counts > 0
+        self.bin_starts = (np.cumsum(counts) - counts)[self.bin_filled]
 
     def ray_response_halfwidth(self) -> float:
         """Angular halfwidth of the estimator's response to an exact
@@ -189,39 +211,34 @@ class _Scaffold:
         """
         if hasattr(self, "_resp"):
             return self._resp
-        step = TWO_PI / self.p.n_directions
+        p = self.p
+        n_dir = p.n_directions
+        step = TWO_PI / n_dir
         if self.dim != 2:
-            self._resp = self.p.cone_half_angle + step
+            self._resp = p.cone_half_angle + step
             return self._resp
-        from .distributions import Distribution, Layer, rasterize
         n = self.model.n
         comb = Distribution(self.model, None,
                             (Layer(self.model, 0, np.ones(n), 0),))
         arr = rasterize(comb, mollified=True)
-        axis_bin = int(round((3.0 * math.pi / 4.0) / step)) % self.p.n_directions
-        worst = 0
+        axis_bin = int(round((3.0 * math.pi / 4.0) / step)) % n_dir
         # probe the comb at representative perpendicular window offsets
-        amp0 = None
-        for off in range(0, min(3 * self.p.probe_stride, n // 4) + 1,
-                         max(1, self.p.probe_stride // 2)):
-            spec = np.abs(np.fft.fftn(arr * self.window((0, off)))).ravel()
-            vals = np.array([[spec[idx].max() if idx.size else 0.0 for idx in per]
-                             for per in self.bins])[:, self.fit_slice]
-            if amp0 is None:
-                amp0 = float(vals.max())
-            flagged = np.zeros(len(self.dirs), dtype=bool)
-            for i in range(len(self.dirs)):
-                fv = vals[i]
-                if fv.max() < self.p.min_level * amp0 or fv.min() <= 0.0:
-                    continue
-                flagged[i] = _fit_slope(self.fit_radii, fv) > self.p.slope_threshold
+        offsets = range(0, min(3 * p.probe_stride, n // 4) + 1,
+                        max(1, p.probe_stride // 2))
+        tables, slopes = _probe_tables(self, arr, [(0, off) for off in offsets])
+        vals = tables[:, :, self.fit_slice]
+        amp0 = float(vals[0].max())
+        flagged = ((vals.max(axis=2) >= p.min_level * amp0)
+                   & (vals.min(axis=2) > 0.0) & (slopes > p.slope_threshold))
+        worst = 0
+        for row in flagged:
             half_bins = 0
-            while (half_bins < self.p.n_directions // 2
-                   and flagged[(axis_bin + half_bins) % self.p.n_directions]
-                   and flagged[(axis_bin - half_bins) % self.p.n_directions]):
+            while (half_bins < n_dir // 2
+                   and row[(axis_bin + half_bins) % n_dir]
+                   and row[(axis_bin - half_bins) % n_dir]):
                 half_bins += 1
             worst = max(worst, half_bins)
-        self._resp = max(worst * step - step / 2.0, self.p.cone_half_angle)
+        self._resp = max(worst * step - step / 2.0, p.cone_half_angle)
         return self._resp
 
     def _axis_window(self, s: int) -> np.ndarray:
@@ -258,15 +275,6 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _fit_slope(radii: np.ndarray, vals: np.ndarray) -> float:
-    if len(radii) < 2:
-        return 0.0
-    logs = np.log(np.maximum(vals, 1e-300))
-    x = np.log(radii)
-    coef = np.polyfit(x, logs, 1)
-    return float(coef[0])
-
-
 def _max_workers() -> int:
     env = os.environ.get("GRPD_THREADS", "0")
     try:
@@ -276,6 +284,35 @@ def _max_workers() -> int:
     if cap <= 0:
         cap = min(8, os.cpu_count() or 1)
     return max(1, cap)
+
+
+def _probe_tables(sc: _Scaffold, arr: np.ndarray,
+                  centers: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The estimator's spectrum-and-slope kernel: ``(tables, slopes)``.
+
+    ``tables[k, i, j]`` is the max DFT modulus of ``arr`` windowed at
+    ``centers[k]`` over direction cone ``i`` and shell ``j`` (0 for an empty
+    bin); ``slopes[k, i]`` is the least-squares slope of its log over the
+    fit shells against log shell radius, all from one batched fit.
+    """
+    n_dir, n_shells = len(sc.dirs), len(sc.shells)
+
+    def probe(c):
+        spec = np.abs(np.fft.fftn(arr * sc.window(c))).ravel()
+        out = np.zeros(n_dir * n_shells)
+        out[sc.bin_filled] = np.maximum.reduceat(spec[sc.bin_points], sc.bin_starts)
+        return out
+
+    workers = _max_workers()
+    if workers > 1 and len(centers) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(probe, centers))
+    else:
+        rows = [probe(c) for c in centers]
+    tables = np.array(rows).reshape(len(centers), n_dir, n_shells)
+    logs = np.log(np.maximum(tables[:, :, sc.fit_slice], 1e-300))
+    coef = np.polyfit(np.log(sc.fit_radii), logs.reshape(-1, len(sc.fit_radii)).T, 1)
+    return tables, coef[0].reshape(len(centers), n_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -291,49 +328,25 @@ def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
     arr = rasterize(u, mollified=True)
     sc = _Scaffold(model, p)
     centers = sc.probe_centers()
+    tables, slopes = _probe_tables(sc, arr, centers)
 
-    def probe(c):
-        spec = np.abs(np.fft.fftn(arr * sc.window(c))).ravel()
-        out = np.zeros((len(sc.dirs), len(sc.shells)))
-        for i, per_shell in enumerate(sc.bins):
-            for j, idx in enumerate(per_shell):
-                if idx.size:
-                    out[i, j] = spec[idx].max()
-        return out
-
-    workers = _max_workers()
-    if workers > 1 and len(centers) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(probe, centers))
-    else:
-        tables = [probe(c) for c in centers]
-
-    amp_scale = max((float(t.max()) for t in tables), default=0.0)
-    floor = p.min_level * amp_scale
-    anchor_floor = p.anchor_level * amp_scale
+    amp_scale = float(tables.max())
+    vals = tables[:, :, sc.fit_slice]
+    peaks = vals.max(axis=2)
+    fitted = (peaks > 0.0) & (vals.min(axis=2) > 0.0)
+    kept = fitted & (peaks > p.min_level * amp_scale)
+    flagged = kept & (slopes > p.slope_threshold)
+    anchors = (fitted & (slopes > p.anchor_slope)
+               & (peaks > p.anchor_level * amp_scale))
     shape = model.grid_shape
-    records: list[SlopeRecord] = []
+    coords = [tuple(c[ax] / shape[ax] for ax in range(sc.dim)) for c in centers]
+    records = tuple(SlopeRecord(coords[k], sc.dirs[i], float(slopes[k, i]),
+                                float(peaks[k, i]))
+                    for k, i in zip(*np.nonzero(kept)))
     cells: list[ConeCell] = []
-    for c, table in zip(centers, tables):
-        coords = tuple(c[ax] / shape[ax] for ax in range(sc.dim))
-        flagged = np.zeros(len(sc.dirs), dtype=bool)
-        anchors = np.zeros(len(sc.dirs), dtype=bool)
-        for i in range(len(sc.dirs)):
-            vals = table[i][sc.fit_slice]
-            peak = float(vals.max()) if vals.size else 0.0
-            if peak <= 0.0 or np.min(vals) <= 0.0:
-                continue
-            slope = _fit_slope(sc.fit_radii, vals)
-            if peak > floor:
-                records.append(SlopeRecord(coords, sc.dirs[i], slope, peak))
-            if slope > p.slope_threshold and peak > floor:
-                flagged[i] = True
-            if slope > p.anchor_slope and peak > anchor_floor:
-                anchors[i] = True
-        if anchors.any():
-            cells.extend(_cells_from_flags(model, sc, p, coords, flagged, anchors))
-    estimated = ConeSet(model, tuple(cells))
-    return WfReport(estimated, tuple(records), p)
+    for k in np.flatnonzero(anchors.any(axis=1)):
+        cells.extend(_cells_from_flags(model, sc, p, coords[k], flagged[k], anchors[k]))
+    return WfReport(ConeSet(model, tuple(cells)), records, p)
 
 
 def _cells_from_flags(model, sc: _Scaffold, p: WfParams, coords,
@@ -348,13 +361,8 @@ def _cells_from_flags(model, sc: _Scaffold, p: WfParams, coords,
     """
     if not flagged.any():
         return []
-    if sc.dim == 2:
-        n_dir = len(flagged)
-        closed = flagged.copy()
-        for i in range(n_dir):
-            if not flagged[i] and flagged[(i - 1) % n_dir] and flagged[(i + 1) % n_dir]:
-                closed[i] = True
-        flagged = closed
+    if sc.dim == 2:     # close single-bin gaps
+        flagged = flagged | (np.roll(flagged, 1) & np.roll(flagged, -1))
     base = tuple(point_interval(x) for x in coords)
     if sc.dim == 1:
         signs = frozenset(s for s, f in zip((1, -1), flagged) if f and anchors.any())
@@ -381,28 +389,18 @@ def _cells_from_flags(model, sc: _Scaffold, p: WfParams, coords,
 
 
 def _circular_runs(flagged: np.ndarray):
-    """Maximal runs of True in a circular boolean array: (start, count)."""
+    """Maximal runs of True in a circular boolean array: (start, count),
+    by start.  A run through index 0 is listed whole and again from 0."""
     n = len(flagged)
-    idx = np.nonzero(flagged)[0]
-    if idx.size == 0:
-        return []
-    if idx.size == n:
+    if flagged.all():
         return [(0, n)]
+    stops = np.flatnonzero(~flagged)
     runs = []
-    start = None
-    for i in range(2 * n):
-        v = flagged[i % n]
-        if v and start is None:
-            start = i
-        if not v and start is not None:
-            if start < n:
-                runs.append((start % n, i - start))
-            start = None
-    # keep each run once (runs fully inside the first period or wrapping)
-    uniq = {}
-    for s, c in runs:
-        uniq[s] = max(uniq.get(s, 0), c)
-    return sorted(uniq.items())
+    for s in np.flatnonzero(flagged):
+        if s == 0 or not flagged[s - 1]:
+            stop = stops[np.searchsorted(stops, s)] if s < stops[-1] else stops[0] + n
+            runs.append((int(s), int(stop - s)))
+    return runs
 
 
 def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = None) -> float:
@@ -424,10 +422,8 @@ def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = No
     else:
         dots = [sum(a * b for a, b in zip(d, c)) for c in sc.dirs]
         i = int(np.argmax(dots))
-    arr = rasterize(u, mollified=True)
-    spec = np.abs(np.fft.fftn(arr * sc.window(c_idx))).ravel()
-    vals = np.array([spec[idx].max() if idx.size else 0.0 for idx in sc.bins[i]])
-    return _fit_slope(sc.fit_radii, vals[sc.fit_slice])
+    _, slopes = _probe_tables(sc, rasterize(u, mollified=True), [c_idx])
+    return float(slopes[0, i])
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_cli_usage_error(tmp_path):
     assert run_cli("run", str(tmp_path / "missing.json")) == 1
 
 
+def test_unknown_wf_params_key_is_a_usage_error(tmp_path):
+    spec = {"version": 1, "name": "bad-wf", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": "wf-estimate",
+            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}],
+            "wf_params": {"window_radius": 8, "no_such_knob": 1}}
+    with pytest.raises(SerializationError, match="no_such_knob"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "bad-wf.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
 def test_cli_demo_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

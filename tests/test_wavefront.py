@@ -15,8 +15,8 @@ from grpd.distributions import (counterexample_distribution, make_layer,
 from grpd.errors import DomainError, ModelUnsupportedError
 from grpd.models import affine_group, circle_group, pair_circle, pair_times_z
 from grpd.spectral import band_limited_field
-from grpd.wavefront import (WfParams, decay_slope, estimate_wavefront,
-                            verify_product_bound)
+from grpd.wavefront import (WfParams, _circular_runs, _probe_tables, _Scaffold,
+                            decay_slope, estimate_wavefront, verify_product_bound)
 
 N = 128
 M = pair_circle(N)
@@ -48,6 +48,145 @@ def test_params_validation():
     assert resolved.window_radius == N // 8
     assert resolved.shell_hi == N // 4
     assert resolved.probe_stride == N // 16
+
+
+@pytest.mark.parametrize("params", [
+    WfParams(shell_hi=65),                     # above Nyquist n/2
+    WfParams(shell_hi=200),
+    WfParams(shell_lo=32, shell_hi=32),        # empty shell band
+    WfParams(shell_lo=40, shell_hi=32),
+    WfParams(shell_lo=0, shell_hi=32),
+    WfParams(shell_lo=16, shell_hi=32),        # one shell: no slope fit
+    WfParams(shell_lo=20, shell_hi=36),
+    WfParams(probe_stride=33),                 # coarser than n/4
+    WfParams(probe_stride=1000),
+    WfParams(probe_stride=-2),
+])
+def test_params_range_checks(params):
+    with pytest.raises(DomainError):
+        params.resolve(M)
+    with pytest.raises(DomainError):
+        estimate_wavefront(rotation_layer(M, 0.25), params)
+
+
+def test_params_range_limits_and_defaults_valid():
+    edge = WfParams(shell_lo=16, shell_hi=N // 2, probe_stride=N // 4).resolve(M)
+    assert (edge.shell_hi, edge.probe_stride) == (64, 32)
+    for model in (pair_circle(32), pair_circle(64), M, pair_circle(256),
+                  pair_circle(512), circle_group(64), pair_times_z(32, 8)):
+        WfParams().resolve(model)
+
+
+def reference_bins(sc):
+    """Full-grid boolean mask per (direction, shell) bin, built the plain way."""
+    shape = sc.model.grid_shape
+    freqs = np.meshgrid(*(np.fft.fftfreq(s, d=1.0 / s) for s in shape), indexing="ij")
+    radius = np.sqrt(sum(f * f for f in freqs))
+    if sc.dim == 1:
+        cones = [freqs[0] > 0, freqs[0] < 0]
+    elif sc.dim == 2:
+        step = TWO_PI / len(sc.dirs)
+        ang = np.arctan2(freqs[1], freqs[0]) % TWO_PI
+        cones = [np.abs((ang - i * step + math.pi) % TWO_PI - math.pi)
+                 <= sc.p.cone_half_angle for i in range(len(sc.dirs))]
+    else:
+        unit = [f / np.maximum(radius, 1e-300) for f in freqs]
+        cones = [sum(c[i] * unit[i] for i in range(3)) >= math.cos(sc.cap_radius)
+                 for c in sc.dirs]
+    return [[cone & (radius > 0) & (radius >= a) & (radius <= b) for a, b in sc.shells]
+            for cone in cones]
+
+
+def reference_tables(sc, arr, centers, bins):
+    """Per-probe fftn, per-bin max over boolean masks, per-row np.polyfit."""
+    tables = np.zeros((len(centers), len(sc.dirs), len(sc.shells)))
+    for k, c in enumerate(centers):
+        spec = np.abs(np.fft.fftn(arr * sc.window(c)))
+        for i, per_shell in enumerate(bins):
+            for j, mask in enumerate(per_shell):
+                if mask.any():
+                    tables[k, i, j] = spec[mask].max()
+    x = np.log(sc.fit_radii)
+    slopes = np.array([[np.polyfit(x, np.log(np.maximum(row[sc.fit_slice], 1e-300)), 1)[0]
+                        for row in table] for table in tables])
+    return tables, slopes
+
+
+def kernel_bin_sets(sc):
+    """The kernel's flattened bin index, decoded to a set of grid indices per bin."""
+    segments = iter(np.split(sc.bin_points, sc.bin_starts[1:]))
+    return [set(next(segments)) if filled else set() for filled in sc.bin_filled]
+
+
+def reference_runs(flagged):
+    """Loop reference for _circular_runs: scan two periods, keep runs that
+    start in the first one."""
+    n = len(flagged)
+    if flagged.all():
+        return [(0, n)]
+    runs, start = [], None
+    for i in range(2 * n):
+        if flagged[i % n] and start is None:
+            start = i
+        if not flagged[i % n] and start is not None:
+            if start < n:
+                runs.append((start, i - start))
+            start = None
+    return runs
+
+
+def test_circular_runs_match_loop_reference():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(1, 70))
+        flagged = rng.random(n) < rng.random()
+        assert _circular_runs(flagged) == reference_runs(flagged)
+    assert _circular_runs(np.array([True, True, False, False, True])) == [(0, 2), (4, 3)]
+
+
+def _ptz_point():
+    mz = pair_times_z(32, 8)
+    v = np.zeros(mz.grid_shape, dtype=complex)
+    v[0, 0, 0] = 1.0
+    return smooth_distribution(mz, v)
+
+
+KERNEL_CASES = {
+    "1d-layer": lambda: (make_layer(circle_group(64), 0.25, 1.0, 0), WfParams()),
+    "2d-rotation": lambda: (rotation_layer(pair_circle(64), 0.25), WfParams()),
+    "2d-point": lambda: (point_mass(pair_circle(64), 0.0, 0.0), WfParams()),
+    "2d-counterexample": lambda: (counterexample_distribution(64), WfParams()),
+    "2d-low-shells": lambda: (rotation_layer(pair_circle(64), 0.125),
+                              WfParams(shell_lo=1, probe_stride=16)),
+    "3d-point": lambda: (_ptz_point(), WfParams()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_probe_kernel_matches_reference(case):
+    u, params = KERNEL_CASES[case]()
+    model = u.model
+    sc = _Scaffold(model, params.resolve(model))
+    arr = rasterize(u, mollified=True)
+    centers = sc.probe_centers()
+    bins = reference_bins(sc)
+    flat_masks = [set(np.flatnonzero(m)) for per_shell in bins for m in per_shell]
+    assert kernel_bin_sets(sc) == flat_masks
+    # a lattice point on the shared endpoint of the first two shells sits
+    # in both shell bins of its direction
+    edge = np.ravel_multi_index((sc.shells[0][1],) + (0,) * (sc.dim - 1),
+                                model.grid_shape)
+    per_dir = [[edge in flat_masks[i * len(sc.shells) + j] for j in (0, 1)]
+               for i in range(len(sc.dirs))]
+    assert [True, True] in per_dir
+    tables, slopes = _probe_tables(sc, arr, centers)
+    ref_tables, ref_slopes = reference_tables(sc, arr, centers, bins)
+    assert np.array_equal(tables, ref_tables)
+    assert np.array_equal(slopes, ref_slopes)
+    empty = ~sc.bin_filled.reshape(len(sc.dirs), len(sc.shells))
+    if case in ("2d-low-shells", "3d-point"):
+        assert empty.any()
+    assert not tables[:, empty].any()
 
 
 def test_smooth_catalog_reads_empty():
