@@ -10,8 +10,8 @@ from .cotangent import (CotangentPoint, CotangentUnit, KernelKind,
                         ct_anchor_maps, ct_src, ct_tgt, ct_multiply,
                         ct_invert, ct_is_composable, in_kernel,
                         transformation_iso_phi)
-from .cones import (ConeSet, ConeCell, Cap, CircInterval, Transversality,
-                    a_star_units, cone_product, cone_product_bar,
+from .cones import (ConeSet, ConeCell, Signs, Arcs, Caps, Cap, CircInterval,
+                    Transversality, a_star_units, cone_product, cone_product_bar,
                     cone_contains, hormander_gate, transversality)
 from .distributions import (Distribution, Layer, TestFunction,
                             FiberDistribution, Anchor, pair,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import (A_STAR_ARCS, CircInterval, ConeCell, ConeSet, TWO_PI,
-                    a_star_units, full_interval, point_interval)
+from .cones import (A_STAR_ARCS, Arcs, CircInterval, ConeCell, ConeSet, Signs,
+                    a_star_units)
 from .distributions import (Distribution, counterexample_distribution,
                             make_layer, point_mass, smooth_distribution, unit_delta)
 from .errors import DomainError, ModelUnsupportedError
@@ -33,14 +33,14 @@ def rotation_cone(model: GroupoidModel, theta: float) -> ConeSet:
     if model.kind is Kind.CIRCLE_GROUP:
         t = int(round(theta * model.n)) % model.n
         return ConeSet(model, (ConeCell((CircInterval(t / model.n, 1.0 / model.n),),
-                                        signs=frozenset({1, -1})),))
+                                        Signs.full()),))
     if model.kind is not Kind.PAIR_CIRCLE:
         raise ModelUnsupportedError("rotation cones on the pair model")
     n = model.n
     t = int(round(theta * n)) % n
+    arcs = Arcs(A_STAR_ARCS)
     cells = tuple(ConeCell((CircInterval(i / n, 1.0 / n),
-                            CircInterval(((i - t) % n) / n, 1.0 / n)),
-                           arcs=A_STAR_ARCS)
+                            CircInterval(((i - t) % n) / n, 1.0 / n)), arcs)
                   for i in range(n))
     return ConeSet(model, cells)
 
@@ -110,21 +110,3 @@ def build_cone(name: str, model: GroupoidModel, params: dict | None = None) -> C
         raise DomainError(f"unknown catalog cone {name!r}")
     return CONE_CATALOG[name](model, params or {})
 
-
-def analytic_cone_of(name: str, model: GroupoidModel, params: dict | None = None) -> ConeSet:
-    """The analytically known wave-front cone of a catalog distribution."""
-    params = params or {}
-    if name == "delta":
-        return a_star_units(model)
-    if name == "point-mass":
-        return point_cone(model, *params.get("at", [0.0] * model.dim))
-    if name == "rotation-layer":
-        return rotation_cone(model, params.get("theta", 0.25))
-    if name in ("gaussian-bump", "smooth-field"):
-        return empty_cone(model)
-    if name == "counterexample":
-        # singular support {x = 0}, all directions
-        n = model.n
-        return ConeSet(model, (ConeCell((point_interval(0.0), full_interval(1.0)),
-                                        arcs=(full_interval(TWO_PI),)),))
-    raise DomainError(f"no analytic cone recorded for {name!r}")

@@ -12,9 +12,8 @@ import math
 import numpy as np
 
 from . import catalog
-from .cones import (ConeCell, ConeSet, CircInterval, TWO_PI, Transversality,
-                    a_star_units, cone_product_bar, full_interval, point_interval,
-                    transversality)
+from .cones import (Arcs, Cap, Caps, ConeCell, ConeSet, CircInterval, Signs, TWO_PI,
+                    Transversality, a_star_units, cone_product_bar, transversality)
 from .convolution import (GOperator, apply_operator, convolve,
                           equivariance_defect, module_property_check, recover_kernel)
 from .cotangent import (CotangentPoint, KernelKind, anchor_jacobian, annihilates,
@@ -409,25 +408,16 @@ def random_cone_set(model: GroupoidModel, rng: np.random.Generator,
                                   float(rng.uniform(0, 0.3)))
                      for _ in range(model.dim))
         if model.dim == 1:
-            signs = frozenset(s for s in (1, -1) if rng.uniform() < 0.7)
-            if not signs:
-                signs = frozenset({1})
-            cells.append(ConeCell(base, signs=signs))
+            dirs = Signs(s for s in (1, -1) if rng.uniform() < 0.7) or Signs({1})
         elif model.dim == 2:
-            arcs = tuple(CircInterval(float(rng.uniform(0, TWO_PI)),
-                                      float(rng.uniform(0, 1.0)), TWO_PI)
-                         for _ in range(int(rng.integers(1, 3))))
-            cells.append(ConeCell(base, arcs=arcs))
+            dirs = Arcs(tuple(CircInterval(float(rng.uniform(0, TWO_PI)),
+                                           float(rng.uniform(0, 1.0)), TWO_PI)
+                              for _ in range(int(rng.integers(1, 3)))))
         else:
-            caps = tuple(_random_cap(rng) for _ in range(int(rng.integers(1, 3))))
-            cells.append(ConeCell(base, caps=caps))
+            dirs = Caps(tuple(Cap(tuple(rng.standard_normal(3)), float(rng.uniform(0.0, 0.5)))
+                              for _ in range(int(rng.integers(1, 3)))))
+        cells.append(ConeCell(base, dirs))
     return ConeSet(model, tuple(cells))
-
-
-def _random_cap(rng):
-    from .cones import Cap
-    v = rng.standard_normal(3)
-    return Cap(tuple(v), float(rng.uniform(0.0, 0.5)))
 
 
 def check_cone_heredity(pairs: int = 500, seed: int = 8, n: int = 64) -> dict:

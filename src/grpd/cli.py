@@ -119,10 +119,7 @@ def run_scenario(spec: dict, outdir: Path) -> int:
               for i in spec.get("inputs", [])]
     cones = [catalog.build_cone(c["catalog"], model, c.get("params"))
              for c in spec.get("cones", [])]
-    try:
-        wf = WfParams(**spec.get("wf_params", {}))
-    except TypeError as exc:
-        raise SerializationError(f"invalid wf_params: {exc}") from exc
+    wf = WfParams(**spec.get("wf_params", {}))
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {"name": spec["name"], "seed": seed, "model": model.to_json(),
             "operation": op}

@@ -2,14 +2,21 @@
 
 A ConeSet is a finite union of cells.  Each cell is a product of a base
 box (one closed circular interval per coordinate of G) and a conic
-direction set on the unit sphere of covectors:
+direction set on the unit sphere of covectors, whose type the table
+``DIRECTION_SETS`` fixes by the dimension of G:
 
-* dim 1 (circle group): a subset of {+1, -1};
-* dim 2 (pair model):   a finite union of closed angle arcs in [0, 2pi);
-* dim 3 (pair times Z): a finite set of spherical caps.
+* dim 1 (circle group): ``Signs``, a subset of {+1, -1};
+* dim 2 (pair model):   ``Arcs``, closed angle arcs, merged when built;
+* dim 3 (pair times Z): ``Caps``, a finite set of spherical caps.
+
+The three share one interface (contains, dilate, union, covered_by,
+meets, to_json/from_json), so validation, serialization, transversality
+and containment are written once, as are the anchor kernels ker s_Gamma
+and ker r_Gamma (``KER_S``, ``KER_R``).
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
-``cone_product_bar`` adds the two zero-section terms.  All direction
+``cone_product_bar`` adds the two zero-section terms; these and the gate
+stay per model, because each model has its own m_Gamma.  All direction
 arithmetic produces over-approximations, never under-approximations, so
 containment verdicts "subset of" stay sound.  On the pair model the arc
 arithmetic is closed form: writing directions as angles, the composed
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -204,6 +212,10 @@ class Cap:
     def dilate(self, eps: float) -> "Cap":
         return Cap(self.center, self.radius + eps)
 
+    def tilt(self, normal) -> float:
+        """Angle from the center to the great circle normal to ``normal``."""
+        return abs(math.asin(min(1.0, max(-1.0, float(np.dot(self.center, normal))))))
+
     def samples(self, step: float) -> np.ndarray:
         """Geodesic sample points covering the cap at resolution <= step."""
         c = np.asarray(self.center)
@@ -226,6 +238,139 @@ class Cap:
         return np.asarray(pts)
 
 
+class _DirSet:
+    """Shared by Signs, Arcs and Caps: a finite collection of parts."""
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __len__(self):
+        return len(self.parts)
+
+    def union(self, *others):
+        return type(self)(tuple(chain(self, *others)))
+
+
+@dataclass(frozen=True)
+class Signs(_DirSet):
+    """Directions of a 1-d cotangent fiber: a subset of {+1, -1}."""
+
+    parts: frozenset = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", frozenset(self.parts))
+
+    @staticmethod
+    def full() -> "Signs":
+        return Signs({1, -1})
+
+    def contains(self, sign: int) -> bool:
+        return sign in self.parts
+
+    def dilate(self, eps: float) -> "Signs":
+        return self
+
+    def covered_by(self, avail: "Signs", angular_tol: float) -> bool:
+        return self.parts <= avail.parts
+
+    def meets(self, kernel: "AnchorKernel") -> bool:
+        return False    # on a group both anchor kernels are the zero section
+
+    def to_json(self) -> dict:
+        return {"signs": sorted(self.parts, reverse=True)}
+
+    @staticmethod
+    def from_json(d: dict) -> "Signs":
+        return Signs(d["signs"])
+
+
+@dataclass(frozen=True)
+class Arcs(_DirSet):
+    """Directions in the plane: closed angle arcs (period 2pi), merged
+    into disjoint arcs when built."""
+
+    parts: tuple[CircInterval, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(merge_arcs(list(self.parts))))
+
+    @staticmethod
+    def full() -> "Arcs":
+        return Arcs((full_interval(TWO_PI),))
+
+    def contains(self, angle: float, tol: float = 0.0) -> bool:
+        return any(a.contains(angle, tol) for a in self.parts)
+
+    def dilate(self, eps: float) -> "Arcs":
+        return Arcs(tuple(a.dilate(eps) for a in self.parts))
+
+    def covered_by(self, avail: "Arcs", angular_tol: float) -> bool:
+        return all(arcs_cover(t, avail.parts) for t in self.parts)
+
+    def meets(self, kernel: "AnchorKernel") -> bool:
+        return any(self.contains(t) for t in kernel.angles)
+
+    def to_json(self) -> dict:
+        return {"arcs": [[a.start, a.start + a.width] for a in self.parts]}
+
+    @staticmethod
+    def from_json(d: dict) -> "Arcs":
+        return Arcs(tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in d["arcs"]))
+
+
+@dataclass(frozen=True)
+class Caps(_DirSet):
+    """Directions in 3-space: a finite union of spherical caps."""
+
+    parts: tuple[Cap, ...] = ()
+
+    @staticmethod
+    def full() -> "Caps":
+        return Caps(tuple(Cap(c, 1.3) for c in
+                          [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
+
+    def contains(self, d, tol: float = 0.0) -> bool:
+        return any(cap.contains(d, tol) for cap in self.parts)
+
+    def dilate(self, eps: float) -> "Caps":
+        return Caps(tuple(cap.dilate(eps) for cap in self.parts))
+
+    def covered_by(self, avail: "Caps", angular_tol: float) -> bool:
+        """Checked on geodesic samples of every cap, angular_tol/4 apart."""
+        step = max(angular_tol / 4.0, 1e-3)
+        return all(avail.contains(d) for cap in self.parts for d in cap.samples(step))
+
+    def meets(self, kernel: "AnchorKernel") -> bool:
+        return any(cap.tilt(kernel.normal) <= cap.radius for cap in self.parts)
+
+    def to_json(self) -> dict:
+        return {"caps": [[*cap.center, cap.radius] for cap in self.parts]}
+
+    @staticmethod
+    def from_json(d: dict) -> "Caps":
+        return Caps(tuple(Cap(tuple(v[:3]), v[3]) for v in d["caps"]))
+
+
+DIRECTION_SETS = {1: Signs, 2: Arcs, 3: Caps}
+
+
+@dataclass(frozen=True)
+class AnchorKernel:
+    """ker s_Gamma or ker r_Gamma: the axis angles ``angles`` on the pair
+    model, the great circle normal to ``normal`` (through the four
+    directions ``circle``) on PAIR_TIMES_Z; the zero section on a group."""
+
+    angles: tuple[float, float]
+    normal: tuple[float, float, float]
+    circle: tuple[tuple[float, float, float], ...]
+
+
+KER_S = AnchorKernel((0.0, math.pi), (0.0, 1.0, 0.0),         # eta = 0
+                     ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0)))
+KER_R = AnchorKernel((math.pi / 2.0, 3.0 * math.pi / 2.0), (1.0, 0.0, 0.0),   # xi = 0
+                     ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)))
+
+
 # ---------------------------------------------------------------------------
 # Cells and cone sets
 # ---------------------------------------------------------------------------
@@ -235,12 +380,7 @@ class ConeCell:
     """base box (tuple of period-1 CircIntervals) x direction set."""
 
     base: tuple[CircInterval, ...]
-    arcs: tuple[CircInterval, ...] = ()       # dim 2
-    signs: frozenset = frozenset()            # dim 1
-    caps: tuple[Cap, ...] = ()                # dim 3
-
-    def is_empty(self) -> bool:
-        return not (self.arcs or self.signs or self.caps)
+    dirs: Signs | Arcs | Caps
 
 
 @dataclass(frozen=True)
@@ -250,21 +390,12 @@ class ConeSet:
 
     def __post_init__(self):
         dim = self.model.dim
-        cells = []
+        dirs_type = DIRECTION_SETS[dim]
         for c in self.cells:
-            if len(c.base) != dim:
-                raise DomainError("base box dimension mismatch")
-            if dim == 1 and (c.arcs or c.caps):
-                raise DomainError("dim-1 cells carry sign sets")
-            if dim == 2 and (c.signs or c.caps):
-                raise DomainError("dim-2 cells carry arcs")
-            if dim == 3 and (c.arcs or c.signs):
-                raise DomainError("dim-3 cells carry caps")
-            if dim == 2:
-                c = ConeCell(c.base, tuple(merge_arcs(list(c.arcs))))
-            if not c.is_empty():
-                cells.append(c)
-        object.__setattr__(self, "cells", tuple(cells))
+            if len(c.base) != dim or type(c.dirs) is not dirs_type:
+                raise DomainError(f"dim-{dim} cells need {dim} base intervals "
+                                  f"and {dirs_type.__name__} directions")
+        object.__setattr__(self, "cells", tuple(c for c in self.cells if c.dirs))
 
     @property
     def is_empty(self) -> bool:
@@ -280,44 +411,24 @@ class ConeSet:
     def full_cone_at(model: GroupoidModel, *coords) -> "ConeSet":
         """All directions over a single base point."""
         base = tuple(point_interval(c) for c in coords)
-        if model.dim == 1:
-            return ConeSet(model, (ConeCell(base, signs=frozenset({1, -1})),))
-        if model.dim == 2:
-            return ConeSet(model, (ConeCell(base, arcs=(full_interval(TWO_PI),)),))
-        caps = tuple(Cap(c, 1.3) for c in
-                     [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
-        return ConeSet(model, (ConeCell(base, caps=caps),))
+        return ConeSet(model, (ConeCell(base, DIRECTION_SETS[model.dim].full()),))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        cells = []
-        for c in self.cells:
-            d = {"base_box": [[iv.start, (iv.start + iv.width)] for iv in c.base]}
-            if self.model.dim == 2:
-                d["arcs"] = [[a.start, a.start + a.width] for a in c.arcs]
-            elif self.model.dim == 1:
-                d["signs"] = sorted(c.signs, reverse=True)
-            else:
-                d["caps"] = [[*cap.center, cap.radius] for cap in c.caps]
-            cells.append(d)
+        cells = [{"base_box": [[iv.start, (iv.start + iv.width)] for iv in c.base],
+                  **c.dirs.to_json()} for c in self.cells]
         return {"model": self.model.to_json(), "cells": cells}
 
     @staticmethod
     def from_json(d: dict) -> "ConeSet":
         model = GroupoidModel.from_json(d["model"])
+        dirs_type = DIRECTION_SETS[model.dim]
         cells = []
         for c in d["cells"]:
             base = tuple(interval(lo, hi) if hi != lo else point_interval(lo)
                          for lo, hi in c["base_box"])
-            if model.dim == 2:
-                arcs = tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in c["arcs"])
-                cells.append(ConeCell(base, arcs=arcs))
-            elif model.dim == 1:
-                cells.append(ConeCell(base, signs=frozenset(c["signs"])))
-            else:
-                caps = tuple(Cap(tuple(v[:3]), v[3]) for v in c["caps"])
-                cells.append(ConeCell(base, caps=caps))
+            cells.append(ConeCell(base, dirs_type.from_json(c)))
         return ConeSet(model, tuple(cells))
 
 
@@ -336,22 +447,17 @@ def a_star_units(model: GroupoidModel) -> ConeSet:
     k = model.kind
     n = model.n
     if k is Kind.PAIR_CIRCLE:
-        cells = tuple(ConeCell((CircInterval(i / n, 1.0 / n),
-                                CircInterval(i / n, 1.0 / n)), arcs=A_STAR_ARCS)
-                      for i in range(n))
-        return ConeSet(model, cells)
+        arcs = Arcs(A_STAR_ARCS)
+        return ConeSet(model, tuple(ConeCell((CircInterval(i / n, 1.0 / n),
+                                              CircInterval(i / n, 1.0 / n)), arcs)
+                                    for i in range(n)))
     if k is Kind.CIRCLE_GROUP:
-        return ConeSet(model, (ConeCell((point_interval(0.0),),
-                                        signs=frozenset({1, -1})),))
-    caps = (Cap((1.0, -1.0, 0.0), 0.0), Cap((-1.0, 1.0, 0.0), 0.0))
-    cells = []
-    for i in range(n):
-        for j in range(model.m_z):
-            cells.append(ConeCell((CircInterval(i / n, 1.0 / n),
-                                   CircInterval(i / n, 1.0 / n),
-                                   CircInterval(j / model.m_z, 1.0 / model.m_z)),
-                                  caps=caps))
-    return ConeSet(model, tuple(cells))
+        return ConeSet(model, (ConeCell((point_interval(0.0),), Signs.full()),))
+    caps = Caps((Cap((1.0, -1.0, 0.0), 0.0), Cap((-1.0, 1.0, 0.0), 0.0)))
+    return ConeSet(model, tuple(ConeCell((CircInterval(i / n, 1.0 / n),
+                                          CircInterval(i / n, 1.0 / n),
+                                          CircInterval(j / model.m_z, 1.0 / model.m_z)), caps)
+                                for i in range(n) for j in range(model.m_z)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +470,10 @@ class Transversality:
     BI_TRANSVERSAL = "BI_TRANSVERSAL"
 
 
-def _cell_meets_axis(cell: ConeCell, dim: int, axis_angles, cap_normal) -> bool:
-    if dim == 1:
-        # on a group the relevant kernel is the zero section only
-        return False
-    if dim == 2:
-        return any(a.contains(t) for a in cell.arcs for t in axis_angles)
-    nrm = np.asarray(cap_normal, dtype=float)
-    for cap in cell.caps:
-        if abs(math.asin(min(1.0, max(-1.0, float(np.dot(cap.center, nrm)))))) <= cap.radius:
-            return True
-    return False
-
-
 def transversality(w: ConeSet, which: str) -> bool:
     """r-transversal: W avoids (ker dr)^perp = ker s_Gamma, etc."""
-    dim = w.model.dim
-    r_ok = not any(_cell_meets_axis(c, dim, (0.0, math.pi), (0.0, 1.0, 0.0))
-                   for c in w.cells)
-    s_ok = not any(_cell_meets_axis(c, dim, (math.pi / 2.0, 3.0 * math.pi / 2.0),
-                                    (1.0, 0.0, 0.0))
-                   for c in w.cells)
+    r_ok = not any(c.dirs.meets(KER_S) for c in w.cells)
+    s_ok = not any(c.dirs.meets(KER_R) for c in w.cells)
     if which == Transversality.R_TRANSVERSAL:
         return r_ok
     if which == Transversality.S_TRANSVERSAL:
@@ -406,10 +495,10 @@ def hormander_gate(w1: ConeSet, w2: ConeSet) -> bool:
             for c2 in w2.cells:
                 if not c1.base[1].intersects(c2.base[0]):
                     continue
-                up1 = any(a.contains(math.pi / 2.0) for a in c1.arcs)
-                dn1 = any(a.contains(3.0 * math.pi / 2.0) for a in c1.arcs)
-                neg2 = any(a.contains(math.pi) for a in c2.arcs)
-                pos2 = any(a.contains(0.0) for a in c2.arcs)
+                up1 = c1.dirs.contains(math.pi / 2.0)
+                dn1 = c1.dirs.contains(3.0 * math.pi / 2.0)
+                neg2 = c2.dirs.contains(math.pi)
+                pos2 = c2.dirs.contains(0.0)
                 if (up1 and neg2) or (dn1 and pos2):
                     return False
         return True
@@ -423,8 +512,8 @@ def hormander_gate(w1: ConeSet, w2: ConeSet) -> bool:
                 for mu in mus:
                     d1 = (0.0, math.cos(mu), math.sin(mu))
                     d2 = (-math.cos(mu), 0.0, -math.sin(mu))
-                    if (any(cap.contains(d1, SAMPLING_STEP / 2) for cap in c1.caps)
-                            and any(cap.contains(d2, SAMPLING_STEP / 2) for cap in c2.caps)):
+                    if (c1.dirs.contains(d1, SAMPLING_STEP / 2)
+                            and c2.dirs.contains(d2, SAMPLING_STEP / 2)):
                         return False
         return True
     raise ModelUnsupportedError("gate needs a grid model")
@@ -461,8 +550,8 @@ def compose_direction_arcs(arcs1, arcs2) -> list[CircInterval]:
     """Directions of m_Gamma applied to cone pairs with directions in
     arcs1 x arcs2 (pair-model closed form, over-approximating)."""
     out: list[CircInterval] = []
-    pieces1 = list(_quadrant_pieces_of_list(arcs1))
-    pieces2 = list(_quadrant_pieces_of_list(arcs2))
+    pieces1 = [pc for a in arcs1 for pc in _quadrant_pieces(a)]
+    pieces2 = [pc for a in arcs2 for pc in _quadrant_pieces(a)]
     for (a_lo, a_hi), q1 in pieces1:
         s1 = _SIN_SIGN[q1]
         for (b_lo, b_hi), q2 in pieces2:
@@ -504,11 +593,6 @@ def compose_direction_arcs(arcs1, arcs2) -> list[CircInterval]:
                                   1 if math.sin(b0) > 0 else -1)
             out.append(CircInterval(_QUADS[tq][0], math.pi / 2.0, TWO_PI))
     return merge_arcs(out)
-
-
-def _quadrant_pieces_of_list(arcs):
-    for a in arcs:
-        yield from _quadrant_pieces(a)
 
 
 # ---------------------------------------------------------------------------
@@ -587,94 +671,71 @@ def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
             for c2 in w2.cells:
                 if not c1.base[1].intersects(c2.base[0]):
                     continue
-                arcs = compose_direction_arcs(c1.arcs, c2.arcs)
-                if arcs:
-                    cells.append(ConeCell((c1.base[0], c2.base[1]), arcs=tuple(arcs)))
+                arcs = compose_direction_arcs(c1.dirs.parts, c2.dirs.parts)
+                cells.append(ConeCell((c1.base[0], c2.base[1]), Arcs(tuple(arcs))))
     elif k is Kind.CIRCLE_GROUP:
         for c1 in w1.cells:
             for c2 in w2.cells:
-                signs = c1.signs & c2.signs
-                if signs:
-                    cells.append(ConeCell((c1.base[0].minkowski(c2.base[0]),),
-                                          signs=signs))
+                cells.append(ConeCell((c1.base[0].minkowski(c2.base[0]),),
+                                      Signs(c1.dirs.parts & c2.dirs.parts)))
     elif k is Kind.PAIR_TIMES_Z:
         for c1 in w1.cells:
             for c2 in w2.cells:
                 if not (c1.base[1].intersects(c2.base[0])
                         and c1.base[2].intersects(c2.base[2])):
                     continue
-                caps = compose_direction_caps(c1.caps, c2.caps)
+                caps = Caps(tuple(compose_direction_caps(c1.dirs.parts, c2.dirs.parts)))
                 if caps:
-                    zints = c1.base[2].intersect(c2.base[2])
-                    for zi in zints:
-                        cells.append(ConeCell((c1.base[0], c2.base[1], zi),
-                                              caps=tuple(caps)))
+                    for zi in c1.base[2].intersect(c2.base[2]):
+                        cells.append(ConeCell((c1.base[0], c2.base[1], zi), caps))
     else:
         raise ModelUnsupportedError("cone products need a grid model")
     return ConeSet(model, tuple(cells))
 
 
 def _zero_term_cells(w: ConeSet, side: str) -> list[ConeCell]:
-    """Contributions of W x 0 (side='left') or 0 x W (side='right')."""
-    model = w.model
-    k = model.kind
-    cells: list[ConeCell] = []
+    """Contributions of W x 0 (side='left') or 0 x W (side='right'): the
+    directions of W in ker s_Gamma (left) or ker r_Gamma (right), over
+    the whole of the other unit axis."""
+    k = w.model.kind
     if k is Kind.CIRCLE_GROUP:
-        return cells    # s_Gamma/r_Gamma are injective on covectors here
-    if k is Kind.PAIR_CIRCLE:
-        for c in w.cells:
-            if side == "left":
-                hit = [a0 for a0 in (0.0, math.pi)
-                       if any(a.contains(a0) for a in c.arcs)]
-                if hit:
-                    cells.append(ConeCell((c.base[0], full_interval(1.0)),
-                                          arcs=tuple(CircInterval(a0, 0.0, TWO_PI)
-                                                     for a0 in hit)))
-            else:
-                hit = [b0 for b0 in (math.pi / 2.0, 3.0 * math.pi / 2.0)
-                       if any(a.contains(b0) for a in c.arcs)]
-                if hit:
-                    cells.append(ConeCell((full_interval(1.0), c.base[1]),
-                                          arcs=tuple(CircInterval(b0, 0.0, TWO_PI)
-                                                     for b0 in hit)))
-        return cells
-    if k is Kind.PAIR_TIMES_Z:
-        normal = (0.0, 1.0, 0.0) if side == "left" else (1.0, 0.0, 0.0)
-        nrm = np.asarray(normal)
-        for c in w.cells:
-            out_caps = []
-            for cap in c.caps:
-                tilt = abs(math.asin(min(1.0, max(-1.0, float(np.dot(cap.center, nrm))))))
-                if tilt > cap.radius:
-                    continue
-                proj = np.asarray(cap.center) - float(np.dot(cap.center, nrm)) * nrm
-                if np.linalg.norm(proj) < 1e-9:
-                    # cap centered at the pole: take a covering of the circle
-                    basis = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
-                             (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0)]
-                    if side == "right":
-                        basis = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-                                 (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]
-                    out_caps += [Cap(b, math.pi / 3 + SAMPLING_STEP) for b in basis]
-                else:
-                    out_caps.append(Cap(tuple(proj), 2.0 * cap.radius + SAMPLING_STEP))
-            if out_caps:
-                if side == "left":
-                    base = (c.base[0], full_interval(1.0), c.base[2])
-                else:
-                    base = (full_interval(1.0), c.base[1], c.base[2])
-                cells.append(ConeCell(base, caps=tuple(out_caps)))
-        return cells
-    raise ModelUnsupportedError("cone products need a grid model")
+        return []    # s_Gamma/r_Gamma are injective on covectors here
+    if k not in (Kind.PAIR_CIRCLE, Kind.PAIR_TIMES_Z):
+        raise ModelUnsupportedError("cone products need a grid model")
+    kernel, free = (KER_S, 1) if side == "left" else (KER_R, 0)
+    cells = []
+    for c in w.cells:
+        base = c.base[:free] + (full_interval(1.0),) + c.base[free + 1:]
+        if k is Kind.PAIR_CIRCLE:
+            dirs = Arcs(tuple(CircInterval(t, 0.0, TWO_PI) for t in kernel.angles
+                              if c.dirs.contains(t)))
+        else:
+            dirs = _kernel_caps(c.dirs, kernel)
+        cells.append(ConeCell(base, dirs))
+    return cells
+
+
+def _kernel_caps(caps: Caps, kernel: AnchorKernel) -> Caps:
+    """Caps covering the directions of ``caps`` that lie in ``kernel``."""
+    nrm = np.asarray(kernel.normal)
+    out = []
+    for cap in caps:
+        if cap.tilt(kernel.normal) > cap.radius:
+            continue
+        proj = np.asarray(cap.center) - float(np.dot(cap.center, nrm)) * nrm
+        if np.linalg.norm(proj) < 1e-9:
+            # cap centered at the pole: take a covering of the circle
+            out += [Cap(b, math.pi / 3 + SAMPLING_STEP) for b in kernel.circle]
+        else:
+            out.append(Cap(tuple(proj), 2.0 * cap.radius + SAMPLING_STEP))
+    return Caps(tuple(out))
 
 
 def cone_product_bar(w1: ConeSet, w2: ConeSet) -> ConeSet:
     """W1 *bar W2 = m_Gamma((W1xW2 u W1x0 u 0xW2) cap Gamma^(2))."""
     core = cone_product(w1, w2)
-    cells = list(core.cells)
-    cells += _zero_term_cells(w1, "left")
-    cells += _zero_term_cells(w2, "right")
-    return ConeSet(w1.model, tuple(cells))
+    return ConeSet(w1.model, (*core.cells, *_zero_term_cells(w1, "left"),
+                              *_zero_term_cells(w2, "right")))
 
 
 # ---------------------------------------------------------------------------
@@ -711,29 +772,13 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     if a.model != b.model:
         raise ModelMismatchError("cone sets on different models")
     model = a.model
-    dim = model.dim
-    shape = model.grid_shape
+    dilated = [(tuple(iv.dilate(base_tol_cells / n) for iv, n in zip(bc.base, model.grid_shape)),
+                bc.dirs.dilate(angular_tol)) for bc in b.cells]
+    nothing = DIRECTION_SETS[model.dim]()
     for cell in a.cells:
         for pt in _base_grid_points(cell, model):
-            avail_arcs, avail_signs, avail_caps = [], set(), []
-            for bc in b.cells:
-                ok = all(bc.base[i].dilate(base_tol_cells / shape[i]).contains(pt[i], 1e-12)
-                         for i in range(dim))
-                if not ok:
-                    continue
-                avail_arcs += [arc.dilate(angular_tol) for arc in bc.arcs]
-                avail_signs |= set(bc.signs)
-                avail_caps += [cap.dilate(angular_tol) for cap in bc.caps]
-            if dim == 1:
-                if not cell.signs <= avail_signs:
-                    return False
-            elif dim == 2:
-                merged = merge_arcs(avail_arcs)
-                if not all(arcs_cover(t, merged) for t in cell.arcs):
-                    return False
-            else:
-                for cap in cell.caps:
-                    for d in cap.samples(max(angular_tol / 4.0, 1e-3)):
-                        if not any(c.contains(d) for c in avail_caps):
-                            return False
+            avail = nothing.union(*(dirs for base, dirs in dilated
+                                    if all(iv.contains(x, 1e-12) for iv, x in zip(base, pt))))
+            if not cell.dirs.covered_by(avail, angular_tol):
+                return False
     return True

@@ -96,8 +96,6 @@ def convolve(u, v) -> Distribution:
     model = u.model
     if model.kind is Kind.PAIR_TIMES_Z and (u.layers or v.layers):
         raise TransversalityError("no layer route on PAIR_TIMES_Z")
-    if not (u.is_structurally_transversal or v.is_structurally_transversal):
-        raise TransversalityError("no transversal factor")
     smooth = None
     layers: list[Layer] = []
 

@@ -197,10 +197,6 @@ def ct_invert(delta: CotangentPoint) -> CotangentPoint:
     return CotangentPoint(base, tuple(mat @ delta.cov_array()))
 
 
-def ct_unit_embed(u: CotangentUnit) -> CotangentPoint:
-    return u.embed()
-
-
 # ---------------------------------------------------------------------------
 # Kernels of the structural maps
 # ---------------------------------------------------------------------------
@@ -317,13 +313,6 @@ def transformation_product(p1: tuple[Element, tuple], p2: tuple[Element, tuple])
 # ---------------------------------------------------------------------------
 # Seeded samplers of composable cotangent tuples
 # ---------------------------------------------------------------------------
-
-def random_cotangent_point(model: GroupoidModel, rng: np.random.Generator) -> CotangentPoint:
-    from .models import random_element
-    g = random_element(model, rng)
-    cov = rng.uniform(-3.0, 3.0, size=model.dim)
-    return CotangentPoint(g, tuple(cov))
-
 
 def _cov1_from_match(model: GroupoidModel, base1: Element, target: CotangentUnit,
                      rng: np.random.Generator) -> CotangentPoint:

@@ -119,11 +119,6 @@ class Distribution:
             if l.model != self.model:
                 raise ModelMismatchError("layer on a different model")
 
-    @property
-    def is_structurally_transversal(self) -> bool:
-        """Smooth grids and section layers are bi-transversal by construction."""
-        return True
-
     def smooth_or_zero(self) -> np.ndarray:
         if self.smooth is None:
             return np.zeros(self.model.grid_shape, dtype=complex)
@@ -155,11 +150,6 @@ class Distribution:
                 continue
             layers.append(Layer(self.model, sec, c, k))
         return Distribution(self.model, self.smooth, tuple(layers), self.label)
-
-
-def zero_distribution(model: GroupoidModel) -> Distribution:
-    return Distribution(model, np.zeros(model.grid_shape, dtype=complex), (),
-                        "zero")
 
 
 def smooth_distribution(model: GroupoidModel, values, label: str = "") -> Distribution:

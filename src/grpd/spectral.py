@@ -43,10 +43,6 @@ def spectral_derivative(values: np.ndarray, axis: int, order: int) -> np.ndarray
     return np.fft.ifft(spec, axis=axis)
 
 
-def circle_points(n: int) -> np.ndarray:
-    return np.arange(n) / n
-
-
 def band_limited_field(shape: tuple[int, ...], band: int,
                        rng: np.random.Generator, real: bool = True,
                        mean_zero: bool = False) -> np.ndarray:

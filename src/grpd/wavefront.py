@@ -20,17 +20,18 @@ staying inside the containment tolerance of the product-bound verifier.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import (Cap, CircInterval, ConeCell, ConeSet, TWO_PI, cone_contains,
-                    cone_product_bar, full_interval, point_interval)
+from .cones import (Arcs, Cap, Caps, CircInterval, ConeCell, ConeSet, Signs, TWO_PI,
+                    cone_contains, cone_product_bar, point_interval)
 from .convolution import convolve, convolve_gated, _as_distribution
 from .distributions import Distribution, Layer, rasterize
-from .errors import ConeConditionError, DomainError, ModelUnsupportedError
+from .errors import DomainError, ModelUnsupportedError
 from .models import GroupoidModel
 from .spectral import bump
 
@@ -66,6 +67,11 @@ class WfParams:
     anchor_level: float = 5e-2   # reporting probe must clear both
 
     def resolve(self, model: GroupoidModel) -> "WfParams":
+        for name in ("window_radius", "n_directions", "shell_lo", "shell_hi",
+                     "probe_stride"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
         n = model.n
         p = replace(self,
                     window_radius=self.window_radius or max(16, n // 8),
@@ -76,6 +82,11 @@ class WfParams:
             raise DomainError("window_radius must be >= 4")
         if p.n_directions < 16:
             raise DomainError("n_directions must be >= 16")
+        # below half the direction step, a frequency midway between two
+        # bins lies in no direction cone
+        if p.cone_half_angle < math.pi / p.n_directions:
+            raise DomainError(f"cone_half_angle must be >= pi/n_directions "
+                              f"= {math.pi / p.n_directions:.6g}")
         if not p.slope_threshold < 0:
             raise DomainError("slope_threshold must be negative")
         if not 1 <= p.shell_lo < p.shell_hi <= n / 2:
@@ -365,12 +376,12 @@ def _cells_from_flags(model, sc: _Scaffold, p: WfParams, coords,
         flagged = flagged | (np.roll(flagged, 1) & np.roll(flagged, -1))
     base = tuple(point_interval(x) for x in coords)
     if sc.dim == 1:
-        signs = frozenset(s for s, f in zip((1, -1), flagged) if f and anchors.any())
-        return [ConeCell(base, signs=signs)] if signs else []
+        return [ConeCell(base, Signs(s for s, f in zip((1, -1), flagged)
+                                     if f and anchors.any()))]
     if sc.dim == 2:
         step = TWO_PI / p.n_directions
         if flagged.all():
-            return [ConeCell(base, arcs=(full_interval(TWO_PI),))]
+            return [ConeCell(base, Arcs.full())]
         resp = sc.ray_response_halfwidth()
         arcs = []
         for lo_bin, count in _circular_runs(flagged):
@@ -382,10 +393,9 @@ def _cells_from_flags(model, sc: _Scaffold, p: WfParams, coords,
             mid = lo_bin * step + extent / 2.0
             half = max(step, extent / 2.0 - resp)
             arcs.append(CircInterval(mid - half, 2.0 * half, TWO_PI))
-        return [ConeCell(base, arcs=tuple(arcs))] if arcs else []
-    caps = tuple(Cap(sc.dirs[i], sc.cap_radius + 0.5 * sc.cap_radius)
-                 for i in range(len(flagged)) if flagged[i])
-    return [ConeCell(base, caps=caps)] if caps else []
+        return [ConeCell(base, Arcs(tuple(arcs)))]
+    return [ConeCell(base, Caps(tuple(Cap(sc.dirs[i], sc.cap_radius + 0.5 * sc.cap_radius)
+                                      for i in range(len(flagged)) if flagged[i])))]
 
 
 def _circular_runs(flagged: np.ndarray):
@@ -461,8 +471,6 @@ def verify_product_bound(u1, u2, w1: ConeSet, w2: ConeSet,
         product, predicted = convolve_gated(u1, u2, w1, w2)
         used_gated = True
     else:
-        if not (u1.is_structurally_transversal or u2.is_structurally_transversal):
-            raise ConeConditionError("gate failed and no structural route")
         product = convolve(u1, u2)
         predicted = cone_product_bar(w1, w2)
         used_gated = False

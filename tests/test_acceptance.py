@@ -86,7 +86,7 @@ def test_criterion_6_counterexample():
     from grpd.distributions import counterexample_distribution
     rep = estimate_wavefront(counterexample_distribution(128), WfParams())
     cone_hit = any(a.contains(0.0, math.pi / 18) or a.contains(math.pi, math.pi / 18)
-                   for c in rep.estimated.cells for a in c.arcs)
+                   for c in rep.estimated.cells for a in c.dirs)
     elapsed = time.monotonic() - t0
     ok = (res["pushforward_tail"] < 1e-8
           and res["best_axis_deviation"] <= math.pi / 18

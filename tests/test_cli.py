@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from grpd.cli import DEMOS, export_report, main, run_scenario, validate_scenario
-from grpd.errors import SerializationError
+from grpd.cli import DEMOS, _load_schema, export_report, main, run_scenario, validate_scenario
+from grpd.errors import DomainError, SerializationError
+from grpd.wavefront import WfParams
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
@@ -96,6 +102,28 @@ def test_unknown_wf_params_key_is_a_usage_error(tmp_path):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("wf_params,error", [
+    ({"n_directions": "abc"}, SerializationError),   # the schema's integer type
+    ({"window_radius": 16.0}, DomainError),          # an integer to JSON Schema
+])
+def test_non_integer_wf_params_are_usage_errors(tmp_path, wf_params, error):
+    spec = {"version": 1, "name": "bad-wf", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": "wf-estimate",
+            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}],
+            "wf_params": wf_params}
+    with pytest.raises(error):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "bad-wf.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
+def test_schema_wf_params_are_the_wf_params_fields():
+    keys = _load_schema()["properties"]["wf_params"]["properties"]
+    assert list(keys) == [f.name for f in dataclasses.fields(WfParams)]
+
+
 def test_cli_demo_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -105,8 +133,10 @@ def test_cli_demo_determinism(tmp_path):
 
 
 def test_cli_entry_point_subprocess(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-m", "grpd.cli", "list-demos"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0 and "unit-laws" in r.stdout
 
 

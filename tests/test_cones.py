@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from grpd.cones import (A_STAR_ARCS, Cap, CircInterval, ConeCell, ConeSet,
-                        TWO_PI, Transversality, a_star_units, arcs_cover,
+from grpd.cones import (A_STAR_ARCS, Arcs, Cap, CircInterval, ConeCell, ConeSet,
+                        Signs, TWO_PI, Transversality, a_star_units, arcs_cover,
                         compose_direction_arcs, cone_contains, cone_product,
                         cone_product_bar, full_interval, hormander_gate,
                         merge_arcs, point_interval, transversality)
 from grpd.catalog import empty_cone, point_cone, rotation_cone
+from grpd.checks import random_cone_set
+from grpd.cones import _base_grid_points
+from grpd.errors import DomainError
 from grpd.models import circle_group, pair_circle, pair_times_z
 
 M = pair_circle(64)
@@ -121,9 +124,9 @@ def test_gate_refuses_touching_full_cones():
 def test_gate_matching_kernel_pair():
     # W1 = {(0.1,0.4,0,eta)}, W2 = {(0.4,0.7,xi,0)} with eta = -xi pairing
     w1 = ConeSet(M, (ConeCell((point_interval(0.125), point_interval(0.375)),
-                              arcs=(CircInterval(math.pi / 2, 0.0, TWO_PI),)),))
+                              Arcs((CircInterval(math.pi / 2, 0.0, TWO_PI),))),))
     w2 = ConeSet(M, (ConeCell((point_interval(0.375), point_interval(0.75)),
-                              arcs=(CircInterval(math.pi, 0.0, TWO_PI),)),))
+                              Arcs((CircInterval(math.pi, 0.0, TWO_PI),))),))
     assert not hormander_gate(w1, w2)
     # s-transversal W1 always passes the gate
     assert hormander_gate(rotation_cone(M, 0.25), w2)
@@ -135,7 +138,7 @@ def test_bar_product_zero_terms():
     assert len(bar.cells) == 1
     cell = bar.cells[0]
     assert cell.base[0].width == 0.0 and cell.base[1].is_full
-    angles = sorted(a.start for a in cell.arcs)
+    angles = sorted(a.start for a in cell.dirs)
     assert angles == pytest.approx([0.0, math.pi])
     # a conormal cone has no eta = 0 directions: its left zero-term vanishes
     assert cone_product_bar(rotation_cone(M, 0.25), empty_cone(M)).is_empty
@@ -149,7 +152,7 @@ def test_a_star_units():
     assert cone_contains(ast, prod, 1e-9, 1.0)
     assert cone_contains(prod, ast, 1e-9, 2.01)
     astg = a_star_units(G)
-    assert len(astg.cells) == 1 and astg.cells[0].signs == {1, -1}
+    assert len(astg.cells) == 1 and astg.cells[0].dirs.parts == {1, -1}
     assert transversality(astg, Transversality.BI_TRANSVERSAL)
 
 
@@ -167,7 +170,7 @@ def test_heredity_needs_both_factors():
     # a one-sided hypothesis fails through the 0 x W2 term
     w1 = rotation_cone(M, 0.25)
     w2 = ConeSet(M, (ConeCell((point_interval(0.25), point_interval(0.5)),
-                              arcs=(CircInterval(math.pi / 2, 0.0, TWO_PI),)),))
+                              Arcs((CircInterval(math.pi / 2, 0.0, TWO_PI),))),))
     assert transversality(w1, Transversality.S_TRANSVERSAL)
     assert not transversality(w2, Transversality.S_TRANSVERSAL)
     bar = cone_product_bar(w1, w2)
@@ -179,14 +182,14 @@ def test_heredity_needs_both_factors():
 
 
 def test_group_cone_product():
-    c1 = ConeSet(G, (ConeCell((CircInterval(0.0, 0.25),), signs=frozenset({1})),))
-    c2 = ConeSet(G, (ConeCell((CircInterval(0.5, 0.25),), signs=frozenset({1, -1})),))
+    c1 = ConeSet(G, (ConeCell((CircInterval(0.0, 0.25),), Signs({1})),))
+    c2 = ConeSet(G, (ConeCell((CircInterval(0.5, 0.25),), Signs({1, -1})),))
     prod = cone_product(c1, c2)
     assert len(prod.cells) == 1
     cell = prod.cells[0]
-    assert cell.signs == {1}
+    assert cell.dirs.parts == {1}
     assert cell.base[0].start == pytest.approx(0.5) and cell.base[0].width == pytest.approx(0.5)
-    c3 = ConeSet(G, (ConeCell((CircInterval(0.5, 0.25),), signs=frozenset({-1})),))
+    c3 = ConeSet(G, (ConeCell((CircInterval(0.5, 0.25),), Signs({-1})),))
     assert cone_product(c1, c3).is_empty
 
 
@@ -214,9 +217,9 @@ def test_cone_contains_examples():
     ast = a_star_units(M)
     assert cone_contains(ast, ast, 0.0, 0.0)
     axis = ConeSet(M, (ConeCell((point_interval(0.0), point_interval(0.0)),
-                                arcs=(CircInterval(0.0, 0.0, TWO_PI),)),))
+                                Arcs((CircInterval(0.0, 0.0, TWO_PI),))),))
     rot15 = ConeSet(M, (ConeCell((point_interval(0.0), point_interval(0.0)),
-                                 arcs=(CircInterval(math.radians(15), 0.0, TWO_PI),)),))
+                                 Arcs((CircInterval(math.radians(15), 0.0, TWO_PI),))),))
     assert not cone_contains(axis, rot15, math.radians(10), 0.0)
     assert cone_contains(axis, rot15, math.radians(16), 0.0)
 
@@ -251,3 +254,83 @@ def test_cap_composition_sound_against_dense_oracle():
                 if nrm > 1e-12:
                     vec = vec / nrm
                     assert any(c.contains(vec, 1e-9) for c in out)
+
+
+def test_cell_direction_type_and_base_length_checked():
+    arcs = Arcs((CircInterval(0.0, 1.0, TWO_PI),))
+    pt = point_interval(0.0)
+    for model, cell in ((M, ConeCell((pt,), arcs)),                 # short base
+                        (M, ConeCell((pt, pt, pt), arcs)),          # long base
+                        (M, ConeCell((pt, pt), Signs({1}))),        # wrong type
+                        (G, ConeCell((pt,), arcs)),
+                        (Z, ConeCell((pt, pt, pt), arcs))):
+        with pytest.raises(DomainError):
+            ConeSet(model, (cell,))
+    assert ConeSet(M, (ConeCell((pt, pt), Arcs()),)).is_empty
+
+
+def _reference_contains(a, b, angular_tol, base_tol_cells):
+    """cone_contains as a per-point loop that dilates every cell of B
+    again at every grid point of A."""
+    dim = a.model.dim
+    shape = a.model.grid_shape
+    for cell in a.cells:
+        for pt in _base_grid_points(cell, a.model):
+            avail_arcs, avail_signs, avail_caps = [], set(), []
+            for bc in b.cells:
+                if not all(bc.base[i].dilate(base_tol_cells / shape[i]).contains(pt[i], 1e-12)
+                           for i in range(dim)):
+                    continue
+                if dim == 1:
+                    avail_signs |= set(bc.dirs.parts)
+                elif dim == 2:
+                    avail_arcs += [arc.dilate(angular_tol) for arc in bc.dirs.parts]
+                else:
+                    avail_caps += [cap.dilate(angular_tol) for cap in bc.dirs.parts]
+            if dim == 1:
+                if not cell.dirs.parts <= avail_signs:
+                    return False
+            elif dim == 2:
+                merged = merge_arcs(avail_arcs)
+                if not all(arcs_cover(t, merged) for t in cell.dirs.parts):
+                    return False
+            else:
+                for cap in cell.dirs.parts:
+                    for d in cap.samples(max(angular_tol / 4.0, 1e-3)):
+                        if not any(c.contains(d) for c in avail_caps):
+                            return False
+    return True
+
+
+def _nudged(w, angle, cells_shift):
+    """W with its base boxes moved by ``cells_shift`` grid cells per axis
+    and, on the pair model, its arcs turned by ``angle``."""
+    def turn(dirs):
+        if isinstance(dirs, Arcs):
+            return Arcs(tuple(CircInterval(a.start + angle, a.width, TWO_PI) for a in dirs))
+        return dirs
+    return ConeSet(w.model, tuple(
+        ConeCell(tuple(CircInterval(iv.start + cells_shift / n, iv.width)
+                       for iv, n in zip(c.base, w.model.grid_shape)), turn(c.dirs))
+        for c in w.cells))
+
+
+@pytest.mark.parametrize("model,pairs,tols", [
+    (M, 30, [(0.0, 0.0), (0.05, 1.0), (0.3, 3.0)]),
+    (G, 30, [(0.0, 0.0), (0.05, 1.0), (0.3, 3.0)]),
+    (Z, 4, [(0.2, 0.0), (0.4, 2.0)]),
+], ids=["pair", "group", "ptz"])
+def test_cone_contains_matches_per_point_reference(model, pairs, tols):
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(pairs):
+        w1 = random_cone_set(model, rng)
+        w2 = random_cone_set(model, rng)
+        union = ConeSet(model, w1.cells + w2.cells)
+        for a, b in ((w1, w2), (w2, w1), (w1, union), (union, w2),
+                     (w1, _nudged(w1, 0.1, 0.5))):
+            for angular_tol, base_tol in tols:
+                got = cone_contains(a, b, angular_tol, base_tol)
+                assert got == _reference_contains(a, b, angular_tol, base_tol)
+                verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)

@@ -61,6 +61,10 @@ def test_params_validation():
     WfParams(probe_stride=33),                 # coarser than n/4
     WfParams(probe_stride=1000),
     WfParams(probe_stride=-2),
+    WfParams(n_directions=16),                 # 10 deg cones, 22.5 deg step
+    WfParams(window_radius=16.0),              # integer fields take ints only
+    WfParams(n_directions="abc"),
+    WfParams(probe_stride=True),
 ])
 def test_params_range_checks(params):
     with pytest.raises(DomainError):
@@ -210,7 +214,7 @@ def test_point_mass_all_directions():
     assert rep.estimated.cells
     # every reported cell is the full direction circle near the base point
     for cell in rep.estimated.cells:
-        assert any(a.is_full for a in cell.arcs)
+        assert any(a.is_full for a in cell.dirs)
     assert cone_contains(point_cone(M, 0, 0), rep.estimated, math.pi / 32, 1.0)
     assert cone_contains(rep.estimated, point_cone(M, 0, 0), math.pi / 18, 16.0)
 
@@ -251,11 +255,11 @@ def test_counterexample_axis_detection():
     u = counterexample_distribution(N)
     rep = estimate_wavefront(u)
     hit = any(a.contains(0.0, math.pi / 18) or a.contains(math.pi, math.pi / 18)
-              for c in rep.estimated.cells for a in c.arcs)
+              for c in rep.estimated.cells for a in c.dirs)
     assert hit
     # at strongly singular probes the whole direction circle is reported,
     # covering the analytic wave front set there
-    assert any(a.is_full for c in rep.estimated.cells for a in c.arcs)
+    assert any(a.is_full for c in rep.estimated.cells for a in c.dirs)
     # slope diagnostics: the axis direction fails decay at a singular
     # center; at a smooth center every direction decays below threshold
     p = rep.params
@@ -270,7 +274,7 @@ def test_group_estimator():
     assert rep.estimated.cells
     signs = set()
     for c in rep.estimated.cells:
-        signs |= set(c.signs)
+        signs |= set(c.dirs)
         assert c.base[0].contains(0.25, 16 / 64)
     assert signs == {1, -1}
     smooth = smooth_distribution(g, band_limited_field((64,), 3,
@@ -316,6 +320,8 @@ def test_verify_product_bound_zero_case():
 
 def test_determinism_and_thread_cap():
     env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import json, numpy as np\n"
         "from grpd.catalog import rotation_layer\n"
