@@ -52,106 +52,50 @@ def _model_from_args(args) -> GroupoidModel:
     return GroupoidModel.from_json(d)
 
 
-def _params(args) -> dict:
-    return json.loads(args.params) if args.params else {}
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_report(out: Path, name: str, payload: dict) -> None:
-    gridio.dump_json(out / f"{name}.json", payload)
-
-
-def export_report(results, outdir) -> list:
-    """Write a result bundle to disk (idempotent overwrite).
-
-    ``results`` maps names to WfReport / VerifyReport / cone sets / grid
-    arrays; an empty mapping still produces a valid empty report JSON.
-    Returns the list of files written.
-    """
-    from .cones import ConeSet
-    from .wavefront import VerifyReport, WfReport
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(path, writer, *args):
-        writer(path, *args)
-        written.append(path)
-
-    index = {"names": sorted(results)}
-    for name, obj in sorted(results.items()):
-        if isinstance(obj, WfReport):
-            emit(outdir / f"{name}.cones.json", gridio.save_cone_set, obj.estimated)
-            emit(outdir / f"{name}.slopes.csv", gridio.save_slope_csv, obj.slopes)
-            emit(outdir / f"{name}.params.json", gridio.dump_json,
-                 obj.params.to_json())
-        elif isinstance(obj, VerifyReport):
-            emit(outdir / f"{name}.estimated.json", gridio.save_cone_set, obj.estimated)
-            emit(outdir / f"{name}.predicted.json", gridio.save_cone_set, obj.predicted)
-            emit(outdir / f"{name}.json", gridio.dump_json,
-                 {"passed": obj.passed, "gate": obj.gate_passed,
-                  "product_norm": obj.product_norm})
-        elif isinstance(obj, ConeSet):
-            emit(outdir / f"{name}.cones.json", gridio.save_cone_set, obj)
-        elif isinstance(obj, np.ndarray):
-            emit(outdir / f"{name}.grpd", gridio.save_grid, obj)
-        else:
-            emit(outdir / f"{name}.json", gridio.dump_json, obj)
-    emit(outdir / "report.json", gridio.dump_json, index)
-    return written
-
-
 # ---------------------------------------------------------------------------
 # Scenario runner
 # ---------------------------------------------------------------------------
 
+# operation -> (inputs it needs, cones it needs, whether it runs the estimator)
+OPERATIONS = {"convolve": (2, 0, False), "wf-estimate": (1, 0, True),
+              "cone-product": (0, 2, False), "verify": (2, 2, True)}
+
+
 def run_scenario(spec: dict, outdir: Path) -> int:
     validate_scenario(spec)
-    model = GroupoidModel.from_json(spec["model"])
-    seed = spec.get("seed", 0)
     op = spec["operation"]
+    n_inputs, n_cones, uses_wf = OPERATIONS[op]
+    if len(spec.get("inputs", [])) < n_inputs or len(spec.get("cones", [])) < n_cones:
+        raise SerializationError(
+            f"operation {op!r} needs {n_inputs} inputs and {n_cones} cones")
+    if "wf_params" in spec and not uses_wf:
+        raise SerializationError(
+            f"operation {op!r} does not run the estimator, so it takes no wf_params")
+    model = GroupoidModel.from_json(spec["model"])
     inputs = [catalog.build_distribution(i["catalog"], model, i.get("params"))
               for i in spec.get("inputs", [])]
     cones = [catalog.build_cone(c["catalog"], model, c.get("params"))
              for c in spec.get("cones", [])]
     wf = WfParams(**spec.get("wf_params", {}))
-    outdir.mkdir(parents=True, exist_ok=True)
-    meta = {"name": spec["name"], "seed": seed, "model": model.to_json(),
-            "operation": op}
+    report = {"name": spec["name"], "seed": spec.get("seed", 0),
+              "model": model.to_json(), "operation": op, "ok": True}
     if op == "convolve":
-        w = convolve(inputs[0], inputs[1])
-        gridio.save_grid(outdir / "product.grpd", rasterize(w))
-        _write_report(outdir, "report", meta | {"ok": True})
-        return EXIT_OK
-    if op == "wf-estimate":
-        report = estimate_wavefront(inputs[0], wf)
-        gridio.save_cone_set(outdir / "estimated.json", report.estimated)
-        gridio.save_slope_csv(outdir / "slopes.csv", report.slopes)
-        _write_report(outdir, "report",
-                      meta | {"ok": True, "params": report.params.to_json()})
-        return EXIT_OK
-    if op == "cone-product":
-        prod = cone_product(cones[0], cones[1])
-        bar = cone_product_bar(cones[0], cones[1])
-        gridio.save_cone_set(outdir / "product.json", prod)
-        gridio.save_cone_set(outdir / "product_bar.json", bar)
-        _write_report(outdir, "report", meta | {"ok": True})
-        return EXIT_OK
-    if op == "verify":
+        files = {"product.grpd": rasterize(convolve(inputs[0], inputs[1]))}
+    elif op == "wf-estimate":
+        rep = estimate_wavefront(inputs[0], wf)
+        files = {"estimated.json": rep.estimated, "slopes.csv": rep.slopes}
+        report["params"] = rep.params.to_json()
+    elif op == "cone-product":
+        files = {"product.json": cone_product(cones[0], cones[1]),
+                 "product_bar.json": cone_product_bar(cones[0], cones[1])}
+    else:   # verify
         rep = verify_product_bound(inputs[0], inputs[1], cones[0], cones[1], wf)
-        gridio.save_cone_set(outdir / "estimated.json", rep.estimated)
-        gridio.save_cone_set(outdir / "predicted.json", rep.predicted)
-        gridio.save_slope_csv(outdir / "slopes.csv", rep.wf_report.slopes)
-        _write_report(outdir, "report", meta | {"ok": rep.passed,
-                                                "product_norm": rep.product_norm,
-                                                "gate": rep.gate_passed})
-        return EXIT_OK if rep.passed else EXIT_PROPERTY
-    raise SerializationError(f"unknown operation {op!r}")
+        files = {"estimated.json": rep.estimated, "predicted.json": rep.predicted,
+                 "slopes.csv": rep.wf_report.slopes}
+        report |= {"ok": rep.passed, "product_norm": rep.product_norm,
+                   "gate": rep.gate_passed}
+    gridio.write_artifacts(outdir, files | {"report.json": report})
+    return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +149,8 @@ def _demo_remark_counterexample(out: Path, seed: int, n: int) -> tuple[bool, dic
     from .distributions import counterexample_distribution
     u = counterexample_distribution(max(n, 128))
     report = estimate_wavefront(u, WfParams())
-    gridio.save_slope_csv(out / "counterexample_slopes.csv", report.slopes)
-    gridio.save_cone_set(out / "counterexample_wf.json", report.estimated)
+    gridio.write_artifacts(out, {"counterexample_slopes.csv": report.slopes,
+                                 "counterexample_wf.json": report.estimated})
     ok = (res["pushforward_tail"] < 1e-8
           and res["best_axis_deviation"] <= math.pi / 18.0)
     return ok, {k: v for k, v in res.items()}
@@ -218,10 +162,10 @@ def _demo_wf_product_layers(out: Path, seed: int, n: int) -> tuple[bool, dict]:
     lam2 = catalog.rotation_layer(model, 0.125)
     rep = verify_product_bound(lam1, lam2, catalog.rotation_cone(model, 0.25),
                                catalog.rotation_cone(model, 0.125))
-    gridio.save_cone_set(out / "w1.json", catalog.rotation_cone(model, 0.25))
-    gridio.save_cone_set(out / "w2.json", catalog.rotation_cone(model, 0.125))
-    gridio.save_cone_set(out / "estimated.json", rep.estimated)
-    gridio.save_cone_set(out / "predicted.json", rep.predicted)
+    gridio.write_artifacts(out, {"w1.json": catalog.rotation_cone(model, 0.25),
+                                 "w2.json": catalog.rotation_cone(model, 0.125),
+                                 "estimated.json": rep.estimated,
+                                 "predicted.json": rep.predicted})
     return rep.passed, {"passed": rep.passed, "gate": rep.gate_passed,
                         "product_norm": rep.product_norm}
 
@@ -242,9 +186,9 @@ def _demo_roundtrip(out: Path, seed: int, n: int) -> tuple[bool, dict]:
     blob2 = gridio.grid_to_bytes(back)
     grid_ok = blob1 == blob2 and bool(np.array_equal(grid, back))
     cone = catalog.rotation_cone(model, 0.25)
-    gridio.save_cone_set(out / "cone.json", cone)
+    gridio.write_artifacts(out, {"cone.json": cone})
     cone2 = gridio.load_cone_set(out / "cone.json")
-    gridio.save_cone_set(out / "cone2.json", cone2)
+    gridio.write_artifacts(out, {"cone2.json": cone2})
     cone_ok = (out / "cone.json").read_bytes() == (out / "cone2.json").read_bytes()
     return grid_ok and cone_ok, {"grid_roundtrip": grid_ok,
                                  "cone_roundtrip": cone_ok,
@@ -272,33 +216,37 @@ def run_demo(name: str, outdir: Path, seed: int, n: int) -> int:
     if name not in DEMOS:
         print(f"unknown demo {name!r}; see list-demos", file=sys.stderr)
         return EXIT_USAGE
-    outdir.mkdir(parents=True, exist_ok=True)
     fn, desc = DEMOS[name]
     t0 = time.monotonic()
     ok, results = fn(outdir, seed, n)
     elapsed = time.monotonic() - t0
     payload = {"demo": name, "description": desc, "seed": seed, "n": n,
                "ok": ok, "results": results}
-    payload = _strip_unjsonable(payload)
-    gridio.dump_json(outdir / f"{name}.json", payload)
+    gridio.write_artifacts(outdir, {f"{name}.json": payload})
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)")
     return EXIT_OK if ok else EXIT_PROPERTY
-
-
-def _strip_unjsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_unjsonable(v) for k, v in obj.items()
-                if not hasattr(v, "estimated")}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_unjsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
 
 
 # ---------------------------------------------------------------------------
 # argparse front end
 # ---------------------------------------------------------------------------
+
+# subcommand, named after the scenario operation it runs -> (scenario name,
+# help, {input flag: default catalog entry}, {cone flag: default catalog
+# entry}); --params holds each flag's catalog params under the flag's name
+# and the estimator's under "wf"
+COMMANDS = {
+    "convolve": ("cli-convolve", "convolve two catalog distributions",
+                 {"left": "rotation-layer", "right": "gaussian-bump"}, {}),
+    "wf-estimate": ("cli-wf", "estimate the wave front set",
+                    {"input": "rotation-layer"}, {}),
+    "cone-product": ("cli-cones", "cone products of two catalog cones",
+                     {}, {"left": "rotation-conormal", "right": "rotation-conormal"}),
+    "verify": ("cli-verify", "verify the microlocal product bound",
+               {"left": "rotation-layer", "right": "rotation-layer"},
+               {"left_cone": "rotation-conormal", "right_cone": "rotation-conormal"}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="grpd",
@@ -313,26 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("convolve", help="convolve two catalog distributions")
-    common(p)
-    p.add_argument("--left", default="rotation-layer")
-    p.add_argument("--right", default="gaussian-bump")
-
-    p = sub.add_parser("wf-estimate", help="estimate the wave front set")
-    common(p)
-    p.add_argument("--input", default="rotation-layer")
-
-    p = sub.add_parser("cone-product", help="cone products of two catalog cones")
-    common(p)
-    p.add_argument("--left", default="rotation-conormal")
-    p.add_argument("--right", default="rotation-conormal")
-
-    p = sub.add_parser("verify", help="verify the microlocal product bound")
-    common(p)
-    p.add_argument("--left", default="rotation-layer")
-    p.add_argument("--right", default="rotation-layer")
-    p.add_argument("--left-cone", default="rotation-conormal")
-    p.add_argument("--right-cone", default="rotation-conormal")
+    for command, (_, help_, inputs, cones) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        common(p)
+        for flag, default in (inputs | cones).items():
+            p.add_argument("--" + flag.replace("_", "-"), default=default)
 
     p = sub.add_parser("run", help="run a scenario JSON file")
     p.add_argument("scenario")
@@ -358,40 +291,20 @@ def main(argv=None) -> int:
         if args.command == "run":
             spec = json.loads(Path(args.scenario).read_text())
             return run_scenario(spec, Path(args.out))
-        model = _model_from_args(args)
-        params = _params(args)
-        out = _outdir(args)
-        if args.command == "convolve":
-            spec = {"version": 1, "name": "cli-convolve", "seed": args.seed,
-                    "model": model.to_json(), "operation": "convolve",
-                    "inputs": [{"catalog": args.left, "params": params.get("left", {})},
-                               {"catalog": args.right, "params": params.get("right", {})}]}
-            return run_scenario(spec, out)
-        if args.command == "wf-estimate":
-            spec = {"version": 1, "name": "cli-wf", "seed": args.seed,
-                    "model": model.to_json(), "operation": "wf-estimate",
-                    "inputs": [{"catalog": args.input, "params": params.get("input", {})}],
-                    "wf_params": params.get("wf", {})}
-            return run_scenario(spec, out)
-        if args.command == "cone-product":
-            spec = {"version": 1, "name": "cli-cones", "seed": args.seed,
-                    "model": model.to_json(), "operation": "cone-product",
-                    "cones": [{"catalog": args.left, "params": params.get("left", {})},
-                              {"catalog": args.right, "params": params.get("right", {})}]}
-            return run_scenario(spec, out)
-        if args.command == "verify":
-            spec = {"version": 1, "name": "cli-verify", "seed": args.seed,
-                    "model": model.to_json(), "operation": "verify",
-                    "inputs": [{"catalog": args.left, "params": params.get("left", {})},
-                               {"catalog": args.right, "params": params.get("right", {})}],
-                    "cones": [{"catalog": args.left_cone,
-                               "params": params.get("left_cone", {})},
-                              {"catalog": args.right_cone,
-                               "params": params.get("right_cone", {})}],
-                    "wf_params": params.get("wf", {})}
-            return run_scenario(spec, out)
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_USAGE
+        name, _, input_flags, cone_flags = COMMANDS[args.command]
+        params = json.loads(args.params) if args.params else {}
+        if not isinstance(params, dict):
+            raise SerializationError(f"--params must be a JSON object, not {args.params!r}")
+
+        def entries(flags):
+            return [{"catalog": getattr(args, f), "params": params.get(f, {})}
+                    for f in flags]
+        spec = {"version": 1, "name": name, "seed": args.seed,
+                "model": _model_from_args(args).to_json(), "operation": args.command,
+                "inputs": entries(input_flags), "cones": entries(cone_flags)}
+        if "wf" in params:
+            spec["wf_params"] = params["wf"]
+        return run_scenario(spec, Path(args.out))
     except (GrpdError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

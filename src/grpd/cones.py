@@ -150,8 +150,8 @@ def merge_arcs(arcs: list[CircInterval]) -> list[CircInterval]:
             merged[-1][1] = max(merged[-1][1], s + w - merged[-1][0])
         else:
             merged.append([s, w])
-    # wrap-around: last interval may spill past the period into the first
-    if len(merged) > 1 and merged[-1][0] + merged[-1][1] >= p + merged[0][0] - 1e-12:
+    # wrap-around: the last interval may spill past the period over leading ones
+    while len(merged) > 1 and merged[-1][0] + merged[-1][1] >= p + merged[0][0] - 1e-12:
         first = merged.pop(0)
         merged[-1][1] = max(merged[-1][1], first[0] + first[1] + p - merged[-1][0])
     out = [CircInterval(s, w, p) for s, w in merged]

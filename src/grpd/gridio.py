@@ -1,4 +1,5 @@
-"""On-disk formats: GRPD binary grids, cone-set JSON, slope-table CSV.
+"""On-disk formats: GRPD binary grids, cone-set JSON, slope-table CSV, and
+``write_artifacts``, the one writer of a run's named files.
 
 Binary grid layout (little-endian): magic ``GRPD``, u32 rank, u32 dims
 (one per axis), zero padding to a 16-byte boundary, then float64
@@ -67,7 +68,7 @@ def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return str(float(obj)) if np.isinf(obj) else float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -111,3 +112,27 @@ def load_slope_csv(path) -> list[dict]:
                     "direction": tuple(float(v) for v in d.split(",")),
                     "slope": float(s), "peak": float(p)})
     return out
+
+
+def write_artifacts(outdir, files: dict[str, object]) -> list[Path]:
+    """Create ``outdir`` and write each named file by the type of its value:
+    a ``ConeSet`` as cone JSON, an ``ndarray`` as a GRPD grid, a ``.csv``
+    name as a slope table (its value the slope records), anything else as
+    JSON.  Files are overwritten, and equal values give equal bytes.
+    Returns the paths written, in the order of ``files``.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, obj in files.items():
+        path = outdir / name
+        if isinstance(obj, ConeSet):
+            save_cone_set(path, obj)
+        elif isinstance(obj, np.ndarray):
+            save_grid(path, obj)
+        elif name.endswith(".csv"):
+            save_slope_csv(path, obj)
+        else:
+            dump_json(path, obj)
+        written.append(path)
+    return written

@@ -218,16 +218,14 @@ class _Scaffold:
         singular ray, measured by running the pipeline itself on the
         canonical rotation comb through a window center: every direction
         cone within this angle of a true ray reads as non-decaying, so
-        reported runs are deconvolved by it.
+        reported runs are deconvolved by it.  Only 2-d scaffolds call this:
+        1-d and 3-d cells are reported without deconvolution.
         """
         if hasattr(self, "_resp"):
             return self._resp
         p = self.p
         n_dir = p.n_directions
         step = TWO_PI / n_dir
-        if self.dim != 2:
-            self._resp = p.cone_half_angle + step
-            return self._resp
         n = self.model.n
         comb = Distribution(self.model, None,
                             (Layer(self.model, 0, np.ones(n), 0),))
@@ -414,7 +412,8 @@ def _circular_runs(flagged: np.ndarray):
 
 
 def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = None) -> float:
-    """Fitted log-log decay slope for one (probe center, direction)."""
+    """Fitted log-log decay slope at one probe center, in the direction bin
+    nearest ``direction``."""
     u = _as_distribution(u)
     model = u.model
     p = (p or WfParams()).resolve(model)
@@ -422,16 +421,7 @@ def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = No
     shape = model.grid_shape
     c_idx = tuple(int(round(center[ax] * shape[ax])) % shape[ax]
                   for ax in range(sc.dim))
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    if sc.dim == 1:
-        i = 0 if d[0] > 0 else 1
-    elif sc.dim == 2:
-        ang = math.atan2(d[1], d[0]) % TWO_PI
-        i = int(round(ang / (TWO_PI / p.n_directions))) % p.n_directions
-    else:
-        dots = [sum(a * b for a, b in zip(d, c)) for c in sc.dirs]
-        i = int(np.argmax(dots))
+    i = int(np.argmax(np.asarray(sc.dirs) @ np.asarray(direction, dtype=float)))
     _, slopes = _probe_tables(sc, rasterize(u, mollified=True), [c_idx])
     return float(slopes[0, i])
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grpd.cli import DEMOS, _load_schema, export_report, main, run_scenario, validate_scenario
+from grpd.cli import DEMOS, _load_schema, main, run_scenario, validate_scenario
 from grpd.errors import DomainError, SerializationError
 from grpd.wavefront import WfParams
 
@@ -140,38 +140,85 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert r.returncode == 0 and "unit-laws" in r.stdout
 
 
-def test_export_report(tmp_path):
-    import numpy as np
-    from grpd.catalog import rotation_cone, rotation_layer
-    from grpd.models import pair_circle
-    from grpd.wavefront import estimate_wavefront
-
-    # empty results still produce a valid report JSON
-    files = export_report({}, tmp_path / "empty")
-    assert (tmp_path / "empty" / "report.json").exists()
-    assert json.loads((tmp_path / "empty" / "report.json").read_text()) == {"names": []}
-
-    m = pair_circle(64)
-    rep = estimate_wavefront(rotation_layer(m, 0.25))
-    grid = np.arange(16, dtype=complex).reshape(4, 4)
-    results = {"wf": rep, "cone": rotation_cone(m, 0.25), "grid": grid}
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    export_report(results, out1)
-    export_report(results, out2)
-    for f in ("wf.cones.json", "wf.slopes.csv", "cone.cones.json", "grid.grpd",
-              "report.json"):
-        assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
-    assert (out1 / "grid.grpd").read_bytes()[:4] == b"GRPD"
-    from grpd import gridio
-    assert np.array_equal(gridio.load_grid(out1 / "grid.grpd"), grid)
-    # idempotent overwrite
-    export_report(results, out1)
-    assert (out1 / "wf.cones.json").read_bytes() == (out2 / "wf.cones.json").read_bytes()
-
-
 def test_shipped_scenarios(tmp_path):
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
     spec = json.loads((root / "verify-layers.json").read_text())
     assert run_scenario(spec, tmp_path) == 0
+
+
+def _spec(op, n=64, **lists):
+    return {"version": 1, "name": f"scenario-{op}", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": n}, "operation": op} | lists
+
+
+LAYERS = [{"catalog": "rotation-layer", "params": {"theta": 0.25}},
+          {"catalog": "rotation-layer", "params": {"theta": 0.125}}]
+CONES = [{"catalog": "rotation-conormal", "params": {"theta": 0.25}},
+         {"catalog": "rotation-conormal", "params": {"theta": 0.125}}]
+BUMP = {"catalog": "gaussian-bump", "params": {"width": 0.1}}
+
+# operation -> (scenario lists, CLI scenario name, files besides report.json,
+# report.json keys besides the five every operation writes)
+OPERATIONS = {
+    "convolve": ({"inputs": [LAYERS[0], BUMP]}, "cli-convolve", {"product.grpd"}, set()),
+    "wf-estimate": ({"inputs": LAYERS[:1]}, "cli-wf",
+                    {"estimated.json", "slopes.csv"}, {"params"}),
+    "cone-product": ({"cones": CONES}, "cli-cones",
+                     {"product.json", "product_bar.json"}, set()),
+    "verify": ({"inputs": LAYERS, "cones": CONES}, "cli-verify",
+               {"estimated.json", "predicted.json", "slopes.csv"}, {"product_norm", "gate"}),
+}
+
+
+@pytest.mark.parametrize("via", ["subcommand", "run_scenario"])
+@pytest.mark.parametrize("op", list(OPERATIONS))
+def test_operation_artifacts(tmp_path, op, via):
+    lists, cli_name, files, keys = OPERATIONS[op]
+    n = 128 if op == "verify" else 64
+    if via == "subcommand":
+        name = cli_name
+        run = lambda out: run_cli(op, "--n", str(n), "--out", str(out))
+    else:
+        name = f"scenario-{op}"
+        run = lambda out: run_scenario(_spec(op, n, **lists), out)
+    assert run(tmp_path / "a") == 0
+    written = {p.name for p in (tmp_path / "a").iterdir()}
+    assert written == files | {"report.json"}
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert set(report) == {"name", "seed", "model", "operation", "ok"} | keys
+    assert report["name"] == name and report["operation"] == op
+    assert run(tmp_path / "b") == 0
+    for f in written:
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+
+@pytest.mark.parametrize("op,lists", [
+    ("convolve", {}),
+    ("convolve", {"inputs": LAYERS[:1]}),
+    ("wf-estimate", {"cones": CONES}),
+    ("cone-product", {"cones": CONES[:1]}),
+    ("verify", {"inputs": LAYERS, "cones": CONES[:1]}),
+])
+def test_too_few_inputs_or_cones_is_a_usage_error(tmp_path, op, lists):
+    spec = _spec(op, **lists)
+    with pytest.raises(SerializationError, match="needs"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
+def test_params_must_be_a_json_object(tmp_path, capsys):
+    assert run_cli("convolve", "--n", "64", "--params", "[1]", "--out", str(tmp_path)) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["convolve", "cone-product"])
+def test_wf_params_without_the_estimator_are_refused(tmp_path, op):
+    spec = _spec(op, **OPERATIONS[op][0],
+                 wf_params={"window_radius": 16.0, "n_directions": 2})
+    with pytest.raises(SerializationError, match="wf_params"):
+        run_scenario(spec, tmp_path / "direct")
+    assert run_cli(op, "--n", "64", "--params", '{"wf": {"n_directions": 2}}',
+                   "--out", str(tmp_path / "cli")) == 1

@@ -54,6 +54,25 @@ def test_merge_and_cover():
     assert not arcs_cover(CircInterval(0.2, 2.0, TWO_PI), merged)
 
 
+def test_merge_arcs_wrap_absorbs_every_leading_arc():
+    # the last arc wraps past 2π over both leading arcs
+    arcs = [CircInterval(0.0, 1.0, TWO_PI), CircInterval(1.5, 0.5, TWO_PI),
+            CircInterval(5.0, 2.883, TWO_PI)]
+    merged = merge_arcs(arcs)
+    assert len(merged) == 1
+    assert merged[0].start == 5.0 and merged[0].width == pytest.approx(2.0 + TWO_PI - 5.0)
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        arcs = [CircInterval(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, 2.5), TWO_PI)
+                for _ in range(rng.integers(1, 8))]
+        merged = merge_arcs(arcs)
+        assert merge_arcs(merged) == merged
+        assert not any(a.intersects(b) for i, a in enumerate(merged)
+                       for b in merged[i + 1:])
+        for x in rng.uniform(0.0, TWO_PI, 20):
+            assert any(a.contains(x) for a in arcs) == any(m.contains(x) for m in merged)
+
+
 # ---------------------------------------------------------------------------
 # arc composition (pair-model closed form)
 # ---------------------------------------------------------------------------

@@ -56,3 +56,35 @@ def test_slope_csv_roundtrip(tmp_path):
     assert back[1]["peak"] == 17.0
     gridio.save_slope_csv(tmp_path / "again.csv", records)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_write_artifacts(tmp_path):
+    from grpd.catalog import rotation_layer
+    from grpd.wavefront import estimate_wavefront
+
+    # an empty mapping creates the directory and writes nothing
+    assert gridio.write_artifacts(tmp_path / "empty", {}) == []
+    assert list((tmp_path / "empty").iterdir()) == []
+
+    m = pair_circle(64)
+    rep = estimate_wavefront(rotation_layer(m, 0.25))
+    grid = np.arange(16, dtype=complex).reshape(4, 4)
+    files = {"wf.cones.json": rep.estimated, "wf.slopes.csv": rep.slopes,
+             "wf.params.json": rep.params.to_json(),
+             "cone.cones.json": rotation_cone(m, 0.25), "grid.grpd": grid}
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert gridio.write_artifacts(out1, files) == [out1 / f for f in files]
+    gridio.write_artifacts(out2, files)
+    for f in files:
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+    assert (out1 / "grid.grpd").read_bytes()[:4] == b"GRPD"
+    assert np.array_equal(gridio.load_grid(out1 / "grid.grpd"), grid)
+    # idempotent overwrite
+    gridio.write_artifacts(out1, files)
+    assert (out1 / "wf.cones.json").read_bytes() == (out2 / "wf.cones.json").read_bytes()
+
+
+def test_json_writes_infinity_as_a_string(tmp_path):
+    gridio.dump_json(tmp_path / "inf.json", {"best": float("inf"), "low": -np.inf})
+    assert gridio.load_json(tmp_path / "inf.json") == {"best": "inf", "low": "-inf"}
