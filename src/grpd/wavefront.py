@@ -8,6 +8,13 @@ least-squares fit of log max modulus against log shell radius then gives
 every (probe, direction) decay slope.  Slopes above ``slope_threshold``
 flag a singular direction.
 
+The DFT is pruned, not approximated: it slices the grid to the window's
+support box, then transforms axis by axis in ``np.fft.fftn``'s order,
+zero-filling each axis to full length and keeping only the frequencies
+some bin reads, so every 1-d transform sees the input it has inside
+``fftn`` and the tables are bit for bit those of the full-grid DFT.  The
+``GRPD_THREADS`` pool takes one contiguous block of probes per worker.
+
 Every direction cone within the window's angular ray response of a true
 singular ray reads as non-decaying, so reported cells deconvolve the
 maximal flagged runs by that response, measured by running the kernel
@@ -205,10 +212,23 @@ class _Scaffold:
         pt, c, s = np.nonzero(hit[:, :, None] & in_shell[:, None, :])
         n_shells = len(self.shells)
         bin_id = cand[pt, c] * n_shells + s
-        # flattened bin index: grid points of bin (i, j) are
-        # bin_points[bin_starts[k]:...] for the k-th non-empty bin in
-        # row-major (direction, shell) order
-        self.bin_points = pts[pt[np.argsort(bin_id, kind="stable")]]
+        # the probe transform visits only the window's support and the
+        # frequencies some bin reads, per axis: ``support[ax]`` are the
+        # unrolled window's nonzero indices, ``window`` its values on that
+        # box, and ``kept[ax]`` the read frequency indices
+        self.support = [np.flatnonzero(self._axis_window(s)) for s in shape]
+        self.window = np.ones(())
+        for ax, sup in enumerate(self.support):
+            self.window = self.window * self._axis_window(shape[ax])[sup].reshape(
+                [len(sup) if a == ax else 1 for a in range(self.dim)])
+        grid_idx = np.unravel_index(pts[pt[np.argsort(bin_id, kind="stable")]], shape)
+        self.kept = [np.unique(i) for i in grid_idx]
+        # flattened bin index: points of bin (i, j), as flat indices into
+        # the kept-frequency box, are bin_points[bin_starts[k]:...] for the
+        # k-th non-empty bin in row-major (direction, shell) order
+        self.bin_points = np.ravel_multi_index(
+            tuple(np.searchsorted(k, i) for k, i in zip(self.kept, grid_idx)),
+            tuple(len(k) for k in self.kept))
         counts = np.bincount(bin_id, minlength=len(self.dirs) * n_shells)
         self.bin_filled = counts > 0
         self.bin_starts = (np.cumsum(counts) - counts)[self.bin_filled]
@@ -259,14 +279,6 @@ class _Scaffold:
             self._axis_profiles[s] = bump(off / rad)
         return self._axis_profiles[s]
 
-    def window(self, center_idx: tuple[int, ...]) -> np.ndarray:
-        shape = self.model.grid_shape
-        w = np.ones(shape)
-        for ax, s in enumerate(shape):
-            prof = np.roll(self._axis_window(s), center_idx[ax])
-            w = w * prof.reshape([s if a == ax else 1 for a in range(self.dim)])
-        return w
-
     def probe_centers(self) -> list[tuple[int, ...]]:
         shape = self.model.grid_shape
         ranges = [range(0, s, min(self.p.probe_stride, s)) for s in shape]
@@ -285,14 +297,16 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
 
 
 def _max_workers() -> int:
-    env = os.environ.get("GRPD_THREADS", "0")
+    """The probe pool size: ``GRPD_THREADS``, where 0 (or unset) means
+    min(8, CPUs)."""
+    env = os.environ.get("GRPD_THREADS") or "0"
     try:
         cap = int(env)
     except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, cap)
+        cap = -1
+    if cap < 0:
+        raise DomainError(f"GRPD_THREADS must be a non-negative integer, got {env!r}")
+    return cap or min(8, os.cpu_count() or 1)
 
 
 def _probe_tables(sc: _Scaffold, arr: np.ndarray,
@@ -305,20 +319,34 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
     fit shells against log shell radius, all from one batched fit.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
+    shape = arr.shape
 
-    def probe(c):
-        spec = np.abs(np.fft.fftn(arr * sc.window(c))).ravel()
-        out = np.zeros(n_dir * n_shells)
-        out[sc.bin_filled] = np.maximum.reduceat(spec[sc.bin_points], sc.bin_starts)
+    def probe_block(block):
+        out = np.zeros((len(block), n_dir * n_shells))
+        for k, c in enumerate(block):
+            rows = [(sup + ci) % s for sup, ci, s in zip(sc.support, c, shape)]
+            spec = arr[np.ix_(*rows)] * sc.window
+            # fftn's axis order, last axis first; each 1-d transform sees
+            # fftn's own input, since the rows skipped are all zero
+            for ax in reversed(range(len(shape))):
+                full = np.zeros(spec.shape[:ax] + (shape[ax],) + spec.shape[ax + 1:],
+                                dtype=spec.dtype)
+                full[(slice(None),) * ax + (rows[ax],)] = spec
+                spec = np.fft.fft(full, axis=ax).take(sc.kept[ax], axis=ax)
+            spec = np.abs(spec).ravel()
+            out[k, sc.bin_filled] = np.maximum.reduceat(spec[sc.bin_points], sc.bin_starts)
         return out
 
-    workers = _max_workers()
-    if workers > 1 and len(centers) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(probe, centers))
+    # one contiguous block of probes per worker, joined in block order
+    workers = min(_max_workers(), len(centers))
+    size = -(-len(centers) // workers)
+    blocks = [centers[i:i + size] for i in range(0, len(centers), size)]
+    if len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            done = list(pool.map(probe_block, blocks))
     else:
-        rows = [probe(c) for c in centers]
-    tables = np.array(rows).reshape(len(centers), n_dir, n_shells)
+        done = [probe_block(centers)]
+    tables = np.concatenate(done).reshape(len(centers), n_dir, n_shells)
     logs = np.log(np.maximum(tables[:, :, sc.fit_slice], 1e-300))
     coef = np.polyfit(np.log(sc.fit_radii), logs.reshape(-1, len(sc.fit_radii)).T, 1)
     return tables, coef[0].reshape(len(centers), n_dir)

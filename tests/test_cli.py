@@ -119,6 +119,20 @@ def test_non_integer_wf_params_are_usage_errors(tmp_path, wf_params, error):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
+def test_invalid_thread_cap_is_a_usage_error(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("GRPD_THREADS", threads)
+    spec = {"version": 1, "name": "threads", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": "wf-estimate",
+            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}]}
+    with pytest.raises(DomainError, match="GRPD_THREADS"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
 def test_schema_wf_params_are_the_wf_params_fields():
     keys = _load_schema()["properties"]["wf_params"]["properties"]
     assert list(keys) == [f.name for f in dataclasses.fields(WfParams)]

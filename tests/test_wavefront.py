@@ -101,11 +101,21 @@ def reference_bins(sc):
             for cone in cones]
 
 
+def reference_window(sc, center_idx):
+    """The full-grid window at a probe center: the rolled axis profiles' product."""
+    shape = sc.model.grid_shape
+    w = np.ones(shape)
+    for ax, s in enumerate(shape):
+        prof = np.roll(sc._axis_window(s), center_idx[ax])
+        w = w * prof.reshape([s if a == ax else 1 for a in range(sc.dim)])
+    return w
+
+
 def reference_tables(sc, arr, centers, bins):
-    """Per-probe fftn, per-bin max over boolean masks, per-row np.polyfit."""
+    """Per-probe full-grid fftn, per-bin max over boolean masks, per-row np.polyfit."""
     tables = np.zeros((len(centers), len(sc.dirs), len(sc.shells)))
     for k, c in enumerate(centers):
-        spec = np.abs(np.fft.fftn(arr * sc.window(c)))
+        spec = np.abs(np.fft.fftn(arr * reference_window(sc, c)))
         for i, per_shell in enumerate(bins):
             for j, mask in enumerate(per_shell):
                 if mask.any():
@@ -117,8 +127,12 @@ def reference_tables(sc, arr, centers, bins):
 
 
 def kernel_bin_sets(sc):
-    """The kernel's flattened bin index, decoded to a set of grid indices per bin."""
-    segments = iter(np.split(sc.bin_points, sc.bin_starts[1:]))
+    """The kernel's flattened bin index, decoded from the kept-frequency box
+    to a set of flat grid indices per bin."""
+    box = np.unravel_index(sc.bin_points, [len(k) for k in sc.kept])
+    grid = np.ravel_multi_index(tuple(k[i] for k, i in zip(sc.kept, box)),
+                                sc.model.grid_shape)
+    segments = iter(np.split(grid, sc.bin_starts[1:]))
     return [set(next(segments)) if filled else set() for filled in sc.bin_filled]
 
 
@@ -163,6 +177,11 @@ KERNEL_CASES = {
     "2d-low-shells": lambda: (rotation_layer(pair_circle(64), 0.125),
                               WfParams(shell_lo=1, probe_stride=16)),
     "3d-point": lambda: (_ptz_point(), WfParams()),
+    # a 61-of-64-point window support that wraps around index 0 (the
+    # default stride, window_radius // 2, would exceed n/4)
+    "2d-wide-window": lambda: (rotation_layer(pair_circle(64), 0.25),
+                               WfParams(window_radius=40, probe_stride=16)),
+    "2d-rotation-128": lambda: (rotation_layer(pair_circle(128), 0.25), WfParams()),
 }
 
 
@@ -191,6 +210,22 @@ def test_probe_kernel_matches_reference(case):
     if case in ("2d-low-shells", "3d-point"):
         assert empty.any()
     assert not tables[:, empty].any()
+
+
+def test_probe_blocks_join_in_order(monkeypatch):
+    # 16 probes: blocks of 16, 8 + 8 and 6 + 6 + 4
+    u = make_layer(circle_group(64), 0.25, 1.0, 0)
+    sc = _Scaffold(u.model, WfParams(probe_stride=4).resolve(u.model))
+    arr = rasterize(u, mollified=True)
+    centers = sc.probe_centers()
+    assert len(centers) == 16
+    results = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("GRPD_THREADS", threads)
+        results.append(_probe_tables(sc, arr, centers))
+    for tables, slopes in results[1:]:
+        assert np.array_equal(tables, results[0][0])
+        assert np.array_equal(slopes, results[0][1])
 
 
 def test_smooth_catalog_reads_empty():
