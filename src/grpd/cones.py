@@ -9,14 +9,21 @@ direction set on the unit sphere of covectors, whose type the table
 * dim 2 (pair model):   ``Arcs``, closed angle arcs, merged when built;
 * dim 3 (pair times Z): ``Caps``, a finite set of spherical caps.
 
-The three share one interface (contains, dilate, union, covered_by,
+The three share one interface (contains, dilate, union, cover_test,
 meets, to_json/from_json), so validation, serialization, transversality
 and containment are written once, as are the anchor kernels ker s_Gamma
 and ker r_Gamma (``KER_S``, ``KER_R``).
 
+The gate, the product and containment visit only the cells whose base
+intervals can meet, found through a per-call index by grid cell
+(``_BaseIndex``); the exact interval test then runs on those candidates
+in their original order, so results are those of the all-pairs loop.
+
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
 ``cone_product_bar`` adds the two zero-section terms; these and the gate
-stay per model, because each model has its own m_Gamma.  All direction
+read per-model tables (the composable base axes ``_COMPOSABLE``, the
+kernel directions ``_KERNEL_PAIRS``) and composition rules, because each
+model has its own m_Gamma.  All direction
 arithmetic produces over-approximations, never under-approximations, so
 containment verdicts "subset of" stay sound.  On the pair model the arc
 arithmetic is closed form: writing directions as angles, the composed
@@ -29,6 +36,7 @@ are computed from corner evaluations.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -39,6 +47,9 @@ from .models import GroupoidModel, Kind
 
 TWO_PI = 2.0 * math.pi
 SAMPLING_STEP = TWO_PI / 256.0     # angular step for non-closed-form models
+# Caps.hits: a dot product off by a few ulps near +-1 moves its arccos by
+# up to ~1e-7 rad, so angles this close to a cap's radius are re-decided
+_HIT_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +281,9 @@ class Signs(_DirSet):
     def dilate(self, eps: float) -> "Signs":
         return self
 
-    def covered_by(self, avail: "Signs", angular_tol: float) -> bool:
-        return self.parts <= avail.parts
+    def cover_test(self, angular_tol: float):
+        """``avail -> bool``: whether ``avail`` covers this set."""
+        return lambda avail: self.parts <= avail.parts
 
     def meets(self, kernel: "AnchorKernel") -> bool:
         return False    # on a group both anchor kernels are the zero section
@@ -304,8 +316,8 @@ class Arcs(_DirSet):
     def dilate(self, eps: float) -> "Arcs":
         return Arcs(tuple(a.dilate(eps) for a in self.parts))
 
-    def covered_by(self, avail: "Arcs", angular_tol: float) -> bool:
-        return all(arcs_cover(t, avail.parts) for t in self.parts)
+    def cover_test(self, angular_tol: float):
+        return lambda avail: all(arcs_cover(t, avail.parts) for t in self.parts)
 
     def meets(self, kernel: "AnchorKernel") -> bool:
         return any(self.contains(t) for t in kernel.angles)
@@ -335,10 +347,33 @@ class Caps(_DirSet):
     def dilate(self, eps: float) -> "Caps":
         return Caps(tuple(cap.dilate(eps) for cap in self.parts))
 
-    def covered_by(self, avail: "Caps", angular_tol: float) -> bool:
-        """Checked on geodesic samples of every cap, angular_tol/4 apart."""
+    def cover_test(self, angular_tol: float):
+        """Checked on geodesic samples of every cap, angular_tol/4 apart;
+        each cap is sampled when first reached, once for every ``avail``."""
         step = max(angular_tol / 4.0, 1e-3)
-        return all(avail.contains(d) for cap in self.parts for d in cap.samples(step))
+        samples = [None] * len(self.parts)
+
+        def covered(avail: "Caps") -> bool:
+            for i, cap in enumerate(self.parts):
+                if samples[i] is None:
+                    samples[i] = cap.samples(step)
+                if not avail.hits(samples[i]).all():
+                    return False
+            return True
+        return covered
+
+    def hits(self, ds: np.ndarray) -> np.ndarray:
+        """``[self.contains(d) for d in ds]`` as one array product.  An
+        angle within ``_HIT_MARGIN`` of a radius is decided by
+        ``Cap.contains`` itself, whose rounding the product does not share."""
+        centers = np.array([cap.center for cap in self.parts]).reshape(-1, 3)
+        radii = np.array([cap.radius for cap in self.parts])
+        units = ds / np.linalg.norm(ds, axis=1)[:, None]
+        ang = np.arccos(np.clip(units @ centers.T, -1.0, 1.0))
+        hit = ang <= radii
+        for i, j in zip(*np.nonzero(np.abs(ang - radii) <= _HIT_MARGIN)):
+            hit[i, j] = self.parts[j].contains(ds[i])
+        return hit.any(axis=1)
 
     def meets(self, kernel: "AnchorKernel") -> bool:
         return any(cap.tilt(kernel.normal) <= cap.radius for cap in self.parts)
@@ -433,6 +468,88 @@ class ConeSet:
 
 
 # ---------------------------------------------------------------------------
+# Base index: candidate cells by grid cell
+# ---------------------------------------------------------------------------
+
+def _touched(iv: CircInterval, n: int) -> range | None:
+    """Grid cells (n per unit) that ``iv`` touches, padded by one cell on
+    either side so that rounding at a cell edge drops none; None for all."""
+    if iv.is_full:
+        return None
+    k0 = math.floor(iv.start * n) - 1
+    k1 = math.floor((iv.start + iv.width) * n) + 1
+    return None if k1 - k0 + 1 >= n else range(k0, k1 + 1)
+
+
+class _BaseIndex:
+    """The base boxes of a list of cells, bucketed on the given axes by the
+    grid cells their intervals touch (a full interval is in every bucket).
+    Queries run the exact interval test only on the cells the buckets
+    name, and list the hits in the cells' order, so they answer as the
+    loop over all cells does."""
+
+    def __init__(self, bases, shape, axes):
+        self.bases = bases
+        self.grid = shape
+        self.tables = {}        # axis -> (cells with a full interval, buckets)
+        for ax in axes:
+            n = shape[ax]
+            full, buckets = set(), defaultdict(list)
+            for i, base in enumerate(bases):
+                cells = _touched(base[ax], n)
+                if cells is None:
+                    full.add(i)
+                for g in cells or ():
+                    buckets[g % n].append(i)
+            self.tables[ax] = (full, buckets)
+        self.held = {}          # (axis, coordinate) -> mask of the cells holding it
+
+    def meeting(self, queries) -> list[int]:
+        """Cells whose interval on axis ``ax`` meets ``iv`` for every
+        (iv, ax) in ``queries``."""
+        found = None
+        for iv, ax in queries:
+            cells = _touched(iv, self.grid[ax])
+            if cells is None:       # the query spans the axis
+                continue
+            full, buckets = self.tables[ax]
+            hit = full.union(*(buckets.get(g % self.grid[ax], ()) for g in cells))
+            found = hit if found is None else found & hit
+        return [i for i in (range(len(self.bases)) if found is None else sorted(found))
+                if all(iv.intersects(self.bases[i][ax]) for iv, ax in queries)]
+
+    def holding(self, pt) -> list[int]:
+        """Cells whose base box contains the point ``pt`` (to 1e-12, far
+        below the bucket padding of one grid cell)."""
+        inside = np.ones(len(self.bases), dtype=bool)
+        for ax, x in enumerate(pt):
+            if (ax, x) not in self.held:
+                full, buckets = self.tables[ax]
+                near = full.union(buckets.get(math.floor(x * self.grid[ax]) % self.grid[ax], ()))
+                mask = np.zeros(len(self.bases), dtype=bool)
+                mask[[i for i in near if self.bases[i][ax].contains(x, 1e-12)]] = True
+                self.held[ax, x] = mask
+            inside &= self.held[ax, x]
+        return np.flatnonzero(inside).tolist()
+
+
+# (axis of a W1 cell, axis of a W2 cell) that meet when (g1, g2) is in
+# Gamma^(2): s(g1) = r(g2), and on PAIR_TIMES_Z also the shared Z fiber
+_COMPOSABLE = {Kind.PAIR_CIRCLE: ((1, 0),), Kind.PAIR_TIMES_Z: ((1, 0), (2, 2))}
+
+
+def _meeting_pairs(w1: ConeSet, w2: ConeSet):
+    """Cell pairs (c1, c2) of W1 x W2 whose bases meet on the composable
+    axes, in the order of the all-pairs loop: W1's cells, then W2's."""
+    axes = _COMPOSABLE[w1.model.kind]
+    index = _BaseIndex([c.base for c in w2.cells], w2.model.grid_shape,
+                       [j for _, j in axes])
+    for c1 in w1.cells:
+        for k in index.meeting([(c1.base[i], j) for i, j in axes]):
+            yield c1, w2.cells[k]
+
+
+# ---------------------------------------------------------------------------
 # A*G \ 0 as a cone set
 # ---------------------------------------------------------------------------
 
@@ -483,6 +600,19 @@ def transversality(w: ConeSet, which: str) -> bool:
     raise DomainError(f"unknown transversality kind {which!r}")
 
 
+# Pairs (d1, d2) with d1 in the s-fiber and d2 in the r-fiber of a
+# covector pair in ker m_Gamma = N*G^(2), and the tolerance they are
+# looked up with: the conormal axes on the pair model, the sampled circle
+# mu -> (0, cos mu, sin mu), (-cos mu, 0, -sin mu) on PAIR_TIMES_Z.
+_KERNEL_PAIRS = {
+    Kind.PAIR_CIRCLE: (((math.pi / 2.0, math.pi), (3.0 * math.pi / 2.0, 0.0)), 0.0),
+    Kind.PAIR_TIMES_Z: (tuple(((0.0, math.cos(mu), math.sin(mu)),
+                               (-math.cos(mu), 0.0, -math.sin(mu)))
+                              for mu in np.linspace(0.0, TWO_PI, 257)[:-1]),
+                        SAMPLING_STEP / 2),
+}
+
+
 def hormander_gate(w1: ConeSet, w2: ConeSet) -> bool:
     """True iff W1 x W2 avoids ker m_Gamma = N*G^(2)."""
     if w1.model != w2.model:
@@ -490,33 +620,19 @@ def hormander_gate(w1: ConeSet, w2: ConeSet) -> bool:
     k = w1.model.kind
     if k is Kind.CIRCLE_GROUP:
         return True
-    if k is Kind.PAIR_CIRCLE:
-        for c1 in w1.cells:
-            for c2 in w2.cells:
-                if not c1.base[1].intersects(c2.base[0]):
-                    continue
-                up1 = c1.dirs.contains(math.pi / 2.0)
-                dn1 = c1.dirs.contains(3.0 * math.pi / 2.0)
-                neg2 = c2.dirs.contains(math.pi)
-                pos2 = c2.dirs.contains(0.0)
-                if (up1 and neg2) or (dn1 and pos2):
-                    return False
-        return True
-    if k is Kind.PAIR_TIMES_Z:
-        mus = np.linspace(0.0, TWO_PI, 257)[:-1]
-        for c1 in w1.cells:
-            for c2 in w2.cells:
-                if not (c1.base[1].intersects(c2.base[0])
-                        and c1.base[2].intersects(c2.base[2])):
-                    continue
-                for mu in mus:
-                    d1 = (0.0, math.cos(mu), math.sin(mu))
-                    d2 = (-math.cos(mu), 0.0, -math.sin(mu))
-                    if (c1.dirs.contains(d1, SAMPLING_STEP / 2)
-                            and c2.dirs.contains(d2, SAMPLING_STEP / 2)):
-                        return False
-        return True
-    raise ModelUnsupportedError("gate needs a grid model")
+    if k not in _KERNEL_PAIRS:
+        raise ModelUnsupportedError("gate needs a grid model")
+    pairs, tol = _KERNEL_PAIRS[k]
+    held = ({}, {})     # per side, per direction set: the pairs it holds that side of
+
+    def holds(side: int, dirs) -> frozenset:
+        if dirs not in held[side]:
+            held[side][dirs] = frozenset(i for i, pair in enumerate(pairs)
+                                         if dirs.contains(pair[side], tol))
+        return held[side][dirs]
+
+    return all(holds(0, c1.dirs).isdisjoint(holds(1, c2.dirs))
+               for c1, c2 in _meeting_pairs(w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -665,31 +781,25 @@ def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
         raise ModelMismatchError("cone sets on different models")
     model = w1.model
     k = model.kind
-    cells = []
-    if k is Kind.PAIR_CIRCLE:
-        for c1 in w1.cells:
-            for c2 in w2.cells:
-                if not c1.base[1].intersects(c2.base[0]):
-                    continue
-                arcs = compose_direction_arcs(c1.dirs.parts, c2.dirs.parts)
-                cells.append(ConeCell((c1.base[0], c2.base[1]), Arcs(tuple(arcs))))
-    elif k is Kind.CIRCLE_GROUP:
-        for c1 in w1.cells:
-            for c2 in w2.cells:
-                cells.append(ConeCell((c1.base[0].minkowski(c2.base[0]),),
-                                      Signs(c1.dirs.parts & c2.dirs.parts)))
-    elif k is Kind.PAIR_TIMES_Z:
-        for c1 in w1.cells:
-            for c2 in w2.cells:
-                if not (c1.base[1].intersects(c2.base[0])
-                        and c1.base[2].intersects(c2.base[2])):
-                    continue
-                caps = Caps(tuple(compose_direction_caps(c1.dirs.parts, c2.dirs.parts)))
-                if caps:
-                    for zi in c1.base[2].intersect(c2.base[2]):
-                        cells.append(ConeCell((c1.base[0], c2.base[1], zi), caps))
-    else:
+    if k is Kind.CIRCLE_GROUP:
+        return ConeSet(model, tuple(ConeCell((c1.base[0].minkowski(c2.base[0]),),
+                                             Signs(c1.dirs.parts & c2.dirs.parts))
+                                    for c1 in w1.cells for c2 in w2.cells))
+    if k not in _COMPOSABLE:
         raise ModelUnsupportedError("cone products need a grid model")
+    dirs_type = DIRECTION_SETS[model.dim]
+    compose = compose_direction_arcs if k is Kind.PAIR_CIRCLE else compose_direction_caps
+    composed = {}       # (dirs1, dirs2) -> their composition, for this call
+    cells = []
+    for c1, c2 in _meeting_pairs(w1, w2):
+        key = (c1.dirs, c2.dirs)
+        if key not in composed:
+            composed[key] = dirs_type(tuple(compose(c1.dirs.parts, c2.dirs.parts)))
+        if k is Kind.PAIR_CIRCLE:
+            cells.append(ConeCell((c1.base[0], c2.base[1]), composed[key]))
+        else:
+            cells += [ConeCell((c1.base[0], c2.base[1], zi), composed[key])
+                      for zi in c1.base[2].intersect(c2.base[2])]
     return ConeSet(model, tuple(cells))
 
 
@@ -774,11 +884,21 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     model = a.model
     dilated = [(tuple(iv.dilate(base_tol_cells / n) for iv, n in zip(bc.base, model.grid_shape)),
                 bc.dirs.dilate(angular_tol)) for bc in b.cells]
+    index = _BaseIndex([base for base, _ in dilated], model.grid_shape, range(model.dim))
     nothing = DIRECTION_SETS[model.dim]()
+    avail_at = {}       # base point -> directions of B over it
+    tests = {}          # direction set of A -> (number, cover test)
+    covered = set()     # (base point, direction set number) found covered
     for cell in a.cells:
+        if cell.dirs not in tests:
+            tests[cell.dirs] = (len(tests), cell.dirs.cover_test(angular_tol))
+        k, test = tests[cell.dirs]
         for pt in _base_grid_points(cell, model):
-            avail = nothing.union(*(dirs for base, dirs in dilated
-                                    if all(iv.contains(x, 1e-12) for iv, x in zip(base, pt))))
-            if not cell.dirs.covered_by(avail, angular_tol):
+            if (pt, k) in covered:
+                continue
+            if pt not in avail_at:
+                avail_at[pt] = nothing.union(*(dilated[i][1] for i in index.holding(pt)))
+            if not test(avail_at[pt]):
                 return False
+            covered.add((pt, k))
     return True

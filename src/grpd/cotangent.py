@@ -82,10 +82,6 @@ class CotangentUnit:
             return CotangentPoint(g, (xi, -xi, 0.0))
         return CotangentPoint(g, self.cov)
 
-    def isclose(self, other: "CotangentUnit", tol: float = COVECTOR_MATCH_TOL) -> bool:
-        return (self.unit == other.unit
-                and max(abs(a - b) for a, b in zip(self.cov, other.cov)) <= tol)
-
 
 # ---------------------------------------------------------------------------
 # Affine-group differentials (all constant in global coordinates)

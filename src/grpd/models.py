@@ -89,9 +89,6 @@ class GroupoidModel:
         shape = self.grid_shape
         return 1.0 / float(np.prod(shape))
 
-    def axis_resolution(self, axis: int) -> int:
-        return self.grid_shape[axis]
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:

@@ -38,7 +38,7 @@ from .cones import (Arcs, Cap, Caps, CircInterval, ConeCell, ConeSet, Signs, TWO
                     cone_contains, cone_product_bar, point_interval)
 from .convolution import convolve, convolve_gated, _as_distribution
 from .distributions import Distribution, Layer, rasterize
-from .errors import DomainError, ModelUnsupportedError
+from .errors import ConeConditionError, DomainError, ModelUnsupportedError
 from .models import GroupoidModel
 from .spectral import bump
 
@@ -48,7 +48,8 @@ ANGULAR_TOL = math.pi / 18.0      # 10 degrees, the product-bound tolerance
 @dataclass(frozen=True)
 class WfParams:
     """Estimator knobs; ``None`` resolves to the model-sized defaults
-    (window n/8, shells [4, n/4], stride n/16).
+    (window n/8, shells [4, n/4], stride the larger of n/16 and half the
+    window, at most n/4).
 
     The compactly supported bump window has roughly two decades of
     spectral dynamic range over the shell band, so reporting is
@@ -80,15 +81,20 @@ class WfParams:
             if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
                 raise DomainError(f"{name} must be an integer, got {v!r}")
         n = model.n
-        p = replace(self,
-                    window_radius=self.window_radius or max(16, n // 8),
+        window_radius = self.window_radius or max(16, n // 8)
+        p = replace(self, window_radius=window_radius,
                     shell_hi=self.shell_hi or max(self.shell_lo * 4, n // 4),
+                    # derived, so kept inside the range checked below
                     probe_stride=self.probe_stride
-                    or max(1, n // 16, (self.window_radius or max(16, n // 8)) // 2))
+                    or max(1, min(n // 4, max(n // 16, window_radius // 2))))
         if p.window_radius < 4:
             raise DomainError("window_radius must be >= 4")
-        if p.n_directions < 16:
-            raise DomainError("n_directions must be >= 16")
+        # a direction step wider than the containment tolerance leaves
+        # directions farther than ANGULAR_TOL from every bin center
+        if p.n_directions < 36:
+            raise DomainError("n_directions must be >= 36, so that the direction "
+                              "step 2*pi/n_directions stays within ANGULAR_TOL "
+                              "(10 degrees)")
         # below half the direction step, a frequency midway between two
         # bins lies in no direction cone
         if p.cone_half_angle < math.pi / p.n_directions:
@@ -133,10 +139,6 @@ class WfReport:
     estimated: ConeSet
     slopes: tuple[SlopeRecord, ...]
     params: WfParams
-
-    def singular_directions(self) -> list[tuple[float, ...]]:
-        p = self.params
-        return [r.direction for r in self.slopes if r.slope > p.slope_threshold]
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +482,19 @@ def verify_product_bound(u1, u2, w1: ConeSet, w2: ConeSet,
     that many multiples of the probe stride in grid cells, matching the
     estimator's spatial resolution.
     """
-    from .cones import hormander_gate
     u1 = _as_distribution(u1)
     u2 = _as_distribution(u2)
     p = (p or WfParams()).resolve(u1.model)
-    gate = hormander_gate(w1, w2)
-    if gate:
+    try:
         product, predicted = convolve_gated(u1, u2, w1, w2)
-        used_gated = True
-    else:
+        gate = True
+    except ConeConditionError:
         product = convolve(u1, u2)
         predicted = cone_product_bar(w1, w2)
-        used_gated = False
+        gate = False
     norm = float(np.max(np.abs(rasterize(product))))
     report = estimate_wavefront(product, p)
     base_tol = base_tol_probe_cells * p.probe_stride
     ok = cone_contains(report.estimated, predicted, ANGULAR_TOL, base_tol)
-    return VerifyReport(ok, gate, used_gated, norm, report.estimated, predicted,
+    return VerifyReport(ok, gate, gate, norm, report.estimated, predicted,
                         report, ANGULAR_TOL, base_tol)

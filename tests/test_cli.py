@@ -119,6 +119,20 @@ def test_non_integer_wf_params_are_usage_errors(tmp_path, wf_params, error):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("n_directions", [32, 35])
+def test_coarse_direction_step_is_a_usage_error(tmp_path, n_directions):
+    spec = {"version": 1, "name": "coarse", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": "wf-estimate",
+            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}],
+            "wf_params": {"n_directions": n_directions}}
+    with pytest.raises(DomainError, match="ANGULAR_TOL"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
 @pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
 def test_invalid_thread_cap_is_a_usage_error(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("GRPD_THREADS", threads)

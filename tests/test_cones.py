@@ -1,16 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from grpd.cones import (A_STAR_ARCS, Arcs, Cap, CircInterval, ConeCell, ConeSet,
+from grpd.cones import (A_STAR_ARCS, Arcs, Cap, Caps, CircInterval, ConeCell, ConeSet,
                         Signs, TWO_PI, Transversality, a_star_units, arcs_cover,
                         compose_direction_arcs, cone_contains, cone_product,
                         cone_product_bar, full_interval, hormander_gate,
                         merge_arcs, point_interval, transversality)
 from grpd.catalog import empty_cone, point_cone, rotation_cone
 from grpd.checks import random_cone_set
-from grpd.cones import _base_grid_points
+from grpd.cones import _base_grid_points, _zero_term_cells
 from grpd.errors import DomainError
 from grpd.models import circle_group, pair_circle, pair_times_z
 
@@ -353,3 +354,144 @@ def test_cone_contains_matches_per_point_reference(model, pairs, tols):
                 assert got == _reference_contains(a, b, angular_tol, base_tol)
                 verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
+
+
+def _reference_product(w1, w2):
+    """cone_product as the all-pairs loop over W1 x W2, composing the
+    directions of every pair whose bases meet."""
+    from grpd.cones import compose_direction_caps
+    model = w1.model
+    cells = []
+    for c1 in w1.cells:
+        for c2 in w2.cells:
+            if model.dim == 1:
+                cells.append(ConeCell((c1.base[0].minkowski(c2.base[0]),),
+                                      Signs(c1.dirs.parts & c2.dirs.parts)))
+            elif model.dim == 2:
+                if c1.base[1].intersects(c2.base[0]):
+                    arcs = compose_direction_arcs(c1.dirs.parts, c2.dirs.parts)
+                    cells.append(ConeCell((c1.base[0], c2.base[1]), Arcs(tuple(arcs))))
+            elif c1.base[1].intersects(c2.base[0]) and c1.base[2].intersects(c2.base[2]):
+                caps = Caps(tuple(compose_direction_caps(c1.dirs.parts, c2.dirs.parts)))
+                if caps:
+                    for zi in c1.base[2].intersect(c2.base[2]):
+                        cells.append(ConeCell((c1.base[0], c2.base[1], zi), caps))
+    return ConeSet(model, tuple(cells))
+
+
+def _reference_bar(w1, w2):
+    return ConeSet(w1.model, (*_reference_product(w1, w2).cells,
+                              *_zero_term_cells(w1, "left"), *_zero_term_cells(w2, "right")))
+
+
+def _reference_gate(w1, w2):
+    """hormander_gate as the all-pairs loop, probing every pair whose
+    bases meet for a matched pair of kernel directions."""
+    if w1.model.dim == 1:
+        return True
+    mus = np.linspace(0.0, TWO_PI, 257)[:-1]
+    for c1 in w1.cells:
+        for c2 in w2.cells:
+            if w1.model.dim == 2:
+                if not c1.base[1].intersects(c2.base[0]):
+                    continue
+                if ((c1.dirs.contains(math.pi / 2) and c2.dirs.contains(math.pi))
+                        or (c1.dirs.contains(3 * math.pi / 2) and c2.dirs.contains(0.0))):
+                    return False
+                continue
+            if not (c1.base[1].intersects(c2.base[0]) and c1.base[2].intersects(c2.base[2])):
+                continue
+            for mu in mus:
+                d1 = (0.0, math.cos(mu), math.sin(mu))
+                d2 = (-math.cos(mu), 0.0, -math.sin(mu))
+                if (c1.dirs.contains(d1, TWO_PI / 512)
+                        and c2.dirs.contains(d2, TWO_PI / 512)):
+                    return False
+    return True
+
+
+def _with_wide_bases(w, rng):
+    """W with every cell repeated over a full or a wrapping base interval
+    on randomly chosen axes."""
+    def widen(iv):
+        u = rng.uniform()
+        return full_interval() if u < 0.3 else CircInterval(0.97, 0.06) if u < 0.6 else iv
+    return ConeSet(w.model, w.cells + tuple(ConeCell(tuple(widen(iv) for iv in c.base), c.dirs)
+                                            for c in w.cells))
+
+
+def _assert_matches_reference(w1, w2):
+    assert json.dumps(cone_product_bar(w1, w2).to_json()) == \
+        json.dumps(_reference_bar(w1, w2).to_json())
+    assert hormander_gate(w1, w2) == _reference_gate(w1, w2)
+
+
+def _narrow(w):
+    """W with its caps shrunk five-fold, so that composing them stays cheap."""
+    if w.model is not Z:
+        return w
+    return ConeSet(Z, tuple(ConeCell(c.base, Caps(tuple(Cap(cap.center, cap.radius / 5)
+                                                        for cap in c.dirs)))
+                            for c in w.cells))
+
+
+@pytest.mark.parametrize("model,pairs", [(M, 40), (G, 40), (Z, 16)],
+                         ids=["pair", "group", "ptz"])
+def test_indexed_product_and_gate_match_all_pairs_reference(model, pairs):
+    rng = np.random.default_rng(12)
+    gates = []
+    for i in range(pairs):
+        w1 = _narrow(random_cone_set(model, rng, max_cells=3))
+        w2 = _narrow(random_cone_set(model, rng, max_cells=3))
+        if i % 2:
+            w1, w2 = _with_wide_bases(w1, rng), _with_wide_bases(w2, rng)
+        _assert_matches_reference(w1, w2)
+        _assert_matches_reference(w1, ConeSet(model, w1.cells + w2.cells))
+        # all directions: the gate then fails wherever the bases meet
+        f1, f2 = (ConeSet(model, tuple(ConeCell(c.base, type(c.dirs).full()) for c in w.cells))
+                  for w in (w1, w2))
+        assert hormander_gate(f1, f2) == _reference_gate(f1, f2)
+        gates += [hormander_gate(w1, w2), hormander_gate(f1, f2)]
+    if model is not G:
+        assert any(gates) and not all(gates)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_indexed_rotation_products_match_all_pairs_reference(n):
+    model = pair_circle(n)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        t1, t2 = (int(t) / n for t in rng.integers(0, n, size=2))
+        w1, w2 = rotation_cone(model, t1), rotation_cone(model, t2)
+        _assert_matches_reference(w1, w2)
+        _assert_matches_reference(a_star_units(model), w2)
+        # full cones over points meet the conormal's kernel directions
+        _assert_matches_reference(w1, ConeSet(model, point_cone(model, t1, 0.5).cells
+                                              + w2.cells))
+
+
+def test_indexed_ptz_a_star_product_matches_all_pairs_reference():
+    ast = a_star_units(Z)
+    _assert_matches_reference(ast, ast)
+
+
+def test_directions_composed_once_per_distinct_pair(monkeypatch):
+    import grpd.cones
+    calls = []
+    real = grpd.cones.compose_direction_arcs
+
+    def counted(arcs1, arcs2):
+        calls.append((arcs1, arcs2))
+        return real(arcs1, arcs2)
+    monkeypatch.setattr(grpd.cones, "compose_direction_arcs", counted)
+    w1, w2 = rotation_cone(M, 0.25), rotation_cone(M, 0.125)
+    assert len(cone_product(w1, w2).cells) == 3 * M.n
+    assert len(calls) == 1
+    calls.clear()
+    rng = np.random.default_rng(3)
+    w1 = random_cone_set(M, rng, max_cells=4)
+    w1 = ConeSet(M, w1.cells + rotation_cone(M, 0.5).cells)
+    cone_product(w1, w2)
+    distinct = {(c1.dirs, c2.dirs) for c1 in w1.cells for c2 in w2.cells
+                if c1.base[1].intersects(c2.base[0])}
+    assert len(calls) == len(distinct) == len(set(calls)) > 1

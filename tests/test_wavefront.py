@@ -62,6 +62,8 @@ def test_params_validation():
     WfParams(probe_stride=1000),
     WfParams(probe_stride=-2),
     WfParams(n_directions=16),                 # 10 deg cones, 22.5 deg step
+    WfParams(n_directions=32),                 # 11.25 deg step, wider than 10 deg
+    WfParams(n_directions=35),
     WfParams(window_radius=16.0),              # integer fields take ints only
     WfParams(n_directions="abc"),
     WfParams(probe_stride=True),
@@ -76,9 +78,18 @@ def test_params_range_checks(params):
 def test_params_range_limits_and_defaults_valid():
     edge = WfParams(shell_lo=16, shell_hi=N // 2, probe_stride=N // 4).resolve(M)
     assert (edge.shell_hi, edge.probe_stride) == (64, 32)
+    WfParams(n_directions=36).resolve(M)       # a 10 deg step, the tolerance
     for model in (pair_circle(32), pair_circle(64), M, pair_circle(256),
                   pair_circle(512), circle_group(64), pair_times_z(32, 8)):
         WfParams().resolve(model)
+
+
+def test_derived_probe_stride_stays_in_range():
+    # the default stride follows the window, and is clamped to n/4
+    assert WfParams(window_radius=40).resolve(pair_circle(64)).probe_stride == 16
+    assert WfParams(window_radius=24).resolve(pair_circle(64)).probe_stride == 12
+    with pytest.raises(DomainError, match="probe_stride"):
+        WfParams(window_radius=40, probe_stride=17).resolve(pair_circle(64))
 
 
 def reference_bins(sc):
@@ -343,6 +354,26 @@ def test_verify_product_bound_layers():
     # the estimate concentrates on the conormal of the composed rotation
     assert cone_contains(rep.estimated, rotation_cone(M, 0.375),
                          math.pi / 18, 16.0)
+
+
+@pytest.mark.parametrize("gate", [True, False])
+def test_verify_runs_the_gate_once(monkeypatch, gate):
+    import grpd.cones
+    import grpd.convolution
+    calls = []
+    real = grpd.cones.hormander_gate
+
+    def counted(w1, w2):
+        calls.append(1)
+        return real(w1, w2)
+    monkeypatch.setattr(grpd.cones, "hormander_gate", counted)
+    monkeypatch.setattr(grpd.convolution, "hormander_gate", counted)
+    # touching full cones fail the gate and take the ungated route
+    p2 = (0.5, 0.5) if gate else (0.25, 0.5)
+    rep = verify_product_bound(point_mass(M, 0.0, 0.25), point_mass(M, *p2),
+                               point_cone(M, 0.0, 0.25), point_cone(M, *p2))
+    assert rep.gate_passed is gate and rep.used_gated_route is gate
+    assert len(calls) == 1
 
 
 def test_verify_product_bound_zero_case():
