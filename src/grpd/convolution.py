@@ -123,9 +123,13 @@ def convolve(u, v) -> Distribution:
 def push_product(tr: TensorRestriction) -> Distribution:
     """m_* of a fibered tensor product, computed piece by piece.
 
-    The smooth x smooth piece is summed over the matching coordinate
-    explicitly (not as a matrix product) so the two convolution routes
-    are computationally independent where that is meaningful.
+    On the pair model the smooth x smooth piece streams the fiber sum
+    over y in index order, adding u(., y) v(y, .) into one (n, n)
+    accumulator, so the working set is O(n^2) and the n^3 tensor
+    product is never built.  The terms and their order are those of
+    summing the tensor product over y, so the result is bitwise equal
+    to that sum; it is not a matrix product, so the two convolution
+    routes stay computationally independent where that is meaningful.
     """
     model = tr.model
     n = model.n
@@ -139,8 +143,11 @@ def push_product(tr: TensorRestriction) -> Distribution:
     for tag, a, b in tr.pieces:
         if tag == "ss":
             if model.kind is Kind.PAIR_CIRCLE:
-                t3 = a[:, :, None] * b[None, :, :]
-                add_smooth(t3.sum(axis=1) / n)
+                acc = a[:, 0, None] * b[None, 0, :]
+                for y in range(1, n):
+                    acc += a[:, y, None] * b[None, y, :]
+                acc /= n
+                add_smooth(acc)
             else:
                 g = np.arange(n)
                 h = np.arange(n)

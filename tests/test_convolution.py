@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grpd.catalog import empty_cone, point_cone, rotation_layer
 from grpd.checks import distribution_distance
@@ -149,6 +153,94 @@ def test_group_routes_agree():
     u, v = rand_smooth(G), rand_layer(G)
     assert distribution_distance(convolve(u, v),
                                  push_product(tensor_restrict(u, v))) < 1e-9
+
+
+def _reference_push_ss(a, b):
+    """The fiber sum as the summed n^3 tensor product u(x,y) v(y,z)."""
+    return (a[:, :, None] * b[None, :, :]).sum(axis=1) / a.shape[0]
+
+
+def _signed_zero_inputs(n, rng):
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2))
+    a.real[rng.random((n, n)) < 0.25] = -0.0
+    b.imag[rng.random((n, n)) < 0.25] = -0.0
+    a[n // 2] = 0.0
+    b[:, 1] = -0.0
+    return a, b
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_pair_fiber_sum_is_bitwise_the_summed_tensor_product(n):
+    m = pair_circle(n)
+    a, b = _signed_zero_inputs(n, np.random.default_rng(n))
+    pushed = push_product(tensor_restrict(smooth_distribution(m, a),
+                                          smooth_distribution(m, b)))
+    assert not pushed.layers
+    # compare bit patterns, so that -0.0 and 0.0 differ
+    assert np.array_equal(pushed.smooth.view(np.uint64),
+                          _reference_push_ss(a, b).view(np.uint64))
+
+
+def test_pair_fiber_sum_working_set_is_quadratic():
+    m = pair_circle(256)
+    a, b = _signed_zero_inputs(256, np.random.default_rng(3))
+    tr = tensor_restrict(smooth_distribution(m, a), smooth_distribution(m, b))
+    tracemalloc.start()
+    try:
+        push_product(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n^3 tensor product alone is 256 MB at n=256
+    assert peak < 16 * 2 ** 20
+
+
+def _factor(model, kind, section, order, rng):
+    parts = []
+    if "s" in kind:
+        parts.append(rand_smooth(model, rng=rng))
+    if "l" in kind:
+        coeffs = (band_limited_field((model.n,), 4, rng, real=False)
+                  if model.kind.value == "PAIR_CIRCLE" else complex(*rng.standard_normal(2)))
+        parts.append(make_layer(model, section / model.n, coeffs, order))
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+
+def _sup_norm(d):
+    return max([float(np.max(np.abs(d.smooth_or_zero())))]
+               + [float(np.max(np.abs(l.coeffs))) for l in d.layers])
+
+
+MIXTURES = ["s", "l", "s+l"]
+
+
+@pytest.mark.parametrize("model_fn", [pair_circle, circle_group])
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(n=st.sampled_from([128, 256]),
+       left=st.sampled_from(MIXTURES), right=st.sampled_from(MIXTURES),
+       order1=st.integers(0, 4), order2=st.integers(0, 4),
+       section1=st.integers(0, 255), section2=st.integers(0, 255),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=256, left="s+l", right="s+l", order1=4, order2=4,
+         section1=5, section2=64, seed=0)
+@example(n=256, left="s", right="s", order1=0, order2=0,
+         section1=0, section2=0, seed=1)
+@example(n=256, left="l", right="s", order1=4, order2=0,
+         section1=127, section2=0, seed=2)
+@example(n=256, left="s", right="l", order1=0, order2=4,
+         section1=0, section2=3, seed=3)
+@example(n=128, left="l", right="l", order1=4, order2=4,
+         section1=31, section2=100, seed=4)
+def test_closed_form_matches_gated_route(model_fn, n, left, right, order1, order2,
+                                         section1, section2, seed):
+    model = model_fn(n)
+    rng = np.random.default_rng(seed)
+    u = _factor(model, left, section1, order1, rng)
+    v = _factor(model, right, section2, order2, rng)
+    direct = convolve(u, v)
+    pushed = push_product(tensor_restrict(u, v))
+    assert distribution_distance(direct, pushed) <= 1e-12 * _sup_norm(direct)
 
 
 # ---------------------------------------------------------------------------

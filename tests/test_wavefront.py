@@ -8,7 +8,7 @@ import pytest
 
 from grpd.catalog import (gaussian_bump, point_cone, rotation_cone,
                           rotation_layer, smooth_field)
-from grpd.cones import TWO_PI, a_star_units, cone_contains
+from grpd.cones import TWO_PI, ConeSet, a_star_units, cone_contains
 from grpd.distributions import (counterexample_distribution, make_layer,
                                 point_mass, rasterize, smooth_distribution,
                                 unit_delta)
@@ -429,3 +429,11 @@ def test_verify_layer_times_smooth_cases():
     rep = verify_product_bound(lam, bump, rotation_cone(M, 0.0625),
                                ConeSet.empty(M))
     assert rep.passed and rep.estimated.is_empty
+
+
+def test_verify_smooth_times_smooth_at_256():
+    m = pair_circle(256)
+    rep = verify_product_bound(gaussian_bump(m), smooth_field(m, 3, 0),
+                               ConeSet.empty(m), ConeSet.empty(m))
+    assert rep.passed and rep.gate_passed and rep.used_gated_route
+    assert not rep.estimated.cells
