@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from . import catalog
-from .cones import (Arcs, Cap, Caps, ConeCell, ConeSet, CircInterval, Signs, TWO_PI,
-                    Transversality, a_star_units, cone_product_bar, transversality)
+from .cones import (DIRECTION_SETS, ConeCell, ConeSet, CircInterval, Transversality,
+                    a_star_units, cone_product_bar, transversality)
 from .convolution import (GOperator, apply_operator, convolve,
                           equivariance_defect, module_property_check, recover_kernel)
 from .cotangent import (CotangentPoint, KernelKind, anchor_jacobian, annihilates,
@@ -407,16 +407,7 @@ def random_cone_set(model: GroupoidModel, rng: np.random.Generator,
         base = tuple(CircInterval(float(rng.uniform(0, 1)),
                                   float(rng.uniform(0, 0.3)))
                      for _ in range(model.dim))
-        if model.dim == 1:
-            dirs = Signs(s for s in (1, -1) if rng.uniform() < 0.7) or Signs({1})
-        elif model.dim == 2:
-            dirs = Arcs(tuple(CircInterval(float(rng.uniform(0, TWO_PI)),
-                                           float(rng.uniform(0, 1.0)), TWO_PI)
-                              for _ in range(int(rng.integers(1, 3)))))
-        else:
-            dirs = Caps(tuple(Cap(tuple(rng.standard_normal(3)), float(rng.uniform(0.0, 0.5)))
-                              for _ in range(int(rng.integers(1, 3)))))
-        cells.append(ConeCell(base, dirs))
+        cells.append(ConeCell(base, DIRECTION_SETS[model.dim].random(rng)))
     return ConeSet(model, tuple(cells))
 
 

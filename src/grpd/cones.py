@@ -10,9 +10,10 @@ direction set on the unit sphere of covectors, whose type the table
 * dim 3 (pair times Z): ``Caps``, a finite set of spherical caps.
 
 The three share one interface (contains, dilate, union, cover_test,
-meets, to_json/from_json), so validation, serialization, transversality
-and containment are written once, as are the anchor kernels ker s_Gamma
-and ker r_Gamma (``KER_S``, ``KER_R``).
+meets, to_json/from_json, random, and the estimator's bins and report),
+so validation, serialization, transversality, containment, random cone
+sets and the estimator's binning and reporting are written once, as are
+the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``, ``KER_R``).
 
 The gate, the product and containment visit only the cells whose base
 intervals can meet, found through a per-call index by grid cell
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -193,6 +194,18 @@ def arcs_cover(target: CircInterval, avail: list[CircInterval], tol: float = 1e-
     return reach >= target.width - tol
 
 
+def _circular_runs(flagged: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of True in a circular boolean array: (start, count),
+    by start.  A run through index 0 is listed once, from its start."""
+    if flagged.all():
+        return [(0, len(flagged))]
+    starts = np.flatnonzero(flagged & ~np.roll(flagged, 1))
+    stops = np.flatnonzero(~flagged & np.roll(flagged, 1))
+    if len(stops) and stops[0] < starts[0]:     # the last run wraps
+        stops = np.append(stops[1:], stops[0] + len(flagged))
+    return [(int(a), int(b - a)) for a, b in zip(starts, stops)]
+
+
 # ---------------------------------------------------------------------------
 # Direction sets
 # ---------------------------------------------------------------------------
@@ -250,7 +263,14 @@ class Cap:
 
 
 class _DirSet:
-    """Shared by Signs, Arcs and Caps: a finite collection of parts."""
+    """Shared by Signs, Arcs and Caps: a finite collection of parts.
+
+    Each type also holds the wave-front estimator's per-dimension part:
+    ``bins(freqs, n_dirs, half_angle)`` lays out direction bins over
+    frequency points (one array per axis) as ``(dirs, cand, hit)``, point k
+    sitting in bin ``cand[k, c]`` when ``hit[k, c]``; ``report(flagged,
+    anchors, dirs, half_angle, halfwidth)`` gives an anchored probe's
+    reported directions from its per-bin rows."""
 
     def __iter__(self):
         return iter(self.parts)
@@ -288,6 +308,21 @@ class Signs(_DirSet):
     def meets(self, kernel: "AnchorKernel") -> bool:
         return False    # on a group both anchor kernels are the zero section
 
+    @staticmethod
+    def random(rng: np.random.Generator) -> "Signs":
+        return Signs(s for s in (1, -1) if rng.uniform() < 0.7) or Signs({1})
+
+    @staticmethod
+    def bins(freqs, n_dirs: int, half_angle: float):
+        """One bin per sign, each point in its own sign's."""
+        cand = np.where(freqs[0] > 0, 0, 1)[:, None]
+        return [(1.0,), (-1.0,)], cand, np.ones(cand.shape, dtype=bool)
+
+    @staticmethod
+    def report(flagged, anchors, dirs, half_angle: float, halfwidth) -> "Signs":
+        """Every flagged sign."""
+        return Signs(s for s, f in zip((1, -1), flagged) if f)
+
     def to_json(self) -> dict:
         return {"signs": sorted(self.parts, reverse=True)}
 
@@ -321,6 +356,48 @@ class Arcs(_DirSet):
 
     def meets(self, kernel: "AnchorKernel") -> bool:
         return any(self.contains(t) for t in kernel.angles)
+
+    @staticmethod
+    def random(rng: np.random.Generator) -> "Arcs":
+        return Arcs(tuple(CircInterval(float(rng.uniform(0, TWO_PI)),
+                                       float(rng.uniform(0, 1.0)), TWO_PI)
+                          for _ in range(int(rng.integers(1, 3)))))
+
+    @staticmethod
+    def bins(freqs, n_dirs: int, half_angle: float):
+        """``n_dirs`` equally spaced directions; a point sits in every
+        cone within ``half_angle`` of its angle."""
+        step = TWO_PI / n_dirs
+        dirs = [(math.cos(i * step), math.sin(i * step)) for i in range(n_dirs)]
+        ang = np.arctan2(freqs[1], freqs[0]) % TWO_PI
+        # a cone reaches at most ``reach`` bins (plus rounding) either side
+        # of the bin below the point's angle; a candidate repeated mod
+        # n_dirs only repeats the point within a bin
+        reach = math.ceil(half_angle / step) + 1
+        below = np.floor(ang / step).astype(np.int64)
+        cand = (below[:, None] + np.arange(-reach, reach + 2)) % n_dirs
+        d = np.abs((ang[:, None] - cand * step + math.pi) % TWO_PI - math.pi)
+        return dirs, cand, d <= half_angle
+
+    @staticmethod
+    def report(flagged, anchors, dirs, half_angle: float, halfwidth) -> "Arcs":
+        """Arcs over the maximal flagged runs, single-bin gaps closed.  A
+        run needs three bins or more and an anchor: others are response
+        skirts.  Every cone within the ray-response halfwidth of a true ray
+        reads as non-decaying, so a run is deconvolved by ``halfwidth()``,
+        called only then, to at least one bin step either side."""
+        flagged = flagged | (np.roll(flagged, 1) & np.roll(flagged, -1))
+        if flagged.all():
+            return Arcs.full()
+        step = TWO_PI / len(flagged)
+        arcs = []
+        for lo_bin, count in _circular_runs(flagged):
+            if count < 3 or not anchors[(lo_bin + np.arange(count)) % len(flagged)].any():
+                continue
+            extent = (count - 1) * step
+            half = max(step, extent / 2.0 - halfwidth())
+            arcs.append(CircInterval(lo_bin * step + extent / 2.0 - half, 2.0 * half, TWO_PI))
+        return Arcs(tuple(arcs))
 
     def to_json(self) -> dict:
         return {"arcs": [[a.start, a.start + a.width] for a in self.parts]}
@@ -377,6 +454,38 @@ class Caps(_DirSet):
 
     def meets(self, kernel: "AnchorKernel") -> bool:
         return any(cap.tilt(kernel.normal) <= cap.radius for cap in self.parts)
+
+    @staticmethod
+    def random(rng: np.random.Generator) -> "Caps":
+        return Caps(tuple(Cap(tuple(rng.standard_normal(3)), float(rng.uniform(0.0, 0.5)))
+                          for _ in range(int(rng.integers(1, 3)))))
+
+    @staticmethod
+    def cap_radius(n_dirs: int, half_angle: float) -> float:
+        """Radius of the estimator's direction bins, which cover S^2."""
+        return max(half_angle, 2.2 * math.sqrt(math.pi / n_dirs))
+
+    @staticmethod
+    def bins(freqs, n_dirs: int, half_angle: float):
+        """``n_dirs`` directions on a Fibonacci sphere; a point sits in
+        every bin whose cap of ``cap_radius`` holds its direction."""
+        i = np.arange(n_dirs) + 0.5
+        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+        z = 1.0 - 2.0 * i / n_dirs
+        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        centers = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+        r = np.sqrt(sum(f * f for f in freqs))
+        dots = sum(centers[:, ax] * (f / np.maximum(r, 1e-300))[:, None]
+                   for ax, f in enumerate(freqs))
+        hit = dots >= math.cos(Caps.cap_radius(n_dirs, half_angle))
+        return ([tuple(c) for c in centers],
+                np.broadcast_to(np.arange(n_dirs), dots.shape), hit)
+
+    @staticmethod
+    def report(flagged, anchors, dirs, half_angle: float, halfwidth) -> "Caps":
+        """A cap of 1.5 bin radii about every flagged direction."""
+        radius = 1.5 * Caps.cap_radius(len(dirs), half_angle)
+        return Caps(tuple(Cap(dirs[i], radius) for i in np.flatnonzero(flagged)))
 
     def to_json(self) -> dict:
         return {"caps": [[*cap.center, cap.radius] for cap in self.parts]}
@@ -866,10 +975,7 @@ def _base_grid_points(cell: ConeCell, model: GroupoidModel) -> list[tuple[float,
             vals = [(k % n) / n for k in range(k0, k1 + 1)]
             vals += [iv.start % 1.0, (iv.start + iv.width) % 1.0]
         axes.append(sorted(set(vals)))
-    pts = [()]
-    for vals in axes:
-        pts = [p + (v,) for p in pts for v in vals]
-    return pts
+    return list(product(*axes))
 
 
 def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,

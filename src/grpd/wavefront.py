@@ -15,13 +15,13 @@ some bin reads, so every 1-d transform sees the input it has inside
 ``fftn`` and the tables are bit for bit those of the full-grid DFT.  The
 ``GRPD_THREADS`` pool takes one contiguous block of probes per worker.
 
-Every direction cone within the window's angular ray response of a true
-singular ray reads as non-decaying, so reported cells deconvolve the
-maximal flagged runs by that response, measured by running the kernel
-itself on a canonical conormal comb (see ``ray_response_halfwidth``),
-then dilate by one angular step.  Reporting is evidence-gated per probe
-(see WfParams); both mechanisms keep analytic truth covered while
-staying inside the containment tolerance of the product-bound verifier.
+The direction-set type of the model's dimension (``DIRECTION_SETS``)
+lays out the direction bins and turns an anchored probe's flagged bins
+into the directions it reports; only anchored probes report (see
+WfParams).  ``Arcs`` deconvolves flagged runs by the window's ray
+response, measured by running the kernel itself on a canonical conormal
+comb (see ``ray_response_halfwidth``).  Both keep analytic truth covered
+inside the containment tolerance of the product-bound verifier.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
-from .cones import (Arcs, Cap, Caps, CircInterval, ConeCell, ConeSet, Signs, TWO_PI,
-                    cone_contains, cone_product_bar, point_interval)
+from .cones import (DIRECTION_SETS, TWO_PI, ConeCell, ConeSet, cone_contains,
+                    cone_product_bar, point_interval)
 from .convolution import convolve, convolve_gated, _as_distribution
 from .distributions import Distribution, Layer, rasterize
 from .errors import ConeConditionError, DomainError, ModelUnsupportedError
@@ -115,15 +117,7 @@ class WfParams:
         return p
 
     def to_json(self) -> dict:
-        return {"window_radius": self.window_radius,
-                "n_directions": self.n_directions,
-                "cone_half_angle": self.cone_half_angle,
-                "shell_lo": self.shell_lo, "shell_hi": self.shell_hi,
-                "slope_threshold": self.slope_threshold,
-                "probe_stride": self.probe_stride,
-                "min_level": self.min_level,
-                "anchor_slope": self.anchor_slope,
-                "anchor_level": self.anchor_level}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -154,13 +148,11 @@ class _Scaffold:
         freqs = np.meshgrid(*(np.fft.fftfreq(s, d=1.0 / s) for s in shape),
                             indexing="ij")
         radius = np.sqrt(sum(f * f for f in freqs))
-        lo, hi = p.shell_lo, p.shell_hi
-        bounds = []
-        b = lo
-        while b < hi:
-            bounds.append((b, min(2 * b, hi)))
+        self.shells = []
+        b = p.shell_lo
+        while b < p.shell_hi:
+            self.shells.append((b, min(2 * b, p.shell_hi)))
             b *= 2
-        self.shells = bounds
         # calibrate the window's spectral profile on the largest axis:
         # shells dominated by the main lobe carry no directional decay
         # information and are dropped from the slope fit (at least two
@@ -182,33 +174,8 @@ class _Scaffold:
         pts = np.flatnonzero((radius >= self.shells[0][0])
                              & (radius <= self.shells[-1][1]))
         r = radius.ravel()[pts]
-        n_dir = p.n_directions
-        if self.dim == 1:
-            self.dirs = [(1.0,), (-1.0,)]
-            cand = np.where(freqs[0].ravel()[pts] > 0, 0, 1)[:, None]
-            hit = np.ones(cand.shape, dtype=bool)
-        elif self.dim == 2:
-            step = TWO_PI / n_dir
-            self.dirs = [(math.cos(i * step), math.sin(i * step))
-                         for i in range(n_dir)]
-            ang = (np.arctan2(freqs[1], freqs[0]) % TWO_PI).ravel()[pts]
-            # a cone reaches at most ``reach`` bins (plus rounding) either side
-            # of the bin below the point's angle; a candidate repeated mod
-            # n_dir only repeats the point within a bin
-            reach = math.ceil(p.cone_half_angle / step) + 1
-            below = np.floor(ang / step).astype(np.int64)
-            cand = (below[:, None] + np.arange(-reach, reach + 2)) % n_dir
-            d = np.abs((ang[:, None] - cand * step + math.pi) % TWO_PI - math.pi)
-            hit = d <= p.cone_half_angle
-        else:
-            centers = _fibonacci_sphere(n_dir)
-            self.cap_radius = max(p.cone_half_angle,
-                                  2.2 * math.sqrt(math.pi / n_dir))
-            self.dirs = [tuple(c) for c in centers]
-            unit = [f.ravel()[pts] / np.maximum(r, 1e-300) for f in freqs]
-            dots = sum(centers[:, i] * unit[i][:, None] for i in range(3))
-            cand = np.broadcast_to(np.arange(n_dir), dots.shape)
-            hit = dots >= math.cos(self.cap_radius)
+        self.dirs, cand, hit = DIRECTION_SETS[model.dim].bins(
+            [f.ravel()[pts] for f in freqs], p.n_directions, p.cone_half_angle)
         edges = np.array(self.shells)
         in_shell = (r[:, None] >= edges[:, 0]) & (r[:, None] <= edges[:, 1])  # closed
         pt, c, s = np.nonzero(hit[:, :, None] & in_shell[:, None, :])
@@ -219,10 +186,8 @@ class _Scaffold:
         # unrolled window's nonzero indices, ``window`` its values on that
         # box, and ``kept[ax]`` the read frequency indices
         self.support = [np.flatnonzero(self._axis_window(s)) for s in shape]
-        self.window = np.ones(())
-        for ax, sup in enumerate(self.support):
-            self.window = self.window * self._axis_window(shape[ax])[sup].reshape(
-                [len(sup) if a == ax else 1 for a in range(self.dim)])
+        self.window = reduce(np.multiply.outer, [self._axis_window(s)[sup]
+                                                 for s, sup in zip(shape, self.support)])
         grid_idx = np.unravel_index(pts[pt[np.argsort(bin_id, kind="stable")]], shape)
         self.kept = [np.unique(i) for i in grid_idx]
         # flattened bin index: points of bin (i, j), as flat indices into
@@ -239,9 +204,8 @@ class _Scaffold:
         """Angular halfwidth of the estimator's response to an exact
         singular ray, measured by running the pipeline itself on the
         canonical rotation comb through a window center: every direction
-        cone within this angle of a true ray reads as non-decaying, so
-        reported runs are deconvolved by it.  Only 2-d scaffolds call this:
-        1-d and 3-d cells are reported without deconvolution.
+        cone within this angle of a true ray reads as non-decaying.  Only
+        the ``Arcs`` reporter calls this, to deconvolve a partial run.
         """
         if hasattr(self, "_resp"):
             return self._resp
@@ -258,17 +222,12 @@ class _Scaffold:
                         max(1, p.probe_stride // 2))
         tables, slopes = _probe_tables(self, arr, [(0, off) for off in offsets])
         vals = tables[:, :, self.fit_slice]
-        amp0 = float(vals[0].max())
-        flagged = ((vals.max(axis=2) >= p.min_level * amp0)
-                   & (vals.min(axis=2) > 0.0) & (slopes > p.slope_threshold))
-        worst = 0
-        for row in flagged:
-            half_bins = 0
-            while (half_bins < n_dir // 2
-                   and row[(axis_bin + half_bins) % n_dir]
-                   and row[(axis_bin - half_bins) % n_dir]):
-                half_bins += 1
-            worst = max(worst, half_bins)
+        _, flagged = _flags(p, vals, slopes, float(vals[0].max()))
+        # per probe, the steps k out from the axis bin before bin axis+k or
+        # axis-k is not flagged
+        k = np.arange(n_dir // 2)
+        both = flagged[:, (axis_bin + k) % n_dir] & flagged[:, (axis_bin - k) % n_dir]
+        worst = int(np.cumprod(both, axis=1).sum(axis=1).max())
         self._resp = max(worst * step - step / 2.0, p.cone_half_angle)
         return self._resp
 
@@ -282,20 +241,8 @@ class _Scaffold:
         return self._axis_profiles[s]
 
     def probe_centers(self) -> list[tuple[int, ...]]:
-        shape = self.model.grid_shape
-        ranges = [range(0, s, min(self.p.probe_stride, s)) for s in shape]
-        pts = [()]
-        for r in ranges:
-            pts = [p + (i,) for p in pts for i in r]
-        return pts
-
-
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+        return list(product(*(range(0, s, min(self.p.probe_stride, s))
+                              for s in self.model.grid_shape)))
 
 
 def _max_workers() -> int:
@@ -354,6 +301,14 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
     return tables, coef[0].reshape(len(centers), n_dir)
 
 
+def _flags(p: WfParams, vals: np.ndarray, slopes: np.ndarray, amp: float):
+    """The flag rule on fit-shell maxima ``vals[k, i, :]`` and ``slopes``:
+    ``(kept, flagged)``.  Kept: no fit shell empty and the peak above
+    ``min_level * amp``; flagged: kept, with slope above ``slope_threshold``."""
+    kept = (vals.min(axis=2) > 0.0) & (vals.max(axis=2) > p.min_level * amp)
+    return kept, kept & (slopes > p.slope_threshold)
+
+
 # ---------------------------------------------------------------------------
 # The estimator
 # ---------------------------------------------------------------------------
@@ -372,73 +327,20 @@ def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
     amp_scale = float(tables.max())
     vals = tables[:, :, sc.fit_slice]
     peaks = vals.max(axis=2)
-    fitted = (peaks > 0.0) & (vals.min(axis=2) > 0.0)
-    kept = fitted & (peaks > p.min_level * amp_scale)
-    flagged = kept & (slopes > p.slope_threshold)
-    anchors = (fitted & (slopes > p.anchor_slope)
+    kept, flagged = _flags(p, vals, slopes, amp_scale)
+    anchors = ((vals.min(axis=2) > 0.0) & (slopes > p.anchor_slope)
                & (peaks > p.anchor_level * amp_scale))
-    shape = model.grid_shape
-    coords = [tuple(c[ax] / shape[ax] for ax in range(sc.dim)) for c in centers]
+    coords = [tuple(i / s for i, s in zip(c, model.grid_shape)) for c in centers]
     records = tuple(SlopeRecord(coords[k], sc.dirs[i], float(slopes[k, i]),
                                 float(peaks[k, i]))
                     for k, i in zip(*np.nonzero(kept)))
-    cells: list[ConeCell] = []
-    for k in np.flatnonzero(anchors.any(axis=1)):
-        cells.extend(_cells_from_flags(model, sc, p, coords[k], flagged[k], anchors[k]))
-    return WfReport(ConeSet(model, tuple(cells)), records, p)
-
-
-def _cells_from_flags(model, sc: _Scaffold, p: WfParams, coords,
-                      flagged: np.ndarray, anchors: np.ndarray) -> list[ConeCell]:
-    """Turn per-direction flags into reported cells.
-
-    Flagged runs are deconvolved by the window's ray-response halfwidth
-    (every cone within that angle of a true singular ray reads as
-    non-decaying, so a run over-reports by that amount per side).  A run
-    is reported only if it contains an anchor direction: pure weak-flag
-    runs are response skirts, not singular content.
-    """
-    if not flagged.any():
-        return []
-    if sc.dim == 2:     # close single-bin gaps
-        flagged = flagged | (np.roll(flagged, 1) & np.roll(flagged, -1))
-    base = tuple(point_interval(x) for x in coords)
-    if sc.dim == 1:
-        return [ConeCell(base, Signs(s for s, f in zip((1, -1), flagged)
-                                     if f and anchors.any()))]
-    if sc.dim == 2:
-        step = TWO_PI / p.n_directions
-        if flagged.all():
-            return [ConeCell(base, Arcs.full())]
-        resp = sc.ray_response_halfwidth()
-        arcs = []
-        for lo_bin, count in _circular_runs(flagged):
-            if count < 3:
-                continue
-            if not any(anchors[(lo_bin + j) % len(flagged)] for j in range(count)):
-                continue
-            extent = (count - 1) * step
-            mid = lo_bin * step + extent / 2.0
-            half = max(step, extent / 2.0 - resp)
-            arcs.append(CircInterval(mid - half, 2.0 * half, TWO_PI))
-        return [ConeCell(base, Arcs(tuple(arcs)))]
-    return [ConeCell(base, Caps(tuple(Cap(sc.dirs[i], sc.cap_radius + 0.5 * sc.cap_radius)
-                                      for i in range(len(flagged)) if flagged[i])))]
-
-
-def _circular_runs(flagged: np.ndarray):
-    """Maximal runs of True in a circular boolean array: (start, count),
-    by start.  A run through index 0 is listed whole and again from 0."""
-    n = len(flagged)
-    if flagged.all():
-        return [(0, n)]
-    stops = np.flatnonzero(~flagged)
-    runs = []
-    for s in np.flatnonzero(flagged):
-        if s == 0 or not flagged[s - 1]:
-            stop = stops[np.searchsorted(stops, s)] if s < stops[-1] else stops[0] + n
-            runs.append((int(s), int(stop - s)))
-    return runs
+    # only anchored probes report; ConeSet drops cells with no directions
+    report = DIRECTION_SETS[model.dim].report
+    cells = tuple(ConeCell(tuple(point_interval(x) for x in coords[k]),
+                           report(flagged[k], anchors[k], sc.dirs, p.cone_half_angle,
+                                  sc.ray_response_halfwidth))
+                  for k in np.flatnonzero(anchors.any(axis=1)))
+    return WfReport(ConeSet(model, cells), records, p)
 
 
 def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = None) -> float:
@@ -448,9 +350,7 @@ def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = No
     model = u.model
     p = (p or WfParams()).resolve(model)
     sc = _Scaffold(model, p)
-    shape = model.grid_shape
-    c_idx = tuple(int(round(center[ax] * shape[ax])) % shape[ax]
-                  for ax in range(sc.dim))
+    c_idx = tuple(int(round(x * s)) % s for x, s in zip(center, model.grid_shape))
     i = int(np.argmax(np.asarray(sc.dirs) @ np.asarray(direction, dtype=float)))
     _, slopes = _probe_tables(sc, rasterize(u, mollified=True), [c_idx])
     return float(slopes[0, i])

@@ -1,0 +1,150 @@
+"""Print one JSON of sha256 hashes over grpd's deterministic outputs.
+
+A refactor that must keep every verdict and artifact the same can be
+checked by running this at two commits and diffing the output::
+
+    python tests/fingerprint.py > new.json
+    mkdir ../base && git archive <base-commit> | tar -x -C ../base
+    cp tests/fingerprint.py ../base/tests/
+    (cd ../base && python tests/fingerprint.py) > old.json
+    diff old.json new.json
+
+The script puts its own checkout's ``src`` first on ``sys.path``, so each
+copy fingerprints its own code.
+
+It hashes:
+
+* every artifact of ``scenarios/*.json`` and of the nine built-in demos;
+* every artifact of one scenario-sweep pass and every ``VerifyReport``
+  field of verify-pair, at seeds 1 and 9001 (the benchmark's workloads,
+  imported read-only from ``perfbench.workloads``);
+* the estimate, the slope records and the probe kernel's tables and
+  slopes for the 1-d, 2-d and 3-d ``KERNEL_CASES`` of ``test_wavefront``;
+* random cone sets of every dimension and ``check_cone_heredity()``.
+
+Nothing here reads a clock, so the output of a commit is the same on
+every run.  pytest does not collect this file; it takes about 30 s on
+2 CPUs.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import hashlib
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
+
+from grpd import checks, cli, models                                  # noqa: E402
+from grpd.distributions import rasterize                              # noqa: E402
+from grpd.wavefront import _probe_tables, _Scaffold, estimate_wavefront  # noqa: E402
+from perfbench import workloads                                       # noqa: E402
+from test_wavefront import KERNEL_CASES                               # noqa: E402
+
+
+def plain(x):
+    """``x`` as JSON data, exactly: dataclasses field by field (floats by
+    ``repr``, which round-trips), sets sorted, arrays as raw bytes."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (frozenset, set)):
+        return sorted(plain(v) for v in x)
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): plain(v) for k, v in x.items()}
+    if isinstance(x, enum.Enum):
+        return x.name
+    if isinstance(x, np.ndarray):
+        return digest(x.tobytes()) + f":{x.dtype}:{x.shape}"
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def hash_json(x) -> str:
+    return digest(json.dumps(plain(x), sort_keys=True).encode())
+
+
+def hash_tree(out: Path) -> dict:
+    return {str(p.relative_to(out)): digest(p.read_bytes())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def artifacts(tmp: Path) -> dict:
+    found = {}
+    for spec in sorted((ROOT / "scenarios").glob("*.json")):
+        out = tmp / "scenarios" / spec.stem
+        code = cli.main(["run", str(spec), "--out", str(out)])
+        found[f"scenario {spec.name}"] = {"exit": code, "files": hash_tree(out)}
+    for name in cli.DEMOS:
+        out = tmp / "demos" / name
+        code = cli.main(["demo", name, "--out", str(out)])
+        found[f"demo {name}"] = {"exit": code, "files": hash_tree(out)}
+    return found
+
+
+def benchmark_workloads(tmp: Path) -> dict:
+    found = {}
+    for seed in (1, 9001):
+        work = tmp / f"sweep-{seed}"
+        for op in workloads.build_scenario_sweep(seed, work):
+            code, out = op.run()
+            found[f"scenario-sweep {seed} {op.name}"] = {"exit": code,
+                                                         "files": hash_tree(out)}
+        for op in workloads.build_verify_pair(seed, tmp / f"verify-{seed}"):
+            rep = op.run()
+            found[f"verify-pair {seed} {op.name}"] = {
+                f.name: hash_json(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+    return found
+
+
+def kernel_cases() -> dict:
+    found = {}
+    for case in sorted(KERNEL_CASES):
+        u, params = KERNEL_CASES[case]()
+        rep = estimate_wavefront(u, params)
+        sc = _Scaffold(u.model, params.resolve(u.model))
+        tables, slopes = _probe_tables(sc, rasterize(u, mollified=True),
+                                       sc.probe_centers())
+        found[f"kernel {case}"] = {
+            "estimated.json": hash_json(rep.estimated.to_json()),
+            "estimated": hash_json(rep.estimated), "slopes": hash_json(rep.slopes),
+            "params": hash_json(rep.params), "tables": plain(tables),
+            "kernel_slopes": plain(slopes)}
+    return found
+
+
+def cone_sets() -> dict:
+    found = {"check_cone_heredity": hash_json(checks.check_cone_heredity())}
+    for model in (models.circle_group(64), models.pair_circle(64),
+                  models.pair_times_z(16, 8)):
+        rng = np.random.default_rng(0)
+        sets = [checks.random_cone_set(model, rng, 3) for _ in range(50)]
+        found[f"random_cone_set {model.kind.name}"] = hash_json(sets)
+    return found
+
+
+def main() -> None:
+    # the CLI prints progress with timings; keep it out of the JSON
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
+        tmp = Path(tmp)
+        found = artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases() | cone_sets()
+    json.dump(found, sys.stdout, indent=1, sort_keys=True)
+    print()
+
+
+if __name__ == "__main__":
+    main()

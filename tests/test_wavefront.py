@@ -8,15 +8,16 @@ import pytest
 
 from grpd.catalog import (gaussian_bump, point_cone, rotation_cone,
                           rotation_layer, smooth_field)
-from grpd.cones import TWO_PI, ConeSet, a_star_units, cone_contains
+from grpd.cones import (TWO_PI, Arcs, Cap, Caps, ConeSet, Signs, _circular_runs,
+                        a_star_units, cone_contains)
 from grpd.distributions import (counterexample_distribution, make_layer,
                                 point_mass, rasterize, smooth_distribution,
                                 unit_delta)
 from grpd.errors import DomainError, ModelUnsupportedError
 from grpd.models import affine_group, circle_group, pair_circle, pair_times_z
 from grpd.spectral import band_limited_field
-from grpd.wavefront import (WfParams, _circular_runs, _probe_tables, _Scaffold,
-                            decay_slope, estimate_wavefront, verify_product_bound)
+from grpd.wavefront import (WfParams, _probe_tables, _Scaffold, decay_slope,
+                            estimate_wavefront, verify_product_bound)
 
 N = 128
 M = pair_circle(N)
@@ -106,7 +107,8 @@ def reference_bins(sc):
                  <= sc.p.cone_half_angle for i in range(len(sc.dirs))]
     else:
         unit = [f / np.maximum(radius, 1e-300) for f in freqs]
-        cones = [sum(c[i] * unit[i] for i in range(3)) >= math.cos(sc.cap_radius)
+        radius_3d = Caps.cap_radius(len(sc.dirs), sc.p.cone_half_angle)
+        cones = [sum(c[i] * unit[i] for i in range(3)) >= math.cos(radius_3d)
                  for c in sc.dirs]
     return [[cone & (radius > 0) & (radius >= a) & (radius <= b) for a, b in sc.shells]
             for cone in cones]
@@ -148,20 +150,20 @@ def kernel_bin_sets(sc):
 
 
 def reference_runs(flagged):
-    """Loop reference for _circular_runs: scan two periods, keep runs that
-    start in the first one."""
+    """Loop reference for _circular_runs: scan one period on from an
+    unflagged index, so a run through index 0 is seen once, whole."""
     n = len(flagged)
     if flagged.all():
         return [(0, n)]
+    first = int(np.argmin(flagged))
     runs, start = [], None
-    for i in range(2 * n):
+    for i in range(first, first + n + 1):
         if flagged[i % n] and start is None:
             start = i
         if not flagged[i % n] and start is not None:
-            if start < n:
-                runs.append((start, i - start))
+            runs.append((start % n, i - start))
             start = None
-    return runs
+    return sorted(runs)
 
 
 def test_circular_runs_match_loop_reference():
@@ -170,7 +172,69 @@ def test_circular_runs_match_loop_reference():
         n = int(rng.integers(1, 70))
         flagged = rng.random(n) < rng.random()
         assert _circular_runs(flagged) == reference_runs(flagged)
-    assert _circular_runs(np.array([True, True, False, False, True])) == [(0, 2), (4, 3)]
+    assert _circular_runs(np.array([True, True, False, False, True])) == [(4, 3)]
+
+
+def _row(n, *bins):
+    row = np.zeros(n, dtype=bool)
+    row[list(bins)] = True
+    return row
+
+
+def _no_halfwidth():
+    raise AssertionError("halfwidth read with no partial run to deconvolve")
+
+
+def test_signs_report_keeps_unanchored_flags():
+    # only probes with an anchor report, but a flagged sign needs none of its own
+    rep = Signs.report(_row(2, 0, 1), _row(2, 0), [(1.0,), (-1.0,)], 0.1, _no_halfwidth)
+    assert rep == Signs({1, -1})
+    assert Signs.report(_row(2, 1), _row(2, 0), [(1.0,), (-1.0,)], 0.1,
+                        _no_halfwidth) == Signs({-1})
+
+
+def test_arcs_report_rules():
+    n = 64
+    step = TWO_PI / n
+    dirs = [None] * n
+
+    def report(flagged, anchors, halfwidth=lambda: step / 2):
+        return Arcs.report(flagged, anchors, dirs, math.pi / 18, halfwidth)
+    # a single-bin gap is closed: 10, 11, (12), 13, 14 is one run of five
+    rep = report(_row(n, 10, 11, 13, 14), _row(n, 11))
+    assert len(rep) == 1 and rep.contains(12 * step)
+    assert not rep.contains(10 * step) and not rep.contains(14 * step)
+    # runs of fewer than three bins are dropped, anchored or not
+    assert not report(_row(n, 20, 21), _row(n, 20, 21), _no_halfwidth)
+    assert not report(_row(n, 20), _row(n, 20), _no_halfwidth)
+    # a run with no anchor is dropped
+    assert not report(_row(n, *range(30, 36)), _row(n, 0), _no_halfwidth)
+    assert len(report(_row(n, *range(30, 36)), _row(n, 33))) == 1
+    # all flagged, or all but single-bin gaps, is the full circle
+    assert report(np.ones(n, dtype=bool), _row(n, 0), _no_halfwidth) == Arcs.full()
+    assert report(_row(n, *range(0, n, 2)), _row(n, 0), _no_halfwidth) == Arcs.full()
+
+
+def test_arcs_report_lists_a_wrapping_run_once():
+    # bins 50..63 and 0..13 form one run of 28 around bin 63.5; deconvolved
+    # by the n=128 halfwidth (about 10.5 bins) it spans bins 60.5 to 66.5.
+    # The fragment 0..13 alone would give an arc around bin 6.5, outside it.
+    n = 64
+    step = TWO_PI / n
+    rep = Arcs.report(_row(n, *range(50, 64), *range(14)), _row(n, 5), [None] * n,
+                      math.pi / 18, lambda: 1.0308350894591507)
+    assert len(rep) == 1
+    assert rep.contains(63.5 * step) and rep.contains(2 * step)
+    assert not rep.contains(6.5 * step)
+
+
+def test_caps_report_radius():
+    dirs = [(math.cos(i), math.sin(i), 0.0) for i in range(64)]
+    rep = Caps.report(_row(64, 0, 2), _row(64, 0), dirs, math.pi / 18, _no_halfwidth)
+    radius = 1.5 * Caps.cap_radius(64, math.pi / 18)
+    assert radius == pytest.approx(0.7312, abs=1e-4)
+    assert rep == Caps((Cap(dirs[0], radius), Cap(dirs[2], radius)))
+    assert Caps.cap_radius(64, 1.0) == 1.0
 
 
 def _ptz_point():
@@ -244,15 +308,31 @@ def test_smooth_catalog_reads_empty():
     assert not estimate_wavefront(smooth_field(M, 3, 0)).estimated.cells
 
 
-def test_soundness_on_certified_smooth_fields():
+def test_smooth_estimate_skips_ray_calibration(monkeypatch):
+    # no probe is anchored, so no Arcs run is deconvolved
+    monkeypatch.setattr(_Scaffold, "ray_response_halfwidth", lambda sc: _no_halfwidth())
+    assert not estimate_wavefront(smooth_field(M, 3, 0)).estimated.cells
+
+
+@pytest.mark.parametrize("n", [N, 256])
+def test_soundness_on_certified_smooth_fields(n):
+    model = pair_circle(n)
     hits = 0
     for seed in range(20):
         band = 2 + seed % 5
-        field = band_limited_field((N, N), band, np.random.default_rng(seed))
+        field = band_limited_field((n, n), band, np.random.default_rng(seed))
         assert dense_dft_slope(field) < -6.0      # certificate of smoothness
-        rep = estimate_wavefront(smooth_distribution(M, field))
+        rep = estimate_wavefront(smooth_distribution(model, field))
         hits += bool(rep.estimated.cells)
     assert hits == 0
+
+
+@pytest.mark.parametrize("n,halfwidth", [(64, 0.7363), (128, 1.0308), (256, 0.6381),
+                                         (512, 0.5400)])
+def test_ray_response_halfwidth(n, halfwidth):
+    model = pair_circle(n)
+    sc = _Scaffold(model, WfParams().resolve(model))
+    assert sc.ray_response_halfwidth() == pytest.approx(halfwidth, abs=5e-5)
 
 
 def test_point_mass_all_directions():
