@@ -17,16 +17,14 @@ from .cones import (DIRECTION_SETS, ConeCell, ConeSet, CircInterval, Transversal
 from .convolution import (GOperator, apply_operator, convolve,
                           equivariance_defect, module_property_check, recover_kernel)
 from .cotangent import (CotangentPoint, KernelKind, anchor_jacobian, annihilates,
-                        coadjoint, ct_anchor_maps, ct_invert, ct_is_composable,
-                        ct_multiply, ct_src, ct_tgt, in_kernel, kernel_basis,
-                        random_ct_composable_pair, random_ct_composable_triple,
-                        transformation_iso_phi, transformation_product)
-from .distributions import (Anchor, Distribution, TestFunction, pair,
-                            pushforward_base, profile_tail, rasterize,
-                            star_involution, unit_delta)
-from .models import (Element, GroupoidModel, Kind, anchor_maps, invert,
-                     is_composable, multiply, random_composable_triple,
-                     random_element, src, tgt, unit_embed, affine_group,
+                        ct_invert, ct_multiply, ct_src, ct_tgt, in_kernel,
+                        kernel_basis, random_ct_composable_pair,
+                        random_ct_composable_triple, transformation_iso_phi,
+                        transformation_product)
+from .distributions import (Anchor, Distribution, TestFunction, pushforward_base,
+                            profile_tail, star_involution, unit_delta)
+from .models import (Element, GroupoidModel, Kind, invert, multiply,
+                     random_composable_triple, src, tgt, unit_embed, affine_group,
                      circle_group, pair_circle, pair_times_z)
 from .spectral import band_limited_field
 from .wavefront import WfParams, estimate_wavefront, verify_product_bound

@@ -8,6 +8,7 @@ Exit codes: 0 all asserted properties pass, 1 usage/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources as resources
 import json
 import math
@@ -35,12 +36,22 @@ def _load_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _validator():
+    """The scenario schema's validator, checked and built once, as
+    ``jsonschema.validate`` would build it on every call."""
+    from jsonschema.validators import validator_for
+    schema = _load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_scenario(spec: dict) -> None:
-    import jsonschema
-    try:
-        jsonschema.validate(spec, _load_schema())
-    except jsonschema.ValidationError as exc:
-        raise SerializationError(f"scenario schema violation: {exc.message}") from exc
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator().iter_errors(spec))
+    if error is not None:
+        raise SerializationError(f"scenario schema violation: {error.message}") from error
 
 
 def _model_from_args(args) -> GroupoidModel:

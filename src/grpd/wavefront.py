@@ -14,6 +14,18 @@ zero-filling each axis to full length and keeping only the frequencies
 some bin reads, so every 1-d transform sees the input it has inside
 ``fftn`` and the tables are bit for bit those of the full-grid DFT.  The
 ``GRPD_THREADS`` pool takes one contiguous block of probes per worker.
+A probe whose windowed block is all zero keeps its zero table row and
+runs no transform: the DFT of zeros is signed zeros, which ``abs`` makes
++0, so the tables stay bit for bit the same.
+
+The frequency-domain plan (``_Scaffold``: shells, direction bins, window
+support, flattened bin index and the memoized ray-response halfwidth)
+depends only on the model and the resolved ``WfParams``, so the
+estimator takes it from a small bounded cache (``_plan``) and every call
+after the first for a given pair reuses it, calibration included.  A
+report's slope records are built on read (``SlopeTable``), so a caller
+that reads only the estimated cone set, as the product-bound verifier
+does, never builds one.
 
 The direction-set type of the model's dimension (``DIRECTION_SETS``)
 lays out the direction bins and turns an anchored probe's flagged bins
@@ -29,9 +41,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -102,6 +115,11 @@ class WfParams:
         if p.cone_half_angle < math.pi / p.n_directions:
             raise DomainError(f"cone_half_angle must be >= pi/n_directions "
                               f"= {math.pi / p.n_directions:.6g}")
+        # a wider cone holds a half-plane of directions, and from pi on
+        # every frequency sits in every bin
+        if not p.cone_half_angle < math.pi / 2:
+            raise DomainError(f"cone_half_angle must be < pi/2, "
+                              f"got {p.cone_half_angle!r}")
         if not p.slope_threshold < 0:
             raise DomainError("slope_threshold must be negative")
         if not 1 <= p.shell_lo < p.shell_hi <= n / 2:
@@ -128,10 +146,60 @@ class SlopeRecord:
     peak: float
 
 
+class SlopeTable(Sequence):
+    """The kept (probe, direction) slope fits of one estimate, as an
+    immutable sequence of ``SlopeRecord`` in row-major (probe, direction)
+    order.  It holds the fit arrays the estimate already has and builds
+    the records on the first iteration or indexing; ``len`` builds none.
+    Two tables, or a table and a tuple, are equal when their records are.
+    """
+
+    def __init__(self, coords, dirs, kept: np.ndarray, slopes: np.ndarray,
+                 peaks: np.ndarray):
+        self._fits = (coords, dirs, np.nonzero(kept), slopes, peaks)
+        self._records = None
+
+    def _built(self) -> tuple[SlopeRecord, ...]:
+        if self._records is None:
+            coords, dirs, (ks, is_), slopes, peaks = self._fits
+            self._records = tuple(SlopeRecord(coords[k], dirs[i], float(slopes[k, i]),
+                                              float(peaks[k, i]))
+                                  for k, i in zip(ks, is_))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._fits[2][0])
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, (SlopeTable, tuple)):
+            return self._built() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return f"SlopeTable({len(self)} records)"
+
+
 @dataclass(frozen=True)
 class WfReport:
+    """One estimate: the estimated cone set, the kept slope fits and the
+    resolved parameters.  The estimate reuses the cached plan of its
+    (model, params) pair and transforms no probe whose window sees only
+    zeros; neither changes a bit of the report.  ``slopes`` is a
+    ``SlopeTable``, whose records are built only when read (the slope CSV
+    and the counterexample check read them; the product-bound verifier
+    does not)."""
+
     estimated: ConeSet
-    slopes: tuple[SlopeRecord, ...]
+    slopes: SlopeTable
     params: WfParams
 
 
@@ -140,9 +208,13 @@ class WfReport:
 # ---------------------------------------------------------------------------
 
 class _Scaffold:
+    """The frequency-domain plan of one (model, resolved ``WfParams``)
+    pair; ``_plan`` caches it across calls."""
+
     def __init__(self, model: GroupoidModel, p: WfParams):
         self.model = model
         self.p = p
+        self._resp = None
         shape = model.grid_shape
         self.dim = len(shape)
         freqs = np.meshgrid(*(np.fft.fftfreq(s, d=1.0 / s) for s in shape),
@@ -207,7 +279,7 @@ class _Scaffold:
         cone within this angle of a true ray reads as non-decaying.  Only
         the ``Arcs`` reporter calls this, to deconvolve a partial run.
         """
-        if hasattr(self, "_resp"):
+        if self._resp is not None:
             return self._resp
         p = self.p
         n_dir = p.n_directions
@@ -221,8 +293,8 @@ class _Scaffold:
         offsets = range(0, min(3 * p.probe_stride, n // 4) + 1,
                         max(1, p.probe_stride // 2))
         tables, slopes = _probe_tables(self, arr, [(0, off) for off in offsets])
-        vals = tables[:, :, self.fit_slice]
-        _, flagged = _flags(p, vals, slopes, float(vals[0].max()))
+        lo, hi = _fit_range(self, tables)
+        _, flagged = _flags(p, lo, hi, slopes, float(hi[0].max()))
         # per probe, the steps k out from the axis bin before bin axis+k or
         # axis-k is not flagged
         k = np.arange(n_dir // 2)
@@ -243,6 +315,19 @@ class _Scaffold:
     def probe_centers(self) -> list[tuple[int, ...]]:
         return list(product(*(range(0, s, min(self.p.probe_stride, s))
                               for s in self.model.grid_shape)))
+
+
+@lru_cache(maxsize=8)
+def _plan(model: GroupoidModel, p: WfParams) -> _Scaffold:
+    """The shared ``_Scaffold`` of ``model`` and resolved ``p``.
+
+    The plan, its ray-response calibration included, is a function of
+    this key alone, so at most eight are kept (about 1.5 MiB each at
+    n=512, 0.1 MiB at n=128).  If the halfwidth ever depends on the input
+    (say, calibrated on the fiber orders present), that input must join
+    the key.  Callers share the plan and must not modify it.
+    """
+    return _Scaffold(model, p)
 
 
 def _max_workers() -> int:
@@ -275,6 +360,8 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
         for k, c in enumerate(block):
             rows = [(sup + ci) % s for sup, ci, s in zip(sc.support, c, shape)]
             spec = arr[np.ix_(*rows)] * sc.window
+            if not spec.any():
+                continue        # its transform is zero, as is its row
             # fftn's axis order, last axis first; each 1-d transform sees
             # fftn's own input, since the rows skipped are all zero
             for ax in reversed(range(len(shape))):
@@ -301,11 +388,21 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
     return tables, coef[0].reshape(len(centers), n_dir)
 
 
-def _flags(p: WfParams, vals: np.ndarray, slopes: np.ndarray, amp: float):
-    """The flag rule on fit-shell maxima ``vals[k, i, :]`` and ``slopes``:
-    ``(kept, flagged)``.  Kept: no fit shell empty and the peak above
-    ``min_level * amp``; flagged: kept, with slope above ``slope_threshold``."""
-    kept = (vals.min(axis=2) > 0.0) & (vals.max(axis=2) > p.min_level * amp)
+def _fit_range(sc: _Scaffold, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (probe, direction), the min and max of the fit-shell maxima
+    ``tables[k, i, sc.fit_slice]``, reduced plane by plane over the few
+    fit shells (exact, like ``min``/``max`` over the last axis)."""
+    planes = np.moveaxis(tables[:, :, sc.fit_slice], 2, 0)
+    return np.minimum.reduce(planes), np.maximum.reduce(planes)
+
+
+def _flags(p: WfParams, lo: np.ndarray, hi: np.ndarray, slopes: np.ndarray,
+           amp: float):
+    """The flag rule on the fit-shell range ``lo``, ``hi`` (``_fit_range``)
+    and ``slopes``: ``(kept, flagged)``.  Kept: no fit shell empty and the
+    peak above ``min_level * amp``; flagged: kept, with slope above
+    ``slope_threshold``."""
+    kept = (lo > 0.0) & (hi > p.min_level * amp)
     return kept, kept & (slopes > p.slope_threshold)
 
 
@@ -320,27 +417,22 @@ def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
         raise ModelUnsupportedError("estimator needs a grid model")
     p = (p or WfParams()).resolve(model)
     arr = rasterize(u, mollified=True)
-    sc = _Scaffold(model, p)
+    sc = _plan(model, p)
     centers = sc.probe_centers()
     tables, slopes = _probe_tables(sc, arr, centers)
 
     amp_scale = float(tables.max())
-    vals = tables[:, :, sc.fit_slice]
-    peaks = vals.max(axis=2)
-    kept, flagged = _flags(p, vals, slopes, amp_scale)
-    anchors = ((vals.min(axis=2) > 0.0) & (slopes > p.anchor_slope)
-               & (peaks > p.anchor_level * amp_scale))
+    lo, peaks = _fit_range(sc, tables)
+    kept, flagged = _flags(p, lo, peaks, slopes, amp_scale)
+    anchors = (lo > 0.0) & (slopes > p.anchor_slope) & (peaks > p.anchor_level * amp_scale)
     coords = [tuple(i / s for i, s in zip(c, model.grid_shape)) for c in centers]
-    records = tuple(SlopeRecord(coords[k], sc.dirs[i], float(slopes[k, i]),
-                                float(peaks[k, i]))
-                    for k, i in zip(*np.nonzero(kept)))
     # only anchored probes report; ConeSet drops cells with no directions
     report = DIRECTION_SETS[model.dim].report
     cells = tuple(ConeCell(tuple(point_interval(x) for x in coords[k]),
                            report(flagged[k], anchors[k], sc.dirs, p.cone_half_angle,
                                   sc.ray_response_halfwidth))
                   for k in np.flatnonzero(anchors.any(axis=1)))
-    return WfReport(ConeSet(model, cells), records, p)
+    return WfReport(ConeSet(model, cells), SlopeTable(coords, sc.dirs, kept, slopes, peaks), p)
 
 
 def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = None) -> float:
@@ -349,7 +441,7 @@ def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = No
     u = _as_distribution(u)
     model = u.model
     p = (p or WfParams()).resolve(model)
-    sc = _Scaffold(model, p)
+    sc = _plan(model, p)
     c_idx = tuple(int(round(x * s)) % s for x, s in zip(center, model.grid_shape))
     i = int(np.argmax(np.asarray(sc.dirs) @ np.asarray(direction, dtype=float)))
     _, slopes = _probe_tables(sc, rasterize(u, mollified=True), [c_idx])

@@ -35,6 +35,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections.abc import Sequence
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -52,12 +53,13 @@ from test_wavefront import KERNEL_CASES                               # noqa: E4
 
 def plain(x):
     """``x`` as JSON data, exactly: dataclasses field by field (floats by
-    ``repr``, which round-trips), sets sorted, arrays as raw bytes."""
+    ``repr``, which round-trips), sets sorted, any other non-string
+    sequence as a list, arrays as raw bytes."""
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (frozenset, set)):
         return sorted(plain(v) for v in x)
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, Sequence) and not isinstance(x, str):
         return [plain(v) for v in x]
     if isinstance(x, dict):
         return {str(k): plain(v) for k, v in x.items()}

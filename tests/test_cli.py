@@ -133,6 +133,19 @@ def test_coarse_direction_step_is_a_usage_error(tmp_path, n_directions):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
+def test_wide_cone_half_angle_is_a_usage_error(tmp_path):
+    spec = {"version": 1, "name": "wide", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": "wf-estimate",
+            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}],
+            "wf_params": {"cone_half_angle": 4.0}}
+    with pytest.raises(DomainError, match="cone_half_angle"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
 @pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
 def test_invalid_thread_cap_is_a_usage_error(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("GRPD_THREADS", threads)

@@ -15,9 +15,10 @@ from grpd.distributions import (counterexample_distribution, make_layer,
                                 unit_delta)
 from grpd.errors import DomainError, ModelUnsupportedError
 from grpd.models import affine_group, circle_group, pair_circle, pair_times_z
-from grpd.spectral import band_limited_field
+from grpd.spectral import band_limited_field, bump
 from grpd.wavefront import (WfParams, _probe_tables, _Scaffold, decay_slope,
                             estimate_wavefront, verify_product_bound)
+import grpd.wavefront
 
 N = 128
 M = pair_circle(N)
@@ -65,6 +66,8 @@ def test_params_validation():
     WfParams(n_directions=16),                 # 10 deg cones, 22.5 deg step
     WfParams(n_directions=32),                 # 11.25 deg step, wider than 10 deg
     WfParams(n_directions=35),
+    WfParams(cone_half_angle=4.0),             # every bin holds a half-plane
+    WfParams(cone_half_angle=math.pi / 2),
     WfParams(window_radius=16.0),              # integer fields take ints only
     WfParams(n_directions="abc"),
     WfParams(probe_stride=True),
@@ -244,6 +247,14 @@ def _ptz_point():
     return smooth_distribution(mz, v)
 
 
+def _quarter_support():
+    # a bump on the quarter [0, 1/2)^2 of the torus, exactly zero elsewhere:
+    # the windows of 15 of the 64 probes see only zeros
+    m = pair_circle(64)
+    b = bump((np.arange(64) - 15.5) / 16.0)
+    return smooth_distribution(m, np.multiply.outer(b, b))
+
+
 KERNEL_CASES = {
     "1d-layer": lambda: (make_layer(circle_group(64), 0.25, 1.0, 0), WfParams()),
     "2d-rotation": lambda: (rotation_layer(pair_circle(64), 0.25), WfParams()),
@@ -257,6 +268,7 @@ KERNEL_CASES = {
     "2d-wide-window": lambda: (rotation_layer(pair_circle(64), 0.25),
                                WfParams(window_radius=40, probe_stride=16)),
     "2d-rotation-128": lambda: (rotation_layer(pair_circle(128), 0.25), WfParams()),
+    "2d-quarter-support": lambda: (_quarter_support(), WfParams()),
 }
 
 
@@ -301,6 +313,79 @@ def test_probe_blocks_join_in_order(monkeypatch):
     for tables, slopes in results[1:]:
         assert np.array_equal(tables, results[0][0])
         assert np.array_equal(slopes, results[0][1])
+
+
+def test_zero_windows_skip_transforms(monkeypatch):
+    monkeypatch.setenv("GRPD_THREADS", "1")
+    u, params = KERNEL_CASES["2d-quarter-support"]()
+    sc = _Scaffold(u.model, params.resolve(u.model))
+    arr = rasterize(u, mollified=True)
+    calls = []
+    real = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    tables, _ = _probe_tables(sc, arr, sc.probe_centers())
+    zero = ~tables.reshape(len(tables), -1).any(axis=1)
+    assert zero.sum() == 15
+    # one transform per axis, for the 49 probes that see nonzero data
+    assert len(calls) == 2 * 49
+
+
+def test_estimates_reuse_one_plan(monkeypatch):
+    built, probed = [], []
+    real_init, real_tables = _Scaffold.__init__, grpd.wavefront._probe_tables
+
+    def init(sc, model, p):
+        built.append(p)
+        real_init(sc, model, p)
+
+    def tables(sc, arr, centers):
+        probed.append(len(centers))
+        return real_tables(sc, arr, centers)
+    monkeypatch.setattr(_Scaffold, "__init__", init)
+    monkeypatch.setattr(grpd.wavefront, "_probe_tables", tables)
+    grpd.wavefront._plan.cache_clear()
+    u = rotation_layer(pair_circle(64), 0.25)
+    first = estimate_wavefront(u)
+    second = estimate_wavefront(u)
+    assert first.estimated.cells          # anchored, so Arcs calibrates
+    # one scaffold, two estimates' probes and one calibration
+    assert len(built) == 1 and len(probed) == 3
+    assert decay_slope(u, (0.25, 0.0), (1.0, 0.0)) == decay_slope(
+        u, (0.25, 0.0), (1.0, 0.0), WfParams(probe_stride=8))
+    assert len(built) == 1
+    estimate_wavefront(u, WfParams(probe_stride=4))
+    assert len(built) == 2
+    grpd.wavefront._plan.cache_clear()
+    fresh = estimate_wavefront(u)
+    assert len(built) == 3
+    assert fresh == second
+    assert fresh.estimated.to_json() == first.estimated.to_json()
+
+
+def test_slope_records_are_built_on_read(monkeypatch):
+    built = []
+    real = grpd.wavefront.SlopeRecord
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+    monkeypatch.setattr(grpd.wavefront, "SlopeRecord", counted)
+    rep = verify_product_bound(rotation_layer(M, 0.25), rotation_layer(M, 0.125),
+                               rotation_cone(M, 0.25), rotation_cone(M, 0.125))
+    assert rep.passed and not built
+    slopes = estimate_wavefront(rotation_layer(M, 0.25)).slopes
+    n = len(slopes)
+    assert n > 0 and not built
+    records = list(slopes)
+    assert len(built) == n == len(records)
+    assert [slopes[i] for i in range(n)] == records
+    assert slopes[-1] == records[-1] and slopes[1:3] == tuple(records[1:3])
+    assert slopes == tuple(records)
+    assert len(built) == n                # built once
 
 
 def test_smooth_catalog_reads_empty():
