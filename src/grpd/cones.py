@@ -15,10 +15,15 @@ so validation, serialization, transversality, containment, random cone
 sets and the estimator's binning and reporting are written once, as are
 the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``, ``KER_R``).
 
-The gate, the product and containment visit only the cells whose base
-intervals can meet, found through a per-call index by grid cell
-(``_BaseIndex``); the exact interval test then runs on those candidates
-in their original order, so results are those of the all-pairs loop.
+The gate and the product visit only the cells whose base intervals can
+meet, found through a per-call index by grid cell (``_BaseIndex``); the
+exact interval test then runs on those candidates in their original
+order, so results are those of the all-pairs loop.  Containment finds
+the cells of B over a base point by one array test per (axis,
+coordinate), dilates each distinct direction set of B once, and unites
+and tests the directions over a point once per distinct multiset of
+holders' direction sets.  The bar product's zero-section terms are found
+once per distinct direction set.
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
 ``cone_product_bar`` adds the two zero-section terms; these and the gate
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 
 import numpy as np
@@ -199,8 +205,9 @@ def _circular_runs(flagged: np.ndarray) -> list[tuple[int, int]]:
     by start.  A run through index 0 is listed once, from its start."""
     if flagged.all():
         return [(0, len(flagged))]
-    starts = np.flatnonzero(flagged & ~np.roll(flagged, 1))
-    stops = np.flatnonzero(~flagged & np.roll(flagged, 1))
+    before = flagged[np.arange(-1, len(flagged) - 1)]     # each bin's predecessor
+    starts = np.flatnonzero(flagged & ~before)
+    stops = np.flatnonzero(~flagged & before)
     if len(stops) and stops[0] < starts[0]:     # the last run wraps
         stops = np.append(stops[1:], stops[0] + len(flagged))
     return [(int(a), int(b - a)) for a, b in zip(starts, stops)]
@@ -386,13 +393,16 @@ class Arcs(_DirSet):
         skirts.  Every cone within the ray-response halfwidth of a true ray
         reads as non-decaying, so a run is deconvolved by ``halfwidth()``,
         called only then, to at least one bin step either side."""
-        flagged = flagged | (np.roll(flagged, 1) & np.roll(flagged, -1))
+        n = len(flagged)
+        # bin i's neighbours are i - 1 and i + 1 - n, as negative indices wrap
+        flagged = flagged | (flagged[np.arange(-1, n - 1)] & flagged[np.arange(1 - n, 1)])
         if flagged.all():
             return Arcs.full()
-        step = TWO_PI / len(flagged)
+        step = TWO_PI / n
         arcs = []
         for lo_bin, count in _circular_runs(flagged):
-            if count < 3 or not anchors[(lo_bin + np.arange(count)) % len(flagged)].any():
+            run = np.arange(lo_bin, lo_bin + count)
+            if count < 3 or not anchors.take(run, mode="wrap").any():
                 continue
             extent = (count - 1) * step
             half = max(step, extent / 2.0 - halfwidth())
@@ -591,11 +601,13 @@ def _touched(iv: CircInterval, n: int) -> range | None:
 
 
 class _BaseIndex:
-    """The base boxes of a list of cells, bucketed on the given axes by the
-    grid cells their intervals touch (a full interval is in every bucket).
-    Queries run the exact interval test only on the cells the buckets
-    name, and list the hits in the cells' order, so they answer as the
-    loop over all cells does."""
+    """The base boxes of a list of cells.  ``meeting`` finds the cells
+    through buckets on the given axes, by the grid cells their intervals
+    touch (a full interval is in every bucket), and runs the exact
+    interval test only on the cells the buckets name; ``holding`` tests
+    every cell at once, per (axis, coordinate), as array arithmetic over
+    the cells' interval starts and widths.  Both list the hits in the
+    cells' order, so they answer as the loop over all cells does."""
 
     def __init__(self, bases, shape, axes):
         self.bases = bases
@@ -627,19 +639,26 @@ class _BaseIndex:
         return [i for i in (range(len(self.bases)) if found is None else sorted(found))
                 if all(iv.intersects(self.bases[i][ax]) for iv, ax in queries)]
 
-    def holding(self, pt) -> list[int]:
-        """Cells whose base box contains the point ``pt`` (to 1e-12, far
-        below the bucket padding of one grid cell)."""
-        inside = np.ones(len(self.bases), dtype=bool)
+    @cached_property
+    def _spans(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis, the (start, width) arrays of the cells' intervals."""
+        return [(np.array([base[ax].start for base in self.bases]),
+                 np.array([base[ax].width for base in self.bases]))
+                for ax in range(len(self.grid))]
+
+    def holding(self, pt) -> np.ndarray:
+        """Cells whose base box contains the point ``pt``, to 1e-12: the
+        float operations of ``CircInterval.contains(x, 1e-12)`` on period-1
+        intervals (numpy's float ``%`` is Python's).  A full interval has
+        start 0 and width 1, so it holds every coordinate here too."""
+        inside = None
         for ax, x in enumerate(pt):
             if (ax, x) not in self.held:
-                full, buckets = self.tables[ax]
-                near = full.union(buckets.get(math.floor(x * self.grid[ax]) % self.grid[ax], ()))
-                mask = np.zeros(len(self.bases), dtype=bool)
-                mask[[i for i in near if self.bases[i][ax].contains(x, 1e-12)]] = True
-                self.held[ax, x] = mask
-            inside &= self.held[ax, x]
-        return np.flatnonzero(inside).tolist()
+                start, width = self._spans[ax]
+                off = (x - start) % 1.0
+                self.held[ax, x] = (off <= width + 1e-12) | (off >= 1.0 - 1e-12)
+            inside = self.held[ax, x] if inside is None else inside & self.held[ax, x]
+        return np.flatnonzero(inside)
 
 
 # (axis of a W1 cell, axis of a W2 cell) that meet when (g1, g2) is in
@@ -915,22 +934,25 @@ def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
 def _zero_term_cells(w: ConeSet, side: str) -> list[ConeCell]:
     """Contributions of W x 0 (side='left') or 0 x W (side='right'): the
     directions of W in ker s_Gamma (left) or ker r_Gamma (right), over
-    the whole of the other unit axis."""
+    the whole of the other unit axis, found once per distinct direction
+    set of W."""
     k = w.model.kind
     if k is Kind.CIRCLE_GROUP:
         return []    # s_Gamma/r_Gamma are injective on covectors here
     if k not in (Kind.PAIR_CIRCLE, Kind.PAIR_TIMES_Z):
         raise ModelUnsupportedError("cone products need a grid model")
     kernel, free = (KER_S, 1) if side == "left" else (KER_R, 0)
+    whole = full_interval(1.0)
+    in_kernel = {}      # direction set of W -> its directions in the kernel
     cells = []
     for c in w.cells:
-        base = c.base[:free] + (full_interval(1.0),) + c.base[free + 1:]
-        if k is Kind.PAIR_CIRCLE:
-            dirs = Arcs(tuple(CircInterval(t, 0.0, TWO_PI) for t in kernel.angles
-                              if c.dirs.contains(t)))
-        else:
-            dirs = _kernel_caps(c.dirs, kernel)
-        cells.append(ConeCell(base, dirs))
+        if c.dirs not in in_kernel:
+            if k is Kind.PAIR_CIRCLE:
+                in_kernel[c.dirs] = Arcs(tuple(CircInterval(t, 0.0, TWO_PI)
+                                               for t in kernel.angles if c.dirs.contains(t)))
+            else:
+                in_kernel[c.dirs] = _kernel_caps(c.dirs, kernel)
+        cells.append(ConeCell(c.base[:free] + (whole,) + c.base[free + 1:], in_kernel[c.dirs]))
     return cells
 
 
@@ -983,28 +1005,44 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     """True iff every cell of A is covered by B dilated by the tolerances.
 
     ``base_tol_cells`` dilates B's base boxes by that many grid cells per
-    axis; ``angular_tol`` dilates B's direction sets.
+    axis; ``angular_tol`` dilates B's direction sets.  Both must be finite
+    and >= 0.
+
+    Each distinct direction set of B is dilated once.  The directions of
+    B over a base point of A are the union of its holders' dilated sets,
+    which depends only on which distinct sets hold it and how often: the
+    union is formed, and each direction set of A tested against it, once
+    per such multiset.  Duplicates are kept because merging an exact
+    duplicate arc can round its width up by an ulp.
     """
     if a.model != b.model:
         raise ModelMismatchError("cone sets on different models")
+    if not all(math.isfinite(t) and t >= 0.0 for t in (angular_tol, base_tol_cells)):
+        raise DomainError(f"containment tolerances must be finite and >= 0, got "
+                          f"angular_tol={angular_tol!r}, base_tol_cells={base_tol_cells!r}")
     model = a.model
-    dilated = [(tuple(iv.dilate(base_tol_cells / n) for iv, n in zip(bc.base, model.grid_shape)),
-                bc.dirs.dilate(angular_tol)) for bc in b.cells]
-    index = _BaseIndex([base for base, _ in dilated], model.grid_shape, range(model.dim))
+    shape = model.grid_shape
+    index = _BaseIndex([tuple(iv.dilate(base_tol_cells / n) for iv, n in zip(bc.base, shape))
+                        for bc in b.cells], shape, ())
+    numbers = {}        # direction set of B -> its number
+    number_of = np.array([numbers.setdefault(bc.dirs, len(numbers)) for bc in b.cells],
+                         dtype=np.int64)
+    grown = [dirs.dilate(angular_tol) for dirs in numbers]
     nothing = DIRECTION_SETS[model.dim]()
-    avail_at = {}       # base point -> directions of B over it
+    avail = {}          # sorted holder numbers -> the union of their sets
     tests = {}          # direction set of A -> (number, cover test)
-    covered = set()     # (base point, direction set number) found covered
+    covered = set()     # (holder numbers, direction set number) found covered
     for cell in a.cells:
         if cell.dirs not in tests:
             tests[cell.dirs] = (len(tests), cell.dirs.cover_test(angular_tol))
         k, test = tests[cell.dirs]
         for pt in _base_grid_points(cell, model):
-            if (pt, k) in covered:
+            held = tuple(np.sort(number_of[index.holding(pt)]).tolist())
+            if (held, k) in covered:
                 continue
-            if pt not in avail_at:
-                avail_at[pt] = nothing.union(*(dilated[i][1] for i in index.holding(pt)))
-            if not test(avail_at[pt]):
+            if held not in avail:
+                avail[held] = nothing.union(*(grown[i] for i in held))
+            if not test(avail[held]):
                 return False
-            covered.add((pt, k))
+            covered.add((held, k))
     return True

@@ -94,12 +94,21 @@ def load_cone_set(path) -> ConeSet:
 
 
 def save_slope_csv(path, records) -> None:
-    """Slope table sidecar: one row per (center, direction)."""
+    """Slope table sidecar: one row per (center, direction).  ``records``
+    is a sequence of slope records; a ``SlopeTable`` is written from its
+    columns, so each center and direction is formatted once."""
+    if hasattr(records, "columns"):
+        centers, dirs, probe, direction, slopes, peaks = records.columns()
+    else:
+        centers = [r.center for r in records]
+        dirs = [r.direction for r in records]
+        probe = direction = range(len(records))
+        slopes, peaks = [r.slope for r in records], [r.peak for r in records]
+    centers, dirs = ([",".join(format(v, ".17g") for v in x) for x in xs]
+                     for xs in (centers, dirs))
     lines = ["center;direction;slope;peak"]
-    for r in records:
-        c = ",".join(format(v, ".17g") for v in r.center)
-        d = ",".join(format(v, ".17g") for v in r.direction)
-        lines.append(f"{c};{d};{format(r.slope, '.17g')};{format(r.peak, '.17g')}")
+    lines += [f"{centers[k]};{dirs[i]};{format(s, '.17g')};{format(p, '.17g')}"
+              for k, i, s, p in zip(probe, direction, slopes, peaks)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -8,12 +8,18 @@ least-squares fit of log max modulus against log shell radius then gives
 every (probe, direction) decay slope.  Slopes above ``slope_threshold``
 flag a singular direction.
 
-The DFT is pruned, not approximated: it slices the grid to the window's
-support box, then transforms axis by axis in ``np.fft.fftn``'s order,
-zero-filling each axis to full length and keeping only the frequencies
-some bin reads, so every 1-d transform sees the input it has inside
-``fftn`` and the tables are bit for bit those of the full-grid DFT.  The
-``GRPD_THREADS`` pool takes one contiguous block of probes per worker.
+The DFT is pruned, not approximated: it takes the window's support box
+from the grid (one circular range of rows per axis), then transforms
+axis by axis in ``np.fft.fftn``'s order, last axis first, keeping only
+the frequencies some bin reads.  Each axis in turn is swapped to the
+last position and written, by at most two slices, into full-length lines
+of one zero buffer that the worker reuses for every axis and probe and
+zeroes again after each transform, so the 1-d transforms run along
+contiguous lines.  Every one
+of them sees the input it has inside ``fftn``, and ``max`` over a bin is
+exact in any order, so the tables are bit for bit those of the
+full-grid DFT.  The ``GRPD_THREADS`` pool takes one contiguous block of
+probes per worker.
 A probe whose windowed block is all zero keeps its zero table row and
 runs no transform: the DFT of zeros is signed zeros, which ``abs`` makes
 +0, so the tables stay bit for bit the same.
@@ -159,12 +165,19 @@ class SlopeTable(Sequence):
         self._fits = (coords, dirs, np.nonzero(kept), slopes, peaks)
         self._records = None
 
+    def columns(self) -> tuple[list, list, list, list, list, list]:
+        """The records as columns: ``(centers, directions, probe, direction,
+        slope, peak)``, record r being ``SlopeRecord(centers[probe[r]],
+        directions[direction[r]], slope[r], peak[r])``."""
+        coords, dirs, (ks, is_), slopes, peaks = self._fits
+        return (coords, dirs, ks.tolist(), is_.tolist(),
+                slopes[ks, is_].tolist(), peaks[ks, is_].tolist())
+
     def _built(self) -> tuple[SlopeRecord, ...]:
         if self._records is None:
-            coords, dirs, (ks, is_), slopes, peaks = self._fits
-            self._records = tuple(SlopeRecord(coords[k], dirs[i], float(slopes[k, i]),
-                                              float(peaks[k, i]))
-                                  for k, i in zip(ks, is_))
+            coords, dirs, ks, is_, slopes, peaks = self.columns()
+            self._records = tuple(SlopeRecord(coords[k], dirs[i], s, p)
+                                  for k, i, s, p in zip(ks, is_, slopes, peaks))
         return self._records
 
     def __len__(self) -> int:
@@ -254,23 +267,51 @@ class _Scaffold:
         n_shells = len(self.shells)
         bin_id = cand[pt, c] * n_shells + s
         # the probe transform visits only the window's support and the
-        # frequencies some bin reads, per axis: ``support[ax]`` are the
-        # unrolled window's nonzero indices, ``window`` its values on that
-        # box, and ``kept[ax]`` the read frequency indices
-        self.support = [np.flatnonzero(self._axis_window(s)) for s in shape]
-        self.window = reduce(np.multiply.outer, [self._axis_window(s)[sup]
-                                                 for s, sup in zip(shape, self.support)])
+        # frequencies some bin reads, per axis: the support is the circular
+        # range of ``span[ax] = (first, length)`` positions from ``first``
+        # (relative to the probe center) on, ``window`` the window's values
+        # on that box in position order, and ``kept[ax]`` the read frequency
+        # indices
+        self.span, profiles = [], []
+        for s in shape:
+            off = ((np.arange(s) + s // 2) % s) - s // 2
+            sup = np.flatnonzero(self._axis_window(s))
+            sup = sup[np.argsort(off[sup])]     # a bump's support is one range
+            self.span.append((int(off[sup[0]]), len(sup)))
+            profiles.append(self._axis_window(s)[sup])
+        self.window = reduce(np.multiply.outer, profiles)
         grid_idx = np.unravel_index(pts[pt[np.argsort(bin_id, kind="stable")]], shape)
         self.kept = [np.unique(i) for i in grid_idx]
+        # the transform takes the axes in fftn's order, last first, and
+        # swaps each to the last position (``swaps``: axis, its position,
+        # the shape of its full-length lines), so it runs along contiguous
+        # lines; the kept-frequency box then holds the axes in the order
+        # ``layout``
+        self.layout, self.swaps = list(range(self.dim)), []
+        extent = [length for _, length in self.span]
+        for ax in reversed(range(self.dim)):
+            pos = self.layout.index(ax)
+            for order in (self.layout, extent):
+                order[pos], order[-1] = order[-1], order[pos]
+            self.swaps.append((ax, pos, tuple(extent[:-1]) + (shape[ax],)))
+            extent[-1] = len(self.kept[ax])
         # flattened bin index: points of bin (i, j), as flat indices into
-        # the kept-frequency box, are bin_points[bin_starts[k]:...] for the
-        # k-th non-empty bin in row-major (direction, shell) order
-        self.bin_points = np.ravel_multi_index(
-            tuple(np.searchsorted(k, i) for k, i in zip(self.kept, grid_idx)),
-            tuple(len(k) for k in self.kept))
+        # that box, are bin_gather[bin_starts[k]:...] for the k-th non-empty
+        # bin in row-major (direction, shell) order
+        box_idx = [np.searchsorted(k, i) for k, i in zip(self.kept, grid_idx)]
+        self.bin_gather = np.ravel_multi_index([box_idx[a] for a in self.layout],
+                                               [len(self.kept[a]) for a in self.layout])
         counts = np.bincount(bin_id, minlength=len(self.dirs) * n_shells)
         self.bin_filled = counts > 0
         self.bin_starts = (np.cumsum(counts) - counts)[self.bin_filled]
+
+    @property
+    def bin_points(self) -> np.ndarray:
+        """``bin_gather`` as flat indices into the kept-frequency box with
+        its axes in their own order, row-major."""
+        box_idx = np.unravel_index(self.bin_gather, [len(self.kept[a]) for a in self.layout])
+        return np.ravel_multi_index([box_idx[self.layout.index(a)] for a in range(self.dim)],
+                                    [len(k) for k in self.kept])
 
     def ray_response_halfwidth(self) -> float:
         """Angular halfwidth of the estimator's response to an exact
@@ -351,26 +392,55 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
     ``centers[k]`` over direction cone ``i`` and shell ``j`` (0 for an empty
     bin); ``slopes[k, i]`` is the least-squares slope of its log over the
     fit shells against log shell radius, all from one batched fit.
+
+    Per probe, the loop makes one ``take`` per axis for the support box,
+    and per axis one swap, the slice writes into the block's zero buffer
+    and one ``np.fft.fft`` along its last axis; one ``take`` through
+    ``sc.bin_gather`` then feeds the per-bin ``maximum.reduceat``.  The
+    support rows and slices are found once per distinct probe coordinate.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
     shape = arr.shape
+    # per axis and distinct probe coordinate x: the window's support rows
+    # about x, and the one or two (axis slice, support slice) pieces that
+    # place the support on the full axis
+    places = []
+    for (first, length), s, axis_coords in zip(sc.span, shape, zip(*centers)):
+        per = {}
+        for x in set(axis_coords):
+            lo = (x + first) % s
+            head = min(length, s - lo)
+            pieces = [(slice(lo, lo + head), slice(0, head))]
+            if head < length:
+                pieces.append((slice(0, length - head), slice(head, length)))
+            per[x] = ((lo + np.arange(length)) % s, pieces)
+        places.append(per)
 
     def probe_block(block):
         out = np.zeros((len(block), n_dir * n_shells))
+        # the block's zero buffer, which holds every axis's lines in turn
+        zeros = np.zeros(max(math.prod(lines) for _, _, lines in sc.swaps),
+                         dtype=np.result_type(arr, sc.window, 1j))
         for k, c in enumerate(block):
-            rows = [(sup + ci) % s for sup, ci, s in zip(sc.support, c, shape)]
-            spec = arr[np.ix_(*rows)] * sc.window
+            at = [places[ax][x] for ax, x in enumerate(c)]
+            spec = arr
+            for ax, (rows, _) in enumerate(at):
+                spec = spec.take(rows, axis=ax)
+            spec = spec * sc.window
             if not spec.any():
                 continue        # its transform is zero, as is its row
             # fftn's axis order, last axis first; each 1-d transform sees
             # fftn's own input, since the rows skipped are all zero
-            for ax in reversed(range(len(shape))):
-                full = np.zeros(spec.shape[:ax] + (shape[ax],) + spec.shape[ax + 1:],
-                                dtype=spec.dtype)
-                full[(slice(None),) * ax + (rows[ax],)] = spec
-                spec = np.fft.fft(full, axis=ax).take(sc.kept[ax], axis=ax)
-            spec = np.abs(spec).ravel()
-            out[k, sc.bin_filled] = np.maximum.reduceat(spec[sc.bin_points], sc.bin_starts)
+            for ax, pos, lines in sc.swaps:
+                spec = spec.swapaxes(pos, -1)
+                full, pieces = zeros[:math.prod(lines)].reshape(lines), at[ax][1]
+                for dst, src in pieces:
+                    full[..., dst] = spec[..., src]
+                spec = np.fft.fft(full).take(sc.kept[ax], axis=-1)
+                for dst, _ in pieces:
+                    full[..., dst] = 0.0
+            spec = np.abs(spec).take(sc.bin_gather)
+            out[k, sc.bin_filled] = np.maximum.reduceat(spec, sc.bin_starts)
         return out
 
     # one contiguous block of probes per worker, joined in block order

@@ -20,7 +20,9 @@ It hashes:
   imported read-only from ``perfbench.workloads``);
 * the estimate, the slope records and the probe kernel's tables and
   slopes for the 1-d, 2-d and 3-d ``KERNEL_CASES`` of ``test_wavefront``;
-* random cone sets of every dimension and ``check_cone_heredity()``.
+* random cone sets of every dimension and ``check_cone_heredity()``;
+  over pairs of those random sets, ``cone_product_bar`` JSON and
+  ``cone_contains`` verdicts at two tolerances; and PTZ ``a* <= a*.a*``.
 
 Nothing here reads a clock, so the output of a commit is the same on
 every run.  pytest does not collect this file; it takes about 30 s on
@@ -44,7 +46,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from grpd import checks, cli, models                                  # noqa: E402
+from grpd import checks, cli, cones, models                           # noqa: E402
 from grpd.distributions import rasterize                              # noqa: E402
 from grpd.wavefront import _probe_tables, _Scaffold, estimate_wavefront  # noqa: E402
 from perfbench import workloads                                       # noqa: E402
@@ -129,13 +131,44 @@ def kernel_cases() -> dict:
     return found
 
 
+# (angular, base-cells) tolerances of the containment verdicts below
+CONTAINS_TOLS = ((0.05, 1.0), (0.3, 3.0))
+
+
+def _narrow(w):
+    """W with any caps shrunk five-fold."""
+    return cones.ConeSet(w.model, tuple(
+        cones.ConeCell(c.base, cones.Caps(tuple(cones.Cap(cap.center, cap.radius / 5)
+                                                for cap in c.dirs)))
+        if isinstance(c.dirs, cones.Caps) else c for c in w.cells))
+
+
 def cone_sets() -> dict:
     found = {"check_cone_heredity": hash_json(checks.check_cone_heredity())}
     for model in (models.circle_group(64), models.pair_circle(64),
                   models.pair_times_z(16, 8)):
         rng = np.random.default_rng(0)
         sets = [checks.random_cone_set(model, rng, 3) for _ in range(50)]
-        found[f"random_cone_set {model.kind.name}"] = hash_json(sets)
+        name = model.kind.name
+        found[f"random_cone_set {name}"] = hash_json(sets)
+        # composing PTZ caps pairs every sample of one with every sample of
+        # the other (seconds per pair at these radii), so, as in
+        # test_cones, the pairs take them shrunk five-fold
+        sets = [_narrow(w) for w in sets]
+        pairs = list(zip(sets[::2], sets[1::2]))
+        verdicts = []
+        for w1, w2 in pairs:
+            union = cones.ConeSet(model, w1.cells + w2.cells)
+            verdicts += [cones.cone_contains(a, b, *tol) for a, b in
+                         ((w1, w2), (w1, union), (union, w2)) for tol in CONTAINS_TOLS]
+        found[f"cone_contains {name}"] = hash_json(verdicts)
+        bars = [cones.cone_product_bar(w1, w2).to_json() for w1, w2 in pairs]
+        found[f"cone_product_bar {name}"] = hash_json(bars)
+    ptz = models.pair_times_z(8, 8)
+    a_star = cones.a_star_units(ptz)
+    a_bar = cones.cone_product_bar(a_star, a_star)
+    found["ptz a* in a*.a*"] = hash_json([cones.cone_contains(a_star, a_bar, *tol)
+                                         for tol in CONTAINS_TOLS])
     return found
 
 

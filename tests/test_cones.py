@@ -495,3 +495,67 @@ def test_directions_composed_once_per_distinct_pair(monkeypatch):
     distinct = {(c1.dirs, c2.dirs) for c1 in w1.cells for c2 in w2.cells
                 if c1.base[1].intersects(c2.base[0])}
     assert len(calls) == len(distinct) == len(set(calls)) > 1
+
+
+@pytest.mark.parametrize("tols", [(math.nan, 1.0), (0.1, math.nan), (-0.1, 1.0),
+                                  (0.1, -1.0), (math.inf, 1.0), (0.1, math.inf)])
+def test_cone_contains_refuses_invalid_tolerances(tols):
+    w = rotation_cone(M, 0.25)
+    with pytest.raises(DomainError, match="tolerances"):
+        cone_contains(w, w, *tols)
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_containment_dilates_and_unites_once_per_distinct_set(monkeypatch):
+    rng = np.random.default_rng(4)
+    bar = cone_product_bar(rotation_cone(M, 0.25), rotation_cone(M, 0.125))
+    b = ConeSet(M, bar.cells + rotation_cone(M, 0.5).cells
+                + random_cone_set(M, rng, max_cells=4).cells)
+    a = ConeSet(M, b.cells[::5])
+    angular_tol, base_tol = 0.05, 1.0
+    # the multisets of B's direction sets over A's base points
+    held = set()
+    for cell in a.cells:
+        for pt in _base_grid_points(cell, M):
+            holders = [bc.dirs for bc in b.cells
+                       if all(iv.dilate(base_tol / n).contains(x, 1e-12)
+                              for iv, n, x in zip(bc.base, M.grid_shape, pt))]
+            held.add(frozenset((d, holders.count(d)) for d in holders))
+    distinct = {bc.dirs for bc in b.cells}
+    assert len(distinct) > 2 and len(held) > 2
+    dilated = _counted(monkeypatch, Arcs, "dilate")
+    united = _counted(monkeypatch, Arcs, "union")
+    assert cone_contains(a, b, angular_tol, base_tol)
+    assert len(dilated) == len(distinct)
+    assert len(united) == len(held)
+
+
+def test_zero_terms_once_per_distinct_direction_set(monkeypatch):
+    import grpd.cones
+    rng = np.random.default_rng(5)
+    w = ConeSet(M, rotation_cone(M, 0.25).cells + point_cone(M, 0.5, 0.5).cells
+                + random_cone_set(M, rng, max_cells=4).cells)
+    # the per-cell construction it replaces
+    for side, kernel, free in (("left", grpd.cones.KER_S, 1), ("right", grpd.cones.KER_R, 0)):
+        want = [ConeCell(c.base[:free] + (full_interval(),) + c.base[free + 1:],
+                         Arcs(tuple(CircInterval(t, 0.0, TWO_PI) for t in kernel.angles
+                                    if c.dirs.contains(t))))
+                for c in w.cells]
+        probed = _counted(monkeypatch, Arcs, "contains")
+        assert _zero_term_cells(w, side) == want
+        assert len(probed) == len(kernel.angles) * len({c.dirs for c in w.cells})
+        monkeypatch.undo()
+    ast = a_star_units(Z)
+    built = _counted(monkeypatch, grpd.cones, "_kernel_caps")
+    assert len(_zero_term_cells(ast, "left")) == len(ast.cells) > 1
+    assert len(built) == 1

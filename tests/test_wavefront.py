@@ -8,8 +8,8 @@ import pytest
 
 from grpd.catalog import (gaussian_bump, point_cone, rotation_cone,
                           rotation_layer, smooth_field)
-from grpd.cones import (TWO_PI, Arcs, Cap, Caps, ConeSet, Signs, _circular_runs,
-                        a_star_units, cone_contains)
+from grpd.cones import (TWO_PI, Arcs, Cap, Caps, CircInterval, ConeSet, Signs,
+                        _circular_runs, a_star_units, cone_contains)
 from grpd.distributions import (counterexample_distribution, make_layer,
                                 point_mass, rasterize, smooth_distribution,
                                 unit_delta)
@@ -229,6 +229,69 @@ def test_arcs_report_lists_a_wrapping_run_once():
     assert len(rep) == 1
     assert rep.contains(63.5 * step) and rep.contains(2 * step)
     assert not rep.contains(6.5 * step)
+
+
+def reference_arcs_report(flagged, anchors, dirs, half_angle, halfwidth):
+    """Arcs.report as it was written with np.roll, its runs included."""
+    flagged = flagged | (np.roll(flagged, 1) & np.roll(flagged, -1))
+    if flagged.all():
+        return Arcs.full()
+    starts = np.flatnonzero(flagged & ~np.roll(flagged, 1))
+    stops = np.flatnonzero(~flagged & np.roll(flagged, 1))
+    if len(stops) and stops[0] < starts[0]:
+        stops = np.append(stops[1:], stops[0] + len(flagged))
+    step = TWO_PI / len(flagged)
+    arcs = []
+    for lo_bin, count in zip(starts.tolist(), (stops - starts).tolist()):
+        if count < 3 or not anchors[(lo_bin + np.arange(count)) % len(flagged)].any():
+            continue
+        extent = (count - 1) * step
+        half = max(step, extent / 2.0 - halfwidth())
+        arcs.append(CircInterval(lo_bin * step + extent / 2.0 - half, 2.0 * half, TWO_PI))
+    return Arcs(tuple(arcs))
+
+
+def test_arcs_report_matches_roll_reference():
+    rng = np.random.default_rng(6)
+    seen = {"wrapping": 0, "gap": 0, "full": 0}
+    for trial in range(600):
+        n = int(rng.choice([36, 64, 65]))
+        flagged = rng.random(n) < rng.random()
+        if trial % 5 == 0:          # a run through bin 0
+            flagged[:int(rng.integers(1, 6))] = True
+            flagged[-int(rng.integers(1, 6)):] = True
+        if trial % 7 == 0:          # single-bin gaps in a long run
+            lo = int(rng.integers(0, n))
+            flagged[(lo + np.arange(12)) % n] = True
+            flagged[(lo + np.array([3, 7])) % n] = False
+        if trial % 50 == 0:
+            flagged[:] = True
+        anchors = flagged & (rng.random(n) < 0.3)
+        halfwidth = float(rng.uniform(0.0, 0.5))
+        got = Arcs.report(flagged, anchors, [None] * n, math.pi / 18, lambda: halfwidth)
+        assert got == reference_arcs_report(flagged, anchors, [None] * n, math.pi / 18,
+                                            lambda: halfwidth)
+        seen["wrapping"] += bool(flagged[0] and flagged[-1] and not flagged.all())
+        seen["gap"] += any(flagged[i - 1] and not flagged[i] and flagged[(i + 1) % n]
+                           for i in range(n))
+        seen["full"] += bool(flagged.all())
+    assert min(seen.values()) > 0
+
+
+def test_probe_loop_makes_no_roll_call(monkeypatch):
+    u = rotation_layer(M, 0.25)
+    arr = rasterize(u, mollified=True)
+    sc = _Scaffold(M, WfParams().resolve(M))
+    sc.ray_response_halfwidth()
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called")
+    monkeypatch.setattr(np, "roll", no_roll)
+    tables, slopes = _probe_tables(sc, arr, sc.probe_centers())
+    flagged = slopes > sc.p.slope_threshold
+    rows = [Arcs.report(flagged[k], flagged[k], sc.dirs, sc.p.cone_half_angle,
+                        sc.ray_response_halfwidth) for k in range(len(flagged))]
+    assert any(rows)
 
 
 def test_caps_report_radius():
