@@ -340,15 +340,16 @@ def check_counterexample(n: int = 128, seed: int = 6) -> dict:
     tail = profile_tail(profile, n // 4)
     col_sums = float(np.max(np.abs(u.smooth.sum(axis=1) / n)))
     report = estimate_wavefront(u, WfParams())
+    _, dirs, _, direction, slopes, _ = report.slopes.columns()
+    flagged = [dirs[i] for i, s in zip(direction, slopes)
+               if s > report.params.slope_threshold]
     best = math.inf
-    for rec in report.slopes:
-        if rec.slope > report.params.slope_threshold:
-            ang = math.atan2(rec.direction[1], rec.direction[0])
-            dev = abs((ang + math.pi / 2) % math.pi - math.pi / 2)
-            best = min(best, dev)
+    for d in flagged:
+        ang = math.atan2(d[1], d[0])
+        dev = abs((ang + math.pi / 2) % math.pi - math.pi / 2)
+        best = min(best, dev)
     return {"pushforward_tail": tail, "column_sums": col_sums,
-            "best_axis_deviation": best, "n_flagged": sum(
-                1 for r in report.slopes if r.slope > report.params.slope_threshold)}
+            "best_axis_deviation": best, "n_flagged": len(flagged)}
 
 
 # ---------------------------------------------------------------------------

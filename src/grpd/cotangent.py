@@ -1,18 +1,13 @@
 """The symplectic groupoid T*G => A*G on each concrete model.
 
 Covectors are written in the global coordinate trivialization of T*G
-(one real component per coordinate of G).  For each model the source,
-target, multiplication and inversion of the cotangent groupoid are
-implemented in closed form:
-
-* pair model: s(x,y,xi,eta) = (y; -eta), r = (x; xi), and
-  (x,y,xi,eta).(y,z,-eta,zeta) = (x,z,xi,zeta);
-* circle group: everything is the identity on the covector;
-* pair-times-Z model: the same with the z covector component sigma
-  dropped at units and added under multiplication;
-* affine group: s = L_g^* , r = R_g^* with dL_(a,b)|_e = diag(a,a) and
-  dR_(a,b)|_e = [[a,0],[b,1]]; multiplication solves the transposed
-  differential of the product map.
+(one real component per coordinate of G).  The source, target,
+multiplication and inversion of the cotangent groupoid are closed forms
+in the model's ``models.STRUCTURES`` entry, beside the maps of G they
+lift; the functions here check their arguments, call that entry and wrap
+the result.  On the pair-times-Z model they are the pair model's maps
+times the units T_Z: the z covector component sigma is dropped at
+units, added under multiplication and negated under inversion.
 """
 
 from __future__ import annotations
@@ -22,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComposabilityError, DomainError, ModelMismatchError, ModelUnsupportedError
-from .models import Element, GroupoidModel, Kind, Unit, anchor_maps, invert, is_composable, multiply, unit_embed
+from .errors import ComposabilityError, DomainError, ModelMismatchError
+from .models import (Element, GroupoidModel, Kind, Unit, _coadjoint, anchor_maps,
+                     invert, is_composable, multiply, random_composable_pair,
+                     random_composable_triple, unit_embed)
 
 COVECTOR_MATCH_TOL = 1e-9
 
@@ -61,6 +58,9 @@ class CotangentUnit:
     cov: tuple[float, ...]
 
     def __post_init__(self):
+        m = self.model
+        if len(self.cov) != m.dim - len(m.unit_shape):
+            raise DomainError("covector length must match the rank of A*G")
         object.__setattr__(self, "cov", tuple(float(c) for c in self.cov))
 
     @property
@@ -69,50 +69,7 @@ class CotangentUnit:
 
     def embed(self) -> CotangentPoint:
         """Canonical inclusion A*G -> T*G."""
-        m = self.model
-        k = m.kind
-        g = unit_embed(self.unit)
-        if k is Kind.PAIR_CIRCLE:
-            (xi,) = self.cov
-            return CotangentPoint(g, (xi, -xi))
-        if k is Kind.CIRCLE_GROUP:
-            return CotangentPoint(g, self.cov)
-        if k is Kind.PAIR_TIMES_Z:
-            (xi,) = self.cov
-            return CotangentPoint(g, (xi, -xi, 0.0))
-        return CotangentPoint(g, self.cov)
-
-
-# ---------------------------------------------------------------------------
-# Affine-group differentials (all constant in global coordinates)
-# ---------------------------------------------------------------------------
-
-def dl_matrix(g: Element) -> np.ndarray:
-    """d(L_g) in global coordinates; for the affine group this is constant."""
-    a, _ = g.data
-    return np.array([[a, 0.0], [0.0, a]])
-
-
-def dr_matrix(g: Element) -> np.ndarray:
-    """d(R_g) in global coordinates (constant for the affine group)."""
-    a, b = g.data
-    return np.array([[a, 0.0], [b, 1.0]])
-
-
-def left_pullback(g: Element, cov) -> np.ndarray:
-    """L_g^* xi = (dL_g|_e)^T xi."""
-    return dl_matrix(g).T @ np.asarray(cov, dtype=float)
-
-
-def right_pullback(g: Element, cov) -> np.ndarray:
-    """R_g^* xi = (dR_g|_e)^T xi."""
-    return dr_matrix(g).T @ np.asarray(cov, dtype=float)
-
-
-def coadjoint(g: Element, cov) -> np.ndarray:
-    """Ad*_g . xi = L_g^* R_{g^-1}^* xi."""
-    gi = invert(g)
-    return dl_matrix(g).T @ (dr_matrix(gi).T @ np.asarray(cov, dtype=float))
+        return CotangentPoint(unit_embed(self.unit), self.model.structure.ct_embed(self.cov))
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +78,9 @@ def coadjoint(g: Element, cov) -> np.ndarray:
 
 def ct_anchor_maps(delta: CotangentPoint) -> tuple[CotangentUnit, CotangentUnit]:
     """(src, tgt) of delta in A*G coordinates."""
-    m = delta.model
-    k = m.kind
     s_u, t_u = anchor_maps(delta.base)
-    if k is Kind.PAIR_CIRCLE:
-        xi, eta = delta.cov
-        return CotangentUnit(s_u, (-eta,)), CotangentUnit(t_u, (xi,))
-    if k is Kind.CIRCLE_GROUP:
-        return CotangentUnit(s_u, delta.cov), CotangentUnit(t_u, delta.cov)
-    if k is Kind.PAIR_TIMES_Z:
-        xi, eta, _sigma = delta.cov
-        return CotangentUnit(s_u, (-eta,)), CotangentUnit(t_u, (xi,))
-    xi = delta.cov_array()
-    return (CotangentUnit(s_u, tuple(left_pullback(delta.base, xi))),
-            CotangentUnit(t_u, tuple(right_pullback(delta.base, xi))))
+    s, t = delta.model.structure.ct_anchors(delta.base.data, delta.cov)
+    return CotangentUnit(s_u, s), CotangentUnit(t_u, t)
 
 
 def ct_src(delta: CotangentPoint) -> CotangentUnit:
@@ -161,36 +107,15 @@ def ct_multiply(d1: CotangentPoint, d2: CotangentPoint,
     if not ct_is_composable(d1, d2, tol):
         raise ComposabilityError("cotangent pair not composable")
     m = d1.model
-    k = m.kind
     base = multiply(d1.base, d2.base)
-    if k is Kind.PAIR_CIRCLE:
-        return CotangentPoint(base, (d1.cov[0], d2.cov[1]))
-    if k is Kind.CIRCLE_GROUP:
-        return CotangentPoint(base, d1.cov)
-    if k is Kind.PAIR_TIMES_Z:
-        return CotangentPoint(base, (d1.cov[0], d2.cov[1], d1.cov[2] + d2.cov[2]))
-    # affine group: xi = (dR_{g2^-1})^T xi1 = L_{g1^-1}^* xi2
-    g2i = invert(d2.base)
-    xi = dr_matrix(g2i).T @ d1.cov_array()
-    return CotangentPoint(base, tuple(xi))
+    return CotangentPoint(base, m.structure.ct_multiply(m, d1.base.data, d1.cov,
+                                                        d2.base.data, d2.cov))
 
 
 def ct_invert(delta: CotangentPoint) -> CotangentPoint:
     """i_Gamma(gamma, xi) = (gamma^-1, -(t(di_gamma))^-1 xi)."""
-    m = delta.model
-    k = m.kind
     base = invert(delta.base)
-    if k is Kind.PAIR_CIRCLE:
-        xi, eta = delta.cov
-        return CotangentPoint(base, (-eta, -xi))
-    if k is Kind.CIRCLE_GROUP:
-        return CotangentPoint(base, delta.cov)
-    if k is Kind.PAIR_TIMES_Z:
-        xi, eta, sigma = delta.cov
-        return CotangentPoint(base, (-eta, -xi, -sigma))
-    a, b = delta.base.data
-    mat = np.array([[a * a, a * b], [0.0, a]])
-    return CotangentPoint(base, tuple(mat @ delta.cov_array()))
+    return CotangentPoint(base, delta.model.structure.ct_invert(delta.base.data, delta.cov))
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +140,7 @@ def in_kernel(delta, which: KernelKind, tol: float = 0.0) -> bool:
             raise ModelMismatchError("pair on different models")
         if not is_composable(d1.base, d2.base):
             return False
-        k = d1.model.kind
-        if k is Kind.PAIR_CIRCLE:
-            xi1, eta1 = d1.cov
-            xi2, eta2 = d2.cov
-            return (abs(xi1) <= tol and abs(eta2) <= tol
-                    and abs(eta1 + xi2) <= tol)
-        if k is Kind.CIRCLE_GROUP:
-            # G^(2) = G^2, the conormal is the zero section
-            return all(abs(c) <= tol for c in d1.cov + d2.cov)
-        if k is Kind.PAIR_TIMES_Z:
-            xi1, eta1, s1 = d1.cov
-            xi2, eta2, s2 = d2.cov
-            return (abs(xi1) <= tol and abs(eta2) <= tol
-                    and abs(eta1 + xi2) <= tol and abs(s1 + s2) <= tol)
-        raise ModelUnsupportedError("ker m_Gamma test needs a grid model")
+        return d1.model.structure.ker_m(d1.cov, d2.cov, tol)
     u = ct_src(delta) if which is KernelKind.KER_S_GAMMA else ct_tgt(delta)
     return max(abs(c) for c in u.cov) <= tol
 
@@ -242,7 +153,8 @@ def anchor_jacobian(model: GroupoidModel, which: str) -> np.ndarray:
     """d(s) or d(r) as a matrix in global coordinates.
 
     All four models have constant anchor differentials, which is what
-    makes the kernel identities checkable pointwise.
+    makes the kernel identities checkable pointwise.  This is the oracle
+    ``in_kernel`` is checked against, so it is a literal table of its own.
     """
     k = model.kind
     if k is Kind.PAIR_CIRCLE:
@@ -280,13 +192,12 @@ def annihilates(cov, vectors: np.ndarray, tol: float = 0.0) -> bool:
 
 def transformation_iso_phi(delta: CotangentPoint) -> tuple[Element, tuple[float, ...]]:
     """Phi(g, xi) = (g, R_g^* xi), trivializing T*G as G x g*."""
-    m = delta.model
-    k = m.kind
-    if k is Kind.CIRCLE_GROUP:
-        return delta.base, delta.cov
-    if k is Kind.AFFINE_GROUP:
-        return delta.base, tuple(right_pullback(delta.base, delta.cov))
-    raise ModelUnsupportedError("Phi is defined for group models only")
+    return delta.base, delta.model.structure.phi(delta.base.data, delta.cov)
+
+
+def coadjoint(g: Element, cov) -> np.ndarray:
+    """Ad*_g . xi = L_g^* R_{g^-1}^* xi on the affine group."""
+    return _coadjoint(g.data, cov)
 
 
 def transformation_product(p1: tuple[Element, tuple], p2: tuple[Element, tuple]):
@@ -295,13 +206,7 @@ def transformation_product(p1: tuple[Element, tuple], p2: tuple[Element, tuple])
     g1, mu1 = p1
     g2, mu2 = p2
     m = g1.model
-    if m.kind is Kind.CIRCLE_GROUP:
-        if max(abs(a - b) for a, b in zip(mu1, mu2)) > COVECTOR_MATCH_TOL:
-            raise ComposabilityError("transformation pair not composable")
-        return multiply(g1, g2), mu1
-    expected = coadjoint(g1, mu1)
-    if float(np.max(np.abs(expected - np.asarray(mu2)))) > COVECTOR_MATCH_TOL * (
-            1.0 + float(np.max(np.abs(expected)))):
+    if m.structure.ad_mismatch(m, g1.data, mu1, mu2, COVECTOR_MATCH_TOL):
         raise ComposabilityError("transformation pair not composable")
     return multiply(g1, g2), mu1
 
@@ -313,24 +218,10 @@ def transformation_product(p1: tuple[Element, tuple], p2: tuple[Element, tuple])
 def _cov1_from_match(model: GroupoidModel, base1: Element, target: CotangentUnit,
                      rng: np.random.Generator) -> CotangentPoint:
     """Draw delta1 over base1 with ct_src(delta1) = target exactly."""
-    k = model.kind
-    if k is Kind.PAIR_CIRCLE:
-        xi = float(rng.uniform(-3, 3))
-        return CotangentPoint(base1, (xi, -target.cov[0]))
-    if k is Kind.CIRCLE_GROUP:
-        return CotangentPoint(base1, target.cov)
-    if k is Kind.PAIR_TIMES_Z:
-        xi = float(rng.uniform(-3, 3))
-        sg = float(rng.uniform(-3, 3))
-        return CotangentPoint(base1, (xi, -target.cov[0], sg))
-    # affine: L_{g1}^* xi1 = target  =>  xi1 = diag(1/a,1/a) target
-    a, _ = base1.data
-    t = np.asarray(target.cov) / a
-    return CotangentPoint(base1, tuple(t))
+    return CotangentPoint(base1, model.structure.ct_match(base1.data, target.cov, rng))
 
 
 def random_ct_composable_pair(model: GroupoidModel, rng: np.random.Generator):
-    from .models import random_composable_pair
     g1, g2 = random_composable_pair(model, rng)
     d2 = CotangentPoint(g2, tuple(rng.uniform(-3.0, 3.0, size=model.dim)))
     d1 = _cov1_from_match(model, g1, ct_tgt(d2), rng)
@@ -338,7 +229,6 @@ def random_ct_composable_pair(model: GroupoidModel, rng: np.random.Generator):
 
 
 def random_ct_composable_triple(model: GroupoidModel, rng: np.random.Generator):
-    from .models import random_composable_triple
     g1, g2, g3 = random_composable_triple(model, rng)
     d3 = CotangentPoint(g3, tuple(rng.uniform(-3.0, 3.0, size=model.dim)))
     d2 = _cov1_from_match(model, g2, ct_tgt(d3), rng)

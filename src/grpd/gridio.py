@@ -93,17 +93,11 @@ def load_cone_set(path) -> ConeSet:
     return ConeSet.from_json(load_json(path))
 
 
-def save_slope_csv(path, records) -> None:
-    """Slope table sidecar: one row per (center, direction).  ``records``
-    is a sequence of slope records; a ``SlopeTable`` is written from its
-    columns, so each center and direction is formatted once."""
-    if hasattr(records, "columns"):
-        centers, dirs, probe, direction, slopes, peaks = records.columns()
-    else:
-        centers = [r.center for r in records]
-        dirs = [r.direction for r in records]
-        probe = direction = range(len(records))
-        slopes, peaks = [r.slope for r in records], [r.peak for r in records]
+def save_slope_csv(path, table) -> None:
+    """Slope table sidecar: one row per kept (center, direction) fit of a
+    ``SlopeTable``, written from its columns, so each center and direction
+    is formatted once."""
+    centers, dirs, probe, direction, slopes, peaks = table.columns()
     centers, dirs = ([",".join(format(v, ".17g") for v in x) for x in xs]
                      for xs in (centers, dirs))
     lines = ["center;direction;slope;peak"]
@@ -126,7 +120,7 @@ def load_slope_csv(path) -> list[dict]:
 def write_artifacts(outdir, files: dict[str, object]) -> list[Path]:
     """Create ``outdir`` and write each named file by the type of its value:
     a ``ConeSet`` as cone JSON, an ``ndarray`` as a GRPD grid, a ``.csv``
-    name as a slope table (its value the slope records), anything else as
+    name as a slope table (its value a ``SlopeTable``), anything else as
     JSON.  Files are overwritten, and equal values give equal bytes.
     Returns the paths written, in the order of ``files``.
     """

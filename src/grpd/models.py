@@ -12,17 +12,27 @@ Grid models carry a uniform circle grid of resolution ``n`` per circle
 factor (``m_z`` for the Z factor).  Circle coordinates are canonical
 representatives in [0, 1); all equality tests on grid models compare
 integer grid indices, never floats, so the groupoid axioms hold exactly.
+
+``STRUCTURES`` holds one ``Structure`` per ``Kind``: the kind's grid
+facts and the closed forms of the maps of G and of T*G, on plain data.
+The public functions here and in ``cotangent`` check their arguments,
+call their model's entry and wrap the result.  ``PAIR_TIMES_Z`` is the
+pair groupoid times the unit space T_Z, and its entry is built so.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ComposabilityError, DomainError, ModelMismatchError
+from .errors import ComposabilityError, DomainError, ModelMismatchError, ModelUnsupportedError
 
 
 class Kind(enum.Enum):
@@ -45,43 +55,42 @@ class GroupoidModel:
     m_z: int = 0
 
     def __post_init__(self):
-        if self.kind is Kind.AFFINE_GROUP:
-            if self.n or self.m_z:
-                raise DomainError("AFFINE_GROUP carries no grid")
-            return
-        if self.n < 8 or not _is_pow2(self.n):
-            raise DomainError(f"n={self.n} must be a power of two >= 8")
-        if self.kind is Kind.PAIR_TIMES_Z:
-            if self.m_z < 8 or not _is_pow2(self.m_z):
-                raise DomainError(f"m_z={self.m_z} must be a power of two >= 8")
-        elif self.m_z:
-            raise DomainError("m_z is only meaningful for PAIR_TIMES_Z")
+        for name in ("n", "m_z"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise DomainError(f"{name}={v!r} must be an integer")
+            if name in self.structure.axes and (v < 8 or not _is_pow2(v)):
+                raise DomainError(f"{name}={v} must be a power of two >= 8")
+            if name not in self.structure.axes and v:
+                raise DomainError(f"{self.kind.value} takes no {name}")
+
+    @property
+    def structure(self) -> Structure:
+        """The ``STRUCTURES`` entry of this model's kind."""
+        return STRUCTURES[self.kind]
 
     # -- basic geometry -------------------------------------------------
 
     @property
     def continuous(self) -> bool:
-        return self.kind is Kind.AFFINE_GROUP
+        """True for a model on no grid."""
+        return not self.structure.axes
 
     @property
     def dim(self) -> int:
         """Dimension of G (= number of coordinates of an element)."""
-        return {Kind.PAIR_CIRCLE: 2, Kind.CIRCLE_GROUP: 1,
-                Kind.PAIR_TIMES_Z: 3, Kind.AFFINE_GROUP: 2}[self.kind]
+        return self.structure.dim
 
-    @property
+    @cached_property
     def grid_shape(self) -> tuple[int, ...]:
         if self.continuous:
-            raise DomainError("AFFINE_GROUP has no grid")
-        return {Kind.PAIR_CIRCLE: (self.n, self.n),
-                Kind.CIRCLE_GROUP: (self.n,),
-                Kind.PAIR_TIMES_Z: (self.n, self.n, self.m_z)}[self.kind]
+            raise DomainError(f"{self.kind.value} has no grid")
+        return tuple(getattr(self, a) for a in self.structure.axes)
 
-    @property
+    @cached_property
     def unit_shape(self) -> tuple[int, ...]:
-        """Grid shape of the unit space G^(0)."""
-        return {Kind.PAIR_CIRCLE: (self.n,), Kind.CIRCLE_GROUP: (),
-                Kind.PAIR_TIMES_Z: (self.n, self.m_z)}[self.kind]
+        """Grid shape of the unit space G^(0); () when it is one point."""
+        return tuple(getattr(self, a) for a in self.structure.unit_axes)
 
     @property
     def quadrature_weight(self) -> float:
@@ -93,10 +102,8 @@ class GroupoidModel:
 
     def to_json(self) -> dict:
         d = {"kind": self.kind.value}
-        if not self.continuous:
-            d["n"] = self.n
-        if self.kind is Kind.PAIR_TIMES_Z:
-            d["m_z"] = self.m_z
+        for name in dict.fromkeys(self.structure.axes):
+            d[name] = getattr(self, name)
         return d
 
     @staticmethod
@@ -131,6 +138,31 @@ def affine_group() -> GroupoidModel:
 # Elements and units
 # ---------------------------------------------------------------------------
 
+def _indices(data, shape) -> tuple[int, ...]:
+    """``data`` as grid indices into ``shape``: DomainError unless it holds
+    one integer in range per axis."""
+    if len(data) != len(shape):
+        raise DomainError(f"expected {len(shape)} grid coordinates, got {data}")
+    for i, k in enumerate(data):
+        if not 0 <= k < shape[i] or int(k) != k:
+            raise DomainError(f"index {k} off the grid (axis {i}, resolution {shape[i]})")
+    return tuple(map(int, data))
+
+
+def _snap(coords, shape) -> tuple[int, ...]:
+    """Circle coordinates snapped exactly to indices into ``shape``:
+    DomainError unless there is one finite on-grid coordinate per axis."""
+    if len(coords) != len(shape):
+        raise DomainError(f"expected {len(shape)} coordinates, got {coords}")
+    idx = []
+    for c, s in zip(coords, shape):
+        k = c * s
+        if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
+            raise DomainError(f"coordinate {c} is off the grid of size {s}")
+        idx.append(int(round(k)) % s)
+    return tuple(idx)
+
+
 @dataclass(frozen=True)
 class Element:
     """A point of G.  ``data`` holds grid indices (grid models) or floats
@@ -148,12 +180,7 @@ class Element:
             if not (a > 0.0) or not np.isfinite(a) or not np.isfinite(b):
                 raise DomainError(f"affine element needs a > 0, got {self.data}")
         else:
-            shape = m.grid_shape
-            for i, k in enumerate(self.data):
-                if int(k) != k or not (0 <= int(k) < shape[i]):
-                    raise DomainError(
-                        f"index {k} off the grid (axis {i}, resolution {shape[i]})")
-            object.__setattr__(self, "data", tuple(int(k) for k in self.data))
+            object.__setattr__(self, "data", _indices(self.data, m.grid_shape))
 
     @property
     def coords(self) -> tuple[float, ...]:
@@ -172,18 +199,7 @@ class Unit:
     data: tuple
 
     def __post_init__(self):
-        m = self.model
-        if m.continuous:
-            if self.data != ():
-                raise DomainError("AFFINE_GROUP has a single unit, data=()")
-            return
-        shape = m.unit_shape
-        if len(self.data) != len(shape):
-            raise DomainError(f"expected {len(shape)} unit coordinates")
-        for i, k in enumerate(self.data):
-            if int(k) != k or not (0 <= int(k) < shape[i]):
-                raise DomainError(f"unit index {k} off the grid (axis {i})")
-        object.__setattr__(self, "data", tuple(int(k) for k in self.data))
+        object.__setattr__(self, "data", _indices(self.data, self.model.unit_shape))
 
     @property
     def coords(self) -> tuple[float, ...]:
@@ -195,30 +211,14 @@ class Unit:
 
 def element(model: GroupoidModel, *coords) -> Element:
     """Build an Element from float coordinates (grid models snap exactly;
-    off-grid coordinates raise DomainError)."""
+    off-grid, non-finite or too few or many coordinates raise DomainError)."""
     if model.continuous:
         return Element(model, tuple(float(c) for c in coords))
-    shape = model.grid_shape
-    idx = []
-    for i, c in enumerate(coords):
-        k = c * shape[i]
-        if abs(k - round(k)) > 1e-9:
-            raise DomainError(f"coordinate {c} is off the grid of size {shape[i]}")
-        idx.append(int(round(k)) % shape[i])
-    return Element(model, tuple(idx))
+    return Element(model, _snap(coords, model.grid_shape))
 
 
 def unit(model: GroupoidModel, *coords) -> Unit:
-    if model.continuous:
-        return Unit(model, ())
-    shape = model.unit_shape
-    idx = []
-    for i, c in enumerate(coords):
-        k = c * shape[i]
-        if abs(k - round(k)) > 1e-9:
-            raise DomainError(f"coordinate {c} is off the grid of size {shape[i]}")
-        idx.append(int(round(k)) % shape[i])
-    return Unit(model, tuple(idx))
+    return Unit(model, _snap(coords, model.unit_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +228,8 @@ def unit(model: GroupoidModel, *coords) -> Unit:
 def anchor_maps(g: Element) -> tuple[Unit, Unit]:
     """Source and target of g, in that order: (src, tgt)."""
     m = g.model
-    k = m.kind
-    if k is Kind.PAIR_CIRCLE:
-        x, y = g.data
-        return Unit(m, (y,)), Unit(m, (x,))
-    if k is Kind.CIRCLE_GROUP:
-        u = Unit(m, ())
-        return u, u
-    if k is Kind.PAIR_TIMES_Z:
-        x, y, z = g.data
-        return Unit(m, (y, z)), Unit(m, (x, z))
-    u = Unit(m, ())
-    return u, u
+    s, t = m.structure.anchors(g.data)
+    return Unit(m, s), Unit(m, t)
 
 
 def src(g: Element) -> Unit:
@@ -252,16 +242,7 @@ def tgt(g: Element) -> Unit:
 
 def unit_embed(x: Unit) -> Element:
     m = x.model
-    k = m.kind
-    if k is Kind.PAIR_CIRCLE:
-        (i,) = x.data
-        return Element(m, (i, i))
-    if k is Kind.CIRCLE_GROUP:
-        return Element(m, (0,))
-    if k is Kind.PAIR_TIMES_Z:
-        i, j = x.data
-        return Element(m, (i, i, j))
-    return Element(m, (1.0, 0.0))
+    return Element(m, m.structure.unit_embed(x.data))
 
 
 def is_composable(g1: Element, g2: Element) -> bool:
@@ -274,30 +255,12 @@ def multiply(g1: Element, g2: Element) -> Element:
     if not is_composable(g1, g2):
         raise ComposabilityError(f"{g1.data} . {g2.data} not composable")
     m = g1.model
-    k = m.kind
-    if k is Kind.PAIR_CIRCLE:
-        return Element(m, (g1.data[0], g2.data[1]))
-    if k is Kind.CIRCLE_GROUP:
-        return Element(m, ((g1.data[0] + g2.data[0]) % m.n,))
-    if k is Kind.PAIR_TIMES_Z:
-        # (x, y, z) . (y, x', z) = (x, x', z)
-        return Element(m, (g1.data[0], g2.data[1], g1.data[2]))
-    a1, b1 = g1.data
-    a2, b2 = g2.data
-    return Element(m, (a1 * a2, a1 * b2 + b1))
+    return Element(m, m.structure.multiply(m, g1.data, g2.data))
 
 
 def invert(g: Element) -> Element:
     m = g.model
-    k = m.kind
-    if k is Kind.PAIR_CIRCLE:
-        return Element(m, (g.data[1], g.data[0]))
-    if k is Kind.CIRCLE_GROUP:
-        return Element(m, ((-g.data[0]) % m.n,))
-    if k is Kind.PAIR_TIMES_Z:
-        return Element(m, (g.data[1], g.data[0], g.data[2]))
-    a, b = g.data
-    return Element(m, (1.0 / a, -b / a))
+    return Element(m, m.structure.invert(m, g.data))
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +279,168 @@ def random_element(model: GroupoidModel, rng: np.random.Generator) -> Element:
 def random_composable_pair(model: GroupoidModel,
                            rng: np.random.Generator) -> tuple[Element, Element]:
     g1 = random_element(model, rng)
-    k = model.kind
-    if k is Kind.PAIR_CIRCLE:
-        g2 = Element(model, (g1.data[1], int(rng.integers(0, model.n))))
-    elif k is Kind.PAIR_TIMES_Z:
-        g2 = Element(model, (g1.data[1], int(rng.integers(0, model.n)), g1.data[2]))
-    else:
-        g2 = random_element(model, rng)
-    return g1, g2
+    return g1, Element(model, model.structure.sample_next(model, g1.data, rng))
 
 
 def random_composable_triple(model: GroupoidModel, rng: np.random.Generator):
     g1, g2 = random_composable_pair(model, rng)
     _, g3 = random_composable_pair(model, rng)
-    k = model.kind
-    if k is Kind.PAIR_CIRCLE:
-        g3 = Element(model, (g2.data[1], g3.data[1]))
-    elif k is Kind.PAIR_TIMES_Z:
-        g3 = Element(model, (g2.data[1], g3.data[1], g2.data[2]))
-    return g1, g2, g3
+    return g1, g2, Element(model, model.structure.align_next(g2.data, g3.data))
+
+
+# ---------------------------------------------------------------------------
+# One structure entry per kind
+# ---------------------------------------------------------------------------
+
+def _groups_only(*args):
+    raise ModelUnsupportedError("Phi is defined for group models only")
+
+
+def _no_ker_m(c1, c2, tol):
+    raise ModelUnsupportedError("ker m_Gamma test needs a grid model")
+
+
+@dataclass(frozen=True)
+class Structure:
+    """The closed forms of one kind, on plain data tuples: g, h, x are
+    points (grid indices or floats), c covectors in global components and
+    m the model.  A map a kind lacks raises ``ModelUnsupportedError``."""
+
+    dim: int                        # of G
+    axes: tuple[str, ...]           # the resolution of each grid axis; none: continuous
+    unit_axes: tuple[str, ...]      # the same for G^(0)
+    anchors: Callable               # (g) -> (s(g), r(g))
+    unit_embed: Callable            # (x) -> 1_x
+    multiply: Callable              # (m, g1, g2) -> g1 g2
+    invert: Callable                # (m, g) -> g^-1
+    sample_next: Callable           # (m, g, rng) -> a random h with s(g) = r(h)
+    align_next: Callable            # (g, h) -> h moved over s(g), free coordinates kept
+    ct_embed: Callable              # (c) -> its image under A*G -> T*G
+    ct_anchors: Callable            # (g, c) -> (s, r) of (g, c), as A*G covectors
+    ct_multiply: Callable           # (m, g1, c1, g2, c2) -> covector of the product
+    ct_invert: Callable             # (g, c) -> covector of the inverse
+    ct_match: Callable              # (g, t, rng) -> a random c over g with source t
+    ker_m: Callable                 # (c1, c2, tol) -> is the pair in ker m_Gamma
+    phi: Callable = _groups_only    # (g, c) -> R_g^* c
+    ad_mismatch: Callable = _groups_only  # (m, g, mu, nu, tol) -> does nu miss Ad*_g mu
+
+
+_PAIR = Structure(
+    # T x T: (x, y) goes from y to x.  On T*G, s(x,y,xi,eta) = (y; -eta),
+    # r = (x; xi) and (x,y,xi,eta).(y,z,-eta,zeta) = (x,z,xi,zeta).
+    dim=2, axes=("n", "n"), unit_axes=("n",),
+    anchors=lambda g: ((g[1],), (g[0],)),
+    unit_embed=lambda x: (x[0], x[0]),
+    multiply=lambda m, g1, g2: (g1[0], g2[1]),
+    invert=lambda m, g: (g[1], g[0]),
+    sample_next=lambda m, g, rng: (g[1], int(rng.integers(0, m.n))),
+    align_next=lambda g, h: (g[1], h[1]),
+    ct_embed=lambda c: (c[0], -c[0]),
+    ct_anchors=lambda g, c: ((-c[1],), (c[0],)),
+    ct_multiply=lambda m, g1, c1, g2, c2: (c1[0], c2[1]),
+    ct_invert=lambda g, c: (-c[1], -c[0]),
+    ct_match=lambda g, t, rng: (float(rng.uniform(-3, 3)), -t[0]),
+    ker_m=lambda c1, c2, tol: (abs(c1[0]) <= tol and abs(c2[1]) <= tol
+                               and abs(c1[1] + c2[0]) <= tol))
+
+
+def _times_units(base: Structure) -> Structure:
+    """``base`` times the unit space T_Z of a circle of resolution m_z: z
+    rides along last, and on T*G its covector component sigma is dropped
+    at units, added under multiplication and negated under inversion."""
+    return Structure(
+        dim=base.dim + 1, axes=base.axes + ("m_z",), unit_axes=base.unit_axes + ("m_z",),
+        anchors=lambda g: tuple(u + g[-1:] for u in base.anchors(g[:-1])),
+        unit_embed=lambda x: base.unit_embed(x[:-1]) + x[-1:],
+        multiply=lambda m, g1, g2: base.multiply(m, g1[:-1], g2[:-1]) + g1[-1:],
+        invert=lambda m, g: base.invert(m, g[:-1]) + g[-1:],
+        sample_next=lambda m, g, rng: base.sample_next(m, g[:-1], rng) + g[-1:],
+        align_next=lambda g, h: base.align_next(g[:-1], h[:-1]) + g[-1:],
+        ct_embed=lambda c: base.ct_embed(c) + (0.0,),
+        ct_anchors=lambda g, c: base.ct_anchors(g[:-1], c[:-1]),
+        ct_multiply=lambda m, g1, c1, g2, c2: (
+            base.ct_multiply(m, g1[:-1], c1[:-1], g2[:-1], c2[:-1]) + (c1[-1] + c2[-1],)),
+        ct_invert=lambda g, c: base.ct_invert(g[:-1], c[:-1]) + (-c[-1],),
+        ct_match=lambda g, t, rng: (base.ct_match(g[:-1], t, rng)
+                                    + (float(rng.uniform(-3, 3)),)),
+        ker_m=lambda c1, c2, tol: (base.ker_m(c1[:-1], c2[:-1], tol)
+                                   and abs(c1[-1] + c2[-1]) <= tol))
+
+
+# a group has one unit, so any h follows g, and A*G = g* sits in T*G as itself
+_GROUP = dict(unit_axes=(), anchors=lambda g: ((), ()),
+              sample_next=lambda m, g, rng: random_element(m, rng).data,
+              align_next=lambda g, h: h, ct_embed=lambda c: c)
+
+_CIRCLE_GROUP = Structure(
+    # (T, +); every map of T*G is the identity on the covector
+    **_GROUP, dim=1, axes=("n",),
+    unit_embed=lambda x: (0,),
+    multiply=lambda m, g1, g2: ((g1[0] + g2[0]) % m.n,),
+    invert=lambda m, g: ((-g[0]) % m.n,),
+    ct_anchors=lambda g, c: (c, c),
+    ct_multiply=lambda m, g1, c1, g2, c2: c1,
+    ct_invert=lambda g, c: c,
+    ct_match=lambda g, t, rng: t,
+    # G^(2) = G^2, the conormal is the zero section
+    ker_m=lambda c1, c2, tol: all(abs(c) <= tol for c in c1 + c2),
+    phi=lambda g, c: c,
+    ad_mismatch=lambda m, g, mu, nu, tol: max(abs(a - b) for a, b in zip(mu, nu)) > tol)
+
+
+def _dl(g) -> np.ndarray:
+    """dL_g at e on the affine group, g = (a, b)."""
+    a, _ = g
+    return np.array([[a, 0.0], [0.0, a]])
+
+
+def _dr(g) -> np.ndarray:
+    """dR_g at e on the affine group."""
+    a, b = g
+    return np.array([[a, 0.0], [b, 1.0]])
+
+
+def _affine_inverse(g):
+    a, b = g
+    return 1.0 / a, -b / a
+
+
+def _coadjoint(g, c) -> np.ndarray:
+    """Ad*_g c = L_g^* R_{g^-1}^* c on the affine group."""
+    return _dl(g).T @ (_dr(_affine_inverse(g)).T @ np.asarray(c, dtype=float))
+
+
+def _affine_ad_mismatch(m, g, mu, nu, tol) -> bool:
+    expected = _coadjoint(g, mu)
+    return float(np.max(np.abs(expected - np.asarray(nu)))) > tol * (
+        1.0 + float(np.max(np.abs(expected))))
+
+
+_AFFINE = Structure(
+    # (a1, b1).(a2, b2) = (a1 a2, a1 b2 + b1), on no grid.  On T*G,
+    # s = L_g^* and r = R_g^*, and multiplication solves the transposed
+    # differential of the product map.
+    **_GROUP, dim=2, axes=(),
+    unit_embed=lambda x: (1.0, 0.0),
+    multiply=lambda m, g1, g2: (g1[0] * g2[0], g1[0] * g2[1] + g1[1]),
+    invert=lambda m, g: _affine_inverse(g),
+    ct_anchors=lambda g, c: (tuple(_dl(g).T @ np.asarray(c, dtype=float)),
+                             tuple(_dr(g).T @ np.asarray(c, dtype=float))),
+    # xi = (dR_{g2^-1})^T xi1 = L_{g1^-1}^* xi2
+    ct_multiply=lambda m, g1, c1, g2, c2: tuple(_dr(_affine_inverse(g2)).T
+                                                @ np.asarray(c1, dtype=float)),
+    ct_invert=lambda g, c: tuple(np.array([[g[0] * g[0], g[0] * g[1]], [0.0, g[0]]])
+                                 @ np.asarray(c, dtype=float)),
+    # L_g^* xi = t  =>  xi = diag(1/a, 1/a) t
+    ct_match=lambda g, t, rng: tuple(np.asarray(t) / g[0]),
+    ker_m=_no_ker_m,
+    phi=lambda g, c: tuple(_dr(g).T @ np.asarray(c, dtype=float)),
+    ad_mismatch=_affine_ad_mismatch)
+
+
+STRUCTURES = {
+    Kind.PAIR_CIRCLE: _PAIR,
+    Kind.CIRCLE_GROUP: _CIRCLE_GROUP,
+    Kind.PAIR_TIMES_Z: _times_units(_PAIR),
+    Kind.AFFINE_GROUP: _AFFINE,
+}

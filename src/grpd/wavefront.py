@@ -29,9 +29,9 @@ support, flattened bin index and the memoized ray-response halfwidth)
 depends only on the model and the resolved ``WfParams``, so the
 estimator takes it from a small bounded cache (``_plan``) and every call
 after the first for a given pair reuses it, calibration included.  A
-report's slope records are built on read (``SlopeTable``), so a caller
-that reads only the estimated cone set, as the product-bound verifier
-does, never builds one.
+report keeps its slope fits as the arrays the estimate computed
+(``SlopeTable``), so a caller that reads only the estimated cone set, as
+the product-bound verifier does, converts none of them.
 
 The direction-set type of the model's dimension (``DIRECTION_SETS``)
 lays out the direction bins and turns an anchored probe's flagged bins
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, reduce
@@ -144,61 +143,37 @@ class WfParams:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class SlopeRecord:
-    center: tuple[float, ...]
-    direction: tuple[float, ...]     # unit covector
-    slope: float
-    peak: float
-
-
-class SlopeTable(Sequence):
-    """The kept (probe, direction) slope fits of one estimate, as an
-    immutable sequence of ``SlopeRecord`` in row-major (probe, direction)
-    order.  It holds the fit arrays the estimate already has and builds
-    the records on the first iteration or indexing; ``len`` builds none.
-    Two tables, or a table and a tuple, are equal when their records are.
-    """
+class SlopeTable:
+    """The kept (probe, direction) slope fits of one estimate, in row-major
+    (probe, direction) order.  It holds the fit arrays the estimate
+    already has and reads them out as columns; two tables are equal when
+    their columns are."""
 
     def __init__(self, coords, dirs, kept: np.ndarray, slopes: np.ndarray,
                  peaks: np.ndarray):
         self._fits = (coords, dirs, np.nonzero(kept), slopes, peaks)
-        self._records = None
 
     def columns(self) -> tuple[list, list, list, list, list, list]:
-        """The records as columns: ``(centers, directions, probe, direction,
-        slope, peak)``, record r being ``SlopeRecord(centers[probe[r]],
-        directions[direction[r]], slope[r], peak[r])``."""
+        """``(centers, directions, probe, direction, slope, peak)``: fit r is
+        the decay slope ``slope[r]``, with peak ``peak[r]``, at probe center
+        ``centers[probe[r]]`` along unit covector ``directions[direction[r]]``."""
         coords, dirs, (ks, is_), slopes, peaks = self._fits
         return (coords, dirs, ks.tolist(), is_.tolist(),
                 slopes[ks, is_].tolist(), peaks[ks, is_].tolist())
 
-    def _built(self) -> tuple[SlopeRecord, ...]:
-        if self._records is None:
-            coords, dirs, ks, is_, slopes, peaks = self.columns()
-            self._records = tuple(SlopeRecord(coords[k], dirs[i], s, p)
-                                  for k, i, s, p in zip(ks, is_, slopes, peaks))
-        return self._records
-
     def __len__(self) -> int:
         return len(self._fits[2][0])
 
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self):
-        return iter(self._built())
-
     def __eq__(self, other):
-        if isinstance(other, (SlopeTable, tuple)):
-            return self._built() == tuple(other)
+        if isinstance(other, SlopeTable):
+            return self.columns() == other.columns()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._built())
+        return hash(tuple(map(tuple, self.columns())))
 
     def __repr__(self) -> str:
-        return f"SlopeTable({len(self)} records)"
+        return f"SlopeTable({len(self)} fits)"
 
 
 @dataclass(frozen=True)
@@ -207,9 +182,8 @@ class WfReport:
     resolved parameters.  The estimate reuses the cached plan of its
     (model, params) pair and transforms no probe whose window sees only
     zeros; neither changes a bit of the report.  ``slopes`` is a
-    ``SlopeTable``, whose records are built only when read (the slope CSV
-    and the counterexample check read them; the product-bound verifier
-    does not)."""
+    ``SlopeTable`` of the kept fits, which the slope CSV and the
+    counterexample check read by columns."""
 
     estimated: ConeSet
     slopes: SlopeTable

@@ -18,11 +18,16 @@ It hashes:
 * every artifact of one scenario-sweep pass and every ``VerifyReport``
   field of verify-pair, at seeds 1 and 9001 (the benchmark's workloads,
   imported read-only from ``perfbench.workloads``);
-* the estimate, the slope records and the probe kernel's tables and
+* the estimate, the slope table and the probe kernel's tables and
   slopes for the 1-d, 2-d and 3-d ``KERNEL_CASES`` of ``test_wavefront``;
 * random cone sets of every dimension and ``check_cone_heredity()``;
   over pairs of those random sets, ``cone_product_bar`` JSON and
-  ``cone_contains`` verdicts at two tolerances; and PTZ ``a* <= a*.a*``.
+  ``cone_contains`` verdicts at two tolerances; and PTZ ``a* <= a*.a*``;
+* on each of the four models, over seeded samples, the structural maps
+  of G and of T*G, their composable samplers, ``in_kernel`` for every
+  ``KernelKind`` at tolerances 0 and 1e-9 on a covector battery, the
+  transformation-groupoid maps on the group models, and the name of the
+  exception wherever a call refuses its model.
 
 Nothing here reads a clock, so the output of a commit is the same on
 every run.  pytest does not collect this file; it takes about 30 s on
@@ -34,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -46,7 +52,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from grpd import checks, cli, cones, models                           # noqa: E402
+from grpd import checks, cli, cones, cotangent, models                # noqa: E402
+from grpd.errors import GrpdError                                     # noqa: E402
 from grpd.distributions import rasterize                              # noqa: E402
 from grpd.wavefront import _probe_tables, _Scaffold, estimate_wavefront  # noqa: E402
 from perfbench import workloads                                       # noqa: E402
@@ -55,8 +62,11 @@ from test_wavefront import KERNEL_CASES                               # noqa: E4
 
 def plain(x):
     """``x`` as JSON data, exactly: dataclasses field by field (floats by
-    ``repr``, which round-trips), sets sorted, any other non-string
-    sequence as a list, arrays as raw bytes."""
+    ``repr``, which round-trips), anything with ``columns()`` (a slope
+    table) by its columns, sets sorted, any other non-string sequence as
+    a list, arrays as raw bytes."""
+    if hasattr(x, "columns"):
+        return plain(x.columns())
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (frozenset, set)):
@@ -172,11 +182,81 @@ def cone_sets() -> dict:
     return found
 
 
+def outcome(f, *args):
+    """``f(*args)`` as JSON data, or the name of the error it raises."""
+    try:
+        return plain(f(*args))
+    except GrpdError as exc:
+        return type(exc).__name__
+
+
+# covector components: exact zeros and units, and a near miss that only
+# the 1e-9 tolerance forgives
+BATTERY = (0.0, 1.0, -1.0, 5e-10)
+
+
+def structures() -> dict:
+    found = {}
+    ct = cotangent
+    for model in (models.pair_circle(16), models.circle_group(16),
+                  models.pair_times_z(16, 8), models.affine_group()):
+        rng = np.random.default_rng(12)
+        rec = {}
+
+        def put(name, f, *args):
+            rec.setdefault(name, []).append(outcome(f, *args))
+        put("grid_shape", lambda: model.grid_shape)
+        for i in range(40):
+            pair = models.random_composable_pair(model, rng)
+            triple = models.random_composable_triple(model, rng)
+            rec.setdefault("random_composable_pair", []).append(plain(pair))
+            rec.setdefault("random_composable_triple", []).append(plain(triple))
+            put("anchor_maps", models.anchor_maps, pair[0])
+            put("unit_embed", models.unit_embed, models.src(pair[0]))
+            put("multiply", models.multiply, *pair)
+            put("multiply3", lambda a, b, c: models.multiply(models.multiply(a, b), c),
+                *triple)
+            put("invert", models.invert, pair[1])
+            d1, d2 = ct.random_ct_composable_pair(model, rng)
+            rec.setdefault("random_ct_composable_pair", []).append(plain((d1, d2)))
+            rec.setdefault("random_ct_composable_triple", []).append(
+                plain(ct.random_ct_composable_triple(model, rng)))
+            put("ct_anchor_maps", ct.ct_anchor_maps, d1)
+            put("embed", lambda d: [u.embed() for u in ct.ct_anchor_maps(d)], d2)
+            put("ct_multiply", ct.ct_multiply, d1, d2)
+            put("ct_invert", ct.ct_invert, d1)
+            put("transformation_iso_phi", ct.transformation_iso_phi, d1)
+            if model.kind in (models.Kind.CIRCLE_GROUP, models.Kind.AFFINE_GROUP):
+                p1, p2 = ct.transformation_iso_phi(d1), ct.transformation_iso_phi(d2)
+                put("transformation_product", ct.transformation_product, p1, p2)
+                put("transformation_product", ct.transformation_product, p1,
+                    (p2[0], tuple(c + 1.0 for c in p2[1])))
+            if i >= 8:
+                continue
+            covs = list(itertools.product(BATTERY, repeat=model.dim))
+            for tol in (0.0, 1e-9):
+                for which in ct.KernelKind:
+                    name = f"in_kernel {which.name} {tol}"
+                    if which is ct.KernelKind.KER_M_GAMMA_FACTOR:
+                        for c1, c2 in itertools.product(covs, covs):
+                            put(name, ct.in_kernel, (ct.CotangentPoint(pair[0], c1),
+                                                     ct.CotangentPoint(pair[1], c2)),
+                                which, tol)
+                    else:
+                        for c in covs:
+                            put(name, ct.in_kernel, ct.CotangentPoint(pair[0], c),
+                                which, tol)
+        for name, values in rec.items():
+            found[f"structure {model.kind.name} {name}"] = hash_json(values)
+    return found
+
+
 def main() -> None:
     # the CLI prints progress with timings; keep it out of the JSON
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         tmp = Path(tmp)
-        found = artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases() | cone_sets()
+        found = (artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases()
+                 | cone_sets() | structures())
     json.dump(found, sys.stdout, indent=1, sort_keys=True)
     print()
 

@@ -119,6 +119,22 @@ def test_non_integer_wf_params_are_usage_errors(tmp_path, wf_params, error):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("model", [{"kind": "PAIR_CIRCLE", "n": 128.0},
+                                   {"kind": "PAIR_TIMES_Z", "n": 16, "m_z": 8.0}])
+def test_non_integer_model_sizes_are_usage_errors(tmp_path, model):
+    # JSON Schema's "integer" accepts 128.0, so the model itself refuses it
+    spec = {"version": 1, "name": "float-size", "seed": 0, "model": model,
+            "operation": "convolve",
+            "inputs": [{"catalog": "gaussian-bump", "params": {"width": 0.1}},
+                       {"catalog": "gaussian-bump", "params": {"width": 0.1}}]}
+    validate_scenario(spec)
+    with pytest.raises(DomainError, match="must be an integer"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "float-size.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
 @pytest.mark.parametrize("n_directions", [32, 35])
 def test_coarse_direction_step_is_a_usage_error(tmp_path, n_directions):
     spec = {"version": 1, "name": "coarse", "seed": 0,

@@ -8,8 +8,8 @@ from grpd.cotangent import (CotangentPoint, CotangentUnit, KernelKind,
                             random_ct_composable_pair,
                             random_ct_composable_triple, transformation_iso_phi,
                             transformation_product)
-from grpd.errors import ComposabilityError, ModelUnsupportedError
-from grpd.models import affine_group, circle_group, element, pair_circle, pair_times_z
+from grpd.errors import ComposabilityError, DomainError, ModelUnsupportedError
+from grpd.models import affine_group, circle_group, element, pair_circle, pair_times_z, unit
 
 
 def cp(model, coords, cov):
@@ -96,6 +96,14 @@ def test_ct_invert_examples():
     assert gi.base.coords == (0.625,) and gi.cov == (5.0,)
     u = CotangentUnit(ct_tgt(d).unit, ct_tgt(d).cov).embed()
     assert ct_invert(u).cov == u.cov and ct_invert(u).base == u.base
+
+
+@pytest.mark.parametrize("x,cov", [(unit(M8, 0), (1.0, 2.0)), (unit(Z8, 0, 0), (1.0, 2.0)),
+                                   (unit(G8), ()), (unit(AFF), (1.0,))])
+def test_cotangent_unit_covector_length_checked(x, cov):
+    # an A*G covector has rank dim G - dim G^(0) components
+    with pytest.raises(DomainError):
+        CotangentUnit(x, cov)
 
 
 def test_in_kernel_examples():

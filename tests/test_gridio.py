@@ -5,7 +5,7 @@ from grpd import gridio
 from grpd.catalog import rotation_cone
 from grpd.errors import SerializationError
 from grpd.models import pair_circle
-from grpd.wavefront import SlopeRecord
+from grpd.wavefront import SlopeTable
 
 
 def test_grid_roundtrip_bit_exact(tmp_path):
@@ -45,16 +45,21 @@ def test_cone_set_json_bytes_stable(tmp_path):
 
 
 def test_slope_csv_roundtrip(tmp_path):
-    records = [SlopeRecord((0.0, 0.5), (1.0, 0.0), -2.25, 3.5e-3),
-               SlopeRecord((0.25, 0.75), (0.0, -1.0), 0.125, 17.0)]
+    # two probes by two directions; the fits kept are (0, 0) and (1, 1)
+    kept = np.array([[True, False], [False, True]])
+    slopes = np.array([[-2.25, 9.0], [9.0, 0.125]])
+    peaks = np.array([[3.5e-3, 9.0], [9.0, 17.0]])
+    table = SlopeTable([(0.0, 0.5), (0.25, 0.75)], [(1.0, 0.0), (0.0, -1.0)],
+                       kept, slopes, peaks)
     path = tmp_path / "slopes.csv"
-    gridio.save_slope_csv(path, records)
+    gridio.save_slope_csv(path, table)
     back = gridio.load_slope_csv(path)
+    assert len(back) == len(table) == 2
     assert back[0]["center"] == (0.0, 0.5)
     assert back[0]["slope"] == -2.25
     assert back[1]["direction"] == (0.0, -1.0)
     assert back[1]["peak"] == 17.0
-    gridio.save_slope_csv(tmp_path / "again.csv", records)
+    gridio.save_slope_csv(tmp_path / "again.csv", table)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grpd.errors import ComposabilityError, DomainError, ModelMismatchError
-from grpd.models import (Element, GroupoidModel, Kind, affine_group, anchor_maps,
+from grpd.models import (Element, GroupoidModel, Kind, Unit, affine_group, anchor_maps,
                          circle_group, element, invert, is_composable, multiply,
                          pair_circle, pair_times_z, random_composable_triple,
                          src, tgt, unit, unit_embed)
@@ -20,6 +20,20 @@ def test_model_validation():
         GroupoidModel(Kind.AFFINE_GROUP, 16)
     with pytest.raises(DomainError):
         GroupoidModel(Kind.CIRCLE_GROUP, 16, 8)
+
+
+@pytest.mark.parametrize("d", [{"kind": "PAIR_CIRCLE", "n": 128.0},
+                               {"kind": "PAIR_TIMES_Z", "n": 16, "m_z": 8.0},
+                               {"kind": "CIRCLE_GROUP", "n": "64"},
+                               {"kind": "PAIR_CIRCLE", "n": True},
+                               {"kind": "AFFINE_GROUP", "n": 0.0}])
+def test_non_integer_resolutions_rejected(d):
+    with pytest.raises(DomainError, match="must be an integer"):
+        GroupoidModel.from_json(d)
+
+
+def test_numpy_integer_resolutions_accepted():
+    assert pair_times_z(np.int64(16), np.int32(8)) == pair_times_z(16, 8)
 
 
 def test_model_json_roundtrip():
@@ -92,6 +106,33 @@ def test_off_grid_coordinates_rejected():
     a = affine_group()
     with pytest.raises(DomainError):
         element(a, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: element(m, 0, 0, 0),                 # too many coordinates
+    lambda m: element(m, 0.5),                     # too few
+    lambda m: unit(m, 0, 0),
+    lambda m: unit(m),
+    lambda m: element(m, float("nan"), 0),
+    lambda m: element(m, float("inf"), 0),
+    lambda m: unit(m, float("nan")),
+    lambda m: Element(m, (float("nan"), 0)),
+    lambda m: Element(m, (float("inf"), 0)),
+    lambda m: Unit(m, (float("nan"),)),
+    lambda m: Unit(m, (0, 0)),
+])
+def test_bad_coordinates_are_domain_errors(build):
+    with pytest.raises(DomainError):
+        build(pair_circle(8))
+
+
+def test_affine_unit_space_is_one_point():
+    a = affine_group()
+    assert a.unit_shape == () and unit(a) == Unit(a, ())
+    with pytest.raises(DomainError):
+        unit(a, 0.5)
+    with pytest.raises(DomainError):
+        a.grid_shape
 
 
 @pytest.mark.parametrize("model", [pair_circle(16), circle_group(16),

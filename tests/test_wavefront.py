@@ -429,26 +429,29 @@ def test_estimates_reuse_one_plan(monkeypatch):
     assert fresh.estimated.to_json() == first.estimated.to_json()
 
 
-def test_slope_records_are_built_on_read(monkeypatch):
-    built = []
-    real = grpd.wavefront.SlopeRecord
+def test_slope_table_columns(monkeypatch):
+    read = []
+    real = grpd.wavefront.SlopeTable.columns
 
-    def counted(*args):
-        built.append(1)
-        return real(*args)
-    monkeypatch.setattr(grpd.wavefront, "SlopeRecord", counted)
+    def counted(table):
+        read.append(1)
+        return real(table)
+    monkeypatch.setattr(grpd.wavefront.SlopeTable, "columns", counted)
     rep = verify_product_bound(rotation_layer(M, 0.25), rotation_layer(M, 0.125),
                                rotation_cone(M, 0.25), rotation_cone(M, 0.125))
-    assert rep.passed and not built
-    slopes = estimate_wavefront(rotation_layer(M, 0.25)).slopes
+    assert rep.passed and not read
+    u = rotation_layer(M, 0.25)
+    slopes = estimate_wavefront(u).slopes
+    centers, dirs, probe, direction, slope, peak = slopes.columns()
     n = len(slopes)
-    assert n > 0 and not built
-    records = list(slopes)
-    assert len(built) == n == len(records)
-    assert [slopes[i] for i in range(n)] == records
-    assert slopes[-1] == records[-1] and slopes[1:3] == tuple(records[1:3])
-    assert slopes == tuple(records)
-    assert len(built) == n                # built once
+    assert n > 0 and len(read) == 1
+    assert len(probe) == len(direction) == len(slope) == len(peak) == n
+    assert list(zip(probe, direction)) == sorted(zip(probe, direction))
+    for r in (0, n - 1):
+        assert decay_slope(u, centers[probe[r]], dirs[direction[r]]) == slope[r]
+    again = estimate_wavefront(u).slopes
+    assert again == slopes and hash(again) == hash(slopes)
+    assert estimate_wavefront(rotation_layer(M, 0.125)).slopes != slopes
 
 
 def test_smooth_catalog_reads_empty():
