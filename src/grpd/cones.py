@@ -277,7 +277,22 @@ class _DirSet:
     frequency points (one array per axis) as ``(dirs, cand, hit)``, point k
     sitting in bin ``cand[k, c]`` when ``hit[k, c]``; ``report(flagged,
     anchors, dirs, half_angle, halfwidth)`` gives an anchored probe's
-    reported directions from its per-bin rows."""
+    reported directions from its per-bin rows.
+
+    A set is frozen, so it hashes its parts once, when built, to the value
+    the dataclass hash would give; equality is the dataclass's, by parts.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __iter__(self):
         return iter(self.parts)
@@ -289,7 +304,7 @@ class _DirSet:
         return type(self)(tuple(chain(self, *others)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signs(_DirSet):
     """Directions of a 1-d cotangent fiber: a subset of {+1, -1}."""
 
@@ -297,6 +312,7 @@ class Signs(_DirSet):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", frozenset(self.parts))
+        super().__post_init__()
 
     @staticmethod
     def full() -> "Signs":
@@ -338,7 +354,7 @@ class Signs(_DirSet):
         return Signs(d["signs"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arcs(_DirSet):
     """Directions in the plane: closed angle arcs (period 2pi), merged
     into disjoint arcs when built."""
@@ -347,6 +363,7 @@ class Arcs(_DirSet):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(merge_arcs(list(self.parts))))
+        super().__post_init__()
 
     @staticmethod
     def full() -> "Arcs":
@@ -417,7 +434,7 @@ class Arcs(_DirSet):
         return Arcs(tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in d["arcs"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Caps(_DirSet):
     """Directions in 3-space: a finite union of spherical caps."""
 
@@ -891,12 +908,14 @@ def compose_direction_caps(caps1, caps2, step: float = SAMPLING_STEP) -> list[Ca
     _, first = np.unique(np.round(outs / (step / 3.0)).astype(np.int64),
                          axis=0, return_index=True)
     reps = outs[np.sort(first)]
-    centers: list[np.ndarray] = []
+    centers = np.empty_like(reps)
+    count = 0
     cos_step = math.cos(step)
     for v in reps:
-        if not centers or float(np.max(np.asarray(centers) @ v)) < cos_step:
-            centers.append(v)
-    return [Cap(tuple(c), 2.0 * step) for c in centers]
+        if not count or float(np.max(centers[:count] @ v)) < cos_step:
+            centers[count] = v
+            count += 1
+    return [Cap(tuple(c), 2.0 * step) for c in centers[:count]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ units, added under multiplication and negated under inversion.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,17 @@ from .models import (Element, GroupoidModel, Kind, Unit, _coadjoint, anchor_maps
 COVECTOR_MATCH_TOL = 1e-9
 
 
+def _covector(cov, length: int, what: str) -> tuple[float, ...]:
+    """``cov`` as a tuple of floats; a ``DomainError`` unless it has
+    ``length`` components, all finite."""
+    if len(cov) != length:
+        raise DomainError(f"covector length must match {what}")
+    cov = tuple(float(c) for c in cov)
+    if not all(map(math.isfinite, cov)):
+        raise DomainError(f"covector components must be finite, got {cov}")
+    return cov
+
+
 @dataclass(frozen=True)
 class CotangentPoint:
     """A point (gamma, xi) of T*G, xi in global coordinates."""
@@ -33,9 +45,7 @@ class CotangentPoint:
     cov: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.cov) != self.base.model.dim:
-            raise DomainError("covector length must match dim G")
-        object.__setattr__(self, "cov", tuple(float(c) for c in self.cov))
+        object.__setattr__(self, "cov", _covector(self.cov, self.base.model.dim, "dim G"))
 
     @property
     def model(self) -> GroupoidModel:
@@ -59,9 +69,8 @@ class CotangentUnit:
 
     def __post_init__(self):
         m = self.model
-        if len(self.cov) != m.dim - len(m.unit_shape):
-            raise DomainError("covector length must match the rank of A*G")
-        object.__setattr__(self, "cov", tuple(float(c) for c in self.cov))
+        object.__setattr__(self, "cov", _covector(self.cov, m.dim - len(m.unit_shape),
+                                                  "the rank of A*G"))
 
     @property
     def model(self) -> GroupoidModel:

@@ -4,11 +4,17 @@
 Binary grid layout (little-endian): magic ``GRPD``, u32 rank, u32 dims
 (one per axis), zero padding to a 16-byte boundary, then float64
 re/im pairs in row-major order.
+
+JSON is written in one pass (``dump_json``): the bytes of
+``json.dumps(..., sort_keys=True, indent=1)``, with numpy values
+converted at the leaves and an infinite float written as the string
+``"inf"`` or ``"-inf"``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -60,25 +66,78 @@ def load_grid(path) -> np.ndarray:
 
 # -- deterministic JSON/CSV helpers -----------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return str(float(obj)) if np.isinf(obj) else float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _scalar(x) -> str:
+    """A JSON leaf: numpy scalars as their Python values, +-inf as the
+    strings ``"inf"``/``"-inf"``, nan as ``NaN``."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return float.__repr__(x) if x == x else "NaN"
+    if isinstance(x, (int, np.integer)):
+        return int.__repr__(int(x))
+    if x is None:
+        return "null"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (float, int)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(obj, out: list, nl: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``, where ``nl`` is the line
+    break and indent of its own level: the text of ``json.dumps(...,
+    sort_keys=True, indent=1)``, with ``_scalar``'s leaves.  A list of
+    finite floats is one join of their reprs."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out += (sep, _escape(_key(key)), ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out += ("[", inner, ("," + inner).join(map(float.__repr__, obj)), nl, "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out += (nl, "]")
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), out, nl)
+    else:
+        out.append(_scalar(obj))
 
 
 def dump_json(path, data) -> None:
-    text = json.dumps(_jsonable(data), sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
+    """Write ``data`` as sorted-key JSON, one value per line, in one pass."""
+    out = []
+    _write(data, out, "\n")
+    out.append("\n")
+    Path(path).write_text("".join(out))
 
 
 def load_json(path):

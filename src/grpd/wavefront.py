@@ -3,10 +3,9 @@
 One array kernel, ``_probe_tables``, does the spectral work: per probe
 center it windows the distribution with a compactly supported bump, DFTs
 it, and takes the max modulus of every (direction cone, dyadic frequency
-shell) bin in one gather over a flattened bin index; one batched
-least-squares fit of log max modulus against log shell radius then gives
-every (probe, direction) decay slope.  Slopes above ``slope_threshold``
-flag a singular direction.
+shell) bin; one batched least-squares fit of log max modulus against log
+shell radius then gives every (probe, direction) decay slope.  Slopes
+above ``slope_threshold`` flag a singular direction.
 
 The DFT is pruned, not approximated: it takes the window's support box
 from the grid (one circular range of rows per axis), then transforms
@@ -15,17 +14,22 @@ the frequencies some bin reads.  Each axis in turn is swapped to the
 last position and written, by at most two slices, into full-length lines
 of one zero buffer that the worker reuses for every axis and probe and
 zeroes again after each transform, so the 1-d transforms run along
-contiguous lines.  Every one
-of them sees the input it has inside ``fftn``, and ``max`` over a bin is
-exact in any order, so the tables are bit for bit those of the
-full-grid DFT.  The ``GRPD_THREADS`` pool takes one contiguous block of
-probes per worker.
+contiguous lines.  Every one of them sees the input it has inside
+``fftn``.  The last axis's output is read once at each distinct point
+some bin reads; cones overlap and shells are closed, so a point sits in
+several bins, and the plan groups the points into membership classes
+(the points read by exactly the same bins).  Per probe the kernel takes
+each point's modulus once, the max over each class, then the max of
+each bin over its classes.  ``max`` is exact in any order, so the tables
+are bit for bit those of the full-grid DFT.  The ``GRPD_THREADS`` pool
+takes one contiguous block of probes per worker.
 A probe whose windowed block is all zero keeps its zero table row and
 runs no transform: the DFT of zeros is signed zeros, which ``abs`` makes
 +0, so the tables stay bit for bit the same.
 
 The frequency-domain plan (``_Scaffold``: shells, direction bins, window
-support, flattened bin index and the memoized ray-response halfwidth)
+support, read points, membership classes and the memoized ray-response
+halfwidth)
 depends only on the model and the resolved ``WfParams``, so the
 estimator takes it from a small bounded cache (``_plan``) and every call
 after the first for a given pair reuses it, calibration included.  A
@@ -196,7 +200,17 @@ class WfReport:
 
 class _Scaffold:
     """The frequency-domain plan of one (model, resolved ``WfParams``)
-    pair; ``_plan`` caches it across calls."""
+    pair; ``_plan`` caches it across calls.
+
+    Besides the shells, direction bins and window support, it holds the
+    kernel's reads and reductions.  ``swaps`` and ``keep`` lay out the
+    pruned transform, whose last ``take`` reads each distinct read point
+    once, class by class (``read_starts`` starts each membership class).
+    ``bin_classes`` lists the classes of each ``bin_filled`` bin, one run
+    per bin from ``bin_starts``; class c is in exactly the bins whose
+    runs list it.  The class table is built by sorting the membership
+    rows, with no loop per point.
+    """
 
     def __init__(self, model: GroupoidModel, p: WfParams):
         self.model = model
@@ -238,14 +252,27 @@ class _Scaffold:
         edges = np.array(self.shells)
         in_shell = (r[:, None] >= edges[:, 0]) & (r[:, None] <= edges[:, 1])  # closed
         pt, c, s = np.nonzero(hit[:, :, None] & in_shell[:, None, :])
-        n_shells = len(self.shells)
-        bin_id = cand[pt, c] * n_shells + s
+        n_bins = len(self.dirs) * len(self.shells)
+        # the distinct (point, bin) memberships, point-major, bins ascending
+        # (a sort, which is faster here than ``np.unique``'s hash)
+        key = np.sort(pt * n_bins + cand[pt, c] * len(self.shells) + s)
+        pt, bin_id = np.divmod(key[np.diff(key, prepend=-1) != 0], n_bins)
+        # the read points, one row each of the bins that read it (-1 pads)
+        read, first, count = np.unique(pt, return_index=True, return_counts=True)
+        rows = np.full((len(read), count.max()), -1)
+        rows[np.repeat(np.arange(len(read)), count),
+             np.arange(len(pt)) - np.repeat(first, count)] = bin_id
+        # membership classes: the read points with equal rows, in row order
+        by_row = np.lexsort(rows.T[::-1])
+        rows = rows[by_row]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         # the probe transform visits only the window's support and the
         # frequencies some bin reads, per axis: the support is the circular
         # range of ``span[ax] = (first, length)`` positions from ``first``
         # (relative to the probe center) on, ``window`` the window's values
-        # on that box in position order, and ``kept[ax]`` the read frequency
-        # indices
+        # on that box in position order, and ``kept`` the read frequency
+        # indices of each axis
         self.span, profiles = [], []
         for s in shape:
             off = ((np.arange(s) + s // 2) % s) - s // 2
@@ -254,13 +281,13 @@ class _Scaffold:
             self.span.append((int(off[sup[0]]), len(sup)))
             profiles.append(self._axis_window(s)[sup])
         self.window = reduce(np.multiply.outer, profiles)
-        grid_idx = np.unravel_index(pts[pt[np.argsort(bin_id, kind="stable")]], shape)
-        self.kept = [np.unique(i) for i in grid_idx]
+        grid_idx = np.unravel_index(pts[read[by_row]], shape)
+        kept = [np.unique(i) for i in grid_idx]
         # the transform takes the axes in fftn's order, last first, and
         # swaps each to the last position (``swaps``: axis, its position,
         # the shape of its full-length lines), so it runs along contiguous
         # lines; the kept-frequency box then holds the axes in the order
-        # ``layout``
+        # ``layout``, the last transformed one at full length
         self.layout, self.swaps = list(range(self.dim)), []
         extent = [length for _, length in self.span]
         for ax in reversed(range(self.dim)):
@@ -268,24 +295,27 @@ class _Scaffold:
             for order in (self.layout, extent):
                 order[pos], order[-1] = order[-1], order[pos]
             self.swaps.append((ax, pos, tuple(extent[:-1]) + (shape[ax],)))
-            extent[-1] = len(self.kept[ax])
-        # flattened bin index: points of bin (i, j), as flat indices into
-        # that box, are bin_gather[bin_starts[k]:...] for the k-th non-empty
-        # bin in row-major (direction, shell) order
-        box_idx = [np.searchsorted(k, i) for k, i in zip(self.kept, grid_idx)]
-        self.bin_gather = np.ravel_multi_index([box_idx[a] for a in self.layout],
-                                               [len(self.kept[a]) for a in self.layout])
-        counts = np.bincount(bin_id, minlength=len(self.dirs) * n_shells)
+            extent[-1] = len(kept[ax])
+        # ``keep[ax]``: the (indices, axis) of the ``take`` after axis ax's
+        # transform.  Every axis but the last transformed keeps its read
+        # frequencies; the last one's full-length output is read straight
+        # at the read points (axis None: flat indices), class by class,
+        # ``read_starts`` starting each class
+        last = self.swaps[-1][0]
+        box_idx = [i if a == last else np.searchsorted(k, i)
+                   for a, (k, i) in enumerate(zip(kept, grid_idx))]
+        read = np.ravel_multi_index([box_idx[a] for a in self.layout], self.swaps[-1][2])
+        self.keep = [(read, None) if a == last else (k, -1) for a, k in enumerate(kept)]
+        self.read_starts = np.flatnonzero(new)
+        # classes to bins: the classes of the k-th non-empty bin, in
+        # row-major (direction, shell) order, are
+        # bin_classes[bin_starts[k]:...]
+        cls, col = np.nonzero(rows[new] >= 0)
+        bin_id = rows[new][cls, col]
+        self.bin_classes = cls[np.argsort(bin_id, kind="stable")]
+        counts = np.bincount(bin_id, minlength=n_bins)
         self.bin_filled = counts > 0
         self.bin_starts = (np.cumsum(counts) - counts)[self.bin_filled]
-
-    @property
-    def bin_points(self) -> np.ndarray:
-        """``bin_gather`` as flat indices into the kept-frequency box with
-        its axes in their own order, row-major."""
-        box_idx = np.unravel_index(self.bin_gather, [len(self.kept[a]) for a in self.layout])
-        return np.ravel_multi_index([box_idx[self.layout.index(a)] for a in range(self.dim)],
-                                    [len(k) for k in self.kept])
 
     def ray_response_halfwidth(self) -> float:
         """Angular halfwidth of the estimator's response to an exact
@@ -337,8 +367,8 @@ def _plan(model: GroupoidModel, p: WfParams) -> _Scaffold:
     """The shared ``_Scaffold`` of ``model`` and resolved ``p``.
 
     The plan, its ray-response calibration included, is a function of
-    this key alone, so at most eight are kept (about 1.5 MiB each at
-    n=512, 0.1 MiB at n=128).  If the halfwidth ever depends on the input
+    this key alone, so at most eight are kept (about 0.55 MiB each at
+    n=512, 0.05 MiB at n=128).  If the halfwidth ever depends on the input
     (say, calibrated on the fiber orders present), that input must join
     the key.  Callers share the plan and must not modify it.
     """
@@ -368,10 +398,12 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
     fit shells against log shell radius, all from one batched fit.
 
     Per probe, the loop makes one ``take`` per axis for the support box,
-    and per axis one swap, the slice writes into the block's zero buffer
-    and one ``np.fft.fft`` along its last axis; one ``take`` through
-    ``sc.bin_gather`` then feeds the per-bin ``maximum.reduceat``.  The
-    support rows and slices are found once per distinct probe coordinate.
+    and per axis one swap, the slice writes into the block's zero buffer,
+    one ``np.fft.fft`` along its last axis and one ``take`` of the kept
+    frequencies, the last axis's at the read points.  ``abs``, one
+    ``maximum.reduceat`` into classes and one over ``sc.bin_classes``
+    into bins then fill the probe's row.  The support rows and slices are
+    found once per distinct probe coordinate.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
     shape = arr.shape
@@ -410,11 +442,15 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
                 full, pieces = zeros[:math.prod(lines)].reshape(lines), at[ax][1]
                 for dst, src in pieces:
                     full[..., dst] = spec[..., src]
-                spec = np.fft.fft(full).take(sc.kept[ax], axis=-1)
+                keep, along = sc.keep[ax]
+                spec = np.fft.fft(full).take(keep, axis=along)
                 for dst, _ in pieces:
                     full[..., dst] = 0.0
-            spec = np.abs(spec).take(sc.bin_gather)
-            out[k, sc.bin_filled] = np.maximum.reduceat(spec, sc.bin_starts)
+            # each read point's modulus once, then max into classes, then
+            # classes into bins
+            classes = np.maximum.reduceat(np.abs(spec), sc.read_starts)
+            out[k, sc.bin_filled] = np.maximum.reduceat(classes.take(sc.bin_classes),
+                                                        sc.bin_starts)
         return out
 
     # one contiguous block of probes per worker, joined in block order
@@ -434,10 +470,11 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
 
 def _fit_range(sc: _Scaffold, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per (probe, direction), the min and max of the fit-shell maxima
-    ``tables[k, i, sc.fit_slice]``, reduced plane by plane over the few
-    fit shells (exact, like ``min``/``max`` over the last axis)."""
-    planes = np.moveaxis(tables[:, :, sc.fit_slice], 2, 0)
-    return np.minimum.reduce(planes), np.maximum.reduce(planes)
+    ``tables[k, i, sc.fit_slice]``, folded plane by plane over the few
+    fit shells by binary ``np.minimum``/``np.maximum`` (exact, like
+    ``min``/``max`` over the last axis, nan included)."""
+    planes = [tables[:, :, j] for j in range(len(sc.shells))[sc.fit_slice]]
+    return reduce(np.minimum, planes), reduce(np.maximum, planes)
 
 
 def _flags(p: WfParams, lo: np.ndarray, hi: np.ndarray, slopes: np.ndarray,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,22 @@ def test_cotangent_unit_covector_length_checked(x, cov):
     # an A*G covector has rank dim G - dim G^(0) components
     with pytest.raises(DomainError):
         CotangentUnit(x, cov)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_covectors_rejected(bad):
+    builds = [lambda c: cp(pair_circle(16), (0, 0), (c, 0.0)),
+              lambda c: cp(Z8, (0.125, 0.5, 0.25), (0.0, 1.0, c)),
+              lambda c: CotangentUnit(unit(M8, 0.25), (c,)),
+              lambda c: CotangentUnit(unit(AFF), (1.0, np.float64(c)))]
+    for build in builds:
+        build(2.5)
+        with pytest.raises(DomainError):
+            build(bad)
+    # a nan source covector used to pass the source kernel test
+    with pytest.raises(DomainError):
+        in_kernel(CotangentPoint(element(pair_circle(16), 0, 0), (bad, 0.0)),
+                  KernelKind.KER_S_GAMMA)
 
 
 def test_in_kernel_examples():

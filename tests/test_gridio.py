@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,82 @@ def test_write_artifacts(tmp_path):
 def test_json_writes_infinity_as_a_string(tmp_path):
     gridio.dump_json(tmp_path / "inf.json", {"best": float("inf"), "low": -np.inf})
     assert gridio.load_json(tmp_path / "inf.json") == {"best": "inf", "low": "-inf"}
+
+
+def reference_jsonable(obj):
+    """The artifact writer's leaf conversion as it was before the one-pass
+    writer, kept as the reference for ``dump_json``'s bytes."""
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return str(float(obj)) if np.isinf(obj) else float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(v) for v in obj.tolist()]
+    return obj
+
+
+def reference_dump(data) -> str:
+    return json.dumps(reference_jsonable(data), sort_keys=True, indent=1) + "\n"
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _random_value(rng, depth):
+    kind = int(rng.integers(0, 12 if depth < 4 else 8))
+    if kind == 0:
+        return _pick(rng, [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, 1.5e300])
+    if kind == 1:
+        return float(rng.standard_normal() * 10.0 ** int(rng.integers(-20, 20)))
+    if kind == 2:
+        return int(rng.integers(-2**62, 2**62))
+    if kind == 3:
+        return _pick(rng, [np.float64(rng.standard_normal()), np.float32(0.1),
+                           np.int64(-7), np.uint8(200), np.bool_(True),
+                           np.float64(-np.inf)])
+    if kind == 4:
+        return bool(rng.integers(0, 2))
+    if kind == 5:
+        return _pick(rng, ["", "plain", "tab\tquote\"back\\slash", "naïve ∂ξ",
+                           "☃ snow", "\x00ctl", "inf"])
+    if kind == 6:
+        return None
+    if kind == 7:
+        return rng.standard_normal(int(rng.integers(0, 4)))
+    if kind == 8:
+        return [float(v) for v in rng.standard_normal(int(rng.integers(0, 5)))]
+    if kind == 9:
+        return [_random_value(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+    if kind == 10:
+        return tuple(_random_value(rng, depth + 1) for _ in range(int(rng.integers(0, 3))))
+    return {_pick(rng, ["a", "b", "Z", "é", "key 1", "10", "9"]) + str(i):
+            _random_value(rng, depth + 1) for i in range(int(rng.integers(0, 5)))}
+
+
+def test_dump_json_matches_stdlib_reference(tmp_path):
+    path = tmp_path / "out.json"
+    cases = [
+        {"best": float("inf"), "low": -np.inf, "nan": float("nan"), "f32": np.float32(-np.inf)},
+        {"np": [np.float64(0.5), np.float32(0.1), np.int32(-3), np.uint64(2**63),
+                np.bool_(False), np.bool_(True)],
+         "arrays": [np.arange(3), np.array([[1.5, np.nan], [np.inf, -0.0]]),
+                    np.array([True, False]), np.zeros((0,)), np.zeros((2, 0))]},
+        {"empty": [[], {}, (), {"inner": {}}], "nested": {"b": {"d": [1], "c": {}}, "a": 0}},
+        {"ascii": "plain", "ünï": "ξ→∞ ☃", "esc": "\"\\\n\t\x01"},
+        {"mixed": [1, 2.0, -3, 4.5, True, None, 1e-320, 2**70],
+         "floats": [0.1, -0.0, 1e300, 5e-324], "nonfinite": [1.0, float("nan"), 2.0]},
+        [], {}, 3.25, "top", None, np.float64(np.inf), [[0.25, 0.5], [0.75]],
+        rotation_cone(pair_circle(64), 0.25).to_json(),
+    ]
+    rng = np.random.default_rng(11)
+    cases += [_random_value(rng, 0) for _ in range(300)]
+    for data in cases:
+        gridio.dump_json(path, data)
+        assert path.read_text() == reference_dump(data), data

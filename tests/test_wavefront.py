@@ -16,7 +16,7 @@ from grpd.distributions import (counterexample_distribution, make_layer,
 from grpd.errors import DomainError, ModelUnsupportedError
 from grpd.models import affine_group, circle_group, pair_circle, pair_times_z
 from grpd.spectral import band_limited_field, bump
-from grpd.wavefront import (WfParams, _probe_tables, _Scaffold, decay_slope,
+from grpd.wavefront import (WfParams, _fit_range, _probe_tables, _Scaffold, decay_slope,
                             estimate_wavefront, verify_product_bound)
 import grpd.wavefront
 
@@ -142,14 +142,24 @@ def reference_tables(sc, arr, centers, bins):
     return tables, slopes
 
 
+def read_grid_points(sc):
+    """The kernel's read points, decoded from flat indices into the last
+    transform's output to flat grid indices, in plan (class) order."""
+    last, _, lines = sc.swaps[-1]
+    box = np.unravel_index(sc.keep[last][0], lines)
+    coords = [None] * sc.dim
+    for q, a in enumerate(sc.layout):
+        coords[a] = box[q] if a == last else sc.keep[a][0][box[q]]
+    return np.ravel_multi_index(coords, sc.model.grid_shape)
+
+
 def kernel_bin_sets(sc):
-    """The kernel's flattened bin index, decoded from the kept-frequency box
-    to a set of flat grid indices per bin."""
-    box = np.unravel_index(sc.bin_points, [len(k) for k in sc.kept])
-    grid = np.ravel_multi_index(tuple(k[i] for k, i in zip(sc.kept, box)),
-                                sc.model.grid_shape)
-    segments = iter(np.split(grid, sc.bin_starts[1:]))
-    return [set(next(segments)) if filled else set() for filled in sc.bin_filled]
+    """The kernel's bin plan, decoded to a set of flat grid indices per
+    bin: the read points of the bin's membership classes."""
+    classes = np.split(read_grid_points(sc), sc.read_starts[1:])
+    segments = iter(np.split(sc.bin_classes, sc.bin_starts[1:]))
+    return [set().union(*(classes[c] for c in next(segments))) if filled else set()
+            for filled in sc.bin_filled]
 
 
 def reference_runs(flagged):
@@ -360,6 +370,46 @@ def test_probe_kernel_matches_reference(case):
     if case in ("2d-low-shells", "3d-point"):
         assert empty.any()
     assert not tables[:, empty].any()
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_bin_reduction_reads_each_frequency_once(case):
+    u, params = KERNEL_CASES[case]()
+    sc = _Scaffold(u.model, params.resolve(u.model))
+    read = read_grid_points(sc)
+    # each read frequency is gathered once
+    assert len(np.unique(read)) == len(read) == len(sc.keep[sc.swaps[-1][0]][0])
+    # the classes are non-empty runs that partition the read points
+    starts = sc.read_starts
+    assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < len(read)
+    # every class sits in some bin, and no two classes sit in the same bins
+    bins_of = [set() for _ in starts]
+    segments = iter(np.split(sc.bin_classes, sc.bin_starts[1:]))
+    for b in np.flatnonzero(sc.bin_filled):
+        for cls in next(segments):
+            bins_of[cls].add(b)
+    assert all(bins_of)
+    assert len({frozenset(b) for b in bins_of}) == len(bins_of)
+    # each bin's classes cover exactly its reference point set
+    ref = [set(np.flatnonzero(m)) for per_shell in reference_bins(sc) for m in per_shell]
+    assert kernel_bin_sets(sc) == ref
+    assert set(read.tolist()) == set().union(*ref)
+
+
+def test_fit_range_matches_min_max():
+    rng = np.random.default_rng(3)
+    sc = _Scaffold(M, WfParams().resolve(M))
+    assert len(range(len(sc.shells))[sc.fit_slice]) >= 2
+    tables = rng.random((40, len(sc.dirs), len(sc.shells)))
+    tables[rng.random(tables.shape) < 0.2] = 0.0
+    tables[rng.random(tables.shape) < 0.05] = np.nan
+    tables[0, 0, sc.fit_slice] = 0.0
+    tables[1, 0, sc.fit_slice] = np.nan
+    lo, hi = _fit_range(sc, tables)
+    fit = tables[:, :, sc.fit_slice]
+    assert np.isnan(lo).any() and (lo == 0.0).any()
+    assert np.array_equal(lo, fit.min(axis=2), equal_nan=True)
+    assert np.array_equal(hi, fit.max(axis=2), equal_nan=True)
 
 
 def test_probe_blocks_join_in_order(monkeypatch):
