@@ -8,41 +8,37 @@ transversal counterexample.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from .cones import (A_STAR_ARCS, Arcs, CircInterval, ConeCell, ConeSet, Signs,
-                    a_star_units)
-from .distributions import (Distribution, counterexample_distribution,
+from .cones import CircInterval, ConeCell, ConeSet, a_star_directions, a_star_units
+from .distributions import (Distribution, counterexample_distribution, layered,
                             make_layer, point_mass, smooth_distribution, unit_delta)
-from .errors import DomainError, ModelUnsupportedError
-from .models import GroupoidModel, Kind
+from .errors import DomainError
+from .models import GroupoidModel
 from .spectral import band_limited_field
 
 
 def rotation_layer(model: GroupoidModel, theta: float, coeffs=None,
                    order: int = 0) -> Distribution:
     """Layer on the rotation graph {(x, x - theta)} (pair model) or the
-    point mass at theta (group model)."""
-    if coeffs is None:
-        coeffs = np.ones(model.n) if model.kind is Kind.PAIR_CIRCLE else 1.0
-    return make_layer(model, theta, coeffs, order, label=f"rotation({theta})")
+    point mass at theta (group model); unit coefficients by default."""
+    return make_layer(model, theta, 1.0 if coeffs is None else coeffs, order,
+                      label=f"rotation({theta})")
 
 
 def rotation_cone(model: GroupoidModel, theta: float) -> ConeSet:
-    """Conormal cone of the rotation graph: {(x, x-theta, xi, -xi)}."""
-    if model.kind is Kind.CIRCLE_GROUP:
-        t = int(round(theta * model.n)) % model.n
-        return ConeSet(model, (ConeCell((CircInterval(t / model.n, 1.0 / model.n),),
-                                        Signs.full()),))
-    if model.kind is not Kind.PAIR_CIRCLE:
-        raise ModelUnsupportedError("rotation cones on the pair model")
-    n = model.n
-    t = int(round(theta * n)) % n
-    arcs = Arcs(A_STAR_ARCS)
-    cells = tuple(ConeCell((CircInterval(i / n, 1.0 / n),
-                            CircInterval(((i - t) % n) / n, 1.0 / n)), arcs)
-                  for i in range(n))
-    return ConeSet(model, cells)
+    """Conormal cone of the layer section theta: over each grid cell of
+    G^(0), the cell of its section point, with the directions of A*G
+    ({(x, x-theta, xi, -xi)} on the pair model)."""
+    s = layered(model)
+    t = int(round(theta * model.n)) % model.n
+    dirs = a_star_directions(model)
+    return ConeSet(model, tuple(
+        ConeCell(tuple(CircInterval(k / size, 1.0 / size)
+                       for k, size in zip(s.section(model, x, t, 1), model.grid_shape)), dirs)
+        for x in product(*map(range, model.unit_shape))))
 
 
 def point_cone(model: GroupoidModel, *coords) -> ConeSet:

@@ -26,10 +26,12 @@ holders' direction sets.  The bar product's zero-section terms are found
 once per distinct direction set.
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
-``cone_product_bar`` adds the two zero-section terms; these and the gate
-read per-model tables (the composable base axes ``_COMPOSABLE``, the
-kernel directions ``_KERNEL_PAIRS``) and composition rules, because each
-model has its own m_Gamma.  All direction
+``cone_product_bar`` adds the two zero-section terms.  What differs
+between models they read from two places: the model's structure entry
+(the base axes composable pairs share, the boxes of products, the fiber
+axes) and the direction-set type ``DIRECTION_SETS`` picks (how
+directions compose, the direction pairs of ker m_Gamma, the directions a
+set has in an anchor kernel).  All direction
 arithmetic produces over-approximations, never under-approximations, so
 containment verdicts "subset of" stay sound.  On the pair model the arc
 arithmetic is closed form: writing directions as angles, the composed
@@ -50,7 +52,7 @@ from itertools import chain, product
 import numpy as np
 
 from .errors import DomainError, ModelMismatchError, ModelUnsupportedError
-from .models import GroupoidModel, Kind
+from .models import GroupoidModel
 
 TWO_PI = 2.0 * math.pi
 SAMPLING_STEP = TWO_PI / 256.0     # angular step for non-closed-form models
@@ -147,6 +149,9 @@ def interval(lo: float, hi: float, period: float = 1.0) -> CircInterval:
 
 def full_interval(period: float = 1.0) -> CircInterval:
     return CircInterval(0.0, period, period)
+
+
+_WHOLE = full_interval(1.0)     # a whole base circle
 
 
 def point_interval(x: float, period: float = 1.0) -> CircInterval:
@@ -279,6 +284,12 @@ class _DirSet:
     anchors, dirs, half_angle, halfwidth)`` gives an anchored probe's
     reported directions from its per-bin rows.
 
+    The cone calculus's per-dimension part: ``compose`` (m_Gamma on the
+    directions of two sets), ``kernel_part`` (a set's directions in an
+    anchor kernel), ``rays`` (the set of some covectors' directions), and
+    ``KERNEL_PAIRS``, the directions (d1 on the s side, d2 on the r side)
+    of covector pairs in ker m_Gamma = N*G^(2), found to ``KERNEL_TOL``.
+
     A set is frozen, so it hashes its parts once, when built, to the value
     the dataclass hash would give; equality is the dataclass's, by parts.
     """
@@ -328,8 +339,22 @@ class Signs(_DirSet):
         """``avail -> bool``: whether ``avail`` covers this set."""
         return lambda avail: self.parts <= avail.parts
 
+    # on a group both anchor kernels and ker m_Gamma are the zero section
+    KERNEL_PAIRS, KERNEL_TOL = (), 0.0
+
     def meets(self, kernel: "AnchorKernel") -> bool:
-        return False    # on a group both anchor kernels are the zero section
+        return False
+
+    def kernel_part(self, kernel: "AnchorKernel") -> "Signs":
+        return Signs()
+
+    def compose(self, other: "Signs") -> "Signs":
+        """(g1, xi).(g2, xi) = (g1 g2, xi) on a group: the common signs."""
+        return Signs(self.parts & other.parts)
+
+    @staticmethod
+    def rays(vectors) -> "Signs":
+        return Signs(1 if v[0] > 0 else -1 for v in vectors)
 
     @staticmethod
     def random(rng: np.random.Generator) -> "Signs":
@@ -378,8 +403,22 @@ class Arcs(_DirSet):
     def cover_test(self, angular_tol: float):
         return lambda avail: all(arcs_cover(t, avail.parts) for t in self.parts)
 
+    # the conormal axes
+    KERNEL_PAIRS, KERNEL_TOL = ((math.pi / 2.0, math.pi), (3.0 * math.pi / 2.0, 0.0)), 0.0
+
     def meets(self, kernel: "AnchorKernel") -> bool:
         return any(self.contains(t) for t in kernel.angles)
+
+    def kernel_part(self, kernel: "AnchorKernel") -> "Arcs":
+        return Arcs(tuple(CircInterval(t, 0.0, TWO_PI) for t in kernel.angles
+                          if self.contains(t)))
+
+    def compose(self, other: "Arcs") -> "Arcs":
+        return Arcs(tuple(compose_direction_arcs(self.parts, other.parts)))
+
+    @staticmethod
+    def rays(vectors) -> "Arcs":
+        return Arcs(tuple(CircInterval(math.atan2(v[1], v[0]), 0.0, TWO_PI) for v in vectors))
 
     @staticmethod
     def random(rng: np.random.Generator) -> "Arcs":
@@ -479,8 +518,23 @@ class Caps(_DirSet):
             hit[i, j] = self.parts[j].contains(ds[i])
         return hit.any(axis=1)
 
+    # the circle mu -> (0, cos mu, sin mu), (-cos mu, 0, -sin mu), sampled
+    KERNEL_PAIRS = tuple(((0.0, math.cos(mu), math.sin(mu)), (-math.cos(mu), 0.0, -math.sin(mu)))
+                         for mu in np.linspace(0.0, TWO_PI, 257)[:-1])
+    KERNEL_TOL = SAMPLING_STEP / 2
+
     def meets(self, kernel: "AnchorKernel") -> bool:
         return any(cap.tilt(kernel.normal) <= cap.radius for cap in self.parts)
+
+    def kernel_part(self, kernel: "AnchorKernel") -> "Caps":
+        return _kernel_caps(self, kernel)
+
+    def compose(self, other: "Caps") -> "Caps":
+        return Caps(tuple(compose_direction_caps(self.parts, other.parts)))
+
+    @staticmethod
+    def rays(vectors) -> "Caps":
+        return Caps(tuple(Cap(v, 0.0) for v in vectors))
 
     @staticmethod
     def random(rng: np.random.Generator) -> "Caps":
@@ -678,15 +732,10 @@ class _BaseIndex:
         return np.flatnonzero(inside)
 
 
-# (axis of a W1 cell, axis of a W2 cell) that meet when (g1, g2) is in
-# Gamma^(2): s(g1) = r(g2), and on PAIR_TIMES_Z also the shared Z fiber
-_COMPOSABLE = {Kind.PAIR_CIRCLE: ((1, 0),), Kind.PAIR_TIMES_Z: ((1, 0), (2, 2))}
-
-
 def _meeting_pairs(w1: ConeSet, w2: ConeSet):
     """Cell pairs (c1, c2) of W1 x W2 whose bases meet on the composable
     axes, in the order of the all-pairs loop: W1's cells, then W2's."""
-    axes = _COMPOSABLE[w1.model.kind]
+    axes = w1.model.structure.composable
     index = _BaseIndex([c.base for c in w2.cells], w2.model.grid_shape,
                        [j for _, j in axes])
     for c1 in w1.cells:
@@ -698,28 +747,26 @@ def _meeting_pairs(w1: ConeSet, w2: ConeSet):
 # A*G \ 0 as a cone set
 # ---------------------------------------------------------------------------
 
-A_STAR_ARCS = (CircInterval(3.0 * math.pi / 4.0, 0.0, TWO_PI),
-               CircInterval(7.0 * math.pi / 4.0, 0.0, TWO_PI))
+def a_star_directions(model: GroupoidModel):
+    """The directions of A*G \\ 0 in T*G: those of the embedded covectors
+    +1 and -1, as A*G has rank one on every grid model."""
+    embed = model.structure.ct_embed
+    return DIRECTION_SETS[model.dim].rays([embed((1.0,)), embed((-1.0,))])
 
 
 def a_star_units(model: GroupoidModel) -> ConeSet:
-    """The unit cone A*G \\ 0 in model coordinates."""
+    """The unit cone A*G \\ 0 in model coordinates: over each grid cell x
+    of G^(0), the box from 1_x to 1_(x+1) (a point where G^(0) is one)."""
     if model.continuous:
         raise ModelUnsupportedError("a_star_units needs a grid model")
-    k = model.kind
-    n = model.n
-    if k is Kind.PAIR_CIRCLE:
-        arcs = Arcs(A_STAR_ARCS)
-        return ConeSet(model, tuple(ConeCell((CircInterval(i / n, 1.0 / n),
-                                              CircInterval(i / n, 1.0 / n)), arcs)
-                                    for i in range(n)))
-    if k is Kind.CIRCLE_GROUP:
-        return ConeSet(model, (ConeCell((point_interval(0.0),), Signs.full()),))
-    caps = Caps((Cap((1.0, -1.0, 0.0), 0.0), Cap((-1.0, 1.0, 0.0), 0.0)))
-    return ConeSet(model, tuple(ConeCell((CircInterval(i / n, 1.0 / n),
-                                          CircInterval(i / n, 1.0 / n),
-                                          CircInterval(j / model.m_z, 1.0 / model.m_z)), caps)
-                                for i in range(n) for j in range(model.m_z)))
+    embed = model.structure.unit_embed
+    dirs = a_star_directions(model)
+    cells = []
+    for x in product(*map(range, model.unit_shape)):
+        lo, hi = embed(x), embed(tuple(k + 1 for k in x))
+        cells.append(ConeCell(tuple(CircInterval(a / size, (b - a) / size)
+                                    for a, b, size in zip(lo, hi, model.grid_shape)), dirs))
+    return ConeSet(model, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -745,29 +792,16 @@ def transversality(w: ConeSet, which: str) -> bool:
     raise DomainError(f"unknown transversality kind {which!r}")
 
 
-# Pairs (d1, d2) with d1 in the s-fiber and d2 in the r-fiber of a
-# covector pair in ker m_Gamma = N*G^(2), and the tolerance they are
-# looked up with: the conormal axes on the pair model, the sampled circle
-# mu -> (0, cos mu, sin mu), (-cos mu, 0, -sin mu) on PAIR_TIMES_Z.
-_KERNEL_PAIRS = {
-    Kind.PAIR_CIRCLE: (((math.pi / 2.0, math.pi), (3.0 * math.pi / 2.0, 0.0)), 0.0),
-    Kind.PAIR_TIMES_Z: (tuple(((0.0, math.cos(mu), math.sin(mu)),
-                               (-math.cos(mu), 0.0, -math.sin(mu)))
-                              for mu in np.linspace(0.0, TWO_PI, 257)[:-1]),
-                        SAMPLING_STEP / 2),
-}
-
-
 def hormander_gate(w1: ConeSet, w2: ConeSet) -> bool:
     """True iff W1 x W2 avoids ker m_Gamma = N*G^(2)."""
     if w1.model != w2.model:
         raise ModelMismatchError("cone sets on different models")
-    k = w1.model.kind
-    if k is Kind.CIRCLE_GROUP:
-        return True
-    if k not in _KERNEL_PAIRS:
+    if w1.model.continuous:
         raise ModelUnsupportedError("gate needs a grid model")
-    pairs, tol = _KERNEL_PAIRS[k]
+    dirs_type = DIRECTION_SETS[w1.model.dim]
+    pairs, tol = dirs_type.KERNEL_PAIRS, dirs_type.KERNEL_TOL
+    if not pairs:
+        return True     # ker m_Gamma is the zero section
     held = ({}, {})     # per side, per direction set: the pairs it holds that side of
 
     def holds(side: int, dirs) -> frozenset:
@@ -927,51 +961,36 @@ def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
     if w1.model != w2.model:
         raise ModelMismatchError("cone sets on different models")
     model = w1.model
-    k = model.kind
-    if k is Kind.CIRCLE_GROUP:
-        return ConeSet(model, tuple(ConeCell((c1.base[0].minkowski(c2.base[0]),),
-                                             Signs(c1.dirs.parts & c2.dirs.parts))
-                                    for c1 in w1.cells for c2 in w2.cells))
-    if k not in _COMPOSABLE:
+    if model.continuous:
         raise ModelUnsupportedError("cone products need a grid model")
-    dirs_type = DIRECTION_SETS[model.dim]
-    compose = compose_direction_arcs if k is Kind.PAIR_CIRCLE else compose_direction_caps
+    boxes = model.structure.box_product
     composed = {}       # (dirs1, dirs2) -> their composition, for this call
     cells = []
     for c1, c2 in _meeting_pairs(w1, w2):
         key = (c1.dirs, c2.dirs)
         if key not in composed:
-            composed[key] = dirs_type(tuple(compose(c1.dirs.parts, c2.dirs.parts)))
-        if k is Kind.PAIR_CIRCLE:
-            cells.append(ConeCell((c1.base[0], c2.base[1]), composed[key]))
-        else:
-            cells += [ConeCell((c1.base[0], c2.base[1], zi), composed[key])
-                      for zi in c1.base[2].intersect(c2.base[2])]
+            composed[key] = c1.dirs.compose(c2.dirs)
+        cells += [ConeCell(box, composed[key]) for box in boxes(c1.base, c2.base)]
     return ConeSet(model, tuple(cells))
 
 
 def _zero_term_cells(w: ConeSet, side: str) -> list[ConeCell]:
     """Contributions of W x 0 (side='left') or 0 x W (side='right'): the
     directions of W in ker s_Gamma (left) or ker r_Gamma (right), over
-    the whole of the other unit axis, found once per distinct direction
-    set of W."""
-    k = w.model.kind
-    if k is Kind.CIRCLE_GROUP:
-        return []    # s_Gamma/r_Gamma are injective on covectors here
-    if k not in (Kind.PAIR_CIRCLE, Kind.PAIR_TIMES_Z):
-        raise ModelUnsupportedError("cone products need a grid model")
-    kernel, free = (KER_S, 1) if side == "left" else (KER_R, 0)
-    whole = full_interval(1.0)
+    the whole of the fiber the other factor sweeps (g1 g2 with g1 fixed
+    runs along the r-fiber of g1, with g2 fixed along the s-fiber of g2),
+    found once per distinct direction set of W; a cell with none there
+    contributes nothing (on a group, none has any)."""
+    s_axis, r_axis = w.model.structure.fibers
+    kernel, free = (KER_S, r_axis) if side == "left" else (KER_R, s_axis)
     in_kernel = {}      # direction set of W -> its directions in the kernel
     cells = []
     for c in w.cells:
         if c.dirs not in in_kernel:
-            if k is Kind.PAIR_CIRCLE:
-                in_kernel[c.dirs] = Arcs(tuple(CircInterval(t, 0.0, TWO_PI)
-                                               for t in kernel.angles if c.dirs.contains(t)))
-            else:
-                in_kernel[c.dirs] = _kernel_caps(c.dirs, kernel)
-        cells.append(ConeCell(c.base[:free] + (whole,) + c.base[free + 1:], in_kernel[c.dirs]))
+            in_kernel[c.dirs] = c.dirs.kernel_part(kernel)
+        if in_kernel[c.dirs]:
+            cells.append(ConeCell(c.base[:free] + (_WHOLE,) + c.base[free + 1:],
+                                  in_kernel[c.dirs]))
     return cells
 
 

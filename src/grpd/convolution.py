@@ -11,26 +11,29 @@ k = fiber order, spectral derivatives D):
 
       L1 * L2 = sum_j C(k1,j) Layer(t1+t2, c1 (D^j c2)(.-theta1), k1+k2-j).
 
-The group model is the circular-convolution special case.  The gated
-route recomputes the product through the fibered tensor restriction and
-the multiplication pushforward, and returns the cone-calculus prediction
-alongside.
+The group model is the circular-convolution special case and the
+product with units the pair model's at every z.  These closed forms are
+the structure-entry fields ``fiber_sum``, ``layer_smooth``,
+``smooth_layer`` and ``layer_layer``.  The gated route recomputes the
+product through the fibered tensor restriction and the multiplication
+pushforward (``streamed_sum``), and returns the cone-calculus prediction
+alongside.  Kernel recovery and the equivariance defect are written once
+from the entry's anchors, fibers and layer sections.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import ConeSet, cone_product_bar, hormander_gate
-from .errors import (ConeConditionError, DomainError, ModelMismatchError,
-                     ModelUnsupportedError, TransversalityError)
-from .models import Element, GroupoidModel, Kind
+from .errors import ConeConditionError, DomainError, ModelMismatchError, TransversalityError
+from .models import Element, GroupoidModel, src
 from .distributions import (Distribution, Layer, TensorRestriction, TestFunction,
-                            smooth_distribution, tensor_restrict, unit_delta)
-from .spectral import spectral_derivative
+                            fiber_index, layered, smooth_distribution, tensor_restrict,
+                            unit_indices)
 
 
 def _as_distribution(x) -> Distribution:
@@ -41,50 +44,28 @@ def _as_distribution(x) -> Distribution:
     raise DomainError(f"cannot convolve object of type {type(x)!r}")
 
 
-# -- piecewise closed forms --------------------------------------------------
+# -- the two routes: closed form, and tensor restriction + pushforward -------
 
-def _conv_ss(model: GroupoidModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    k = model.kind
-    if k is Kind.PAIR_CIRCLE:
-        return (a @ b) / model.n
-    if k is Kind.CIRCLE_GROUP:
-        return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)) / model.n
-    if k is Kind.PAIR_TIMES_Z:
-        return np.einsum("xyz,ywz->xwz", a, b) / model.n
-    raise ModelUnsupportedError("smooth convolution needs a grid model")
-
-
-def _conv_layer_smooth(l: Layer, v: np.ndarray) -> np.ndarray:
-    m = l.model
-    if m.kind is Kind.PAIR_CIRCLE:
-        d = spectral_derivative(v, 0, l.order)
-        return ((-1.0) ** l.order) * l.coeffs[:, None] * np.roll(d, l.section, axis=0)
-    d = spectral_derivative(v, 0, l.order)
-    return complex(l.coeffs) * np.roll(d, l.section)
-
-
-def _conv_smooth_layer(u: np.ndarray, l: Layer) -> np.ndarray:
-    m = l.model
-    if m.kind is Kind.PAIR_CIRCLE:
-        inner = np.roll(u, -l.section, axis=1) * np.roll(l.coeffs, -l.section)[None, :]
-        return spectral_derivative(inner, 1, l.order)
-    d = spectral_derivative(u, 0, l.order)
-    return complex(l.coeffs) * np.roll(d, l.section)
-
-
-def _conv_layer_layer(l1: Layer, l2: Layer) -> list[Layer]:
-    m = l1.model
-    if m.kind is Kind.CIRCLE_GROUP:
-        return [Layer(m, l1.section + l2.section,
-                      complex(l1.coeffs) * complex(l2.coeffs), l1.order + l2.order)]
-    out = []
-    for j in range(l1.order + 1):
-        cj = spectral_derivative(l2.coeffs, 0, j)
-        coeff = l1.coeffs * np.roll(cj, l1.section)
-        out.append(Layer(m, l1.section + l2.section,
-                         ((-1.0) ** j) * math.comb(l1.order, j) * coeff,
-                         l1.order + l2.order - j))
-    return out
+def _push(model: GroupoidModel, pieces, fiber_sum, label: str) -> Distribution:
+    """m_* of tagged factor pairs (as in ``TensorRestriction``) through the
+    entry's closed forms, smooth x smooth by ``fiber_sum``; the smooth
+    parts are summed in the order of the pieces."""
+    s = model.structure
+    smooth = None
+    layers: list[Layer] = []
+    for tag, a, b in pieces:
+        if tag == "ll":
+            layers += [Layer(model, t, c, k) for t, c, k in s.layer_layer(
+                a.section, a.coeffs, a.order, b.section, b.coeffs, b.order)]
+            continue
+        if tag == "ss":
+            arr = fiber_sum(model, a, b)
+        elif tag == "ls":
+            arr = s.layer_smooth(a.section, a.coeffs, a.order, b)
+        else:
+            arr = s.smooth_layer(b.section, b.coeffs, b.order, a)
+        smooth = arr if smooth is None else smooth + arr
+    return Distribution(model, smooth, tuple(layers), label).merged_layers()
 
 
 def convolve(u, v) -> Distribution:
@@ -93,73 +74,28 @@ def convolve(u, v) -> Distribution:
     v = _as_distribution(v)
     if u.model != v.model:
         raise ModelMismatchError("factors live on different models")
-    model = u.model
-    if model.kind is Kind.PAIR_TIMES_Z and (u.layers or v.layers):
-        raise TransversalityError("no layer route on PAIR_TIMES_Z")
-    smooth = None
-    layers: list[Layer] = []
-
-    def add_smooth(arr):
-        nonlocal smooth
-        smooth = arr if smooth is None else smooth + arr
-
+    pieces = []
     if u.smooth is not None and v.smooth is not None:
-        add_smooth(_conv_ss(model, u.smooth, v.smooth))
+        pieces.append(("ss", u.smooth, v.smooth))
     if v.smooth is not None:
-        for l in u.layers:
-            add_smooth(_conv_layer_smooth(l, v.smooth))
+        pieces += [("ls", l, v.smooth) for l in u.layers]
     if u.smooth is not None:
-        for l in v.layers:
-            add_smooth(_conv_smooth_layer(u.smooth, l))
-    for l1 in u.layers:
-        for l2 in v.layers:
-            layers.extend(_conv_layer_layer(l1, l2))
+        pieces += [("sl", u.smooth, l) for l in v.layers]
+    pieces += [("ll", l1, l2) for l1 in u.layers for l2 in v.layers]
     label = f"({u.label})*({v.label})" if u.label and v.label else ""
-    return Distribution(model, smooth, tuple(layers), label).merged_layers()
+    return _push(u.model, pieces, u.model.structure.fiber_sum, label)
 
-
-# -- the gated route (tensor restriction + multiplication pushforward) -------
 
 def push_product(tr: TensorRestriction) -> Distribution:
     """m_* of a fibered tensor product, computed piece by piece.
 
-    On the pair model the smooth x smooth piece streams the fiber sum
-    over y in index order, adding u(., y) v(y, .) into one (n, n)
-    accumulator, so the working set is O(n^2) and the n^3 tensor
-    product is never built.  The terms and their order are those of
-    summing the tensor product over y, so the result is bitwise equal
-    to that sum; it is not a matrix product, so the two convolution
-    routes stay computationally independent where that is meaningful.
+    The smooth x smooth piece is the entry's ``streamed_sum``: on the pair
+    model the fiber sum over y in index order into one (n, n) accumulator,
+    so the n^3 tensor product is never built.  It is bitwise equal to
+    summing that product over y, and not a matrix product, so the two
+    convolution routes stay computationally independent.
     """
-    model = tr.model
-    n = model.n
-    smooth = None
-    layers: list[Layer] = []
-
-    def add_smooth(arr):
-        nonlocal smooth
-        smooth = arr if smooth is None else smooth + arr
-
-    for tag, a, b in tr.pieces:
-        if tag == "ss":
-            if model.kind is Kind.PAIR_CIRCLE:
-                acc = a[:, 0, None] * b[None, 0, :]
-                for y in range(1, n):
-                    acc += a[:, y, None] * b[None, y, :]
-                acc /= n
-                add_smooth(acc)
-            else:
-                g = np.arange(n)
-                h = np.arange(n)
-                add_smooth(np.array(
-                    [np.sum(a * b[(gg - h) % n]) for gg in g]) / n)
-        elif tag == "ls":
-            add_smooth(_conv_layer_smooth(a, b))
-        elif tag == "sl":
-            add_smooth(_conv_smooth_layer(a, b))
-        else:
-            layers.extend(_conv_layer_layer(a, b))
-    return Distribution(model, smooth, tuple(layers), "gated-product").merged_layers()
+    return _push(tr.model, tr.pieces, tr.model.structure.streamed_sum, "gated-product")
 
 
 def convolve_gated(u, v, w1: ConeSet, w2: ConeSet):
@@ -174,9 +110,7 @@ def convolve_gated(u, v, w1: ConeSet, w2: ConeSet):
     if not hormander_gate(w1, w2):
         raise ConeConditionError("W1 x W2 meets ker m_Gamma; product refused")
     predicted = cone_product_bar(w1, w2)
-    if u.model.kind is Kind.PAIR_TIMES_Z:
-        if u.layers or v.layers:
-            raise TransversalityError("no layer route on PAIR_TIMES_Z")
+    if u.model.structure.section is None:     # no layers: the closed form is the route
         return convolve(u, v), predicted
     return push_product(tensor_restrict(u, v)), predicted
 
@@ -235,77 +169,50 @@ def right_translate(f: TestFunction, gamma: Element) -> TestFunction:
     m = f.model
     if m != gamma.model:
         raise ModelMismatchError("translation element on a different model")
-    if m.kind is Kind.PAIR_CIRCLE:
-        a, b = gamma.data
-        out = np.zeros_like(f.values)
-        out[:, b] = f.values[:, a]
-        return TestFunction(m, out)
-    if m.kind is Kind.CIRCLE_GROUP:
-        t = gamma.data[0]
-        return TestFunction(m, np.roll(f.values, -t))
-    raise ModelUnsupportedError("right translation on layer-capable models only")
+    return TestFunction(m, layered(m).right_translate(m, f.values, gamma.data))
 
 
 def equivariance_defect(p: GOperator, gamma: Element, f: TestFunction) -> float:
-    """max | P(R_gamma f) - R_gamma P(f) | on the relevant fiber."""
-    m = p.model
-    if m.kind is Kind.PAIR_CIRCLE:
-        a, b = gamma.data
-        lhs = apply_operator(p, right_translate(f, gamma)).values[:, b]
-        rhs = apply_operator(p, f).values[:, a]
-        return float(np.max(np.abs(lhs - rhs)))
-    if m.kind is Kind.CIRCLE_GROUP:
-        t = gamma.data[0]
-        lhs = apply_operator(p, right_translate(f, gamma)).values
-        rhs = np.roll(apply_operator(p, f).values, -t)
-        return float(np.max(np.abs(lhs - rhs)))
-    raise ModelUnsupportedError("equivariance defined on layer-capable models")
+    """max | P(R_gamma f) - R_gamma P(f) | on the s-fiber over s(gamma)."""
+    fiber = fiber_index(src(gamma).data, p.model.structure.fibers[0])
+    lhs = apply_operator(p, right_translate(f, gamma)).values[fiber]
+    rhs = right_translate(apply_operator(p, f), gamma).values[fiber]
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def recover_kernel(apply_fn, model: GroupoidModel) -> Distribution:
     """Reconstruct the convolution kernel of a black-box G-operator.
 
-    Applies the operator to the n canonical fiber-supported basis
-    functions (scaled grid indicators); recognizes pure shift kernels
-    as layers, otherwise returns the smooth kernel grid.
+    For each unit j, probes with n on the points whose s-fiber coordinate
+    is that of 1_j (a row of the pair model, a group's identity) and reads
+    the kernel's s-fiber over j off the response's over the first unit.
+    A kernel with one dominant entry per r-fiber, all on one layer
+    section, is returned as that layer, any other as a smooth kernel.
     """
+    s = layered(model)
     n = model.n
-    if model.kind is Kind.PAIR_CIRCLE:
-        recovered = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            basis = np.zeros((n, n), dtype=complex)
-            basis[j, :] = n
-            out = np.asarray(apply_fn(TestFunction(model, basis)).values)
-            if out.shape != (n, n):
-                raise DomainError("callback output shape mismatch")
-            recovered[:, j] = out[:, 0]
-        # shift-kernel detection: one dominant entry per row, same offset
-        rows = np.argmax(np.abs(recovered), axis=1)
-        offs = (np.arange(n) - rows) % n
-        if len(set(offs.tolist())) == 1:
-            t = int(offs[0])
-            coeffs = recovered[np.arange(n), rows] / n
-            resid = recovered.copy()
-            resid[np.arange(n), rows] = 0.0
-            if float(np.max(np.abs(resid))) <= 1e-9 * max(1.0, float(np.max(np.abs(recovered)))):
-                return Distribution(model, None,
-                                    (Layer(model, t, coeffs, 0),), "recovered-layer")
-        return smooth_distribution(model, recovered, "recovered-kernel")
-    if model.kind is Kind.CIRCLE_GROUP:
-        basis = np.zeros(n, dtype=complex)
-        basis[0] = n
+    s_axis, r_axis = s.fibers
+    first = (0,) * len(model.unit_shape)
+    recovered = np.zeros(model.grid_shape, dtype=complex)
+    for j in itertools.product(*map(range, model.unit_shape)):
+        basis = np.zeros(model.grid_shape, dtype=complex)
+        basis[(slice(None),) * s_axis + (s.unit_embed(j)[s_axis],)] = n
         out = np.asarray(apply_fn(TestFunction(model, basis)).values)
-        if out.shape != (n,):
+        if out.shape != model.grid_shape:
             raise DomainError("callback output shape mismatch")
-        peak = int(np.argmax(np.abs(out)))
-        resid = out.copy()
-        resid[peak] = 0.0
-        if float(np.max(np.abs(resid))) <= 1e-9 * max(1.0, float(np.max(np.abs(out)))):
-            return Distribution(model, None,
-                                (Layer(model, peak, complex(out[peak]) / n, 0),),
+        recovered[fiber_index(j, s_axis)] = out[fiber_index(first, s_axis)]
+    peaks = np.argmax(np.abs(recovered), axis=r_axis)
+    units = unit_indices(model)
+    t = next((t for t in range(n)
+              if np.array_equal(s.section(model, units, t, 1)[r_axis], peaks)), None)
+    if t is not None:
+        pts = s.section(model, units, t, 1)
+        resid = recovered.copy()
+        resid[pts] = 0.0
+        if float(np.max(np.abs(resid))) <= 1e-9 * max(1.0, float(np.max(np.abs(recovered)))):
+            return Distribution(model, None, (Layer(model, t, recovered[pts] / n, 0),),
                                 "recovered-layer")
-        return smooth_distribution(model, out, "recovered-kernel")
-    raise ModelUnsupportedError("kernel recovery on layer-capable models only")
+    return smooth_distribution(model, recovered, "recovered-kernel")
 
 
 def adjoint_operator(p: GOperator) -> GOperator:

@@ -102,12 +102,16 @@ def ct_tgt(delta: CotangentPoint) -> CotangentUnit:
 
 def ct_is_composable(d1: CotangentPoint, d2: CotangentPoint,
                      tol: float = COVECTOR_MATCH_TOL) -> bool:
+    """s_Gamma(d1) = r_Gamma(d2): the bases compose and the covectors
+    match to ``tol``; each anchor of G is computed once."""
     if d1.model != d2.model:
         raise ModelMismatchError("cotangent points on different models")
-    if not is_composable(d1.base, d2.base):
+    s_u, r_u = anchor_maps(d1.base)[0], anchor_maps(d2.base)[1]
+    if s_u != r_u:
         return False
-    s1 = ct_src(d1)
-    r2 = ct_tgt(d2)
+    ct_anchors = d1.model.structure.ct_anchors
+    s1 = CotangentUnit(s_u, ct_anchors(d1.base.data, d1.cov)[0])
+    r2 = CotangentUnit(r_u, ct_anchors(d2.base.data, d2.cov)[1])
     return max(abs(a - b) for a, b in zip(s1.cov, r2.cov)) <= tol
 
 
@@ -116,9 +120,10 @@ def ct_multiply(d1: CotangentPoint, d2: CotangentPoint,
     if not ct_is_composable(d1, d2, tol):
         raise ComposabilityError("cotangent pair not composable")
     m = d1.model
-    base = multiply(d1.base, d2.base)
-    return CotangentPoint(base, m.structure.ct_multiply(m, d1.base.data, d1.cov,
-                                                        d2.base.data, d2.cov))
+    s = m.structure
+    g1, g2 = d1.base.data, d2.base.data
+    return CotangentPoint(Element(m, s.multiply(m, g1, g2)),
+                          s.ct_multiply(m, g1, d1.cov, g2, d2.cov))
 
 
 def ct_invert(delta: CotangentPoint) -> CotangentPoint:

@@ -1,19 +1,19 @@
 """Hybrid distributions on grid models: smooth grid part + singular layers.
 
 A Layer is a density on a section of the model, differentiated
-``order`` times transversally to the section:
+``order`` times transversally to it along the r-fibers.  Its
+coefficients c live on G^(0), and the model's structure entry gives the
+section's point over each unit x (``section``) and the grid axes of the
+s- and r-fibers (``fibers``).  With D the spectral derivative along the
+r-fibers and N the number of units it pairs as
 
-* PAIR_CIRCLE: the section is a rotation graph {(x, x - theta)} with
-  theta on the grid; the layer pairs as
+    <L, f> = (1/N) sum_x c(x) ((-D)^k f)(section point over x),
 
-      <L, f> = (1/n) sum_x c(x) ((-d/dy)^k f)(x, x - theta),
-
-  the fiber derivative taken spectrally in the second coordinate;
-* CIRCLE_GROUP: the section is a point g and <L, f> = c (-d)^k f(g).
-
-The unit delta of the convolution algebra is the theta = 0, k = 0 layer
-with unit coefficients (pair model) or the point layer at the identity
-(group model).
+the section being a rotation graph {(x, x - theta)} on the pair model
+and the point theta on the circle group.  The unit delta is the
+theta = 0, k = 0 layer with unit coefficients.  Where a derivative runs
+across an anchor's fibers (the pair model's s-fibers), Leibniz' rule
+moves it onto the coefficients along the section.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ModelMismatchError, ModelUnsupportedError, OrderCapError
-from .models import GroupoidModel, Kind, Unit
+from .models import GroupoidModel, Structure, Unit, pair_circle
 from .spectral import band_limited_field, spectral_derivative
 
 ORDER_CAP = 4            # public constructor cap
@@ -69,25 +69,38 @@ class TestFunction:
 # Layers and distributions
 # ---------------------------------------------------------------------------
 
+def layered(model: GroupoidModel) -> Structure:
+    """The model's structure entry; ModelUnsupportedError unless it has layers."""
+    if model.structure.section is None:
+        raise ModelUnsupportedError(f"layers are not defined on {model.kind.value}")
+    return model.structure
+
+
+def unit_indices(model: GroupoidModel) -> tuple:
+    """Index arrays over the grid of G^(0), one per unit axis."""
+    return tuple(np.indices(model.unit_shape))
+
+
+def fiber_index(x: tuple, axis: int) -> tuple:
+    """Index of the anchor fiber over the unit x, running along ``axis``."""
+    return x[:axis] + (slice(None),) + x[axis:]
+
+
 @dataclass(frozen=True)
 class Layer:
     """Singular layer on a section (see module docstring for the pairing)."""
 
     model: GroupoidModel
     section: int                 # grid index: rotation offset / group point
-    coeffs: np.ndarray           # length n (pair model) or shape () (group)
+    coeffs: np.ndarray           # over G^(0): length n (pair model), shape () (group)
     order: int = 0
 
     def __post_init__(self):
-        k = self.model.kind
-        if k is Kind.PAIR_CIRCLE:
-            c = np.asarray(self.coeffs, dtype=complex)
-            if c.shape != (self.model.n,):
-                raise DomainError("pair-model layer coefficients must have length n")
-        elif k is Kind.CIRCLE_GROUP:
-            c = np.asarray(self.coeffs, dtype=complex).reshape(())
-        else:
-            raise ModelUnsupportedError(f"layers are not defined on {k.value}")
+        layered(self.model)
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.shape != self.model.unit_shape:
+            raise DomainError(f"layer coefficients must have the shape of G^(0), "
+                              f"{self.model.unit_shape}")
         if not (0 <= self.order <= _INTERNAL_ORDER_CAP):
             raise OrderCapError(f"fiber order {self.order} out of range")
         object.__setattr__(self, "coeffs", c)
@@ -170,24 +183,19 @@ def make_layer(model: GroupoidModel, section: float, coeffs, fiber_order: int = 
     """Distribution with a single layer; ``section`` snaps to the grid."""
     if fiber_order > ORDER_CAP or fiber_order < 0:
         raise OrderCapError(f"fiber_order must be within 0..{ORDER_CAP}")
-    if model.kind not in (Kind.PAIR_CIRCLE, Kind.CIRCLE_GROUP):
-        raise ModelUnsupportedError("layers exist on PAIR_CIRCLE and CIRCLE_GROUP")
+    layered(model)
     k = section * model.n
     if abs(k - round(k)) > 1e-9:
         raise DomainError(f"section {section} is off the grid")
-    if model.kind is Kind.PAIR_CIRCLE and np.isscalar(coeffs):
-        coeffs = np.full(model.n, coeffs, dtype=complex)
+    if np.isscalar(coeffs):
+        coeffs = np.full(model.unit_shape, coeffs, dtype=complex)
     layer = Layer(model, int(round(k)), coeffs, fiber_order)
     return Distribution(model, None, (layer,), label or f"layer(theta={section})")
 
 
 def unit_delta(model: GroupoidModel) -> Distribution:
     """The convolution unit: <delta, f> = integral of f over G^(0)."""
-    if model.kind is Kind.PAIR_CIRCLE:
-        return make_layer(model, 0.0, np.ones(model.n), 0, label="delta")
-    if model.kind is Kind.CIRCLE_GROUP:
-        return make_layer(model, 0.0, 1.0, 0, label="delta")
-    raise ModelUnsupportedError("unit delta as a layer needs a layer-capable model")
+    return make_layer(model, 0.0, 1.0, 0, label="delta")
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +204,10 @@ def unit_delta(model: GroupoidModel) -> Distribution:
 
 def _layer_pair(layer: Layer, values: np.ndarray) -> complex:
     m = layer.model
-    if m.kind is Kind.PAIR_CIRCLE:
-        a = ((-1.0) ** layer.order) * spectral_derivative(values, 1, layer.order)
-        idx = np.arange(m.n)
-        return complex(np.sum(layer.coeffs * a[idx, (idx - layer.section) % m.n]) / m.n)
-    a = ((-1.0) ** layer.order) * spectral_derivative(values, 0, layer.order)
-    return complex(layer.coeffs * a[layer.section])
+    s = m.structure
+    a = ((-1.0) ** layer.order) * spectral_derivative(values, s.fibers[1], layer.order)
+    pts = s.section(m, unit_indices(m), layer.section, 1)
+    return complex(np.sum(layer.coeffs * a[pts]) / math.prod(m.unit_shape))
 
 
 def pair(u: Distribution, f: TestFunction) -> complex:
@@ -221,42 +227,41 @@ class Anchor:
     ALONG_R = "ALONG_R"
 
 
+def _side(which: str) -> int:
+    """0 for the anchor s, 1 for r; DomainError for anything else."""
+    if which not in (Anchor.ALONG_S, Anchor.ALONG_R):
+        raise DomainError(f"unknown anchor {which!r}")
+    return int(which == Anchor.ALONG_R)
+
+
 def pushforward_base(u: Distribution, f: TestFunction, which: str) -> np.ndarray:
     """x -> <u restricted over the anchor fiber at x, f>, a grid function
     on G^(0).
 
     For the pair model ALONG_R integrates the second coordinate out
-    (profile over x), ALONG_S the first (profile over y).
+    (profile over x), ALONG_S the first (profile over y); on a group both
+    give the pairing.  A layer's derivative stays on f along fibers it
+    runs along; across them Leibniz' rule moves it onto the coefficients.
     """
     if u.model != f.model:
         raise ModelMismatchError("distribution and test function disagree")
+    side = _side(which)
     m = u.model
-    k = m.kind
-    if k is Kind.CIRCLE_GROUP:
-        return np.asarray(pair(u, f))
-    if k is Kind.PAIR_TIMES_Z:
-        if u.layers:
-            raise ModelUnsupportedError("no layers on PAIR_TIMES_Z")
-        axis = 1 if which == Anchor.ALONG_R else 0
-        return np.mean(u.smooth_or_zero() * f.values, axis=axis)
-    n = m.n
-    idx = np.arange(n)
-    if which == Anchor.ALONG_R:
-        out = np.mean(u.smooth_or_zero() * f.values, axis=1)
-        for l in u.layers:
-            a = ((-1.0) ** l.order) * spectral_derivative(f.values, 1, l.order)
-            out = out + l.coeffs * a[idx, (idx - l.section) % n]
-        return out
-    if which == Anchor.ALONG_S:
-        out = np.mean(u.smooth_or_zero() * f.values, axis=0)
-        for l in u.layers:
-            pos = (idx + l.section) % n      # section point over base y
-            for a_ord in range(l.order + 1):
-                ca = spectral_derivative(l.coeffs, 0, a_ord)
-                fa = spectral_derivative(f.values, 0, l.order - a_ord)
-                out = out + math.comb(l.order, a_ord) * ca[pos] * fa[pos, idx]
-        return out
-    raise DomainError(f"unknown anchor {which!r}")
+    s = m.structure
+    axis = s.fibers[side]
+    out = np.mean(u.smooth_or_zero() * f.values, axis=axis)
+    for l in u.layers:
+        pts = s.section(m, unit_indices(m), l.section, side)
+        if axis == s.fibers[1]:         # the points come in the order of their units
+            a = ((-1.0) ** l.order) * spectral_derivative(f.values, axis, l.order)
+            out = out + l.coeffs * a[pts]
+            continue
+        at = s.anchors(pts)[1]          # the unit each section point lies over
+        for j in range(l.order + 1):
+            cj = spectral_derivative(l.coeffs, 0, j)
+            fj = spectral_derivative(f.values, axis, l.order - j)
+            out = out + math.comb(l.order, j) * cj[at] * fj[pts]
+    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,38 +300,27 @@ class FiberDistribution:
 
 
 def slice_family(u: Distribution, x: Unit, which: str) -> FiberDistribution:
-    """The fiber distribution u_x of the smooth family along the anchor."""
+    """The fiber distribution u_x of the smooth family along the anchor;
+    layers become point masses as in ``pushforward_base``."""
     if u.model != x.model:
         raise ModelMismatchError("unit on a different model")
+    side = _side(which)
     m = u.model
-    if m.kind is Kind.CIRCLE_GROUP:
-        masses = tuple(PointMassTerm(l.section, complex(l.coeffs) * (-1.0) ** l.order,
-                                     l.order)
-                       for l in u.layers)
-        vals = None if u.smooth is None else u.smooth
-        return FiberDistribution(m, x, which, vals, masses)
-    if m.kind is not Kind.PAIR_CIRCLE:
-        raise ModelUnsupportedError("slices implemented for layer-capable models")
-    n = m.n
-    (i,) = x.data
+    s = layered(m)
+    axis = s.fibers[side]
+    vals = None if u.smooth is None else u.smooth[fiber_index(x.data, axis)]
     masses: list[PointMassTerm] = []
-    if which == Anchor.ALONG_R:
-        vals = None if u.smooth is None else u.smooth[i, :]
-        for l in u.layers:
-            masses.append(PointMassTerm((i - l.section) % n,
-                                        complex(l.coeffs[i]) * (-1.0) ** l.order,
+    for l in u.layers:
+        pt = s.section(m, x.data, l.section, side)
+        at = s.anchors(pt)[1]
+        if axis == s.fibers[1]:
+            masses.append(PointMassTerm(pt[axis], complex(l.coeffs[at]) * (-1.0) ** l.order,
                                         l.order))
-    elif which == Anchor.ALONG_S:
-        vals = None if u.smooth is None else u.smooth[:, i]
-        for l in u.layers:
-            pos = (i + l.section) % n
-            for a_ord in range(l.order + 1):
-                ca = spectral_derivative(l.coeffs, 0, a_ord)
-                masses.append(PointMassTerm(pos,
-                                            math.comb(l.order, a_ord) * complex(ca[pos]),
-                                            l.order - a_ord))
-    else:
-        raise DomainError(f"unknown anchor {which!r}")
+            continue
+        for j in range(l.order + 1):
+            cj = spectral_derivative(l.coeffs, 0, j)
+            masses.append(PointMassTerm(pt[axis], math.comb(l.order, j) * complex(cj[at]),
+                                        l.order - j))
     return FiberDistribution(m, x, which, vals, tuple(masses))
 
 
@@ -335,30 +329,21 @@ def slice_family(u: Distribution, x: Unit, which: str) -> FiberDistribution:
 # ---------------------------------------------------------------------------
 
 def star_involution(u: Distribution) -> Distribution:
-    """u* = conj(i^* u); the adjoint kernel of the convolution algebra."""
+    """u* = conj(i^* u); the adjoint kernel of the convolution algebra.
+
+    i maps a layer's section t onto -t and its r-fibers onto s-fibers;
+    the part of the derivative tangent to the section goes onto the
+    coefficients by Leibniz' rule (none where the section is a point)."""
     m = u.model
-    k = m.kind
-    smooth = None
-    if u.smooth is not None:
-        if k is Kind.PAIR_CIRCLE:
-            smooth = np.conj(u.smooth.T)
-        elif k is Kind.CIRCLE_GROUP:
-            smooth = np.conj(np.roll(u.smooth[::-1], 1))
-        elif k is Kind.PAIR_TIMES_Z:
-            smooth = np.conj(np.transpose(u.smooth, (1, 0, 2)))
+    smooth = None if u.smooth is None else np.conj(m.structure.invert_values(u.smooth))
     layers: list[Layer] = []
     for l in u.layers:
-        if k is Kind.CIRCLE_GROUP:
-            layers.append(Layer(m, -l.section, (-1.0) ** l.order * np.conj(l.coeffs),
-                                l.order))
-            continue
-        for a_ord in range(l.order + 1):
-            ca = spectral_derivative(l.coeffs, 0, a_ord)
-            shifted = np.roll(np.conj(ca), -l.section)   # x -> conj(c^(a))(x + theta)
-            sign = (-1.0) ** (l.order - a_ord)
-            layers.append(Layer(m, -l.section,
-                                sign * math.comb(l.order, a_ord) * shifted,
-                                l.order - a_ord))
+        for j in range(l.order + 1 if l.coeffs.ndim else 1):
+            cj = spectral_derivative(l.coeffs, 0, j)
+            shifted = np.roll(np.conj(cj), -l.section)   # x -> conj(c^(j))(x + theta)
+            sign = (-1.0) ** (l.order - j)
+            layers.append(Layer(m, -l.section, sign * math.comb(l.order, j) * shifted,
+                                l.order - j))
     return Distribution(m, smooth, tuple(layers), u.label and f"star({u.label})")
 
 
@@ -388,24 +373,18 @@ def rasterize(u: Distribution, mollified: bool = False) -> np.ndarray:
     wave-front estimator probes.
     """
     m = u.model
+    s = m.structure
+    axis = s.fibers[1]
     out = u.smooth_or_zero().copy()
     for l in u.layers:
-        if m.kind is Kind.PAIR_CIRCLE:
-            comb_arr = np.zeros(m.grid_shape, dtype=complex)
-            idx = np.arange(m.n)
-            comb_arr[idx, (idx - l.section) % m.n] = m.n * l.coeffs
-            comb_arr = spectral_derivative(comb_arr, 1, l.order)
-            if mollified:
-                spec = np.fft.fft(comb_arr, axis=1) * _nyquist_taper(m.n)[None, :]
-                comb_arr = np.fft.ifft(spec, axis=1)
-            out += comb_arr
-        else:
-            comb_arr = np.zeros(m.grid_shape, dtype=complex)
-            comb_arr[l.section] = m.n * complex(l.coeffs)
-            comb_arr = spectral_derivative(comb_arr, 0, l.order)
-            if mollified:
-                comb_arr = np.fft.ifft(np.fft.fft(comb_arr) * _nyquist_taper(m.n))
-            out += comb_arr
+        comb_arr = np.zeros(m.grid_shape, dtype=complex)
+        comb_arr[s.section(m, unit_indices(m), l.section, 1)] = m.n * l.coeffs
+        comb_arr = spectral_derivative(comb_arr, axis, l.order)
+        if mollified:
+            taper = _nyquist_taper(m.n).reshape([-1 if a == axis else 1
+                                                 for a in range(comb_arr.ndim)])
+            comb_arr = np.fft.ifft(np.fft.fft(comb_arr, axis=axis) * taper, axis=axis)
+        out += comb_arr
     return out
 
 
@@ -432,7 +411,7 @@ def counterexample_distribution(n: int) -> Distribution:
     """
     if n < 64:
         raise DomainError("counterexample needs n >= 64")
-    model = GroupoidModel(Kind.PAIR_CIRCLE, n)
+    model = pair_circle(n)
     k = np.fft.fftfreq(n, d=1.0 / n)
     xi = k[:, None]
     eta = k[None, :]
@@ -455,7 +434,7 @@ class TensorRestriction:
 
     ``pieces`` is a list of tagged pairs; the grid realization of the
     composable-pair manifold is {(x, y, z)} for the pair model and
-    {(g1, g2)} for the group.
+    {(g1, g2)} for the group, and the model's entry pairs each piece.
     """
 
     model: GroupoidModel
@@ -464,54 +443,15 @@ class TensorRestriction:
     def pair_with(self, big_f: np.ndarray) -> complex:
         """Pair against a test function on the composable-pair grid."""
         m = self.model
-        n = m.n
-        total = 0.0 + 0.0j
-        idx = np.arange(n)
-        for tag, a, b in self.pieces:
-            if m.kind is Kind.CIRCLE_GROUP:
-                total += self._pair_group(tag, a, b, big_f, idx)
-                continue
-            if tag == "ss":
-                t3 = a[:, :, None] * b[None, :, :]
-                total += complex(np.sum(t3 * big_f) / n ** 3)
-            elif tag == "ls":
-                g = b[None, :, :] * big_f
-                d = ((-1.0) ** a.order) * spectral_derivative(g, 1, a.order)
-                total += complex(np.sum(a.coeffs[:, None]
-                                        * d[idx, (idx - a.section) % n, :]) / n ** 2)
-            elif tag == "sl":
-                d = ((-1.0) ** b.order) * spectral_derivative(big_f, 2, b.order)
-                sel = d[:, idx, (idx - b.section) % n]
-                total += complex(np.sum(a * (b.coeffs[None, :] * sel)) / n ** 2)
-            else:  # "ll"
-                dz = ((-1.0) ** b.order) * spectral_derivative(big_f, 2, b.order)
-                inner = b.coeffs[None, :] * dz[:, idx, (idx - b.section) % n]
-                dy = ((-1.0) ** a.order) * spectral_derivative(inner, 1, a.order)
-                total += complex(np.sum(a.coeffs * dy[idx, (idx - a.section) % n]) / n)
-        return total
-
-    def _pair_group(self, tag, a, b, big_f, idx) -> complex:
-        n = self.model.n
-        if tag == "ss":
-            return complex(np.sum(a[:, None] * b[None, :] * big_f) / n ** 2)
-        if tag == "ls":
-            d = ((-1.0) ** a.order) * spectral_derivative(big_f, 0, a.order)
-            return complex(a.coeffs) * complex(np.sum(d[a.section, :] * b) / n)
-        if tag == "sl":
-            d = ((-1.0) ** b.order) * spectral_derivative(big_f, 1, b.order)
-            return complex(b.coeffs) * complex(np.sum(a * d[:, b.section]) / n)
-        d = spectral_derivative(
-            ((-1.0) ** b.order) * spectral_derivative(big_f, 1, b.order), 0, a.order)
-        return (complex(a.coeffs) * complex(b.coeffs) * (-1.0) ** a.order
-                * complex(d[a.section, b.section]))
+        return sum((m.structure.tensor_pairing(m, tag, a, b, big_f)
+                    for tag, a, b in self.pieces), 0j)
 
 
 def tensor_restrict(u1: Distribution, u2: Distribution) -> TensorRestriction:
     """rho^*(u1 (x) u2) on the composable-pair grid."""
     if u1.model != u2.model:
         raise ModelMismatchError("factors on different models")
-    if u1.model.kind not in (Kind.PAIR_CIRCLE, Kind.CIRCLE_GROUP):
-        raise ModelUnsupportedError("tensor_restrict needs a layer-capable model")
+    layered(u1.model)
     pieces = []
     if u1.smooth is not None and u2.smooth is not None:
         pieces.append(("ss", u1.smooth, u2.smooth))

@@ -14,10 +14,14 @@ representatives in [0, 1); all equality tests on grid models compare
 integer grid indices, never floats, so the groupoid axioms hold exactly.
 
 ``STRUCTURES`` holds one ``Structure`` per ``Kind``: the kind's grid
-facts and the closed forms of the maps of G and of T*G, on plain data.
-The public functions here and in ``cotangent`` check their arguments,
-call their model's entry and wrap the result.  ``PAIR_TIMES_Z`` is the
-pair groupoid times the unit space T_Z, and its entry is built so.
+facts, the closed forms of the maps of G and of T*G, and what the cone
+and distribution calculus read of a model (composable axes, fibers,
+layer sections and the closed forms that differ between models), on
+plain data and numpy.  The public functions here and in ``cotangent``
+check their arguments, call their model's entry and wrap the result;
+``cones``, ``distributions``, ``convolution`` and ``catalog`` name no
+kind.  ``PAIR_TIMES_Z`` is the pair groupoid times the unit space T_Z,
+and its entry is built so.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComposabilityError, DomainError, ModelMismatchError, ModelUnsupportedError
+from .spectral import spectral_derivative
 
 
 class Kind(enum.Enum):
@@ -64,10 +69,14 @@ class GroupoidModel:
             if name not in self.structure.axes and v:
                 raise DomainError(f"{self.kind.value} takes no {name}")
 
-    @property
+    @cached_property
     def structure(self) -> Structure:
         """The ``STRUCTURES`` entry of this model's kind."""
         return STRUCTURES[self.kind]
+
+    def __reduce__(self):
+        # a model pickles as its fields, not the functions cached on it
+        return GroupoidModel, (self.kind, self.n, self.m_z)
 
     # -- basic geometry -------------------------------------------------
 
@@ -304,7 +313,14 @@ def _no_ker_m(c1, c2, tol):
 class Structure:
     """The closed forms of one kind, on plain data tuples: g, h, x are
     points (grid indices or floats), c covectors in global components and
-    m the model.  A map a kind lacks raises ``ModelUnsupportedError``."""
+    m the model.  A map a kind lacks raises ``ModelUnsupportedError``.
+
+    From ``composable`` on, for the cone and distribution calculus: b is a
+    cone cell's box, a, u, v, f grid values over G, and t, c, k a layer's
+    section offset, coefficients over G^(0) and order.  A closed form is
+    a field only where the pair and group formulas differ in arithmetic,
+    so that each keeps its rounding; the rest is written once.
+    """
 
     dim: int                        # of G
     axes: tuple[str, ...]           # the resolution of each grid axis; none: continuous
@@ -323,11 +339,64 @@ class Structure:
     ker_m: Callable                 # (c1, c2, tol) -> is the pair in ker m_Gamma
     phi: Callable = _groups_only    # (g, c) -> R_g^* c
     ad_mismatch: Callable = _groups_only  # (m, g, mu, nu, tol) -> does nu miss Ad*_g mu
+    composable: tuple[tuple[int, int], ...] = ()  # (axis of g1, axis of g2) equal on G^(2)
+    box_product: Callable = None    # (b1, b2) -> boxes holding every product g1 g2
+    fibers: tuple[int, ...] = ()    # the grid axis of the s-fibers and of the r-fibers
+    fiber_sum: Callable = None      # (m, a, b) -> a*b, the closed form
+    streamed_sum: Callable = None   # (m, a, b) -> a*b term by term: the gated route's
+    invert_values: Callable = None  # (a) -> a o i
+    section: Callable = None        # (m, x, t, side) -> the point of section t on the
+    #                                 s-fiber (side 0) or r-fiber (side 1) over x
+    layer_smooth: Callable = None   # (t, c, k, v) -> L*v
+    smooth_layer: Callable = None   # (t, c, k, u) -> u*L
+    layer_layer: Callable = None    # (t1, c1, k1, t2, c2, k2) -> [(t, c, k)] of L1*L2
+    tensor_pairing: Callable = None  # (m, tag, a, b, F) -> <a (x) b on G^(2), F>
+    right_translate: Callable = None  # (m, f, g) -> R_g f
+
+
+def _pair_streamed_sum(m, a, b) -> np.ndarray:
+    """(1/n) sum_y a(x, y) b(y, z), adding the terms in y order into one
+    (n, n) accumulator: the summed tensor product, never built."""
+    acc = a[:, 0, None] * b[None, 0, :]
+    for y in range(1, m.n):
+        acc += a[:, y, None] * b[None, y, :]
+    acc /= m.n
+    return acc
+
+
+def _pair_layer_layer(t1, c1, k1, t2, c2, k2) -> list:
+    """L1 * L2 on the pair model: the Leibniz terms on the summed section."""
+    return [(t1 + t2, ((-1.0) ** j) * math.comb(k1, j)
+             * (c1 * np.roll(spectral_derivative(c2, 0, j), t1)), k1 + k2 - j)
+            for j in range(k1 + 1)]
+
+
+def _pair_tensor_pairing(m, tag, a, b, big_f) -> complex:
+    """On the composable-pair grid {(x, y, z)}, a over (x, y), b over (y, z)."""
+    n = m.n
+    idx = np.arange(n)
+    if tag == "ss":
+        t3 = a[:, :, None] * b[None, :, :]
+        return complex(np.sum(t3 * big_f) / n ** 3)
+    if tag == "ls":
+        g = b[None, :, :] * big_f
+        d = ((-1.0) ** a.order) * spectral_derivative(g, 1, a.order)
+        return complex(np.sum(a.coeffs[:, None] * d[idx, (idx - a.section) % n, :]) / n ** 2)
+    if tag == "sl":
+        d = ((-1.0) ** b.order) * spectral_derivative(big_f, 2, b.order)
+        sel = d[:, idx, (idx - b.section) % n]
+        return complex(np.sum(a * (b.coeffs[None, :] * sel)) / n ** 2)
+    dz = ((-1.0) ** b.order) * spectral_derivative(big_f, 2, b.order)
+    inner = b.coeffs[None, :] * dz[:, idx, (idx - b.section) % n]
+    dy = ((-1.0) ** a.order) * spectral_derivative(inner, 1, a.order)
+    return complex(np.sum(a.coeffs * dy[idx, (idx - a.section) % n]) / n)
 
 
 _PAIR = Structure(
     # T x T: (x, y) goes from y to x.  On T*G, s(x,y,xi,eta) = (y; -eta),
-    # r = (x; xi) and (x,y,xi,eta).(y,z,-eta,zeta) = (x,z,xi,zeta).
+    # r = (x; xi) and (x,y,xi,eta).(y,z,-eta,zeta) = (x,z,xi,zeta).  A
+    # layer lies on a rotation graph {(x, x - t)} and is differentiated
+    # along y; its point over y on the s-fiber is (y + t, y).
     dim=2, axes=("n", "n"), unit_axes=("n",),
     anchors=lambda g: ((g[1],), (g[0],)),
     unit_embed=lambda x: (x[0], x[0]),
@@ -341,13 +410,30 @@ _PAIR = Structure(
     ct_invert=lambda g, c: (-c[1], -c[0]),
     ct_match=lambda g, t, rng: (float(rng.uniform(-3, 3)), -t[0]),
     ker_m=lambda c1, c2, tol: (abs(c1[0]) <= tol and abs(c2[1]) <= tol
-                               and abs(c1[1] + c2[0]) <= tol))
+                               and abs(c1[1] + c2[0]) <= tol),
+    composable=((1, 0),),
+    box_product=lambda b1, b2: [(b1[0], b2[1])],
+    fibers=(0, 1),
+    fiber_sum=lambda m, a, b: (a @ b) / m.n,
+    streamed_sum=_pair_streamed_sum,
+    invert_values=lambda a: np.swapaxes(a, 0, 1),
+    section=lambda m, x, t, side: (((x[0] + t) % m.n, x[0]) if side == 0
+                                   else (x[0], (x[0] - t) % m.n)),
+    layer_smooth=lambda t, c, k, v: (((-1.0) ** k) * c[:, None]
+                                     * np.roll(spectral_derivative(v, 0, k), t, axis=0)),
+    smooth_layer=lambda t, c, k, u: spectral_derivative(
+        np.roll(u, -t, axis=1) * np.roll(c, -t)[None, :], 1, k),
+    layer_layer=_pair_layer_layer,
+    tensor_pairing=_pair_tensor_pairing,
+    # f on the s-fiber over r(g) moved onto the one over s(g), 0 elsewhere
+    right_translate=lambda m, f, g: np.where(np.arange(m.n) == g[1], f[:, g[0], None], 0))
 
 
 def _times_units(base: Structure) -> Structure:
     """``base`` times the unit space T_Z of a circle of resolution m_z: z
     rides along last, and on T*G its covector component sigma is dropped
-    at units, added under multiplication and negated under inversion."""
+    at units, added under multiplication and negated under inversion.
+    Cone cells compose over a shared z; the product carries no layers."""
     return Structure(
         dim=base.dim + 1, axes=base.axes + ("m_z",), unit_axes=base.unit_axes + ("m_z",),
         anchors=lambda g: tuple(u + g[-1:] for u in base.anchors(g[:-1])),
@@ -364,7 +450,14 @@ def _times_units(base: Structure) -> Structure:
         ct_match=lambda g, t, rng: (base.ct_match(g[:-1], t, rng)
                                     + (float(rng.uniform(-3, 3)),)),
         ker_m=lambda c1, c2, tol: (base.ker_m(c1[:-1], c2[:-1], tol)
-                                   and abs(c1[-1] + c2[-1]) <= tol))
+                                   and abs(c1[-1] + c2[-1]) <= tol),
+        composable=base.composable + ((base.dim, base.dim),),
+        box_product=lambda b1, b2: [box + (z,) for box in base.box_product(b1[:-1], b2[:-1])
+                                    for z in b1[-1].intersect(b2[-1])],
+        fibers=base.fibers,
+        # the pair model's fiber sum at every z, as one contraction
+        fiber_sum=lambda m, a, b: np.einsum("xyz,ywz->xwz", a, b) / m.n,
+        invert_values=base.invert_values)
 
 
 # a group has one unit, so any h follows g, and A*G = g* sits in T*G as itself
@@ -372,8 +465,32 @@ _GROUP = dict(unit_axes=(), anchors=lambda g: ((), ()),
               sample_next=lambda m, g, rng: random_element(m, rng).data,
               align_next=lambda g, h: h, ct_embed=lambda c: c)
 
+
+def _group_tensor_pairing(m, tag, a, b, big_f) -> complex:
+    """On the composable-pair grid G x G, a over g1 and b over g2."""
+    n = m.n
+    if tag == "ss":
+        return complex(np.sum(a[:, None] * b[None, :] * big_f) / n ** 2)
+    if tag == "ls":
+        d = ((-1.0) ** a.order) * spectral_derivative(big_f, 0, a.order)
+        return complex(a.coeffs) * complex(np.sum(d[a.section, :] * b) / n)
+    if tag == "sl":
+        d = ((-1.0) ** b.order) * spectral_derivative(big_f, 1, b.order)
+        return complex(b.coeffs) * complex(np.sum(a * d[:, b.section]) / n)
+    d = spectral_derivative(
+        ((-1.0) ** b.order) * spectral_derivative(big_f, 1, b.order), 0, a.order)
+    return (complex(a.coeffs) * complex(b.coeffs) * (-1.0) ** a.order
+            * complex(d[a.section, b.section]))
+
+
+def _group_translate(t, c, k, v) -> np.ndarray:
+    """c (D^k v)(. - t): a point layer convolved with v from either side."""
+    return complex(c) * np.roll(spectral_derivative(v, 0, k), t)
+
+
 _CIRCLE_GROUP = Structure(
-    # (T, +); every map of T*G is the identity on the covector
+    # (T, +); every map of T*G is the identity on the covector.  A layer
+    # is a point t of the one fiber, differentiated along it.
     **_GROUP, dim=1, axes=("n",),
     unit_embed=lambda x: (0,),
     multiply=lambda m, g1, g2: ((g1[0] + g2[0]) % m.n,),
@@ -385,7 +502,19 @@ _CIRCLE_GROUP = Structure(
     # G^(2) = G^2, the conormal is the zero section
     ker_m=lambda c1, c2, tol: all(abs(c) <= tol for c in c1 + c2),
     phi=lambda g, c: c,
-    ad_mismatch=lambda m, g, mu, nu, tol: max(abs(a - b) for a, b in zip(mu, nu)) > tol)
+    ad_mismatch=lambda m, g, mu, nu, tol: max(abs(a - b) for a, b in zip(mu, nu)) > tol,
+    box_product=lambda b1, b2: [(b1[0].minkowski(b2[0]),)],
+    fibers=(0, 0),
+    fiber_sum=lambda m, a, b: np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)) / m.n,
+    streamed_sum=lambda m, a, b: np.array([np.sum(a * b[(g - np.arange(m.n)) % m.n])
+                                           for g in range(m.n)]) / m.n,
+    invert_values=lambda a: np.roll(a[::-1], 1),
+    section=lambda m, x, t, side: (t % m.n,),
+    layer_smooth=_group_translate,
+    smooth_layer=_group_translate,
+    layer_layer=lambda t1, c1, k1, t2, c2, k2: [(t1 + t2, complex(c1) * complex(c2), k1 + k2)],
+    tensor_pairing=_group_tensor_pairing,
+    right_translate=lambda m, f, g: np.roll(f, -g[0]))
 
 
 def _dl(g) -> np.ndarray:

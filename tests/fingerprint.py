@@ -27,10 +27,15 @@ It hashes:
   of G and of T*G, their composable samplers, ``in_kernel`` for every
   ``KernelKind`` at tolerances 0 and 1e-9 on a covector battery, the
   transformation-groupoid maps on the group models, and the name of the
-  exception wherever a call refuses its model.
+  exception wherever a call refuses its model;
+* on each of the four models, over seeded inputs, the layer and
+  distribution functions, both convolution routes, right translation,
+  equivariance, kernel recovery, every catalog entry and the cone
+  functions over the catalog's cones, again with the name of the
+  exception wherever a call refuses.
 
 Nothing here reads a clock, so the output of a commit is the same on
-every run.  pytest does not collect this file; it takes about 30 s on
+every run.  pytest does not collect this file; it takes about 25 s on
 2 CPUs.
 """
 
@@ -80,7 +85,9 @@ def plain(x):
     if isinstance(x, np.ndarray):
         return digest(x.tobytes()) + f":{x.dtype}:{x.shape}"
     if isinstance(x, np.generic):
-        return x.item()
+        return plain(x.item())
+    if isinstance(x, complex):
+        return [x.real, x.imag]
     return x
 
 
@@ -145,10 +152,10 @@ def kernel_cases() -> dict:
 CONTAINS_TOLS = ((0.05, 1.0), (0.3, 3.0))
 
 
-def _narrow(w):
-    """W with any caps shrunk five-fold."""
+def _narrow(w, fold=5):
+    """W with any caps shrunk ``fold``-fold."""
     return cones.ConeSet(w.model, tuple(
-        cones.ConeCell(c.base, cones.Caps(tuple(cones.Cap(cap.center, cap.radius / 5)
+        cones.ConeCell(c.base, cones.Caps(tuple(cones.Cap(cap.center, cap.radius / fold)
                                                 for cap in c.dirs)))
         if isinstance(c.dirs, cones.Caps) else c for c in w.cells))
 
@@ -251,12 +258,109 @@ def structures() -> dict:
     return found
 
 
+def layers_and_cones() -> dict:
+    """On each model, over seeded inputs: the layer constructors, pairing,
+    pushforwards, slices, involution and rasterization; the tensor
+    restriction, both convolution routes, right translation, equivariance
+    and kernel recovery; every catalog entry; and the cone functions over
+    the catalog's cones (PTZ caps shrunk twenty-fold)."""
+    from grpd import catalog, convolution as cv, distributions as ds
+    from grpd.spectral import band_limited_field
+    found = {}
+    for model in (models.pair_circle(16), models.circle_group(16),
+                  models.pair_times_z(8, 8), models.affine_group()):
+        rng = np.random.default_rng(21)
+        rec = {}
+
+        def put(name, f, *args):
+            """Record ``outcome(f, *args)`` under ``name``; return the value,
+            or None where the call refuses."""
+            try:
+                value = f(*args)
+            except GrpdError as exc:
+                rec.setdefault(name, []).append(type(exc).__name__)
+                return None
+            rec.setdefault(name, []).append(plain(value))
+            return value
+
+        def coeffs():
+            return (rng.standard_normal(model.unit_shape)
+                    + 1j * rng.standard_normal(model.unit_shape))
+
+        shape = put("grid_shape", lambda: model.grid_shape)
+        dists = [put("unit_delta", ds.unit_delta, model)]
+        dists += [put("make_layer", ds.make_layer, model, t, coeffs(), k)
+                  for t, k in ((0.25, 0), (0.5, 1), (0.125, 2))]
+        put("Layer", ds.Layer, model, -3, coeffs(), 1)
+        fs = []
+        if shape:
+            dists.append(put("Distribution", ds.Distribution, model,
+                             band_limited_field(shape, 2, rng, real=False)))
+            fs = [put("TestFunction", ds.TestFunction, model,
+                      band_limited_field(shape, 2, rng) - 0.5),
+                  put("TestFunction", ds.TestFunction.random_band_limited, model, 2, rng,
+                      False)]
+        dists = [u for u in dists if u is not None]
+        for u, v in zip(dists, dists[1:]):
+            dists.append(u + v)
+        dists += [put("star_involution", ds.star_involution, u) for u in list(dists)]
+        units = [models.unit(model, *[c] * len(model.unit_shape)) for c in (0.0, 0.25)]
+        for u in dists:
+            put("rasterize", ds.rasterize, u)
+            put("rasterize mollified", ds.rasterize, u, True)
+            for which in (ds.Anchor.ALONG_S, ds.Anchor.ALONG_R):
+                for x in units:
+                    put(f"slice_family {which}", ds.slice_family, u, x, which)
+                for f in fs:
+                    put(f"pushforward_base {which}", ds.pushforward_base, u, f, which)
+            for f in fs:
+                put("pair", ds.pair, u, f)
+        pairs = list(itertools.product(dists[:5], dists[-3:]))
+        for u, v in pairs:
+            tr = put("tensor_restrict", ds.tensor_restrict, u, v)
+            if tr is not None:
+                big = rng.standard_normal((model.n,) * (model.dim + 1))
+                put("pair_with", tr.pair_with, big + 0.5j * big[::-1])
+            put("convolve", cv.convolve, u, v)
+            put("push_product", lambda: cv.push_product(ds.tensor_restrict(u, v)))
+        for name in sorted(catalog.CATALOG):
+            put(f"CATALOG {name}", catalog.build_distribution, name, model)
+        cone_list = [put(f"CONE_CATALOG {name}", catalog.build_cone, name, model)
+                     for name in sorted(catalog.CONE_CATALOG)]
+        cone_list = [_narrow(w, 20) for w in [put("a_star_units", cones.a_star_units, model)]
+                     + cone_list if w is not None]
+        for w in cone_list:
+            for which in (cones.Transversality.R_TRANSVERSAL,
+                          cones.Transversality.S_TRANSVERSAL,
+                          cones.Transversality.BI_TRANSVERSAL):
+                put("transversality", cones.transversality, w, which)
+        for w1, w2 in itertools.product(cone_list, cone_list):
+            put("hormander_gate", cones.hormander_gate, w1, w2)
+            put("cone_product", lambda: cones.cone_product(w1, w2).to_json())
+            put("cone_product_bar", lambda: cones.cone_product_bar(w1, w2).to_json())
+            for u, v in pairs[:2]:
+                put("convolve_gated", cv.convolve_gated, u, v, w1, w2)
+        gamma = models.random_element(model, rng)
+        for f in fs:
+            put("right_translate", cv.right_translate, f, gamma)
+            for k in dists[:6]:
+                p = cv.GOperator(k)
+                put("equivariance_defect", cv.equivariance_defect, p, gamma, f)
+        for k in dists[:6]:
+            put("recover_kernel", cv.recover_kernel,
+                lambda tf, p=cv.GOperator(k): cv.apply_operator(p, tf), model)
+        put("recover_kernel", cv.recover_kernel, lambda tf: tf, model)
+        for name, values in rec.items():
+            found[f"layers {model.kind.name} {name}"] = hash_json(values)
+    return found
+
+
 def main() -> None:
     # the CLI prints progress with timings; keep it out of the JSON
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         tmp = Path(tmp)
         found = (artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases()
-                 | cone_sets() | structures())
+                 | cone_sets() | structures() | layers_and_cones())
     json.dump(found, sys.stdout, indent=1, sort_keys=True)
     print()
 
