@@ -22,10 +22,30 @@ several bins, and the plan groups the points into membership classes
 each point's modulus once, the max over each class, then the max of
 each bin over its classes.  ``max`` is exact in any order, so the tables
 are bit for bit those of the full-grid DFT.  The ``GRPD_THREADS`` pool
-takes one contiguous block of probes per worker.
+takes one contiguous block of the probes left to transform per worker,
+and each worker writes its own rows of one table.
 A probe whose windowed block is all zero keeps its zero table row and
 runs no transform: the DFT of zeros is signed zeros, which ``abs`` makes
 +0, so the tables stay bit for bit the same.
+
+The estimator also skips every probe that a cheap bound proves can never
+be kept or anchored.  Every DFT modulus of a windowed block x obeys
+|X[k]| <= ||x||_1, and the window is the outer product of per-axis
+profiles, so every probe's L1 norm is one separable contraction of
+``|arr|`` (``_window_norms``).  The estimator passes the kernel the
+floor min(``min_level``, ``anchor_level``); the kernel transforms the
+probe of largest norm first, whose table max ``a_lb`` bounds the final
+table max ``amp_scale`` from below, and leaves at zero every row with
+2 * norm < floor * a_lb (the factor 2 dwarfs the FFT's rounding, about
+1e-12 * ||x||_1 at n=512).  A skipped row's true max is below
+floor * amp_scale, so it was never kept (peak above min_level * amp_scale)
+nor anchored (above anchor_level * amp_scale); it sits far below
+``a_lb``, so ``amp_scale`` is unchanged; and the slope fit still runs over
+the full table, zero rows included, so every kept slope sees the same
+batch.  Every output is bit for bit that of floor 0, which skips nothing
+and is what the ray-response calibration, ``decay_slope`` and direct
+kernel callers use.  A flag rule that drops either level must re-derive
+this floor.  A non-finite raster is refused, as it would read as smooth.
 
 The frequency-domain plan (``_Scaffold``: shells, direction bins, window
 support, read points, membership classes and the memoized ray-response
@@ -141,10 +161,21 @@ class WfParams:
                               "dyadic shells (2 * shell_lo < shell_hi)")
         if not 1 <= p.probe_stride <= n / 4:
             raise DomainError(f"probe_stride must be in [1, n/4={n // 4}]")
+        # nan compares false, so a nan level or slope would keep nothing
+        for name in ("min_level", "anchor_level"):
+            v = getattr(p, name)
+            if not (_real(v) and 0 <= v < 1):
+                raise DomainError(f"{name} must be in [0, 1), got {v!r}")
+        if not (_real(p.anchor_slope) and math.isfinite(p.anchor_slope)):
+            raise DomainError(f"anchor_slope must be finite, got {p.anchor_slope!r}")
         return p
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class SlopeTable:
@@ -185,7 +216,8 @@ class WfReport:
     """One estimate: the estimated cone set, the kept slope fits and the
     resolved parameters.  The estimate reuses the cached plan of its
     (model, params) pair and transforms no probe whose window sees only
-    zeros; neither changes a bit of the report.  ``slopes`` is a
+    zeros or whose window norm proves it below both report levels; none
+    of these changes a bit of the report.  ``slopes`` is a
     ``SlopeTable`` of the kept fits, which the slope CSV and the
     counterexample check read by columns."""
 
@@ -270,17 +302,18 @@ class _Scaffold:
         # the probe transform visits only the window's support and the
         # frequencies some bin reads, per axis: the support is the circular
         # range of ``span[ax] = (first, length)`` positions from ``first``
-        # (relative to the probe center) on, ``window`` the window's values
-        # on that box in position order, and ``kept`` the read frequency
-        # indices of each axis
-        self.span, profiles = [], []
+        # (relative to the probe center) on, ``profiles[ax]`` the window's
+        # values on it in position order, ``window`` their outer product
+        # on the support box, and ``kept`` the read frequency indices of
+        # each axis
+        self.span, self.profiles = [], []
         for s in shape:
             off = ((np.arange(s) + s // 2) % s) - s // 2
             sup = np.flatnonzero(self._axis_window(s))
             sup = sup[np.argsort(off[sup])]     # a bump's support is one range
             self.span.append((int(off[sup[0]]), len(sup)))
-            profiles.append(self._axis_window(s)[sup])
-        self.window = reduce(np.multiply.outer, profiles)
+            self.profiles.append(self._axis_window(s)[sup])
+        self.window = reduce(np.multiply.outer, self.profiles)
         grid_idx = np.unravel_index(pts[read[by_row]], shape)
         kept = [np.unique(i) for i in grid_idx]
         # the transform takes the axes in fftn's order, last first, and
@@ -388,28 +421,10 @@ def _max_workers() -> int:
     return cap or min(8, os.cpu_count() or 1)
 
 
-def _probe_tables(sc: _Scaffold, arr: np.ndarray,
-                  centers: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The estimator's spectrum-and-slope kernel: ``(tables, slopes)``.
-
-    ``tables[k, i, j]`` is the max DFT modulus of ``arr`` windowed at
-    ``centers[k]`` over direction cone ``i`` and shell ``j`` (0 for an empty
-    bin); ``slopes[k, i]`` is the least-squares slope of its log over the
-    fit shells against log shell radius, all from one batched fit.
-
-    Per probe, the loop makes one ``take`` per axis for the support box,
-    and per axis one swap, the slice writes into the block's zero buffer,
-    one ``np.fft.fft`` along its last axis and one ``take`` of the kept
-    frequencies, the last axis's at the read points.  ``abs``, one
-    ``maximum.reduceat`` into classes and one over ``sc.bin_classes``
-    into bins then fill the probe's row.  The support rows and slices are
-    found once per distinct probe coordinate.
-    """
-    n_dir, n_shells = len(sc.dirs), len(sc.shells)
-    shape = arr.shape
-    # per axis and distinct probe coordinate x: the window's support rows
-    # about x, and the one or two (axis slice, support slice) pieces that
-    # place the support on the full axis
+def _places(sc: _Scaffold, shape: tuple[int, ...], centers: list[tuple[int, ...]]):
+    """Per axis, a dict from each distinct probe coordinate x to the
+    window's support rows about x and the one or two (axis slice, support
+    slice) pieces that place the support on the full axis."""
     places = []
     for (first, length), s, axis_coords in zip(sc.span, shape, zip(*centers)):
         per = {}
@@ -421,14 +436,59 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
                 pieces.append((slice(0, length - head), slice(head, length)))
             per[x] = ((lo + np.arange(length)) % s, pieces)
         places.append(per)
+    return places
+
+
+def _window_norms(sc: _Scaffold, arr: np.ndarray, places,
+                  centers: list[tuple[int, ...]]) -> np.ndarray:
+    """The L1 norm of each probe's windowed block, which bounds every DFT
+    modulus of the block.  The window is the outer product of
+    ``sc.profiles``, so the norm is a separable contraction of ``|arr|``:
+    one gather and one contraction per axis and distinct coordinate, and
+    no per-probe block."""
+    norms = np.abs(arr)
+    for ax, (per, profile) in enumerate(zip(places, sc.profiles)):
+        norms = np.stack([np.tensordot(profile, norms.take(rows, axis=ax), axes=(0, ax))
+                          for rows, _ in per.values()], axis=ax)
+    at = [{x: i for i, x in enumerate(per)} for per in places]
+    return norms[tuple(np.array([at[ax][x] for x in coords])
+                       for ax, coords in enumerate(zip(*centers)))]
+
+
+def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]],
+                  floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The estimator's spectrum-and-slope kernel: ``(tables, slopes)``.
+
+    ``tables[k, i, j]`` is the max DFT modulus of ``arr`` windowed at
+    ``centers[k]`` over direction cone ``i`` and shell ``j`` (0 for an empty
+    bin); ``slopes[k, i]`` is the least-squares slope of its log over the
+    fit shells against log shell radius, all from one batched fit.
+
+    With a relative ``floor`` above 0, a probe whose row provably stays
+    below ``floor * tables.max()`` keeps a zero row and runs no transform:
+    the probe of largest window norm (``_window_norms``) is transformed
+    first, its table max ``a_lb`` bounds ``tables.max()`` from below, and
+    every probe with ``2 * norm < floor * a_lb`` is skipped.  Floor 0
+    skips nothing, so the tables are exact.
+
+    Per probe, the loop makes one ``take`` per axis for the support box,
+    and per axis one swap, the slice writes into the block's zero buffer,
+    one ``np.fft.fft`` along its last axis and one ``take`` of the kept
+    frequencies, the last axis's at the read points.  ``abs``, one
+    ``maximum.reduceat`` into classes and one over ``sc.bin_classes``
+    into bins then fill the probe's row.  The support rows and slices are
+    found once per distinct probe coordinate.
+    """
+    n_dir, n_shells = len(sc.dirs), len(sc.shells)
+    places = _places(sc, arr.shape, centers)
+    out = np.zeros((len(centers), n_dir * n_shells))
 
     def probe_block(block):
-        out = np.zeros((len(block), n_dir * n_shells))
         # the block's zero buffer, which holds every axis's lines in turn
         zeros = np.zeros(max(math.prod(lines) for _, _, lines in sc.swaps),
                          dtype=np.result_type(arr, sc.window, 1j))
-        for k, c in enumerate(block):
-            at = [places[ax][x] for ax, x in enumerate(c)]
+        for k in block:
+            at = [places[ax][x] for ax, x in enumerate(centers[k])]
             spec = arr
             for ax, (rows, _) in enumerate(at):
                 spec = spec.take(rows, axis=ax)
@@ -451,18 +511,28 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray,
             classes = np.maximum.reduceat(np.abs(spec), sc.read_starts)
             out[k, sc.bin_filled] = np.maximum.reduceat(classes.take(sc.bin_classes),
                                                         sc.bin_starts)
-        return out
 
-    # one contiguous block of probes per worker, joined in block order
-    workers = min(_max_workers(), len(centers))
-    size = -(-len(centers) // workers)
-    blocks = [centers[i:i + size] for i in range(0, len(centers), size)]
+    todo = np.arange(len(centers))
+    if floor > 0:
+        # |X[k]| <= ||x||_1, and the factor 2 dwarfs the FFT's rounding
+        norms = _window_norms(sc, arr, places, centers)
+        top = int(np.argmax(norms))
+        probe_block([top])
+        todo = np.flatnonzero(2 * norms >= floor * out[top].max())
+        todo = todo[todo != top]
+    # one contiguous block of the remaining probes per worker, each
+    # writing its own rows
+    workers = max(1, min(_max_workers(), len(todo)))
+    size = max(1, -(-len(todo) // workers))
+    blocks = [todo[i:i + size] for i in range(0, len(todo), size)]
     if len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            done = list(pool.map(probe_block, blocks))
+            list(pool.map(probe_block, blocks))
     else:
-        done = [probe_block(centers)]
-    tables = np.concatenate(done).reshape(len(centers), n_dir, n_shells)
+        probe_block(todo)
+    tables = out.reshape(len(centers), n_dir, n_shells)
+    # the fit runs over every row, skipped ones included, so each kept
+    # row's slope sees the same batch shape
     logs = np.log(np.maximum(tables[:, :, sc.fit_slice], 1e-300))
     coef = np.polyfit(np.log(sc.fit_radii), logs.reshape(-1, len(sc.fit_radii)).T, 1)
     return tables, coef[0].reshape(len(centers), n_dir)
@@ -491,16 +561,38 @@ def _flags(p: WfParams, lo: np.ndarray, hi: np.ndarray, slopes: np.ndarray,
 # The estimator
 # ---------------------------------------------------------------------------
 
+def _raster(u: Distribution) -> np.ndarray:
+    """The mollified raster the estimator reads; a non-finite one would
+    read as smooth, so it is refused."""
+    arr = rasterize(u, mollified=True)
+    if not np.isfinite(arr).all():
+        raise DomainError("the estimator needs a finite raster; this distribution "
+                          "rasterizes to nan or inf values")
+    return arr
+
+
+def _vector(name: str, v, dim: int) -> np.ndarray:
+    try:
+        out = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != (dim,) or not np.isfinite(out).all():
+        raise DomainError(f"{name} must be {dim} finite numbers, got {v!r}")
+    return out
+
+
 def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
     u = _as_distribution(u)
     model = u.model
     if model.continuous:
         raise ModelUnsupportedError("estimator needs a grid model")
     p = (p or WfParams()).resolve(model)
-    arr = rasterize(u, mollified=True)
+    arr = _raster(u)
     sc = _plan(model, p)
     centers = sc.probe_centers()
-    tables, slopes = _probe_tables(sc, arr, centers)
+    # a row below both levels times the table max is neither kept nor
+    # anchored, so the kernel may skip it
+    tables, slopes = _probe_tables(sc, arr, centers, min(p.min_level, p.anchor_level))
 
     amp_scale = float(tables.max())
     lo, peaks = _fit_range(sc, tables)
@@ -518,14 +610,19 @@ def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
 
 def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = None) -> float:
     """Fitted log-log decay slope at one probe center, in the direction bin
-    nearest ``direction``."""
+    nearest ``direction`` (a nonzero covector)."""
     u = _as_distribution(u)
     model = u.model
     p = (p or WfParams()).resolve(model)
+    shape = model.grid_shape
+    center = _vector("center", center, len(shape))
+    direction = _vector("direction", direction, len(shape))
+    if not direction.any():
+        raise DomainError("direction must be a nonzero covector")
     sc = _plan(model, p)
-    c_idx = tuple(int(round(x * s)) % s for x, s in zip(center, model.grid_shape))
-    i = int(np.argmax(np.asarray(sc.dirs) @ np.asarray(direction, dtype=float)))
-    _, slopes = _probe_tables(sc, rasterize(u, mollified=True), [c_idx])
+    c_idx = tuple(int(round(x * s)) % s for x, s in zip(center, shape))
+    i = int(np.argmax(np.asarray(sc.dirs) @ direction))
+    _, slopes = _probe_tables(sc, _raster(u), [c_idx])
     return float(slopes[0, i])
 
 

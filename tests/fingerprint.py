@@ -20,6 +20,10 @@ It hashes:
   imported read-only from ``perfbench.workloads``);
 * the estimate, the slope table and the probe kernel's tables and
   slopes for the 1-d, 2-d and 3-d ``KERNEL_CASES`` of ``test_wavefront``;
+* estimates under non-default report levels (``FLOOR_CASES``): the
+  anchor level below the report level, a zero report level, and 1-d
+  and 3-d cases, so each level that can set the kernel's skip floor,
+  and the floor 0 that skips nothing, is pinned;
 * random cone sets of every dimension and ``check_cone_heredity()``;
   over pairs of those random sets, ``cone_product_bar`` JSON and
   ``cone_contains`` verdicts at two tolerances; and PTZ ``a* <= a*.a*``;
@@ -59,8 +63,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
 from grpd import checks, cli, cones, cotangent, models                # noqa: E402
 from grpd.errors import GrpdError                                     # noqa: E402
-from grpd.distributions import rasterize                              # noqa: E402
-from grpd.wavefront import _probe_tables, _Scaffold, estimate_wavefront  # noqa: E402
+from grpd.catalog import rotation_layer                               # noqa: E402
+from grpd.distributions import rasterize, smooth_distribution         # noqa: E402
+from grpd.wavefront import (WfParams, _probe_tables, _Scaffold,       # noqa: E402
+                            estimate_wavefront)
 from perfbench import workloads                                       # noqa: E402
 from test_wavefront import KERNEL_CASES                               # noqa: E402
 
@@ -145,6 +151,38 @@ def kernel_cases() -> dict:
             "estimated": hash_json(rep.estimated), "slopes": hash_json(rep.slopes),
             "params": hash_json(rep.params), "tables": plain(tables),
             "kernel_slopes": plain(slopes)}
+    return found
+
+
+def _ptz_points():
+    v = np.zeros((32, 32, 8), dtype=complex)
+    v[0, 0, 0], v[20, 9, 3] = 1.0, 0.5j
+    return smooth_distribution(models.pair_times_z(32, 8), v)
+
+
+FLOOR_CASES = {
+    "2d anchor_level < min_level": lambda: (
+        rotation_layer(models.pair_circle(128), 0.3125),
+        WfParams(min_level=3e-2, anchor_level=1e-2)),
+    "2d min_level = 0": lambda: (
+        rotation_layer(models.pair_circle(128), 0.3125, order=1),
+        WfParams(min_level=0.0)),
+    "1d anchor_level < min_level": lambda: (
+        rotation_layer(models.circle_group(128), 0.3125, order=1),
+        WfParams(min_level=2e-2, anchor_level=5e-3)),
+    "3d min_level < anchor_level": lambda: (
+        _ptz_points(), WfParams(min_level=5e-3, anchor_level=2e-2)),
+}
+
+
+def floor_cases() -> dict:
+    found = {}
+    for case, build in sorted(FLOOR_CASES.items()):
+        u, params = build()
+        rep = estimate_wavefront(u, params)
+        found[f"floor {case}"] = {
+            "estimated.json": hash_json(rep.estimated.to_json()),
+            "slopes": hash_json(rep.slopes), "params": hash_json(rep.params)}
     return found
 
 
@@ -360,7 +398,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         tmp = Path(tmp)
         found = (artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases()
-                 | cone_sets() | structures() | layers_and_cones())
+                 | floor_cases() | cone_sets() | structures() | layers_and_cones())
     json.dump(found, sys.stdout, indent=1, sort_keys=True)
     print()
 

@@ -16,8 +16,9 @@ from grpd.distributions import (counterexample_distribution, make_layer,
 from grpd.errors import DomainError, ModelUnsupportedError
 from grpd.models import affine_group, circle_group, pair_circle, pair_times_z
 from grpd.spectral import band_limited_field, bump
-from grpd.wavefront import (WfParams, _fit_range, _probe_tables, _Scaffold, decay_slope,
-                            estimate_wavefront, verify_product_bound)
+from grpd.wavefront import (WfParams, _fit_range, _places, _probe_tables, _Scaffold,
+                            _window_norms, decay_slope, estimate_wavefront,
+                            verify_product_bound)
 import grpd.wavefront
 
 N = 128
@@ -428,6 +429,30 @@ def test_probe_blocks_join_in_order(monkeypatch):
         assert np.array_equal(slopes, results[0][1])
 
 
+def test_probe_workers_write_their_own_rows(monkeypatch):
+    # more workers than CPUs, switching threads often, all writing rows of
+    # one table: a lost or misplaced row would change the tables
+    u = rotation_layer(pair_circle(64), 0.3125)
+    p = WfParams(probe_stride=4).resolve(u.model)
+    sc = _Scaffold(u.model, p)
+    arr = rasterize(u, mollified=True)
+    centers = sc.probe_centers()
+    floor = min(p.min_level, p.anchor_level)
+    monkeypatch.setenv("GRPD_THREADS", "1")
+    serial = [_probe_tables(sc, arr, centers, f) for f in (0.0, floor)]
+    assert not serial[1][0].any(axis=(1, 2)).all()     # some rows are skipped
+    monkeypatch.setenv("GRPD_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for f, (tables, slopes) in zip((0.0, floor), serial):
+                got = _probe_tables(sc, arr, centers, f)
+                assert np.array_equal(got[0], tables) and np.array_equal(got[1], slopes)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_zero_windows_skip_transforms(monkeypatch):
     monkeypatch.setenv("GRPD_THREADS", "1")
     u, params = KERNEL_CASES["2d-quarter-support"]()
@@ -447,6 +472,149 @@ def test_zero_windows_skip_transforms(monkeypatch):
     assert len(calls) == 2 * 49
 
 
+def _layer_case(n, order):
+    return lambda: (rotation_layer(pair_circle(n), 0.3125, order=order), WfParams())
+
+
+SKIP_CASES = dict(KERNEL_CASES, **{f"rotation-{n}-order-{order}": _layer_case(n, order)
+                                   for n in (64, 128, 256) for order in range(5)})
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_skipped_probes_keep_the_estimate(case, monkeypatch):
+    u, params = SKIP_CASES[case]()
+    real = grpd.wavefront._probe_tables
+    runs = []
+
+    def kernel(skip):
+        # the estimate's own kernel call, with its floor or at floor 0
+        def tables(sc, arr, centers, floor=0.0):
+            out = real(sc, arr, centers, floor if skip else 0.0)
+            if floor:
+                runs.append(out[0])
+            return out
+        return tables
+    monkeypatch.setattr(grpd.wavefront, "_probe_tables", kernel(True))
+    skipping = estimate_wavefront(u, params)
+    monkeypatch.setattr(grpd.wavefront, "_probe_tables", kernel(False))
+    full = estimate_wavefront(u, params)
+    assert skipping.estimated.to_json() == full.estimated.to_json()
+    assert skipping.slopes.columns() == full.slopes.columns()
+    # every row is the exact one or a skipped zero row
+    tables, exact = runs
+    same = (tables == exact).all(axis=(1, 2))
+    zero = ~tables.any(axis=(1, 2))
+    assert (same | zero).all()
+
+
+def test_probe_tables_floor_skips_transforms(monkeypatch):
+    monkeypatch.setenv("GRPD_THREADS", "1")
+    m = pair_circle(128)
+    p = WfParams().resolve(m)
+    sc = _Scaffold(m, p)
+    centers = sc.probe_centers()
+    floor = min(p.min_level, p.anchor_level)
+    calls = []
+    real = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    transforms = {}
+    for name, u in (("layer", rotation_layer(m, 0.3125)), ("smooth", smooth_field(m, 3, 0))):
+        arr = rasterize(u, mollified=True)
+        calls.clear()
+        exact, exact_slopes = _probe_tables(sc, arr, centers)
+        n_exact = len(calls)
+        calls.clear()
+        tables, slopes = _probe_tables(sc, arr, centers, floor)
+        n_floor = len(calls)
+        calls.clear()
+        transforms[name] = n_exact, n_floor
+        assert n_exact == 2 * len(centers) == 2 * 256
+        skipped = ~tables.any(axis=(1, 2))
+        assert np.array_equal(tables[~skipped], exact[~skipped])
+        assert np.array_equal(slopes[~skipped], exact_slopes[~skipped])
+        # a skipped row could never reach the floor
+        assert (exact[skipped].max(initial=0.0) < floor * exact.max())
+        # one transform per axis for each probe the floor keeps
+        assert n_floor == 2 * (~skipped).sum()
+    assert transforms["layer"][1] < 2 * 256
+    assert transforms["smooth"][1] == transforms["smooth"][0]
+
+
+@pytest.mark.parametrize("model", [circle_group(64), pair_circle(64), pair_times_z(32, 8)],
+                         ids=["1d", "2d", "3d"])
+def test_window_norms_bound_every_modulus(model):
+    rng = np.random.default_rng(7)
+    sc = _Scaffold(model, WfParams().resolve(model))
+    centers = sc.probe_centers()
+    shape = model.grid_shape
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    arr[rng.random(shape) < 0.5] = 0.0
+    norms = _window_norms(sc, arr, _places(sc, shape, centers), centers)
+    assert np.allclose(norms, [np.abs(arr * reference_window(sc, c)).sum()
+                               for c in centers], rtol=1e-12, atol=0.0)
+    tables, _ = _probe_tables(sc, arr, centers)
+    assert (tables.reshape(len(centers), -1).max(axis=1) <= norms).all()
+
+
+def test_non_finite_raster_is_refused():
+    m = pair_circle(64)
+    for bad in (np.nan, np.inf):
+        f = np.ones(m.grid_shape)
+        f[3, 5] = bad
+        u = smooth_distribution(m, f)
+        with pytest.raises(DomainError, match="finite"):
+            estimate_wavefront(u)
+        with pytest.raises(DomainError, match="finite"), np.errstate(invalid="ignore"):
+            verify_product_bound(u, unit_delta(m), ConeSet.empty(m), a_star_units(m))
+        with pytest.raises(DomainError, match="finite"):
+            decay_slope(u, (0.0, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("params", [
+    WfParams(min_level=math.nan),
+    WfParams(min_level=-0.01),
+    WfParams(min_level=1.0),
+    WfParams(min_level=math.inf),
+    WfParams(min_level="0.1"),
+    WfParams(anchor_level=math.nan),
+    WfParams(anchor_level=-0.05),
+    WfParams(anchor_level=1.5),
+    WfParams(anchor_slope=math.nan),
+    WfParams(anchor_slope=-math.inf),
+])
+def test_level_knobs_are_checked(params):
+    with pytest.raises(DomainError):
+        params.resolve(M)
+    with pytest.raises(DomainError):
+        estimate_wavefront(rotation_layer(M, 0.25), params)
+
+
+def test_level_knobs_accept_zero():
+    rep = estimate_wavefront(rotation_layer(pair_circle(64), 0.25),
+                             WfParams(min_level=0.0, anchor_level=0.0))
+    assert rep.estimated.cells
+
+
+@pytest.mark.parametrize("center,direction", [
+    ((0.25, 0.0), (0.0, 0.0)),               # read bin 0 at the parent
+    ((0.25, 0.0), (math.nan, 1.0)),
+    ((0.25, 0.0), (1.0, 0.0, 0.0)),
+    ((0.25, 0.0), (1.0,)),
+    ((0.25, 0.0), "ab"),
+    ((0.25,), (1.0, 0.0)),
+    ((0.25, 0.0, 0.5), (1.0, 0.0)),
+    ((math.nan, 0.0), (1.0, 0.0)),
+    ((0.25, math.inf), (1.0, 0.0)),
+])
+def test_decay_slope_checks_its_vectors(center, direction):
+    with pytest.raises(DomainError):
+        decay_slope(rotation_layer(pair_circle(64), 0.25), center, direction)
+
+
 def test_estimates_reuse_one_plan(monkeypatch):
     built, probed = [], []
     real_init, real_tables = _Scaffold.__init__, grpd.wavefront._probe_tables
@@ -455,9 +623,9 @@ def test_estimates_reuse_one_plan(monkeypatch):
         built.append(p)
         real_init(sc, model, p)
 
-    def tables(sc, arr, centers):
+    def tables(sc, arr, centers, floor=0.0):
         probed.append(len(centers))
-        return real_tables(sc, arr, centers)
+        return real_tables(sc, arr, centers, floor)
     monkeypatch.setattr(_Scaffold, "__init__", init)
     monkeypatch.setattr(grpd.wavefront, "_probe_tables", tables)
     grpd.wavefront._plan.cache_clear()
