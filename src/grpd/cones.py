@@ -15,15 +15,18 @@ so validation, serialization, transversality, containment, random cone
 sets and the estimator's binning and reporting are written once, as are
 the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``, ``KER_R``).
 
-The gate and the product visit only the cells whose base intervals can
-meet, found through a per-call index by grid cell (``_BaseIndex``); the
-exact interval test then runs on those candidates in their original
-order, so results are those of the all-pairs loop.  Containment finds
-the cells of B over a base point by one array test per (axis,
-coordinate), dilates each distinct direction set of B once, and unites
-and tests the directions over a point once per distinct multiset of
-holders' direction sets.  The bar product's zero-section terms are found
-once per distinct direction set.
+A ConeSet carries two views of its cells, built when first read: its
+base boxes as (cells, dim) arrays of starts and widths (``boxes``), and
+an interned table of its distinct direction sets with each cell's index
+into it (``dir_table``).  The gate and the product find the cell pairs
+whose bases meet by one broadcast of the interval test over W1 x W2,
+listed in the order of the all-pairs loop; the gate then reads one row of
+kernel pairs per distinct set, the product composes each distinct pair
+of sets once, and the bar product's zero-section terms are found once per
+distinct set.  Containment dilates B's boxes as arrays, tests them once
+per base point of A, dilates each distinct direction set of B once, and
+unites and tests the directions over a point once per distinct multiset
+of holders' direction sets.
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
 ``cone_product_bar`` adds the two zero-section terms.  What differs
@@ -44,7 +47,6 @@ are computed from corner evaluations.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -610,6 +612,11 @@ class ConeCell:
 
 @dataclass(frozen=True)
 class ConeSet:
+    """A finite union of cells.  Two views of the cells are built when
+    first read: ``boxes``, the base boxes as (cells, dim) arrays of starts
+    and widths, and ``dir_table``, the distinct direction sets in order of
+    first occurrence with each cell's index into them."""
+
     model: GroupoidModel
     cells: tuple[ConeCell, ...] = ()
 
@@ -620,11 +627,30 @@ class ConeSet:
             if len(c.base) != dim or type(c.dirs) is not dirs_type:
                 raise DomainError(f"dim-{dim} cells need {dim} base intervals "
                                   f"and {dirs_type.__name__} directions")
+            if not all(type(iv) is CircInterval and iv.period == 1.0 for iv in c.base):
+                raise DomainError(f"base intervals must be period-1 CircIntervals, "
+                                  f"got {c.base!r}")
         object.__setattr__(self, "cells", tuple(c for c in self.cells if c.dirs))
 
     @property
     def is_empty(self) -> bool:
         return not self.cells
+
+    @cached_property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells' base boxes: (cells, dim) arrays of starts and widths."""
+        shape = (len(self.cells), self.model.dim)
+        starts = np.array([[iv.start for iv in c.base] for c in self.cells], dtype=float)
+        widths = np.array([[iv.width for iv in c.base] for c in self.cells], dtype=float)
+        return starts.reshape(shape), widths.reshape(shape)
+
+    @cached_property
+    def dir_table(self) -> tuple[tuple, np.ndarray]:
+        """The distinct direction sets, in order of first occurrence, and
+        each cell's index into them."""
+        table = {}
+        index = [table.setdefault(c.dirs, len(table)) for c in self.cells]
+        return tuple(table), np.array(index, dtype=np.int64)
 
     # -- construction helpers -------------------------------------------
 
@@ -657,90 +683,18 @@ class ConeSet:
         return ConeSet(model, tuple(cells))
 
 
-# ---------------------------------------------------------------------------
-# Base index: candidate cells by grid cell
-# ---------------------------------------------------------------------------
-
-def _touched(iv: CircInterval, n: int) -> range | None:
-    """Grid cells (n per unit) that ``iv`` touches, padded by one cell on
-    either side so that rounding at a cell edge drops none; None for all."""
-    if iv.is_full:
-        return None
-    k0 = math.floor(iv.start * n) - 1
-    k1 = math.floor((iv.start + iv.width) * n) + 1
-    return None if k1 - k0 + 1 >= n else range(k0, k1 + 1)
-
-
-class _BaseIndex:
-    """The base boxes of a list of cells.  ``meeting`` finds the cells
-    through buckets on the given axes, by the grid cells their intervals
-    touch (a full interval is in every bucket), and runs the exact
-    interval test only on the cells the buckets name; ``holding`` tests
-    every cell at once, per (axis, coordinate), as array arithmetic over
-    the cells' interval starts and widths.  Both list the hits in the
-    cells' order, so they answer as the loop over all cells does."""
-
-    def __init__(self, bases, shape, axes):
-        self.bases = bases
-        self.grid = shape
-        self.tables = {}        # axis -> (cells with a full interval, buckets)
-        for ax in axes:
-            n = shape[ax]
-            full, buckets = set(), defaultdict(list)
-            for i, base in enumerate(bases):
-                cells = _touched(base[ax], n)
-                if cells is None:
-                    full.add(i)
-                for g in cells or ():
-                    buckets[g % n].append(i)
-            self.tables[ax] = (full, buckets)
-        self.held = {}          # (axis, coordinate) -> mask of the cells holding it
-
-    def meeting(self, queries) -> list[int]:
-        """Cells whose interval on axis ``ax`` meets ``iv`` for every
-        (iv, ax) in ``queries``."""
-        found = None
-        for iv, ax in queries:
-            cells = _touched(iv, self.grid[ax])
-            if cells is None:       # the query spans the axis
-                continue
-            full, buckets = self.tables[ax]
-            hit = full.union(*(buckets.get(g % self.grid[ax], ()) for g in cells))
-            found = hit if found is None else found & hit
-        return [i for i in (range(len(self.bases)) if found is None else sorted(found))
-                if all(iv.intersects(self.bases[i][ax]) for iv, ax in queries)]
-
-    @cached_property
-    def _spans(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per axis, the (start, width) arrays of the cells' intervals."""
-        return [(np.array([base[ax].start for base in self.bases]),
-                 np.array([base[ax].width for base in self.bases]))
-                for ax in range(len(self.grid))]
-
-    def holding(self, pt) -> np.ndarray:
-        """Cells whose base box contains the point ``pt``, to 1e-12: the
-        float operations of ``CircInterval.contains(x, 1e-12)`` on period-1
-        intervals (numpy's float ``%`` is Python's).  A full interval has
-        start 0 and width 1, so it holds every coordinate here too."""
-        inside = None
-        for ax, x in enumerate(pt):
-            if (ax, x) not in self.held:
-                start, width = self._spans[ax]
-                off = (x - start) % 1.0
-                self.held[ax, x] = (off <= width + 1e-12) | (off >= 1.0 - 1e-12)
-            inside = self.held[ax, x] if inside is None else inside & self.held[ax, x]
-        return np.flatnonzero(inside)
-
-
-def _meeting_pairs(w1: ConeSet, w2: ConeSet):
-    """Cell pairs (c1, c2) of W1 x W2 whose bases meet on the composable
-    axes, in the order of the all-pairs loop: W1's cells, then W2's."""
-    axes = w1.model.structure.composable
-    index = _BaseIndex([c.base for c in w2.cells], w2.model.grid_shape,
-                       [j for _, j in axes])
-    for c1 in w1.cells:
-        for k in index.meeting([(c1.base[i], j) for i, j in axes]):
-            yield c1, w2.cells[k]
+def _meeting(w1: ConeSet, w2: ConeSet) -> np.ndarray:
+    """The (cells of W1, cells of W2) mask of the cell pairs whose bases
+    meet on every composable axis: ``CircInterval.intersects``'s float
+    operations on period-1 intervals, broadcast over W1 x W2, so that
+    ``np.nonzero`` lists the pairs in the order of the all-pairs loop."""
+    (s1, v1), (s2, v2) = w1.boxes, w2.boxes
+    meet = np.ones((len(w1.cells), len(w2.cells)), dtype=bool)
+    for i, j in w1.model.structure.composable:
+        wa, wb = v1[:, i, None], v2[None, :, j]
+        off = (s2[None, :, j] - s1[:, i, None]) % 1.0
+        meet &= (wa >= 1.0) | (wb >= 1.0) | (off <= wa) | (off + wb >= 1.0)
+    return meet
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +735,9 @@ class Transversality:
 
 def transversality(w: ConeSet, which: str) -> bool:
     """r-transversal: W avoids (ker dr)^perp = ker s_Gamma, etc."""
-    r_ok = not any(c.dirs.meets(KER_S) for c in w.cells)
-    s_ok = not any(c.dirs.meets(KER_R) for c in w.cells)
+    sets = w.dir_table[0]
+    r_ok = not any(d.meets(KER_S) for d in sets)
+    s_ok = not any(d.meets(KER_R) for d in sets)
     if which == Transversality.R_TRANSVERSAL:
         return r_ok
     if which == Transversality.S_TRANSVERSAL:
@@ -802,16 +757,13 @@ def hormander_gate(w1: ConeSet, w2: ConeSet) -> bool:
     pairs, tol = dirs_type.KERNEL_PAIRS, dirs_type.KERNEL_TOL
     if not pairs:
         return True     # ker m_Gamma is the zero section
-    held = ({}, {})     # per side, per direction set: the pairs it holds that side of
-
-    def holds(side: int, dirs) -> frozenset:
-        if dirs not in held[side]:
-            held[side][dirs] = frozenset(i for i, pair in enumerate(pairs)
-                                         if dirs.contains(pair[side], tol))
-        return held[side][dirs]
-
-    return all(holds(0, c1.dirs).isdisjoint(holds(1, c2.dirs))
-               for c1, c2 in _meeting_pairs(w1, w2))
+    # per side, a row per distinct direction set: the pairs it holds that side of
+    (sets1, k1), (sets2, k2) = w1.dir_table, w2.dir_table
+    rows1, rows2 = (np.array([[d.contains(pair[side], tol) for pair in pairs] for d in sets],
+                             dtype=bool).reshape(len(sets), len(pairs))
+                    for side, sets in ((0, sets1), (1, sets2)))
+    clash = rows1 @ rows2.T     # distinct sets holding a common pair
+    return not (_meeting(w1, w2) & clash[np.ix_(k1, k2)]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -964,13 +916,15 @@ def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
     if model.continuous:
         raise ModelUnsupportedError("cone products need a grid model")
     boxes = model.structure.box_product
-    composed = {}       # (dirs1, dirs2) -> their composition, for this call
+    (sets1, k1), (sets2, k2) = w1.dir_table, w2.dir_table
+    rows, cols = np.nonzero(_meeting(w1, w2))
+    composed = {}       # pair of distinct-set indices -> their composition
     cells = []
-    for c1, c2 in _meeting_pairs(w1, w2):
-        key = (c1.dirs, c2.dirs)
-        if key not in composed:
-            composed[key] = c1.dirs.compose(c2.dirs)
-        cells += [ConeCell(box, composed[key]) for box in boxes(c1.base, c2.base)]
+    for i, j, a, b in zip(rows.tolist(), cols.tolist(), k1[rows].tolist(), k2[cols].tolist()):
+        if (a, b) not in composed:
+            composed[a, b] = sets1[a].compose(sets2[b])
+        cells += [ConeCell(box, composed[a, b])
+                  for box in boxes(w1.cells[i].base, w2.cells[j].base)]
     return ConeSet(model, tuple(cells))
 
 
@@ -983,15 +937,10 @@ def _zero_term_cells(w: ConeSet, side: str) -> list[ConeCell]:
     contributes nothing (on a group, none has any)."""
     s_axis, r_axis = w.model.structure.fibers
     kernel, free = (KER_S, r_axis) if side == "left" else (KER_R, s_axis)
-    in_kernel = {}      # direction set of W -> its directions in the kernel
-    cells = []
-    for c in w.cells:
-        if c.dirs not in in_kernel:
-            in_kernel[c.dirs] = c.dirs.kernel_part(kernel)
-        if in_kernel[c.dirs]:
-            cells.append(ConeCell(c.base[:free] + (_WHOLE,) + c.base[free + 1:],
-                                  in_kernel[c.dirs]))
-    return cells
+    sets, index = w.dir_table
+    parts = [d.kernel_part(kernel) for d in sets]
+    return [ConeCell(c.base[:free] + (_WHOLE,) + c.base[free + 1:], parts[k])
+            for c, k in zip(w.cells, index.tolist()) if parts[k]]
 
 
 def _kernel_caps(caps: Caps, kernel: AnchorKernel) -> Caps:
@@ -1046,7 +995,11 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     axis; ``angular_tol`` dilates B's direction sets.  Both must be finite
     and >= 0.
 
-    Each distinct direction set of B is dilated once.  The directions of
+    B's base boxes are dilated as arrays, with ``CircInterval.dilate``'s
+    normalisation, and tested against each base point of A at once with
+    the float operations of ``CircInterval.contains(x, 1e-12)``.  Each
+    distinct direction set of B (its ``dir_table``) is dilated once, and
+    each of A's gets one cover test.  The directions of
     B over a base point of A are the union of its holders' dilated sets,
     which depends only on which distinct sets hold it and how often: the
     union is formed, and each direction set of A tested against it, once
@@ -1059,28 +1012,35 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
         raise DomainError(f"containment tolerances must be finite and >= 0, got "
                           f"angular_tol={angular_tol!r}, base_tol_cells={base_tol_cells!r}")
     model = a.model
-    shape = model.grid_shape
-    index = _BaseIndex([tuple(iv.dilate(base_tol_cells / n) for iv, n in zip(bc.base, shape))
-                        for bc in b.cells], shape, ())
-    numbers = {}        # direction set of B -> its number
-    number_of = np.array([numbers.setdefault(bc.dirs, len(numbers)) for bc in b.cells],
-                         dtype=np.int64)
-    grown = [dirs.dilate(angular_tol) for dirs in numbers]
+    # B's base boxes dilated as CircInterval.dilate does, axis by axis
+    starts, widths = (v.copy() for v in b.boxes)
+    for ax, n in enumerate(model.grid_shape):
+        eps = base_tol_cells / n
+        if eps > 0.0:
+            w = np.minimum(np.maximum(widths[:, ax] + 2.0 * eps, 0.0), 1.0)
+            full = w >= 1.0
+            starts[:, ax] = np.where(full, 0.0, (starts[:, ax] - eps) % 1.0)
+            widths[:, ax] = np.where(full, 1.0, w)
+    reach = widths + 1e-12
+    sets, number_of = b.dir_table
+    grown = [dirs.dilate(angular_tol) for dirs in sets]
     nothing = DIRECTION_SETS[model.dim]()
+    a_sets, a_number_of = a.dir_table
+    covers = [dirs.cover_test(angular_tol) for dirs in a_sets]
     avail = {}          # sorted holder numbers -> the union of their sets
-    tests = {}          # direction set of A -> (number, cover test)
-    covered = set()     # (holder numbers, direction set number) found covered
-    for cell in a.cells:
-        if cell.dirs not in tests:
-            tests[cell.dirs] = (len(tests), cell.dirs.cover_test(angular_tol))
-        k, test = tests[cell.dirs]
+    covered = set()     # (holder numbers, number of A's set) found covered
+    for cell, k in zip(a.cells, a_number_of.tolist()):
         for pt in _base_grid_points(cell, model):
-            held = tuple(np.sort(number_of[index.holding(pt)]).tolist())
+            # the cells of B holding pt: CircInterval.contains(x, 1e-12)'s
+            # float operations; a full interval (start 0, width 1) holds all
+            off = (np.array(pt) - starts) % 1.0
+            inside = ((off <= reach) | (off >= 1.0 - 1e-12)).all(axis=1)
+            held = tuple(np.sort(number_of[inside]).tolist())
             if (held, k) in covered:
                 continue
             if held not in avail:
                 avail[held] = nothing.union(*(grown[i] for i in held))
-            if not test(avail[held]):
+            if not covers[k](avail[held]):
                 return False
             covered.add((held, k))
     return True

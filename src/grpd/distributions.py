@@ -101,6 +101,8 @@ class Layer:
         if c.shape != self.model.unit_shape:
             raise DomainError(f"layer coefficients must have the shape of G^(0), "
                               f"{self.model.unit_shape}")
+        if not np.isfinite(c).all():
+            raise DomainError("layer coefficients must be finite")
         if not (0 <= self.order <= _INTERNAL_ORDER_CAP):
             raise OrderCapError(f"fiber order {self.order} out of range")
         object.__setattr__(self, "coeffs", c)
@@ -127,6 +129,8 @@ class Distribution:
             v = np.asarray(self.smooth, dtype=complex)
             if v.shape != self.model.grid_shape:
                 raise DomainError("smooth part has the wrong shape")
+            if not np.isfinite(v).all():
+                raise DomainError("smooth part must be finite")
             object.__setattr__(self, "smooth", v)
         for l in self.layers:
             if l.model != self.model:

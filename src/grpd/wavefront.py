@@ -124,6 +124,10 @@ class WfParams:
             v = getattr(self, name)
             if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
                 raise DomainError(f"{name} must be an integer, got {v!r}")
+        for name in ("cone_half_angle", "slope_threshold"):
+            v = getattr(self, name)
+            if not _real(v):
+                raise DomainError(f"{name} must be a real number, got {v!r}")
         n = model.n
         window_radius = self.window_radius or max(16, n // 8)
         p = replace(self, window_radius=window_radius,

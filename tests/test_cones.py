@@ -476,6 +476,61 @@ def test_indexed_ptz_a_star_product_matches_all_pairs_reference():
     _assert_matches_reference(ast, ast)
 
 
+# base intervals at the edges of the array tests: full, zero-width, a start
+# one ulp below 1, and pairs that touch at an endpoint (0.5, and 1 = 0)
+_EDGES = [full_interval(), point_interval(0.25), CircInterval(math.nextafter(1.0, 0.0), 0.0),
+          CircInterval(math.nextafter(1.0, 0.0), 0.125), CircInterval(0.25, 0.25),
+          CircInterval(0.5, 0.25), CircInterval(0.875, 0.125), CircInterval(0.0, 0.125)]
+
+
+def _edge_sets(model, dirs):
+    """The empty cone set, and cone sets with one cell per interval of
+    ``_EDGES`` in three arrangements across the axes."""
+    sets = [ConeSet.empty(model)]
+    for shift in (0, 1, 3):
+        sets.append(ConeSet(model, tuple(
+            ConeCell(tuple(_EDGES[(k + ax * shift) % len(_EDGES)] for ax in range(model.dim)),
+                     dirs[k % len(dirs)]) for k in range(len(_EDGES)))))
+    return sets
+
+
+_POINT_CAPS = [Caps((Cap(c, 0.0),)) for c in ((0, 1, 0), (-1, 0, 0), (0, 0, 1))]
+
+
+@pytest.mark.parametrize("model,dirs", [
+    (pair_circle(16), [Arcs.full(), Arcs((CircInterval(math.pi / 2, 0.0, TWO_PI),)),
+                       Arcs((CircInterval(math.pi, 0.0, TWO_PI),))]),
+    (circle_group(16), [Signs({1}), Signs({1, -1})]),
+    (pair_times_z(8, 8), _POINT_CAPS),
+], ids=["pair", "group", "ptz"])
+def test_empty_and_edge_boxes_match_all_pairs_reference(model, dirs):
+    sets = _edge_sets(model, dirs)
+    gates, verdicts = [], []
+    for w1 in sets:
+        for w2 in sets:
+            _assert_matches_reference(w1, w2)
+            gates.append(hormander_gate(w1, w2))
+            for tols in ((0.0, 0.0), (0.05, 1.0)):
+                got = cone_contains(w1, w2, *tols)
+                assert got == _reference_contains(w1, w2, *tols)
+                verdicts.append(got)
+    assert all(gates[:len(sets)]) and all(gates[::len(sets)])     # an empty factor
+    assert all(verdicts[:2 * len(sets)]) and not all(verdicts)
+    if model.dim > 1:
+        assert not all(gates)
+
+
+def test_cone_set_refuses_base_intervals_off_period_one():
+    arcs = Arcs.full()
+    for base in ((CircInterval(0.0, 0.1, TWO_PI), CircInterval(0.0, 0.1)),
+                 (CircInterval(0.0, 0.1), CircInterval(0.0, 0.1, 2.0)),
+                 ((0.0, 0.1), CircInterval(0.0, 0.1))):
+        with pytest.raises(DomainError, match="period-1"):
+            ConeSet(M, (ConeCell(base, arcs),))
+    with pytest.raises(DomainError, match="period-1"):
+        ConeSet(G, (ConeCell((point_interval(0.5, TWO_PI),), Signs({1})),))
+
+
 def test_directions_composed_once_per_distinct_pair(monkeypatch):
     import grpd.cones
     calls = []

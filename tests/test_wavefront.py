@@ -72,6 +72,8 @@ def test_params_validation():
     WfParams(window_radius=16.0),              # integer fields take ints only
     WfParams(n_directions="abc"),
     WfParams(probe_stride=True),
+    WfParams(slope_threshold="x"),             # real fields take real numbers only
+    WfParams(cone_half_angle=None),
 ])
 def test_params_range_checks(params):
     with pytest.raises(DomainError):
@@ -565,12 +567,18 @@ def test_non_finite_raster_is_refused():
     for bad in (np.nan, np.inf):
         f = np.ones(m.grid_shape)
         f[3, 5] = bad
-        u = smooth_distribution(m, f)
         with pytest.raises(DomainError, match="finite"):
+            smooth_distribution(m, f)
+        with pytest.raises(DomainError, match="finite"):
+            rotation_layer(m, 0.25, np.full(m.unit_shape, bad))
+    # finite coefficients whose raster overflows reach the estimator's check
+    u = rotation_layer(m, 0.25, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="finite raster"):
             estimate_wavefront(u)
-        with pytest.raises(DomainError, match="finite"), np.errstate(invalid="ignore"):
+        with pytest.raises(DomainError, match="finite raster"):
             verify_product_bound(u, unit_delta(m), ConeSet.empty(m), a_star_units(m))
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match="finite raster"):
             decay_slope(u, (0.0, 0.0), (1.0, 0.0))
 
 
