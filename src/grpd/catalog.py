@@ -12,9 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .cones import CircInterval, ConeCell, ConeSet, a_star_directions, a_star_units
-from .distributions import (Distribution, counterexample_distribution, layered,
-                            make_layer, point_mass, smooth_distribution, unit_delta)
+from .cones import (DIRECTION_SETS, CircInterval, ConeCell, ConeSet, a_star_directions,
+                    a_star_units, point_interval)
+from .distributions import (Distribution, counterexample_distribution, make_layer,
+                            point_mass, section_index, smooth_distribution, unit_delta)
 from .errors import DomainError
 from .models import GroupoidModel
 from .spectral import band_limited_field
@@ -32,8 +33,8 @@ def rotation_cone(model: GroupoidModel, theta: float) -> ConeSet:
     """Conormal cone of the layer section theta: over each grid cell of
     G^(0), the cell of its section point, with the directions of A*G
     ({(x, x-theta, xi, -xi)} on the pair model)."""
-    s = layered(model)
-    t = int(round(theta * model.n)) % model.n
+    t = section_index(model, theta)
+    s = model.structure
     dirs = a_star_directions(model)
     return ConeSet(model, tuple(
         ConeCell(tuple(CircInterval(k / size, 1.0 / size)
@@ -43,7 +44,8 @@ def rotation_cone(model: GroupoidModel, theta: float) -> ConeSet:
 
 def point_cone(model: GroupoidModel, *coords) -> ConeSet:
     """Full cone (all directions) over a single base point."""
-    return ConeSet.full_cone_at(model, *coords)
+    base = tuple(point_interval(c) for c in coords)
+    return ConeSet(model, (ConeCell(base, DIRECTION_SETS[model.dim].full()),))
 
 
 def gaussian_bump(model: GroupoidModel, center: tuple[float, ...] = None,
@@ -69,7 +71,7 @@ def smooth_field(model: GroupoidModel, band: int, seed: int = 0) -> Distribution
 
 
 def empty_cone(model: GroupoidModel) -> ConeSet:
-    return ConeSet.empty(model)
+    return ConeSet(model)
 
 
 CATALOG = {

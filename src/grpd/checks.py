@@ -29,8 +29,8 @@ from .models import (Element, GroupoidModel, Kind, invert, multiply,
 from .spectral import band_limited_field
 from .wavefront import WfParams, estimate_wavefront, verify_product_bound
 
-ALL_MODELS = lambda n=64, m_z=16: [pair_circle(n), circle_group(n),
-                                   pair_times_z(max(8, n // 4), m_z), affine_group()]
+ALL_MODELS = lambda n=64: [pair_circle(n), circle_group(n),
+                           pair_times_z(max(8, n // 4), 16), affine_group()]
 
 
 def _residual(e1: Element, e2: Element) -> float:
@@ -171,9 +171,10 @@ def check_kernel_identities(n: int = 64) -> dict:
             "sr_failures": failures, "m_failures": m_failures}
 
 
-def check_lagrangian_graph(samples: int = 200, seed: int = 2,
-                           eps: float = 1e-5) -> dict:
-    """Covector (-xi, xi1, xi2) annihilates an FD basis of T Gr(m)."""
+def check_lagrangian_graph(samples: int = 200, seed: int = 2) -> dict:
+    """Covector (-xi, xi1, xi2) annihilates a central-difference basis
+    of T Gr(m), with step 1e-5."""
+    eps = 1e-5
     model = affine_group()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -223,17 +224,17 @@ def distribution_distance(a: Distribution, b: Distribution) -> float:
     return d
 
 
-def _mixture_factors(model: GroupoidModel, rng: np.random.Generator,
-                     max_order: int = 1) -> dict:
+def _mixture_factors(model: GroupoidModel, rng: np.random.Generator) -> dict:
+    """A smooth factor and an order-1 layer."""
     n = model.n
     band = max(2, n // 16)
     smooth = Distribution(model, band_limited_field(model.grid_shape, band, rng,
                                                     real=False))
     if model.kind is Kind.PAIR_CIRCLE:
         coeffs = band_limited_field((n,), band, rng, real=False)
-        layer = catalog.rotation_layer(model, (n // 4) / n, coeffs, max_order)
+        layer = catalog.rotation_layer(model, (n // 4) / n, coeffs, 1)
     else:
-        layer = catalog.rotation_layer(model, (n // 4) / n, 1.3 - 0.7j, max_order)
+        layer = catalog.rotation_layer(model, (n // 4) / n, 1.3 - 0.7j, 1)
     return {"smooth": smooth, "layer": layer}
 
 

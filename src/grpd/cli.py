@@ -104,7 +104,7 @@ def run_scenario(spec: dict, outdir: Path) -> int:
         files = {"estimated.json": rep.estimated, "predicted.json": rep.predicted,
                  "slopes.csv": rep.wf_report.slopes}
         report |= {"ok": rep.passed, "product_norm": rep.product_norm,
-                   "gate": rep.gate_passed}
+                   "gate": rep.used_gated_route}
     gridio.write_artifacts(outdir, files | {"report.json": report})
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
@@ -177,7 +177,7 @@ def _demo_wf_product_layers(out: Path, seed: int, n: int) -> tuple[bool, dict]:
                                  "w2.json": catalog.rotation_cone(model, 0.125),
                                  "estimated.json": rep.estimated,
                                  "predicted.json": rep.predicted})
-    return rep.passed, {"passed": rep.passed, "gate": rep.gate_passed,
+    return rep.passed, {"passed": rep.passed, "gate": rep.used_gated_route,
                         "product_norm": rep.product_norm}
 
 

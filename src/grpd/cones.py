@@ -10,10 +10,12 @@ direction set on the unit sphere of covectors, whose type the table
 * dim 3 (pair times Z): ``Caps``, a finite set of spherical caps.
 
 The three share one interface (contains, dilate, union, cover_test,
-meets, to_json/from_json, random, and the estimator's bins and report),
-so validation, serialization, transversality, containment, random cone
-sets and the estimator's binning and reporting are written once, as are
-the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``, ``KER_R``).
+kernel_part, to_json/from_json, random, and the estimator's bins and
+report), so validation, serialization, transversality, containment,
+random cone sets and the estimator's binning and reporting are written
+once, as are the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``,
+``KER_R``).  Transversality asks of each distinct direction set whether
+its ``kernel_part`` is empty.
 
 A ConeSet carries two views of its cells, built when first read: its
 base boxes as (cells, dim) arrays of starts and widths (``boxes``), and
@@ -88,10 +90,6 @@ class CircInterval:
     def is_full(self) -> bool:
         return self.width >= self.period
 
-    @property
-    def end(self) -> float:
-        return (self.start + self.width) % self.period
-
     def contains(self, x: float, tol: float = 0.0) -> bool:
         if self.is_full:
             return True
@@ -128,12 +126,11 @@ class CircInterval:
                 uniq.append(iv)
         return uniq
 
-    def intersects(self, other: "CircInterval", tol: float = 0.0) -> bool:
+    def intersects(self, other: "CircInterval") -> bool:
         if self.is_full or other.is_full:
             return True
         a = (other.start - self.start) % self.period
-        return (a <= self.width + tol
-                or a + other.width >= self.period - tol)
+        return a <= self.width or a + other.width >= self.period
 
     def minkowski(self, other: "CircInterval") -> "CircInterval":
         return CircInterval(self.start + other.start,
@@ -185,8 +182,9 @@ def merge_arcs(arcs: list[CircInterval]) -> list[CircInterval]:
     return out
 
 
-def arcs_cover(target: CircInterval, avail: list[CircInterval], tol: float = 1e-12) -> bool:
-    """True iff the union of ``avail`` covers the closed arc ``target``."""
+def arcs_cover(target: CircInterval, avail: list[CircInterval]) -> bool:
+    """True iff the union of ``avail`` covers the closed arc ``target`` to 1e-12."""
+    tol = 1e-12
     if target.width == 0.0:
         return any(a.contains(target.start, tol) for a in avail)
     pieces = []
@@ -288,9 +286,10 @@ class _DirSet:
 
     The cone calculus's per-dimension part: ``compose`` (m_Gamma on the
     directions of two sets), ``kernel_part`` (a set's directions in an
-    anchor kernel), ``rays`` (the set of some covectors' directions), and
-    ``KERNEL_PAIRS``, the directions (d1 on the s side, d2 on the r side)
-    of covector pairs in ker m_Gamma = N*G^(2), found to ``KERNEL_TOL``.
+    anchor kernel, empty exactly when the set avoids that kernel), ``rays``
+    (the set of some covectors' directions), and ``KERNEL_PAIRS``, the
+    directions (d1 on the s side, d2 on the r side) of covector pairs in
+    ker m_Gamma = N*G^(2), found to ``KERNEL_TOL``.
 
     A set is frozen, so it hashes its parts once, when built, to the value
     the dataclass hash would give; equality is the dataclass's, by parts.
@@ -343,9 +342,6 @@ class Signs(_DirSet):
 
     # on a group both anchor kernels and ker m_Gamma are the zero section
     KERNEL_PAIRS, KERNEL_TOL = (), 0.0
-
-    def meets(self, kernel: "AnchorKernel") -> bool:
-        return False
 
     def kernel_part(self, kernel: "AnchorKernel") -> "Signs":
         return Signs()
@@ -407,9 +403,6 @@ class Arcs(_DirSet):
 
     # the conormal axes
     KERNEL_PAIRS, KERNEL_TOL = ((math.pi / 2.0, math.pi), (3.0 * math.pi / 2.0, 0.0)), 0.0
-
-    def meets(self, kernel: "AnchorKernel") -> bool:
-        return any(self.contains(t) for t in kernel.angles)
 
     def kernel_part(self, kernel: "AnchorKernel") -> "Arcs":
         return Arcs(tuple(CircInterval(t, 0.0, TWO_PI) for t in kernel.angles
@@ -524,9 +517,6 @@ class Caps(_DirSet):
     KERNEL_PAIRS = tuple(((0.0, math.cos(mu), math.sin(mu)), (-math.cos(mu), 0.0, -math.sin(mu)))
                          for mu in np.linspace(0.0, TWO_PI, 257)[:-1])
     KERNEL_TOL = SAMPLING_STEP / 2
-
-    def meets(self, kernel: "AnchorKernel") -> bool:
-        return any(cap.tilt(kernel.normal) <= cap.radius for cap in self.parts)
 
     def kernel_part(self, kernel: "AnchorKernel") -> "Caps":
         return _kernel_caps(self, kernel)
@@ -652,18 +642,6 @@ class ConeSet:
         index = [table.setdefault(c.dirs, len(table)) for c in self.cells]
         return tuple(table), np.array(index, dtype=np.int64)
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def empty(model: GroupoidModel) -> "ConeSet":
-        return ConeSet(model, ())
-
-    @staticmethod
-    def full_cone_at(model: GroupoidModel, *coords) -> "ConeSet":
-        """All directions over a single base point."""
-        base = tuple(point_interval(c) for c in coords)
-        return ConeSet(model, (ConeCell(base, DIRECTION_SETS[model.dim].full()),))
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -677,8 +655,7 @@ class ConeSet:
         dirs_type = DIRECTION_SETS[model.dim]
         cells = []
         for c in d["cells"]:
-            base = tuple(interval(lo, hi) if hi != lo else point_interval(lo)
-                         for lo, hi in c["base_box"])
+            base = tuple(interval(lo, hi) for lo, hi in c["base_box"])
             cells.append(ConeCell(base, dirs_type.from_json(c)))
         return ConeSet(model, tuple(cells))
 
@@ -736,8 +713,8 @@ class Transversality:
 def transversality(w: ConeSet, which: str) -> bool:
     """r-transversal: W avoids (ker dr)^perp = ker s_Gamma, etc."""
     sets = w.dir_table[0]
-    r_ok = not any(d.meets(KER_S) for d in sets)
-    s_ok = not any(d.meets(KER_R) for d in sets)
+    r_ok = not any(d.kernel_part(KER_S) for d in sets)
+    s_ok = not any(d.kernel_part(KER_R) for d in sets)
     if which == Transversality.R_TRANSVERSAL:
         return r_ok
     if which == Transversality.S_TRANSVERSAL:
@@ -848,17 +825,16 @@ def compose_direction_arcs(arcs1, arcs2) -> list[CircInterval]:
 
 def _norm(v):
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-14 else None
+    return v / np.linalg.norm(v)
 
 
-def compose_direction_caps(caps1, caps2, step: float = SAMPLING_STEP) -> list[Cap]:
-    eps = math.sin(step)
+def compose_direction_caps(caps1, caps2) -> list[Cap]:
+    eps = math.sin(SAMPLING_STEP)
     chunks: list[np.ndarray] = []
     for cap1 in caps1:
-        s1 = cap1.samples(step)
+        s1 = cap1.samples(SAMPLING_STEP)
         for cap2 in caps2:
-            s2 = cap2.samples(step)
+            s2 = cap2.samples(SAMPLING_STEP)
             u1, v1, w1 = s1[:, 0], s1[:, 1], s1[:, 2]
             u2, v2, w2 = s2[:, 0], s2[:, 1], s2[:, 2]
             mask = v1[:, None] * u2[None, :] < 0.0
@@ -872,16 +848,12 @@ def compose_direction_caps(caps1, caps2, step: float = SAMPLING_STEP) -> list[Ca
                 keep = nrm > 1e-14
                 chunks.append(vecs[keep] / nrm[keep][:, None])
             # two-parameter families where both matching components vanish:
-            # the output cone is spanned by (u1,0,w1) and (0,v2,w2)
+            # the output cone is spanned by (u1,0,w1) and (0,v2,w2), each of
+            # norm >= cos(SAMPLING_STEP), as samples are unit vectors
             for d1 in s1[np.abs(v1) <= eps]:
                 a = _norm((d1[0], 0.0, d1[2]))
                 for d2 in s2[np.abs(u2) <= eps]:
                     b = _norm((0.0, d2[1], d2[2]))
-                    if a is None or b is None:
-                        pts = [p for p in (a, b) if p is not None]
-                        if pts:
-                            chunks.append(np.asarray(pts))
-                        continue
                     lam = np.linspace(0.0, 1.0, 17)[:, None]
                     arc = (1 - lam) * a[None, :] + lam * b[None, :]
                     nrm = np.linalg.norm(arc, axis=1)
@@ -891,17 +863,17 @@ def compose_direction_caps(caps1, caps2, step: float = SAMPLING_STEP) -> list[Ca
         return []
     outs = np.concatenate(chunks, axis=0)
     # dedupe on a fine quantization grid, then cluster greedily
-    _, first = np.unique(np.round(outs / (step / 3.0)).astype(np.int64),
+    _, first = np.unique(np.round(outs / (SAMPLING_STEP / 3.0)).astype(np.int64),
                          axis=0, return_index=True)
     reps = outs[np.sort(first)]
     centers = np.empty_like(reps)
     count = 0
-    cos_step = math.cos(step)
+    cos_step = math.cos(SAMPLING_STEP)
     for v in reps:
         if not count or float(np.max(centers[:count] @ v)) < cos_step:
             centers[count] = v
             count += 1
-    return [Cap(tuple(c), 2.0 * step) for c in centers[:count]]
+    return [Cap(tuple(c), 2.0 * SAMPLING_STEP) for c in centers[:count]]
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,9 @@ def ct_tgt(delta: CotangentPoint) -> CotangentUnit:
     return ct_anchor_maps(delta)[1]
 
 
-def ct_is_composable(d1: CotangentPoint, d2: CotangentPoint,
-                     tol: float = COVECTOR_MATCH_TOL) -> bool:
+def ct_is_composable(d1: CotangentPoint, d2: CotangentPoint) -> bool:
     """s_Gamma(d1) = r_Gamma(d2): the bases compose and the covectors
-    match to ``tol``; each anchor of G is computed once."""
+    match to ``COVECTOR_MATCH_TOL``; each anchor of G is computed once."""
     if d1.model != d2.model:
         raise ModelMismatchError("cotangent points on different models")
     s_u, r_u = anchor_maps(d1.base)[0], anchor_maps(d2.base)[1]
@@ -112,12 +111,11 @@ def ct_is_composable(d1: CotangentPoint, d2: CotangentPoint,
     ct_anchors = d1.model.structure.ct_anchors
     s1 = CotangentUnit(s_u, ct_anchors(d1.base.data, d1.cov)[0])
     r2 = CotangentUnit(r_u, ct_anchors(d2.base.data, d2.cov)[1])
-    return max(abs(a - b) for a, b in zip(s1.cov, r2.cov)) <= tol
+    return max(abs(a - b) for a, b in zip(s1.cov, r2.cov)) <= COVECTOR_MATCH_TOL
 
 
-def ct_multiply(d1: CotangentPoint, d2: CotangentPoint,
-                tol: float = COVECTOR_MATCH_TOL) -> CotangentPoint:
-    if not ct_is_composable(d1, d2, tol):
+def ct_multiply(d1: CotangentPoint, d2: CotangentPoint) -> CotangentPoint:
+    if not ct_is_composable(d1, d2):
         raise ComposabilityError("cotangent pair not composable")
     m = d1.model
     s = m.structure
@@ -192,12 +190,12 @@ def kernel_basis(jac: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def annihilates(cov, vectors: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff the covector kills every column of ``vectors``."""
+def annihilates(cov, vectors: np.ndarray) -> bool:
+    """True iff the covector kills every column of ``vectors`` exactly."""
     cov = np.asarray(cov, dtype=float)
     if vectors.size == 0:
         return True
-    return bool(np.max(np.abs(cov @ vectors)) <= tol)
+    return not np.any(cov @ vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ moves it onto the coefficients along the section.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,10 +109,6 @@ class Layer:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "section", int(self.section) % self.model.n)
 
-    @property
-    def theta(self) -> float:
-        return self.section / self.model.n
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -155,45 +152,49 @@ class Distribution:
         layers = tuple(replace(l, coeffs=factor * l.coeffs) for l in self.layers)
         return Distribution(self.model, smooth, layers, self.label)
 
-    def merged_layers(self, drop_tol: float = 0.0) -> "Distribution":
-        """Combine layers sharing (section, order); drop tiny coefficients."""
+    def merged_layers(self) -> "Distribution":
+        """Combine layers sharing (section, order)."""
         acc: dict[tuple[int, int], np.ndarray] = {}
         for l in self.layers:
             key = (l.section, l.order)
             acc[key] = acc.get(key, 0) + l.coeffs
-        layers = []
-        for (sec, k), c in sorted(acc.items()):
-            if drop_tol and float(np.max(np.abs(c))) <= drop_tol:
-                continue
-            layers.append(Layer(self.model, sec, c, k))
-        return Distribution(self.model, self.smooth, tuple(layers), self.label)
+        layers = tuple(Layer(self.model, sec, c, k) for (sec, k), c in sorted(acc.items()))
+        return Distribution(self.model, self.smooth, layers, self.label)
 
 
 def smooth_distribution(model: GroupoidModel, values, label: str = "") -> Distribution:
     return Distribution(model, np.asarray(values, dtype=complex), (), label)
 
 
-def point_mass(model: GroupoidModel, *coords, label: str = "point-mass") -> Distribution:
+def point_mass(model: GroupoidModel, *coords) -> Distribution:
     """Unit grid indicator at a grid point (mollified-limit convention)."""
     from .models import element
     g = element(model, *coords)
     v = np.zeros(model.grid_shape, dtype=complex)
     v[g.data] = 1.0
-    return Distribution(model, v, (), label)
+    return Distribution(model, v, (), "point-mass")
+
+
+def section_index(model: GroupoidModel, theta) -> int:
+    """The grid index of the layer section ``theta``, a real number within
+    1e-9 grid cells of the grid; a ``DomainError`` for any other value."""
+    layered(model)
+    real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
+    k = theta * model.n if real else math.nan
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
+        raise DomainError(f"section {theta!r} is off the grid")
+    return int(round(k)) % model.n
 
 
 def make_layer(model: GroupoidModel, section: float, coeffs, fiber_order: int = 0,
                label: str = "") -> Distribution:
-    """Distribution with a single layer; ``section`` snaps to the grid."""
+    """Distribution with a single layer on the grid section ``section``."""
     if fiber_order > ORDER_CAP or fiber_order < 0:
         raise OrderCapError(f"fiber_order must be within 0..{ORDER_CAP}")
-    layered(model)
-    k = section * model.n
-    if abs(k - round(k)) > 1e-9:
-        raise DomainError(f"section {section} is off the grid")
+    k = section_index(model, section)
     if np.isscalar(coeffs):
         coeffs = np.full(model.unit_shape, coeffs, dtype=complex)
-    layer = Layer(model, int(round(k)), coeffs, fiber_order)
+    layer = Layer(model, k, coeffs, fiber_order)
     return Distribution(model, None, (layer,), label or f"layer(theta={section})")
 
 

@@ -27,7 +27,6 @@ and its entry is built so.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from collections.abc import Callable
@@ -122,9 +121,6 @@ class GroupoidModel:
         except (KeyError, ValueError) as exc:
             raise DomainError(f"bad model descriptor {d!r}") from exc
         return GroupoidModel(kind, d.get("n", 0), d.get("m_z", 0))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def pair_circle(n: int) -> GroupoidModel:

@@ -44,8 +44,7 @@ def spectral_derivative(values: np.ndarray, axis: int, order: int) -> np.ndarray
 
 
 def band_limited_field(shape: tuple[int, ...], band: int,
-                       rng: np.random.Generator, real: bool = True,
-                       mean_zero: bool = False) -> np.ndarray:
+                       rng: np.random.Generator, real: bool = True) -> np.ndarray:
     """Random smooth field with Fourier support |k_i| <= band per axis,
     normalized to unit sup norm."""
     spec = np.zeros(shape, dtype=complex)
@@ -54,8 +53,6 @@ def band_limited_field(shape: tuple[int, ...], band: int,
     coeffs = (rng.standard_normal(mesh[0].shape)
               + 1j * rng.standard_normal(mesh[0].shape))
     spec[tuple(m for m in mesh)] = coeffs
-    if mean_zero:
-        spec[(0,) * len(shape)] = 0.0
     field = np.fft.ifftn(spec) * float(np.prod(shape))
     if real:
         field = field.real.astype(complex)

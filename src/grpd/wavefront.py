@@ -87,6 +87,7 @@ from .models import GroupoidModel
 from .spectral import bump
 
 ANGULAR_TOL = math.pi / 18.0      # 10 degrees, the product-bound tolerance
+BASE_TOL_PROBE_CELLS = 2.0        # the product bound's base tolerance, in probe strides
 
 
 @dataclass(frozen=True)
@@ -637,7 +638,6 @@ def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = No
 @dataclass(frozen=True)
 class VerifyReport:
     passed: bool
-    gate_passed: bool
     used_gated_route: bool
     product_norm: float
     estimated: ConeSet
@@ -648,11 +648,10 @@ class VerifyReport:
 
 
 def verify_product_bound(u1, u2, w1: ConeSet, w2: ConeSet,
-                         p: WfParams | None = None,
-                         base_tol_probe_cells: float = 2.0) -> VerifyReport:
+                         p: WfParams | None = None) -> VerifyReport:
     """Check WF(u1 * u2) against the cone-calculus prediction W1 *bar W2.
 
-    The base tolerance is ``base_tol_probe_cells`` probe cells, i.e.
+    The base tolerance is ``BASE_TOL_PROBE_CELLS`` probe cells, i.e.
     that many multiples of the probe stride in grid cells, matching the
     estimator's spatial resolution.
     """
@@ -668,7 +667,7 @@ def verify_product_bound(u1, u2, w1: ConeSet, w2: ConeSet,
         gate = False
     norm = float(np.max(np.abs(rasterize(product))))
     report = estimate_wavefront(product, p)
-    base_tol = base_tol_probe_cells * p.probe_stride
+    base_tol = BASE_TOL_PROBE_CELLS * p.probe_stride
     ok = cone_contains(report.estimated, predicted, ANGULAR_TOL, base_tol)
-    return VerifyReport(ok, gate, gate, norm, report.estimated, predicted,
+    return VerifyReport(ok, gate, norm, report.estimated, predicted,
                         report, ANGULAR_TOL, base_tol)

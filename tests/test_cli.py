@@ -279,3 +279,26 @@ def test_wf_params_without_the_estimator_are_refused(tmp_path, op):
         run_scenario(spec, tmp_path / "direct")
     assert run_cli(op, "--n", "64", "--params", '{"wf": {"n_directions": 2}}',
                    "--out", str(tmp_path / "cli")) == 1
+
+
+@pytest.mark.parametrize("op,flag,theta", [
+    ("cone-product", "left", 0.3), ("cone-product", "right", "x"),
+    ("wf-estimate", "input", "x"), ("wf-estimate", "input", float("nan")),
+    ("convolve", "left", 1e308), ("verify", "right_cone", 0.3),
+])
+def test_off_grid_sections_are_usage_errors(tmp_path, capsys, op, flag, theta):
+    params = json.dumps({flag: {"theta": theta}})
+    assert run_cli(op, "--n", "64", "--params", params, "--out", str(tmp_path)) == 1
+    assert "off the grid" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_m_z_sets_the_units_of_pair_times_z(tmp_path):
+    from grpd.cones import a_star_units, cone_contains
+    from grpd.gridio import load_cone_set
+    from grpd.models import pair_times_z
+    assert run_cli("cone-product", "--model", "PAIR_TIMES_Z", "--n", "16", "--m-z", "8",
+                   "--left", "a-star", "--right", "a-star", "--out", str(tmp_path)) == 0
+    bar = load_cone_set(tmp_path / "product_bar.json")
+    assert bar.model == pair_times_z(16, 8) and len(bar.cells) == 1152
+    assert cone_contains(a_star_units(bar.model), bar, 0.05, 1.0)

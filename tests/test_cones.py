@@ -11,7 +11,7 @@ from grpd.cones import (Arcs, Cap, Caps, CircInterval, ConeCell, ConeSet,
                         merge_arcs, point_interval, transversality)
 from grpd.catalog import empty_cone, point_cone, rotation_cone
 from grpd.checks import random_cone_set
-from grpd.cones import _base_grid_points, _zero_term_cells
+from grpd.cones import KER_S, SAMPLING_STEP, _base_grid_points, _zero_term_cells
 from grpd.errors import DomainError
 from grpd.models import circle_group, pair_circle, pair_times_z
 
@@ -223,14 +223,28 @@ def test_ptz_a_star_idempotent():
 
 
 def test_ptz_gate_and_zero_terms():
-    full = ConeSet.full_cone_at(Z, 0.0, 0.0, 0.0)
-    full2 = ConeSet.full_cone_at(Z, 0.0, 0.5, 0.0)
+    full = point_cone(Z, 0.0, 0.0, 0.0)
+    full2 = point_cone(Z, 0.0, 0.5, 0.0)
     assert not hormander_gate(full, full2)       # matching base, full cones
-    far = ConeSet.full_cone_at(Z, 0.5, 0.5, 0.5)
+    far = point_cone(Z, 0.5, 0.5, 0.5)
     assert hormander_gate(full, far)
     bar = cone_product_bar(full, empty_cone(Z))
     assert not bar.is_empty
     assert cone_product_bar(a_star_units(Z), empty_cone(Z)).is_empty
+
+
+def test_cap_around_the_kernel_pole():
+    # ker s_Gamma is the great circle normal to (0, 1, 0); a cap about that
+    # pole reaches the circle only when its radius passes pi/2
+    pole = Caps((Cap((0.0, 1.0, 0.0), 1.6),))
+    part = pole.kernel_part(KER_S)
+    assert part == Caps(tuple(Cap(c, math.pi / 3 + SAMPLING_STEP) for c in KER_S.circle))
+    assert all(part.contains((math.cos(mu), 0.0, math.sin(mu)))
+               for mu in np.linspace(0.0, TWO_PI, 257))
+    assert not Caps((Cap((0.0, 1.0, 0.0), 1.5),)).kernel_part(KER_S)
+    for radius, r_transversal in ((1.6, False), (1.5, True)):
+        w = ConeSet(Z, (ConeCell((full_interval(),) * 3, Caps((Cap((0.0, 1.0, 0.0), radius),))),))
+        assert transversality(w, Transversality.R_TRANSVERSAL) is r_transversal
 
 
 def test_cone_contains_examples():
@@ -486,7 +500,7 @@ _EDGES = [full_interval(), point_interval(0.25), CircInterval(math.nextafter(1.0
 def _edge_sets(model, dirs):
     """The empty cone set, and cone sets with one cell per interval of
     ``_EDGES`` in three arrangements across the axes."""
-    sets = [ConeSet.empty(model)]
+    sets = [ConeSet(model)]
     for shift in (0, 1, 3):
         sets.append(ConeSet(model, tuple(
             ConeCell(tuple(_EDGES[(k + ax * shift) % len(_EDGES)] for ax in range(model.dim)),

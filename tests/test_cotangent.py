@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from grpd.cotangent import (CotangentPoint, CotangentUnit, KernelKind,
                             random_ct_composable_triple, transformation_iso_phi,
                             transformation_product)
 from grpd.errors import ComposabilityError, DomainError, ModelUnsupportedError
-from grpd.models import affine_group, circle_group, element, pair_circle, pair_times_z, unit
+from grpd.models import (affine_group, circle_group, element, pair_circle, pair_times_z,
+                         random_element, unit)
 
 
 def cp(model, coords, cov):
@@ -134,15 +136,22 @@ def test_in_kernel_examples():
 
 
 def test_kernel_identities_pointwise():
-    ker_dr = kernel_basis(anchor_jacobian(M8, "r"))
-    ker_ds = kernel_basis(anchor_jacobian(M8, "s"))
-    for ix in range(8):
-        for iy in range(8):
-            g = element(M8, ix / 8, iy / 8)
-            for cov in [(1, 0), (0, 1), (1, 1), (2, -3)]:
+    # on every model, every covector with components in {0, 1, -2.5}: the
+    # exact zeros put covectors in the kernels, whose tests have no tolerance
+    rng = np.random.default_rng(4)
+    for model in (M8, G8, Z8, AFF):
+        ker_dr = kernel_basis(anchor_jacobian(model, "r"))
+        ker_ds = kernel_basis(anchor_jacobian(model, "s"))
+        found = set()
+        for _ in range(16):
+            g = random_element(model, rng)
+            for cov in itertools.product((0.0, 1.0, -2.5), repeat=model.dim):
                 d = CotangentPoint(g, cov)
-                assert in_kernel(d, KernelKind.KER_S_GAMMA) == annihilates(cov, ker_dr)
-                assert in_kernel(d, KernelKind.KER_R_GAMMA) == annihilates(cov, ker_ds)
+                in_s = in_kernel(d, KernelKind.KER_S_GAMMA)
+                in_r = in_kernel(d, KernelKind.KER_R_GAMMA)
+                assert in_s == annihilates(cov, ker_dr) and in_r == annihilates(cov, ker_ds)
+                found.add((in_s, in_r))
+        assert (False, False) in found and (True, True) in found
 
 
 @pytest.mark.parametrize("model", [M8, G8, Z8, AFF])

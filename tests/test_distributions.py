@@ -8,6 +8,7 @@ from grpd.distributions import (Anchor, Distribution, TestFunction,
                                 point_mass, profile_tail, pushforward_base,
                                 rasterize, slice_family, smooth_distribution,
                                 star_involution, tensor_restrict, unit_delta)
+from grpd.catalog import rotation_cone, rotation_layer
 from grpd.checks import distribution_distance
 from grpd.errors import DomainError, ModelMismatchError, OrderCapError
 from grpd.models import circle_group, pair_circle, unit
@@ -80,6 +81,21 @@ def test_make_layer_errors():
         make_layer(M, 0.0, np.ones(N), 5)
     with pytest.raises(DomainError):
         make_layer(M, 0.3 / 7.0, np.ones(N), 0)     # off-grid section
+
+
+@pytest.mark.parametrize("model", [M, G])
+@pytest.mark.parametrize("theta", [0.3, "x", None, True, math.nan, math.inf, 1e308])
+@pytest.mark.parametrize("build", [rotation_layer, rotation_cone])
+def test_layer_and_cone_refuse_the_same_off_grid_sections(build, theta, model):
+    with pytest.raises(DomainError, match="off the grid"):
+        build(model, theta)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.25 + 1e-12, 19 / 64, np.float64(1.25), 3])
+def test_layer_and_cone_share_their_grid_section(theta):
+    section = rotation_layer(M, theta).layers[0].section
+    assert section == round(theta * N) % N
+    assert rotation_cone(M, theta) == rotation_cone(M, section / N)
 
 
 # ---------------------------------------------------------------------------

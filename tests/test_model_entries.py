@@ -62,19 +62,19 @@ CALLS = {
     "pair_with": lambda m: tensor_restrict(_u(m), _u(m)).pair_with(
         np.ones((m.n,) * (m.dim + 1))),
     "convolve": lambda m: convolve(_u(m), _u(m)),
-    "convolve_gated": lambda m: convolve_gated(_u(m), _u(m), ConeSet.empty(m),
-                                               ConeSet.empty(m)),
+    "convolve_gated": lambda m: convolve_gated(_u(m), _u(m), ConeSet(m),
+                                               ConeSet(m)),
     "push_product": lambda m: push_product(tensor_restrict(_u(m), _u(m))),
     "right_translate": lambda m: right_translate(_f(m), _gamma(m)),
     "equivariance_defect": lambda m: equivariance_defect(GOperator(_u(m)), _gamma(m),
                                                          _f(m)),
     "recover_kernel": lambda m: recover_kernel(lambda tf: tf, m),
     "a_star_units": a_star_units,
-    "transversality": lambda m: transversality(ConeSet.empty(m),
+    "transversality": lambda m: transversality(ConeSet(m),
                                                Transversality.BI_TRANSVERSAL),
-    "hormander_gate": lambda m: hormander_gate(ConeSet.empty(m), ConeSet.empty(m)),
-    "cone_product": lambda m: cone_product(ConeSet.empty(m), ConeSet.empty(m)),
-    "cone_product_bar": lambda m: cone_product_bar(ConeSet.empty(m), ConeSet.empty(m)),
+    "hormander_gate": lambda m: hormander_gate(ConeSet(m), ConeSet(m)),
+    "cone_product": lambda m: cone_product(ConeSet(m), ConeSet(m)),
+    "cone_product_bar": lambda m: cone_product_bar(ConeSet(m), ConeSet(m)),
 }
 CALLS.update({f"CATALOG {name}": lambda m, name=name: catalog.build_distribution(name, m)
               for name in catalog.CATALOG})
