@@ -22,12 +22,12 @@ from .cotangent import (CotangentPoint, KernelKind, anchor_jacobian, annihilates
                         random_ct_composable_triple, transformation_iso_phi,
                         transformation_product)
 from .distributions import (Anchor, Distribution, TestFunction, pushforward_base,
-                            profile_tail, star_involution, unit_delta)
+                            star_involution, unit_delta)
 from .models import (Element, GroupoidModel, Kind, invert, multiply,
                      random_composable_triple, src, tgt, unit_embed, affine_group,
                      circle_group, pair_circle, pair_times_z)
-from .spectral import band_limited_field
-from .wavefront import WfParams, estimate_wavefront, verify_product_bound
+from .spectral import band_limited_field, dft_tail_max
+from .wavefront import WfParams, WfReport, estimate_wavefront, verify_product_bound
 
 ALL_MODELS = lambda n=64: [pair_circle(n), circle_group(n),
                            pair_times_z(max(8, n // 4), 16), affine_group()]
@@ -331,14 +331,15 @@ def check_transformation_iso(samples: int = 100, seed: int = 5) -> dict:
 # Criterion 6: the transversal counterexample
 # ---------------------------------------------------------------------------
 
-def check_counterexample(n: int = 128, seed: int = 6) -> dict:
+def check_counterexample(n: int = 128, seed: int = 6) -> tuple[dict, WfReport]:
+    """The criterion's results, and the estimate they read."""
     from .distributions import counterexample_distribution
     model = pair_circle(n)
     u = counterexample_distribution(n)
     rng = np.random.default_rng(seed)
     f = TestFunction.random_band_limited(model, 4, rng, real=True)
     profile = pushforward_base(u, f, Anchor.ALONG_R)
-    tail = profile_tail(profile, n // 4)
+    tail = dft_tail_max(profile, n // 4)
     col_sums = float(np.max(np.abs(u.smooth.sum(axis=1) / n)))
     report = estimate_wavefront(u, WfParams())
     _, dirs, _, direction, slopes, _ = report.slopes.columns()
@@ -350,7 +351,7 @@ def check_counterexample(n: int = 128, seed: int = 6) -> dict:
         dev = abs((ang + math.pi / 2) % math.pi - math.pi / 2)
         best = min(best, dev)
     return {"pushforward_tail": tail, "column_sums": col_sums,
-            "best_axis_deviation": best, "n_flagged": len(flagged)}
+            "best_axis_deviation": best, "n_flagged": len(flagged)}, report
 
 
 # ---------------------------------------------------------------------------

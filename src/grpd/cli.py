@@ -156,10 +156,7 @@ def _demo_transformation_iso(out: Path, seed: int, n: int) -> tuple[bool, dict]:
 
 
 def _demo_remark_counterexample(out: Path, seed: int, n: int) -> tuple[bool, dict]:
-    res = checks.check_counterexample(max(n, 128), seed)
-    from .distributions import counterexample_distribution
-    u = counterexample_distribution(max(n, 128))
-    report = estimate_wavefront(u, WfParams())
+    res, report = checks.check_counterexample(max(n, 128), seed)
     gridio.write_artifacts(out, {"counterexample_slopes.csv": report.slopes,
                                  "counterexample_wf.json": report.estimated})
     ok = (res["pushforward_tail"] < 1e-8

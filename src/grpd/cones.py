@@ -55,7 +55,8 @@ from itertools import chain, product
 
 import numpy as np
 
-from .errors import DomainError, ModelMismatchError, ModelUnsupportedError
+from .errors import (DomainError, ModelMismatchError, ModelUnsupportedError, finite_vector,
+                     is_real, real)
 from .models import GroupoidModel
 
 TWO_PI = 2.0 * math.pi
@@ -79,8 +80,8 @@ class CircInterval:
 
     def __post_init__(self):
         p = self.period
-        w = min(max(float(self.width), 0.0), p)
-        s = float(self.start) % p
+        w = min(max(real(self.width, "interval width"), 0.0), p)
+        s = real(self.start, "interval start") % p
         if w >= p:
             s, w = 0.0, p
         object.__setattr__(self, "start", s)
@@ -140,7 +141,7 @@ class CircInterval:
 def interval(lo: float, hi: float, period: float = 1.0) -> CircInterval:
     """Interval from lo to hi going counterclockwise (hi may wrap past lo;
     hi = lo + period means the full circle, hi = lo a point)."""
-    width = (hi - lo) % period
+    width = (real(hi, "interval end") - real(lo, "interval start")) % period
     if width == 0.0 and hi != lo:
         width = period
     return CircInterval(lo, width, period)
@@ -158,7 +159,8 @@ def point_interval(x: float, period: float = 1.0) -> CircInterval:
 
 
 def merge_arcs(arcs: list[CircInterval]) -> list[CircInterval]:
-    """Normalize a union of arcs: merge overlapping/touching ones."""
+    """Normalize a union of arcs: merge those that overlap or lie within
+    1e-12 of each other."""
     arcs = [a for a in arcs if a is not None]
     if not arcs:
         return []
@@ -183,26 +185,19 @@ def merge_arcs(arcs: list[CircInterval]) -> list[CircInterval]:
 
 
 def arcs_cover(target: CircInterval, avail: list[CircInterval]) -> bool:
-    """True iff the union of ``avail`` covers the closed arc ``target`` to 1e-12."""
+    """True iff the merged arcs ``avail`` cover the closed arc ``target`` to
+    1e-12.  ``merge_arcs`` leaves more than 1e-12 between any two arcs, so
+    they cover it iff one of them does: from at most 1e-12 after the
+    target's start to at most 1e-12 before its end, where an arc within
+    1e-12 of the whole circle covers every target."""
     tol = 1e-12
-    if target.width == 0.0:
-        return any(a.contains(target.start, tol) for a in avail)
-    pieces = []
     for a in avail:
-        for piece in target.intersect(a):
-            off = (piece.start - target.start) % target.period
-            if off > target.width + 1e-9:   # wrapped artifact
-                off -= target.period
-            pieces.append((max(off, 0.0), min(off + piece.width, target.width)))
-    pieces.sort()
-    reach = 0.0
-    for lo, hi in pieces:
-        if lo > reach + tol:
-            return False
-        reach = max(reach, hi)
-        if reach >= target.width - tol:
+        off = (target.start - a.start) % a.period     # the target's start, in a
+        if off >= a.period - tol:
+            off -= a.period
+        if a.width >= a.period - tol or off + target.width <= a.width + tol:
             return True
-    return reach >= target.width - tol
+    return False
 
 
 def _circular_runs(flagged: np.ndarray) -> list[tuple[int, int]]:
@@ -230,14 +225,15 @@ class Cap:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
+        c = np.array(finite_vector(self.center, 3, "cap center"))
         nrm = float(np.linalg.norm(c))
         if nrm < 1e-12:
             raise DomainError("cap center must be a nonzero vector")
         if abs(nrm - 1.0) > 1e-12:
             c = c / nrm
         object.__setattr__(self, "center", tuple(float(v) for v in c))
-        object.__setattr__(self, "radius", float(min(max(self.radius, 0.0), math.pi)))
+        object.__setattr__(self, "radius", min(max(real(self.radius, "cap radius"), 0.0),
+                                               math.pi))
 
     def contains(self, d, tol: float = 0.0) -> bool:
         d = np.asarray(d, dtype=float)
@@ -330,9 +326,6 @@ class Signs(_DirSet):
     def full() -> "Signs":
         return Signs({1, -1})
 
-    def contains(self, sign: int) -> bool:
-        return sign in self.parts
-
     def dilate(self, eps: float) -> "Signs":
         return self
 
@@ -380,7 +373,7 @@ class Signs(_DirSet):
 @dataclass(frozen=True, eq=False)
 class Arcs(_DirSet):
     """Directions in the plane: closed angle arcs (period 2pi), merged
-    into disjoint arcs when built."""
+    when built into arcs more than 1e-12 apart, as ``arcs_cover`` needs."""
 
     parts: tuple[CircInterval, ...] = ()
 
@@ -980,7 +973,7 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     """
     if a.model != b.model:
         raise ModelMismatchError("cone sets on different models")
-    if not all(math.isfinite(t) and t >= 0.0 for t in (angular_tol, base_tol_cells)):
+    if not all(is_real(t) and t >= 0.0 for t in (angular_tol, base_tol_cells)):
         raise DomainError(f"containment tolerances must be finite and >= 0, got "
                           f"angular_tol={angular_tol!r}, base_tol_cells={base_tol_cells!r}")
     model = a.model

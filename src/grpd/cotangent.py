@@ -13,28 +13,16 @@ units, added under multiplication and negated under inversion.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComposabilityError, DomainError, ModelMismatchError
+from .errors import ComposabilityError, ModelMismatchError, finite_vector
 from .models import (Element, GroupoidModel, Kind, Unit, _coadjoint, anchor_maps,
                      invert, is_composable, multiply, random_composable_pair,
                      random_composable_triple, unit_embed)
 
 COVECTOR_MATCH_TOL = 1e-9
-
-
-def _covector(cov, length: int, what: str) -> tuple[float, ...]:
-    """``cov`` as a tuple of floats; a ``DomainError`` unless it has
-    ``length`` components, all finite."""
-    if len(cov) != length:
-        raise DomainError(f"covector length must match {what}")
-    cov = tuple(float(c) for c in cov)
-    if not all(map(math.isfinite, cov)):
-        raise DomainError(f"covector components must be finite, got {cov}")
-    return cov
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,8 @@ class CotangentPoint:
     cov: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cov", _covector(self.cov, self.base.model.dim, "dim G"))
+        object.__setattr__(self, "cov", finite_vector(self.cov, self.base.model.dim,
+                                                      "a covector of T*G"))
 
     @property
     def model(self) -> GroupoidModel:
@@ -69,8 +58,8 @@ class CotangentUnit:
 
     def __post_init__(self):
         m = self.model
-        object.__setattr__(self, "cov", _covector(self.cov, m.dim - len(m.unit_shape),
-                                                  "the rank of A*G"))
+        object.__setattr__(self, "cov", finite_vector(self.cov, m.dim - len(m.unit_shape),
+                                                      "a covector of A*G"))
 
     @property
     def model(self) -> GroupoidModel:
@@ -192,10 +181,7 @@ def kernel_basis(jac: np.ndarray) -> np.ndarray:
 
 def annihilates(cov, vectors: np.ndarray) -> bool:
     """True iff the covector kills every column of ``vectors`` exactly."""
-    cov = np.asarray(cov, dtype=float)
-    if vectors.size == 0:
-        return True
-    return not np.any(cov @ vectors)
+    return not np.any(np.asarray(cov, dtype=float) @ vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ moves it onto the coefficients along the section.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ModelMismatchError, ModelUnsupportedError, OrderCapError
-from .models import GroupoidModel, Structure, Unit, pair_circle
+from .errors import (DomainError, ModelMismatchError, ModelUnsupportedError, OrderCapError,
+                     finite_grid, integer)
+from .models import GroupoidModel, Structure, Unit, grid_index, pair_circle
 from .spectral import band_limited_field, spectral_derivative
 
 ORDER_CAP = 4            # public constructor cap
@@ -48,10 +48,8 @@ class TestFunction:
     def __post_init__(self):
         if self.model.continuous:
             raise ModelUnsupportedError("test functions need a grid model")
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != self.model.grid_shape:
-            raise DomainError(f"expected shape {self.model.grid_shape}, got {v.shape}")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", finite_grid(self.values, self.model.grid_shape,
+                                                       "test function values"))
 
     @staticmethod
     def from_function(model: GroupoidModel, fn) -> "TestFunction":
@@ -98,16 +96,11 @@ class Layer:
 
     def __post_init__(self):
         layered(self.model)
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != self.model.unit_shape:
-            raise DomainError(f"layer coefficients must have the shape of G^(0), "
-                              f"{self.model.unit_shape}")
-        if not np.isfinite(c).all():
-            raise DomainError("layer coefficients must be finite")
-        if not (0 <= self.order <= _INTERNAL_ORDER_CAP):
+        if not 0 <= integer(self.order, "fiber order") <= _INTERNAL_ORDER_CAP:
             raise OrderCapError(f"fiber order {self.order} out of range")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "section", int(self.section) % self.model.n)
+        object.__setattr__(self, "coeffs", finite_grid(self.coeffs, self.model.unit_shape,
+                                                       "layer coefficients"))
+        object.__setattr__(self, "section", integer(self.section, "layer section") % self.model.n)
 
 
 @dataclass(frozen=True)
@@ -123,12 +116,8 @@ class Distribution:
         if self.model.continuous:
             raise ModelUnsupportedError("distributions need a grid model")
         if self.smooth is not None:
-            v = np.asarray(self.smooth, dtype=complex)
-            if v.shape != self.model.grid_shape:
-                raise DomainError("smooth part has the wrong shape")
-            if not np.isfinite(v).all():
-                raise DomainError("smooth part must be finite")
-            object.__setattr__(self, "smooth", v)
+            object.__setattr__(self, "smooth", finite_grid(self.smooth, self.model.grid_shape,
+                                                           "smooth part"))
         for l in self.layers:
             if l.model != self.model:
                 raise ModelMismatchError("layer on a different model")
@@ -176,24 +165,19 @@ def point_mass(model: GroupoidModel, *coords) -> Distribution:
 
 
 def section_index(model: GroupoidModel, theta) -> int:
-    """The grid index of the layer section ``theta``, a real number within
-    1e-9 grid cells of the grid; a ``DomainError`` for any other value."""
+    """The grid index of the layer section ``theta`` (``models.grid_index``)."""
     layered(model)
-    real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
-    k = theta * model.n if real else math.nan
-    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
-        raise DomainError(f"section {theta!r} is off the grid")
-    return int(round(k)) % model.n
+    return grid_index(theta, model.n, "section")
 
 
 def make_layer(model: GroupoidModel, section: float, coeffs, fiber_order: int = 0,
                label: str = "") -> Distribution:
     """Distribution with a single layer on the grid section ``section``."""
-    if fiber_order > ORDER_CAP or fiber_order < 0:
+    if not 0 <= integer(fiber_order, "fiber order") <= ORDER_CAP:
         raise OrderCapError(f"fiber_order must be within 0..{ORDER_CAP}")
     k = section_index(model, section)
     if np.isscalar(coeffs):
-        coeffs = np.full(model.unit_shape, coeffs, dtype=complex)
+        coeffs = np.full(model.unit_shape, coeffs)
     layer = Layer(model, k, coeffs, fiber_order)
     return Distribution(model, None, (layer,), label or f"layer(theta={section})")
 
@@ -469,13 +453,3 @@ def tensor_restrict(u1: Distribution, u2: Distribution) -> TensorRestriction:
         for l2 in u2.layers:
             pieces.append(("ll", l, l2))
     return TensorRestriction(u1.model, tuple(pieces))
-
-
-# ---------------------------------------------------------------------------
-# Smoothness certificates used by tests and the estimator catalog
-# ---------------------------------------------------------------------------
-
-def profile_tail(profile: np.ndarray, beyond: int) -> float:
-    """Largest DFT coefficient magnitude beyond the given index."""
-    from .spectral import dft_tail_max
-    return dft_tail_max(np.asarray(profile, dtype=complex), beyond)

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ComposabilityError, DomainError, ModelMismatchError, ModelUnsupportedError
+from .errors import (ComposabilityError, DomainError, ModelMismatchError, ModelUnsupportedError,
+                     finite_vector, integer, is_real)
 from .spectral import spectral_derivative
 
 
@@ -60,9 +60,7 @@ class GroupoidModel:
 
     def __post_init__(self):
         for name in ("n", "m_z"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise DomainError(f"{name}={v!r} must be an integer")
+            v = integer(getattr(self, name), name)
             if name in self.structure.axes and (v < 8 or not _is_pow2(v)):
                 raise DomainError(f"{name}={v} must be a power of two >= 8")
             if name not in self.structure.axes and v:
@@ -118,7 +116,7 @@ class GroupoidModel:
     def from_json(d: dict) -> "GroupoidModel":
         try:
             kind = Kind(d["kind"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad model descriptor {d!r}") from exc
         return GroupoidModel(kind, d.get("n", 0), d.get("m_z", 0))
 
@@ -145,27 +143,31 @@ def affine_group() -> GroupoidModel:
 
 def _indices(data, shape) -> tuple[int, ...]:
     """``data`` as grid indices into ``shape``: DomainError unless it holds
-    one integer in range per axis."""
+    one integral real number in range per axis."""
     if len(data) != len(shape):
         raise DomainError(f"expected {len(shape)} grid coordinates, got {data}")
     for i, k in enumerate(data):
-        if not 0 <= k < shape[i] or int(k) != k:
-            raise DomainError(f"index {k} off the grid (axis {i}, resolution {shape[i]})")
+        if not (is_real(k) and 0 <= k < shape[i] and int(k) == k):
+            raise DomainError(f"index {k!r} off the grid (axis {i}, resolution {shape[i]})")
     return tuple(map(int, data))
+
+
+def grid_index(c, size: int, what: str = "coordinate") -> int:
+    """The index of the circle coordinate ``c`` on a grid of ``size``
+    cells: DomainError unless ``c`` is a finite real number within 1e-9
+    cells of a grid point."""
+    k = c * size if is_real(c) else math.nan
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
+        raise DomainError(f"{what} {c!r} is off the grid of size {size}")
+    return int(round(k)) % size
 
 
 def _snap(coords, shape) -> tuple[int, ...]:
     """Circle coordinates snapped exactly to indices into ``shape``:
-    DomainError unless there is one finite on-grid coordinate per axis."""
+    DomainError unless there is one on-grid coordinate per axis."""
     if len(coords) != len(shape):
         raise DomainError(f"expected {len(shape)} coordinates, got {coords}")
-    idx = []
-    for c, s in zip(coords, shape):
-        k = c * s
-        if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
-            raise DomainError(f"coordinate {c} is off the grid of size {s}")
-        idx.append(int(round(k)) % s)
-    return tuple(idx)
+    return tuple(map(grid_index, coords, shape))
 
 
 @dataclass(frozen=True)
@@ -178,14 +180,13 @@ class Element:
 
     def __post_init__(self):
         m = self.model
-        if len(self.data) != m.dim:
-            raise DomainError(f"expected {m.dim} coordinates, got {self.data}")
-        if m.continuous:
-            a, b = self.data
-            if not (a > 0.0) or not np.isfinite(a) or not np.isfinite(b):
-                raise DomainError(f"affine element needs a > 0, got {self.data}")
-        else:
+        if not m.continuous:
             object.__setattr__(self, "data", _indices(self.data, m.grid_shape))
+            return
+        data = finite_vector(self.data, m.dim, "an affine element")
+        if not data[0] > 0.0:
+            raise DomainError(f"affine element needs a > 0, got {self.data}")
+        object.__setattr__(self, "data", data)
 
     @property
     def coords(self) -> tuple[float, ...]:
@@ -218,7 +219,7 @@ def element(model: GroupoidModel, *coords) -> Element:
     """Build an Element from float coordinates (grid models snap exactly;
     off-grid, non-finite or too few or many coordinates raise DomainError)."""
     if model.continuous:
-        return Element(model, tuple(float(c) for c in coords))
+        return Element(model, coords)
     return Element(model, _snap(coords, model.grid_shape))
 
 

@@ -69,7 +69,6 @@ inside the containment tolerance of the product-bound verifier.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -82,9 +81,9 @@ from .cones import (DIRECTION_SETS, TWO_PI, ConeCell, ConeSet, cone_contains,
                     cone_product_bar, point_interval)
 from .convolution import convolve, convolve_gated, _as_distribution
 from .distributions import Distribution, Layer, rasterize
-from .errors import ConeConditionError, DomainError, ModelUnsupportedError
+from .errors import ConeConditionError, DomainError, finite_vector, integer, real
 from .models import GroupoidModel
-from .spectral import bump
+from .spectral import bump, freq_integers
 
 ANGULAR_TOL = math.pi / 18.0      # 10 degrees, the product-bound tolerance
 BASE_TOL_PROBE_CELLS = 2.0        # the product bound's base tolerance, in probe strides
@@ -120,15 +119,14 @@ class WfParams:
     anchor_level: float = 5e-2   # reporting probe must clear both
 
     def resolve(self, model: GroupoidModel) -> "WfParams":
+        sized = ("window_radius", "shell_hi", "probe_stride")   # None: sized to the model
         for name in ("window_radius", "n_directions", "shell_lo", "shell_hi",
                      "probe_stride"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-        for name in ("cone_half_angle", "slope_threshold"):
-            v = getattr(self, name)
-            if not _real(v):
-                raise DomainError(f"{name} must be a real number, got {v!r}")
+            if getattr(self, name) is not None or name not in sized:
+                integer(getattr(self, name), name)
+        for name in ("cone_half_angle", "slope_threshold", "min_level", "anchor_level",
+                     "anchor_slope"):
+            real(getattr(self, name), name)
         n = model.n
         window_radius = self.window_radius or max(16, n // 8)
         p = replace(self, window_radius=window_radius,
@@ -166,21 +164,14 @@ class WfParams:
                               "dyadic shells (2 * shell_lo < shell_hi)")
         if not 1 <= p.probe_stride <= n / 4:
             raise DomainError(f"probe_stride must be in [1, n/4={n // 4}]")
-        # nan compares false, so a nan level or slope would keep nothing
         for name in ("min_level", "anchor_level"):
             v = getattr(p, name)
-            if not (_real(v) and 0 <= v < 1):
+            if not 0 <= v < 1:
                 raise DomainError(f"{name} must be in [0, 1), got {v!r}")
-        if not (_real(p.anchor_slope) and math.isfinite(p.anchor_slope)):
-            raise DomainError(f"anchor_slope must be finite, got {p.anchor_slope!r}")
         return p
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class SlopeTable:
@@ -255,8 +246,7 @@ class _Scaffold:
         self._resp = None
         shape = model.grid_shape
         self.dim = len(shape)
-        freqs = np.meshgrid(*(np.fft.fftfreq(s, d=1.0 / s) for s in shape),
-                            indexing="ij")
+        freqs = np.meshgrid(*map(freq_integers, shape), indexing="ij")
         radius = np.sqrt(sum(f * f for f in freqs))
         self.shells = []
         b = p.shell_lo
@@ -313,7 +303,7 @@ class _Scaffold:
         # each axis
         self.span, self.profiles = [], []
         for s in shape:
-            off = ((np.arange(s) + s // 2) % s) - s // 2
+            off = freq_integers(s)      # each position's signed offset from 0
             sup = np.flatnonzero(self._axis_window(s))
             sup = sup[np.argsort(off[sup])]     # a bump's support is one range
             self.span.append((int(off[sup[0]]), len(sup)))
@@ -391,8 +381,7 @@ class _Scaffold:
         # its spectral tail matches the continuum transform in band anyway
         if s not in self._axis_profiles:
             rad = min(self.p.window_radius, max(2, s // 2 - 1))
-            off = ((np.arange(s) + s // 2) % s) - s // 2
-            self._axis_profiles[s] = bump(off / rad)
+            self._axis_profiles[s] = bump(freq_integers(s) / rad)
         return self._axis_profiles[s]
 
     def probe_centers(self) -> list[tuple[int, ...]]:
@@ -576,21 +565,9 @@ def _raster(u: Distribution) -> np.ndarray:
     return arr
 
 
-def _vector(name: str, v, dim: int) -> np.ndarray:
-    try:
-        out = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.shape != (dim,) or not np.isfinite(out).all():
-        raise DomainError(f"{name} must be {dim} finite numbers, got {v!r}")
-    return out
-
-
 def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
-    u = _as_distribution(u)
+    u = _as_distribution(u)     # on a grid model, as every distribution is
     model = u.model
-    if model.continuous:
-        raise ModelUnsupportedError("estimator needs a grid model")
     p = (p or WfParams()).resolve(model)
     arr = _raster(u)
     sc = _plan(model, p)
@@ -620,8 +597,8 @@ def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = No
     model = u.model
     p = (p or WfParams()).resolve(model)
     shape = model.grid_shape
-    center = _vector("center", center, len(shape))
-    direction = _vector("direction", direction, len(shape))
+    center = finite_vector(center, len(shape), "center")
+    direction = np.array(finite_vector(direction, len(shape), "direction"))
     if not direction.any():
         raise DomainError("direction must be a nonzero covector")
     sc = _plan(model, p)

@@ -9,7 +9,6 @@ import time
 
 from grpd import checks
 from grpd.models import affine_group, circle_group, pair_circle, pair_times_z
-from grpd.wavefront import WfParams, estimate_wavefront
 
 
 def report(num, ok, detail):
@@ -82,9 +81,7 @@ def test_criterion_5_transformation_groupoid_iso():
 
 def test_criterion_6_counterexample():
     t0 = time.monotonic()
-    res = checks.check_counterexample(128, seed=6)
-    from grpd.distributions import counterexample_distribution
-    rep = estimate_wavefront(counterexample_distribution(128), WfParams())
+    res, rep = checks.check_counterexample(128, seed=6)
     cone_hit = any(a.contains(0.0, math.pi / 18) or a.contains(math.pi, math.pi / 18)
                    for c in rep.estimated.cells for a in c.dirs)
     elapsed = time.monotonic() - t0

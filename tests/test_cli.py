@@ -293,6 +293,20 @@ def test_off_grid_sections_are_usage_errors(tmp_path, capsys, op, flag, theta):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # a NaN point cone exited 0 and wrote NaN base boxes into product_bar.json
+    ["cone-product", "--left", "point-cone",
+     "--params", '{"left": {"at": [NaN, 0]}, "right": {"at": [0.5, 0.5]}}'],
+    ["wf-estimate", "--params", '{"input": {"order": "x"}}'],
+    ["wf-estimate", "--input", "point-mass", "--params", '{"input": {"at": ["x", 0]}}'],
+    ["cone-product", "--left", "point-cone", "--params", '{"left": {"at": ["x", 0]}}'],
+])
+def test_invalid_catalog_parameters_are_usage_errors(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--n", "64", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+
 def test_m_z_sets_the_units_of_pair_times_z(tmp_path):
     from grpd.cones import a_star_units, cone_contains
     from grpd.gridio import load_cone_set

@@ -55,6 +55,60 @@ def test_merge_and_cover():
     assert not arcs_cover(CircInterval(0.2, 2.0, TWO_PI), merged)
 
 
+def _sweep_cover(target, avail):
+    """The reference cover test: sweep the pieces of ``target`` that the
+    arcs ``avail`` cut out, closing gaps of up to 1e-12."""
+    tol = 1e-12
+    if target.width == 0.0:
+        return any(a.contains(target.start, tol) for a in avail)
+    pieces = []
+    for a in avail:
+        for piece in target.intersect(a):
+            off = (piece.start - target.start) % target.period
+            if off > target.width + 1e-9:   # wrapped artifact
+                off -= target.period
+            pieces.append((max(off, 0.0), min(off + piece.width, target.width)))
+    pieces.sort()
+    reach = 0.0
+    for lo, hi in pieces:
+        if lo > reach + tol:
+            return False
+        reach = max(reach, hi)
+        if reach >= target.width - tol:
+            return True
+    return reach >= target.width - tol
+
+
+def test_arcs_cover_matches_the_sweep_on_merged_arcs():
+    rng = np.random.default_rng(18)
+    checked = 0
+    for _ in range(1500):
+        merged = merge_arcs([CircInterval(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, 2.5), TWO_PI)
+                             for _ in range(rng.integers(1, 6))])
+        targets = [CircInterval(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, 3.0), TWO_PI)
+                   for _ in range(4)]
+        for a in merged:
+            # each part itself, and its ends moved in and out by less and
+            # by more than the tolerance; and a target across the next gap
+            for d_lo, d_hi in ((0.0, 0.0), (5e-13, -5e-13), (-5e-13, 5e-13), (-1e-9, 0.0),
+                               (0.0, 1e-9), (1e-3, -1e-3), (0.1, 1.0)):
+                targets.append(CircInterval(a.start + d_lo, a.width - d_lo + d_hi, TWO_PI))
+        for t in targets:
+            if t.width > 1e-12:
+                assert arcs_cover(t, merged) == _sweep_cover(t, merged), (t, merged)
+                checked += 1
+    assert checked > 20000
+
+
+def test_a_tiny_arc_is_covered_by_no_arcs():
+    tiny = CircInterval(1.0, 5e-13, TWO_PI)
+    assert not arcs_cover(tiny, [])
+    assert _sweep_cover(tiny, [])        # the sweep's gap rule closed it over nothing
+    cell = ConeCell((point_interval(0.0), point_interval(0.0)), Arcs((tiny,)))
+    assert not cone_contains(ConeSet(M, (cell,)), ConeSet(M), 0.0, 0.0)
+    assert cone_contains(ConeSet(M, (cell,)), ConeSet(M, (cell,)), 0.0, 0.0)
+
+
 def test_merge_arcs_wrap_absorbs_every_leading_arc():
     # the last arc wraps past 2π over both leading arcs
     arcs = [CircInterval(0.0, 1.0, TWO_PI), CircInterval(1.5, 0.5, TWO_PI),
@@ -100,9 +154,16 @@ def _dense_outputs(arcs1, arcs2, k=400):
 
 def test_arc_composition_sound_against_dense_oracle():
     rng = np.random.default_rng(5)
-    for _ in range(120):
-        arcs1 = [CircInterval(rng.uniform(0, TWO_PI), rng.uniform(0, 2.2), TWO_PI)]
-        arcs2 = [CircInterval(rng.uniform(0, TWO_PI), rng.uniform(0, 2.2), TWO_PI)]
+    cases = [([CircInterval(rng.uniform(0, TWO_PI), rng.uniform(0, 2.2), TWO_PI)],
+              [CircInterval(rng.uniform(0, TWO_PI), rng.uniform(0, 2.2), TWO_PI)])
+             for _ in range(120)]
+    # arcs that start or end on an axis angle, where a quadrant's piece
+    # of the arc is a point that may wrap past 2π
+    for k in range(4):
+        axis = k * math.pi / 2
+        cases += [([CircInterval(axis, 0.7, TWO_PI)], [CircInterval(axis + 2.0, 1.3, TWO_PI)]),
+                  ([CircInterval(axis - 0.9, 0.9, TWO_PI)], [CircInterval(axis, 2.1, TWO_PI)])]
+    for arcs1, arcs2 in cases:
         closed = compose_direction_arcs(arcs1, arcs2)
         for ang in _dense_outputs(arcs1, arcs2):
             assert any(a.contains(ang, 1e-9) for a in closed)
@@ -260,8 +321,12 @@ def test_cone_contains_examples():
 
 
 def test_cone_set_json_roundtrip():
+    # the bar product's zero-section terms hold a whole base axis, which
+    # the JSON writes as [0.0, 1.0]
+    bar = cone_product_bar(point_cone(M, 0.25, 0.5), point_cone(M, 0.5, 0.25))
+    assert any(iv.is_full for c in bar.cells for iv in c.base)
     for cone in (a_star_units(M), rotation_cone(M, 0.25), a_star_units(G),
-                 a_star_units(Z), point_cone(M, 0.25, 0.5)):
+                 a_star_units(Z), point_cone(M, 0.25, 0.5), bar):
         back = ConeSet.from_json(cone.to_json())
         assert back.to_json() == cone.to_json()
         assert cone_contains(cone, back, 1e-12, 0.0)

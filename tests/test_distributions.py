@@ -5,7 +5,7 @@ import pytest
 
 from grpd.distributions import (Anchor, Distribution, TestFunction,
                                 counterexample_distribution, make_layer, pair,
-                                point_mass, profile_tail, pushforward_base,
+                                point_mass, pushforward_base,
                                 rasterize, slice_family, smooth_distribution,
                                 star_involution, tensor_restrict, unit_delta)
 from grpd.catalog import rotation_cone, rotation_layer
@@ -124,10 +124,10 @@ def test_counterexample_pushforward_smooth():
     u = counterexample_distribution(n)
     f = TestFunction.random_band_limited(pair_circle(n), 4, np.random.default_rng(1))
     profile = pushforward_base(u, f, Anchor.ALONG_R)
-    assert profile_tail(profile, n // 4) < 1e-8
+    assert dft_tail_max(profile, n // 4) < 1e-8
     # the transversal direction is one-sided: the other pushforward is rough
     rough = pushforward_base(u, f, Anchor.ALONG_S)
-    assert profile_tail(rough, n // 4) > 1e-3
+    assert dft_tail_max(rough, n // 4) > 1e-3
 
 
 def test_counterexample_column_sums_and_small_n():

@@ -1,8 +1,10 @@
 """What each model's structure entry lets the modules do: which public
-calls refuse which model, anchors checked once at entry, no model kind
+calls refuse which model or input, anchors checked once at entry, no model kind
 named outside the table and its oracle, and models that still pickle."""
 
 import ast
+import math
+import os
 import pickle
 import re
 from pathlib import Path
@@ -10,20 +12,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grpd import catalog
-from grpd.cones import (ConeSet, Transversality, a_star_units, cone_product,
-                        cone_product_bar, hormander_gate, transversality)
-from grpd.convolution import (GOperator, convolve, convolve_gated, equivariance_defect,
-                              push_product, recover_kernel, right_translate)
+from grpd import catalog, errors
+from grpd.cones import (Cap, CircInterval, ConeSet, Transversality, a_star_units,
+                        cone_contains, cone_product, cone_product_bar, hormander_gate,
+                        transversality)
+from grpd.convolution import (GOperator, apply_operator, convolve, convolve_gated,
+                              equivariance_defect, push_product, recover_kernel,
+                              right_translate)
+from grpd.cotangent import CotangentPoint, KernelKind, ct_multiply, in_kernel
 from grpd.distributions import (Anchor, Distribution, Layer, TestFunction, make_layer,
                                 pair, pushforward_base, rasterize, slice_family,
                                 star_involution, tensor_restrict, unit_delta)
 from grpd.errors import DomainError
-from grpd.models import (affine_group, circle_group, pair_circle, pair_times_z,
-                         random_element, unit)
+from grpd.gridio import dump_json
+from grpd.models import (Element, GroupoidModel, affine_group, circle_group, element,
+                         pair_circle, pair_times_z, random_element, unit)
+from grpd.wavefront import WfParams
 
 MODELS = {"PAIR_CIRCLE": pair_circle(16), "CIRCLE_GROUP": circle_group(16),
           "PAIR_TIMES_Z": pair_times_z(8, 8), "AFFINE_GROUP": affine_group()}
+OTHER = pair_circle(32)     # a model none of MODELS is
 
 
 def _shape(m):
@@ -44,6 +52,10 @@ def _x(m):
 
 def _gamma(m):
     return random_element(m, np.random.default_rng(0))
+
+
+def _delta(m):
+    return CotangentPoint(_gamma(m), (1.0,) * m.dim)
 
 
 CALLS = {
@@ -75,15 +87,64 @@ CALLS = {
     "hormander_gate": lambda m: hormander_gate(ConeSet(m), ConeSet(m)),
     "cone_product": lambda m: cone_product(ConeSet(m), ConeSet(m)),
     "cone_product_bar": lambda m: cone_product_bar(ConeSet(m), ConeSet(m)),
+    # invalid input, refused on every model that takes the call
+    "Element non-real": lambda m: Element(m, ("x", 0)),
+    "Element no coordinates": lambda m: Element(m, ()),
+    "element non-real": lambda m: element(m, "x", 0),
+    "element beyond float": lambda m: element(m, 10 ** 400, 0),
+    "TestFunction nan": lambda m: TestFunction(m, np.full(_shape(m), math.nan)),
+    "TestFunction shape": lambda m: TestFunction(m, np.ones(3)),
+    "TestFunction non-numbers": lambda m: TestFunction(m, "x"),
+    "Distribution shape": lambda m: Distribution(m, np.ones(3)),
+    "Layer shape": lambda m: Layer(m, 0, np.ones(3), 0),
+    "Layer order": lambda m: Layer(m, 0, np.ones(m.unit_shape), 9),
+    "Layer non-integer order": lambda m: Layer(m, 0, np.ones(m.unit_shape), 1.0),
+    "make_layer non-integer order": lambda m: make_layer(m, 0.25, 1.0, "x"),
+    "convolve a non-distribution": lambda m: convolve(m, m),
+    "transversality unknown kind": lambda m: transversality(ConeSet(m), "bogus"),
+    "Cap zero center": lambda m: Cap((0.0, 0.0, 0.0), 0.1),
+    "Cap nan center": lambda m: Cap((math.nan, 0.0, 0.0), 0.1),
+    "Cap scalar center": lambda m: Cap(1.0, 0.1),
+    "Cap inf radius": lambda m: Cap((1.0, 0.0, 0.0), math.inf),
+    "CircInterval nan start": lambda m: CircInterval(math.nan, 0.1),
+    "CircInterval non-real width": lambda m: CircInterval(0.5, "x"),
+    "ConeSet.from_json non-real end": lambda m: ConeSet.from_json(
+        {"model": m.to_json(), "cells": [{"base_box": [[0.0, "x"]] * m.dim}]}),
+    "WfParams narrow cone": lambda m: WfParams(cone_half_angle=0.01).resolve(m),
+    "from_json bad kind": lambda m: GroupoidModel.from_json({**m.to_json(), "kind": "x"}),
+    "CATALOG unknown": lambda m: catalog.build_distribution("bogus", m),
+    "CONE_CATALOG unknown": lambda m: catalog.build_cone("bogus", m),
+    # a second model where the call needs one
+    "Distribution + other": lambda m: _u(m) + _u(OTHER),
+    "Distribution other layer": lambda m: Distribution(m, None, unit_delta(OTHER).layers),
+    "pushforward_base other": lambda m: pushforward_base(_u(m), _f(OTHER), Anchor.ALONG_S),
+    "slice_family other": lambda m: slice_family(_u(m), _x(OTHER), Anchor.ALONG_S),
+    "tensor_restrict other": lambda m: tensor_restrict(_u(m), _u(OTHER)),
+    "convolve_gated other": lambda m: convolve_gated(_u(m), _u(m), ConeSet(OTHER),
+                                                     ConeSet(OTHER)),
+    "apply_operator other": lambda m: apply_operator(GOperator(_u(m)), _f(OTHER)),
+    "right_translate other": lambda m: right_translate(_f(m), _gamma(OTHER)),
+    "recover_kernel other": lambda m: recover_kernel(lambda tf: _f(OTHER), m),
+    "hormander_gate other": lambda m: hormander_gate(ConeSet(m), ConeSet(OTHER)),
+    "cone_product other": lambda m: cone_product(ConeSet(m), ConeSet(OTHER)),
+    "cone_contains other": lambda m: cone_contains(ConeSet(m), ConeSet(OTHER), 0.0, 0.0),
+    "ct_multiply other": lambda m: ct_multiply(_delta(m), _delta(OTHER)),
+    "in_kernel other": lambda m: in_kernel((_delta(m), _delta(OTHER)),
+                                           KernelKind.KER_M_GAMMA_FACTOR),
+    # JSON leaves and keys the artifact writer takes, and those it does not
+    "dump_json float key": lambda m: dump_json(os.devnull, {1.0: m.dim}),
+    "dump_json tuple key": lambda m: dump_json(os.devnull, {(m.dim,): 0}),
+    "dump_json set": lambda m: dump_json(os.devnull, {"dims": {m.dim}}),
 }
 CALLS.update({f"CATALOG {name}": lambda m, name=name: catalog.build_distribution(name, m)
               for name in catalog.CATALOG})
 CALLS.update({f"CONE_CATALOG {name}": lambda m, name=name: catalog.build_cone(name, m)
               for name in catalog.CONE_CATALOG})
 
-MU, DE = "ModelUnsupportedError", "DomainError"
+MU, DE, MM = "ModelUnsupportedError", "DomainError", "ModelMismatchError"
 GRID = {"AFFINE_GROUP": MU}                          # refused off the grid
 LAYERED = {"PAIR_TIMES_Z": MU, "AFFINE_GROUP": MU}   # refused without layers
+EVERY = dict.fromkeys(MODELS, DE)                    # refused on every model
 # The error each call raises, per model; every other call returns.
 REFUSALS = {
     "make_layer": LAYERED, "unit_delta": LAYERED, "Layer": LAYERED,
@@ -101,6 +162,31 @@ REFUSALS = {
     "CATALOG gaussian-bump": {"AFFINE_GROUP": DE}, "CATALOG point-mass": {"AFFINE_GROUP": DE},
     "CATALOG smooth-field": {"AFFINE_GROUP": DE},
     "CONE_CATALOG a-star": GRID, "CONE_CATALOG rotation-conormal": LAYERED,
+    "Element non-real": EVERY, "Element no coordinates": EVERY, "element non-real": EVERY,
+    "element beyond float": EVERY,
+    "TestFunction nan": {**EVERY, **GRID}, "TestFunction shape": {**EVERY, **GRID},
+    "TestFunction non-numbers": {**EVERY, **GRID},
+    "Distribution shape": {**EVERY, **GRID}, "Layer shape": {**EVERY, **LAYERED},
+    "Layer order": {**dict.fromkeys(MODELS, "OrderCapError"), **LAYERED},
+    "Layer non-integer order": {**EVERY, **LAYERED},
+    "make_layer non-integer order": EVERY,      # checked before the model
+    "convolve a non-distribution": EVERY, "transversality unknown kind": EVERY,
+    "Cap zero center": EVERY, "Cap nan center": EVERY, "Cap scalar center": EVERY,
+    "Cap inf radius": EVERY,
+    "CircInterval nan start": EVERY, "CircInterval non-real width": EVERY,
+    "ConeSet.from_json non-real end": EVERY,
+    "WfParams narrow cone": EVERY,
+    "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
+    **{call: {**dict.fromkeys(MODELS, MM), **GRID} for call in (
+        "Distribution + other", "Distribution other layer", "pushforward_base other",
+        "slice_family other", "tensor_restrict other", "convolve_gated other",
+        "apply_operator other", "right_translate other")},
+    "recover_kernel other": {**EVERY, **LAYERED},
+    **{call: dict.fromkeys(MODELS, MM) for call in (
+        "hormander_gate other", "cone_product other", "cone_contains other",
+        "ct_multiply other", "in_kernel other")},
+    "dump_json tuple key": dict.fromkeys(MODELS, "TypeError"),
+    "dump_json set": dict.fromkeys(MODELS, "TypeError"),
 }
 
 
@@ -156,6 +242,22 @@ def test_kinds_are_named_only_in_the_table_and_the_oracle():
                             default=(0, None))[1]
                 found[path.name, owner] = found.get((path.name, owner), 0) + 1
     assert found == KINDS_NAMED
+
+
+def test_number_types_are_tested_only_in_the_input_rules():
+    """``numbers.Real`` and ``numbers.Integral`` (or anything else of the
+    ``numbers`` module) appear only in ``errors.py``, beside the one real,
+    integer and finite-vector check that every entry point calls."""
+    found = set()
+    for path in sorted((Path(catalog.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "numbers"):
+                found.add((path.name, f"numbers.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found.add((path.name, "from numbers import"))
+    home = Path(errors.__file__).name
+    assert found == {(home, "numbers.Real"), (home, "numbers.Integral")}
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
