@@ -16,12 +16,17 @@ from .cones import (DIRECTION_SETS, CircInterval, ConeCell, ConeSet, a_star_dire
                     a_star_units, point_interval)
 from .distributions import (Distribution, counterexample_distribution, make_layer,
                             point_mass, section_index, smooth_distribution, unit_delta)
-from .errors import DomainError
+from .errors import DomainError, ModelUnsupportedError, finite_vector, integer, real
 from .models import GroupoidModel
 from .spectral import band_limited_field
 
 
-def rotation_layer(model: GroupoidModel, theta: float, coeffs=None,
+# The default layer section, shared by a layer and its conormal cone so
+# that the default verify scenario checks a layer against its own cone.
+SECTION = 0.25
+
+
+def rotation_layer(model: GroupoidModel, theta: float = SECTION, coeffs=None,
                    order: int = 0) -> Distribution:
     """Layer on the rotation graph {(x, x - theta)} (pair model) or the
     point mass at theta (group model); unit coefficients by default."""
@@ -29,7 +34,7 @@ def rotation_layer(model: GroupoidModel, theta: float, coeffs=None,
                       label=f"rotation({theta})")
 
 
-def rotation_cone(model: GroupoidModel, theta: float) -> ConeSet:
+def rotation_cone(model: GroupoidModel, theta: float = SECTION) -> ConeSet:
     """Conormal cone of the layer section theta: over each grid cell of
     G^(0), the cell of its section point, with the directions of A*G
     ({(x, x-theta, xi, -xi)} on the pair model)."""
@@ -48,13 +53,15 @@ def point_cone(model: GroupoidModel, *coords) -> ConeSet:
     return ConeSet(model, (ConeCell(base, DIRECTION_SETS[model.dim].full()),))
 
 
-def gaussian_bump(model: GroupoidModel, center: tuple[float, ...] = None,
-                  width: float = 0.05) -> Distribution:
-    """Periodized Gaussian bump (smooth, empty wave front set)."""
+def gaussian_bump(model: GroupoidModel, center=None, width: float = 0.05) -> Distribution:
+    """Periodized Gaussian bump (smooth, empty wave front set), centered
+    in the middle of the grid by default."""
+    center = finite_vector([0.5] * model.dim if center is None else center, model.dim,
+                           "center")
+    if not real(width, "width") > 0.0:
+        raise DomainError(f"width must be above 0, got {width!r}")
     grids = np.meshgrid(*(np.arange(s) / s for s in model.grid_shape),
                         indexing="ij")
-    if center is None:
-        center = tuple(0.5 for _ in model.grid_shape)
     r2 = 0.0
     for g, c in zip(grids, center):
         d = (g - c + 0.5) % 1.0 - 0.5
@@ -63,48 +70,78 @@ def gaussian_bump(model: GroupoidModel, center: tuple[float, ...] = None,
                                "gaussian-bump")
 
 
-def smooth_field(model: GroupoidModel, band: int, seed: int = 0) -> Distribution:
+def smooth_field(model: GroupoidModel, band: int | None = None, seed: int = 0) -> Distribution:
+    """Random field with Fourier support |k_i| <= band on every axis; the
+    band is max(2, n // 16) by default."""
+    if band is None:
+        band = max(2, model.n // 16)
+    shape = model.grid_shape
+    if not 0 <= integer(band, "band") < min(shape):
+        raise DomainError(f"band must be within 0..{min(shape) - 1}, got {band!r}")
+    if integer(seed, "seed") < 0:
+        raise DomainError(f"seed must be at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
-    return smooth_distribution(model,
-                               band_limited_field(model.grid_shape, band, rng),
+    return smooth_distribution(model, band_limited_field(shape, band, rng),
                                f"smooth-field(band={band},seed={seed})")
+
+
+def counterexample(model: GroupoidModel) -> Distribution:
+    """The transversal counterexample, which lives on the pair model only."""
+    u = counterexample_distribution(model.n)
+    if u.model != model:
+        raise ModelUnsupportedError(f"the counterexample lives on {u.model.kind.value}, "
+                                    f"not on {model.kind.value}")
+    return u
 
 
 def empty_cone(model: GroupoidModel) -> ConeSet:
     return ConeSet(model)
 
 
+def _at(builder):
+    """``builder(model, *coords)`` as a catalog builder of the point ``at``,
+    the origin by default."""
+    def build(model: GroupoidModel, at=None):
+        return builder(model, *finite_vector([0.0] * model.dim if at is None else at,
+                                             model.dim, "at"))
+    return build
+
+
+# name -> (builder, the JSON parameters it takes). ``build_distribution`` and
+# ``build_cone`` call ``builder(model, **params)``, so each parameter's one
+# default is the builder's, and each builder checks its own values.
 CATALOG = {
-    "delta": lambda model, params: unit_delta(model),
-    "point-mass": lambda model, params: point_mass(model, *params.get("at", [0.0] * model.dim)),
-    "rotation-layer": lambda model, params: rotation_layer(
-        model, params.get("theta", 0.25), order=params.get("order", 0)),
-    "gaussian-bump": lambda model, params: gaussian_bump(
-        model, tuple(params.get("center", [0.5] * model.dim)),
-        params.get("width", 0.05)),
-    "smooth-field": lambda model, params: smooth_field(
-        model, params.get("band", max(2, model.n // 16)), params.get("seed", 0)),
-    "counterexample": lambda model, params: counterexample_distribution(model.n),
+    "delta": (unit_delta, ()),
+    "point-mass": (_at(point_mass), ("at",)),
+    "rotation-layer": (rotation_layer, ("theta", "order")),
+    "gaussian-bump": (gaussian_bump, ("center", "width")),
+    "smooth-field": (smooth_field, ("band", "seed")),
+    "counterexample": (counterexample, ()),
 }
 
 CONE_CATALOG = {
-    "a-star": lambda model, params: a_star_units(model),
-    "empty": lambda model, params: empty_cone(model),
-    "rotation-conormal": lambda model, params: rotation_cone(
-        model, params.get("theta", 0.25)),
-    "point-cone": lambda model, params: point_cone(
-        model, *params.get("at", [0.0] * model.dim)),
+    "a-star": (a_star_units, ()),
+    "empty": (empty_cone, ()),
+    "rotation-conormal": (rotation_cone, ("theta",)),
+    "point-cone": (_at(point_cone), ("at",)),
 }
 
 
+def _build(table: dict, what: str, name: str, model: GroupoidModel, params: dict | None):
+    if name not in table:
+        raise DomainError(f"unknown catalog {what} {name!r}")
+    builder, keys = table[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise DomainError(f"catalog {what} {name!r} accepts the keys {list(keys)}, "
+                          f"not {unknown}")
+    return builder(model, **params)
+
+
 def build_distribution(name: str, model: GroupoidModel, params: dict | None = None) -> Distribution:
-    if name not in CATALOG:
-        raise DomainError(f"unknown catalog distribution {name!r}")
-    return CATALOG[name](model, params or {})
+    return _build(CATALOG, "distribution", name, model, params)
 
 
 def build_cone(name: str, model: GroupoidModel, params: dict | None = None) -> ConeSet:
-    if name not in CONE_CATALOG:
-        raise DomainError(f"unknown catalog cone {name!r}")
-    return CONE_CATALOG[name](model, params or {})
-
+    return _build(CONE_CATALOG, "cone", name, model, params)

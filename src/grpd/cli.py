@@ -67,15 +67,29 @@ def _model_from_args(args) -> GroupoidModel:
 # Scenario runner
 # ---------------------------------------------------------------------------
 
-# operation -> (inputs it needs, cones it needs, whether it runs the estimator)
-OPERATIONS = {"convolve": (2, 0, False), "wf-estimate": (1, 0, True),
-              "cone-product": (0, 2, False), "verify": (2, 2, True)}
+# operation, run by the subcommand of the same name -> (scenario name, help,
+# {input flag: default catalog entry}, {cone flag: default catalog entry},
+# whether it runs the estimator); a scenario of the operation needs one input
+# per input flag and one cone per cone flag, and --params holds each flag's
+# catalog params under the flag's name and the estimator's under "wf"
+COMMANDS = {
+    "convolve": ("cli-convolve", "convolve two catalog distributions",
+                 {"left": "rotation-layer", "right": "gaussian-bump"}, {}, False),
+    "wf-estimate": ("cli-wf", "estimate the wave front set",
+                    {"input": "rotation-layer"}, {}, True),
+    "cone-product": ("cli-cones", "cone products of two catalog cones",
+                     {}, {"left": "rotation-conormal", "right": "rotation-conormal"}, False),
+    "verify": ("cli-verify", "verify the microlocal product bound",
+               {"left": "rotation-layer", "right": "rotation-layer"},
+               {"left_cone": "rotation-conormal", "right_cone": "rotation-conormal"}, True),
+}
 
 
 def run_scenario(spec: dict, outdir: Path) -> int:
     validate_scenario(spec)
     op = spec["operation"]
-    n_inputs, n_cones, uses_wf = OPERATIONS[op]
+    _, _, input_flags, cone_flags, uses_wf = COMMANDS[op]
+    n_inputs, n_cones = len(input_flags), len(cone_flags)
     if len(spec.get("inputs", [])) < n_inputs or len(spec.get("cones", [])) < n_cones:
         raise SerializationError(
             f"operation {op!r} needs {n_inputs} inputs and {n_cones} cones")
@@ -239,23 +253,6 @@ def run_demo(name: str, outdir: Path, seed: int, n: int) -> int:
 # argparse front end
 # ---------------------------------------------------------------------------
 
-# subcommand, named after the scenario operation it runs -> (scenario name,
-# help, {input flag: default catalog entry}, {cone flag: default catalog
-# entry}); --params holds each flag's catalog params under the flag's name
-# and the estimator's under "wf"
-COMMANDS = {
-    "convolve": ("cli-convolve", "convolve two catalog distributions",
-                 {"left": "rotation-layer", "right": "gaussian-bump"}, {}),
-    "wf-estimate": ("cli-wf", "estimate the wave front set",
-                    {"input": "rotation-layer"}, {}),
-    "cone-product": ("cli-cones", "cone products of two catalog cones",
-                     {}, {"left": "rotation-conormal", "right": "rotation-conormal"}),
-    "verify": ("cli-verify", "verify the microlocal product bound",
-               {"left": "rotation-layer", "right": "rotation-layer"},
-               {"left_cone": "rotation-conormal", "right_cone": "rotation-conormal"}),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="grpd",
                                  description="groupoid distribution calculus")
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=0)
 
-    for command, (_, help_, inputs, cones) in COMMANDS.items():
+    for command, (_, help_, inputs, cones, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         common(p)
         for flag, default in (inputs | cones).items():
@@ -299,10 +296,15 @@ def main(argv=None) -> int:
         if args.command == "run":
             spec = json.loads(Path(args.scenario).read_text())
             return run_scenario(spec, Path(args.out))
-        name, _, input_flags, cone_flags = COMMANDS[args.command]
+        name, _, input_flags, cone_flags, _ = COMMANDS[args.command]
         params = json.loads(args.params) if args.params else {}
         if not isinstance(params, dict):
             raise SerializationError(f"--params must be a JSON object, not {args.params!r}")
+        keys = [*input_flags, *cone_flags, "wf"]
+        unknown = sorted(set(params) - set(keys))
+        if unknown:
+            raise SerializationError(f"--params of {args.command} accepts the keys {keys}, "
+                                     f"not {unknown}")
 
         def entries(flags):
             return [{"catalog": getattr(args, f), "params": params.get(f, {})}

@@ -821,29 +821,62 @@ def _norm(v):
     return v / np.linalg.norm(v)
 
 
+# The most sample pairs one cap composition may form: the samples of every
+# cap of one side times those of the other. Two caps of radius 0.5 a side,
+# the largest random PTZ draw, form 7.73M; the full direction set on PTZ
+# (six caps of radius 1.3) formed 2.19G and ran out of memory.
+MAX_SAMPLE_PAIRS = 1 << 23
+# sample pairs formed at once, and output directions held before they are
+# deduplicated, so that memory stays bounded whatever the pair count
+_PAIR_CHUNK = 1 << 20
+
+
 def compose_direction_caps(caps1, caps2) -> list[Cap]:
+    samples1 = [cap.samples(SAMPLING_STEP) for cap in caps1]
+    samples2 = [cap.samples(SAMPLING_STEP) for cap in caps2]
+    pairs = sum(map(len, samples1)) * sum(map(len, samples2))
+    if pairs > MAX_SAMPLE_PAIRS:
+        raise DomainError(f"composing these direction caps forms {pairs} sample pairs, "
+                          f"more than the {MAX_SAMPLE_PAIRS} allowed")
     eps = math.sin(SAMPLING_STEP)
-    chunks: list[np.ndarray] = []
-    for cap1 in caps1:
-        s1 = cap1.samples(SAMPLING_STEP)
-        for cap2 in caps2:
-            s2 = cap2.samples(SAMPLING_STEP)
-            u1, v1, w1 = s1[:, 0], s1[:, 1], s1[:, 2]
+    scale = SAMPLING_STEP / 3.0
+    # output directions with their cells on a fine quantization grid, each
+    # cell once, at its first occurrence in the order the pairs are formed
+    reps, cells = np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)
+    pending: list[np.ndarray] = []
+
+    def dedupe():
+        nonlocal reps, cells
+        vecs = np.concatenate([reps] + pending)
+        keys = np.concatenate([cells] + [np.round(v / scale).astype(np.int64)
+                                          for v in pending])
+        _, first = np.unique(keys, axis=0, return_index=True)
+        first.sort()
+        reps, cells = vecs[first], keys[first]
+        pending.clear()
+
+    for s1 in samples1:
+        for s2 in samples2:
             u2, v2, w2 = s2[:, 0], s2[:, 1], s2[:, 2]
-            mask = v1[:, None] * u2[None, :] < 0.0
-            if mask.any():
-                t = np.abs(v1)[:, None] / np.maximum(np.abs(u2)[None, :], 1e-300)
-                ox = np.broadcast_to(u1[:, None], mask.shape)[mask]
-                oy = (v2[None, :] * t)[mask]
-                oz = (w1[:, None] + w2[None, :] * t)[mask]
-                vecs = np.stack([ox, oy, oz], axis=1)
-                nrm = np.linalg.norm(vecs, axis=1)
-                keep = nrm > 1e-14
-                chunks.append(vecs[keep] / nrm[keep][:, None])
+            rows = max(1, _PAIR_CHUNK // len(s2))
+            for lo in range(0, len(s1), rows):
+                u1, v1, w1 = s1[lo:lo + rows].T
+                mask = v1[:, None] * u2[None, :] < 0.0
+                if mask.any():
+                    t = np.abs(v1)[:, None] / np.maximum(np.abs(u2)[None, :], 1e-300)
+                    ox = np.broadcast_to(u1[:, None], mask.shape)[mask]
+                    oy = (v2[None, :] * t)[mask]
+                    oz = (w1[:, None] + w2[None, :] * t)[mask]
+                    vecs = np.stack([ox, oy, oz], axis=1)
+                    nrm = np.linalg.norm(vecs, axis=1)
+                    keep = nrm > 1e-14
+                    pending.append(vecs[keep] / nrm[keep][:, None])
+                    if sum(map(len, pending)) >= _PAIR_CHUNK:
+                        dedupe()
             # two-parameter families where both matching components vanish:
             # the output cone is spanned by (u1,0,w1) and (0,v2,w2), each of
             # norm >= cos(SAMPLING_STEP), as samples are unit vectors
-            for d1 in s1[np.abs(v1) <= eps]:
+            for d1 in s1[np.abs(s1[:, 1]) <= eps]:
                 a = _norm((d1[0], 0.0, d1[2]))
                 for d2 in s2[np.abs(u2) <= eps]:
                     b = _norm((0.0, d2[1], d2[2]))
@@ -851,14 +884,10 @@ def compose_direction_caps(caps1, caps2) -> list[Cap]:
                     arc = (1 - lam) * a[None, :] + lam * b[None, :]
                     nrm = np.linalg.norm(arc, axis=1)
                     keep = nrm > 1e-14
-                    chunks.append(arc[keep] / nrm[keep][:, None])
-    if not chunks:
-        return []
-    outs = np.concatenate(chunks, axis=0)
-    # dedupe on a fine quantization grid, then cluster greedily
-    _, first = np.unique(np.round(outs / (SAMPLING_STEP / 3.0)).astype(np.int64),
-                         axis=0, return_index=True)
-    reps = outs[np.sort(first)]
+                    pending.append(arc[keep] / nrm[keep][:, None])
+    if pending:
+        dedupe()
+    # cluster greedily
     centers = np.empty_like(reps)
     count = 0
     cos_step = math.cos(SAMPLING_STEP)

@@ -144,10 +144,9 @@ def affine_group() -> GroupoidModel:
 def _indices(data, shape) -> tuple[int, ...]:
     """``data`` as grid indices into ``shape``: DomainError unless it holds
     one integral real number in range per axis."""
-    if len(data) != len(shape):
-        raise DomainError(f"expected {len(shape)} grid coordinates, got {data}")
+    data = finite_vector(data, len(shape), "grid indices")
     for i, k in enumerate(data):
-        if not (is_real(k) and 0 <= k < shape[i] and int(k) == k):
+        if not (0 <= k < shape[i] and int(k) == k):
             raise DomainError(f"index {k!r} off the grid (axis {i}, resolution {shape[i]})")
     return tuple(map(int, data))
 

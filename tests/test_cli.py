@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,25 @@ def test_off_grid_sections_are_usage_errors(tmp_path, capsys, op, flag, theta):
     ["wf-estimate", "--params", '{"input": {"order": "x"}}'],
     ["wf-estimate", "--input", "point-mass", "--params", '{"input": {"at": ["x", 0]}}'],
     ["cone-product", "--left", "point-cone", "--params", '{"left": {"at": ["x", 0]}}'],
+    # tracebacks at the parent: TypeError, ValueError, IndexError, numpy's
+    # _UFuncNoLoopError, TypeError, TypeError and TypeError
+    ["wf-estimate", "--input", "smooth-field", "--params", '{"input": {"seed": "x"}}'],
+    ["wf-estimate", "--input", "smooth-field", "--params", '{"input": {"seed": -1}}'],
+    ["wf-estimate", "--input", "smooth-field", "--params", '{"input": {"band": 1000}}'],
+    ["wf-estimate", "--input", "gaussian-bump", "--params", '{"input": {"center": ["x", 0]}}'],
+    ["wf-estimate", "--input", "gaussian-bump", "--params", '{"input": {"center": 5}}'],
+    ["wf-estimate", "--input", "point-mass", "--params", '{"input": {"at": 5}}'],
+    ["cone-product", "--left", "point-cone", "--params", '{"left": {"at": 5}}'],
+    # exit 0 at the parent: a truncated center, a negative width, unknown keys
+    ["wf-estimate", "--input", "gaussian-bump", "--params", '{"input": {"center": [0.5]}}'],
+    ["wf-estimate", "--input", "gaussian-bump", "--params", '{"input": {"width": -0.05}}'],
+    ["wf-estimate", "--params", '{"input": {"thetaa": 1}}'],
+    ["cone-product", "--params", '{"left": {"order": 1}}'],
+    ["wf-estimate", "--input", "counterexample", "--params", '{"input": {"n": 64}}'],
+    ["wf-estimate", "--params", '{"inptu": {"theta": 0.125}}'],
+    ["cone-product", "--params", '{"left_cone": {"theta": 0.125}}'],
+    # exit 0 at the parent with the counterexample of the pair model
+    ["wf-estimate", "--model", "CIRCLE_GROUP", "--input", "counterexample"],
 ])
 def test_invalid_catalog_parameters_are_usage_errors(tmp_path, capsys, argv):
     assert run_cli(*argv, "--n", "64", "--out", str(tmp_path)) == 1
@@ -316,3 +336,21 @@ def test_m_z_sets_the_units_of_pair_times_z(tmp_path):
     bar = load_cone_set(tmp_path / "product_bar.json")
     assert bar.model == pair_times_z(16, 8) and len(bar.cells) == 1152
     assert cone_contains(a_star_units(bar.model), bar, 0.05, 1.0)
+
+
+def test_point_cone_product_on_pair_times_z_is_refused(tmp_path):
+    """The full direction set on PAIR_TIMES_Z is six caps of 7,796 samples,
+    so the product of two point cones would form 2.19G sample pairs; the
+    cap composition refuses it before forming any. The command runs under
+    a 3 GB address-space limit, so that a regression fails here rather than
+    exhausting the host's memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, 3 * 10 ** 9))
+    r = subprocess.run([sys.executable, "-m", "grpd.cli", "cone-product", "--model",
+                        "PAIR_TIMES_Z", "--n", "16", "--m-z", "8", "--left", "point-cone",
+                        "--right", "point-cone", "--out", str(tmp_path)],
+                       capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "sample pairs" in r.stderr
+    assert not list(tmp_path.iterdir())

@@ -1,0 +1,80 @@
+"""A derandomized fuzz test of the CLI: a valid command over any operation,
+catalog entry and model kind, with one catalog name, catalog parameter or
+``--params`` key made invalid, exits 0, 1 or 2 and raises nothing.
+
+The estimator's parameters and the grid size are never mutated:
+``n_directions`` has no upper bound, and a huge value grows the direction
+tables until memory runs out."""
+
+import json
+import math
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from grpd import catalog
+from grpd.cli import COMMANDS, main
+from grpd.distributions import ORDER_CAP
+from grpd.models import GroupoidModel
+
+KINDS = ["PAIR_CIRCLE", "CIRCLE_GROUP", "PAIR_TIMES_Z", "AFFINE_GROUP"]
+BAD_VALUES = ["x", None, True, math.nan, math.inf, -math.inf, 1e308, 10 ** 400, -1,
+              -0.5, [], [0.5], [0.5] * 5, {"x": 1}]
+
+
+def _grid_point(shape):
+    return st.tuples(*(st.integers(0, s - 1).map(lambda k, s=s: k / s) for s in shape))
+
+
+# catalog parameter -> strategy of a valid value on a model
+VALID = {
+    "theta": lambda m: st.integers(0, max(m.n, 1) - 1).map(lambda k: k / max(m.n, 1)),
+    "order": lambda m: st.integers(0, ORDER_CAP),
+    "at": lambda m: (st.tuples(*[st.floats(0.5, 2.0)] * m.dim) if m.continuous
+                     else _grid_point(m.grid_shape)).map(list),
+    "center": lambda m: st.lists(st.floats(0.0, 1.0), min_size=m.dim, max_size=m.dim),
+    "width": lambda m: st.floats(0.01, 0.5),
+    "band": lambda m: st.integers(0, 7 if m.continuous else min(m.grid_shape) - 1),
+    "seed": lambda m: st.integers(0, 2 ** 32),
+}
+
+
+@st.composite
+def commands(draw):
+    """argv of a valid subcommand, with one value made invalid."""
+    op = draw(st.sampled_from(sorted(COMMANDS)))
+    kind = draw(st.sampled_from(KINDS))
+    n = 0 if kind == "AFFINE_GROUP" else draw(st.sampled_from([8, 16, 32, 64]))
+    m_z = 8 if kind == "PAIR_TIMES_Z" else 0
+    model = GroupoidModel.from_json({"kind": kind, "n": n, "m_z": m_z})
+    _, _, inputs, cones, _ = COMMANDS[op]
+    names, keys, params = {}, {}, {}
+    for flag in [*inputs, *cones]:
+        table = catalog.CATALOG if flag in inputs else catalog.CONE_CATALOG
+        names[flag] = draw(st.sampled_from(sorted(table)))
+        keys[flag] = table[names[flag]][1]
+        params[flag] = {k: draw(VALID[k](model)) for k in keys[flag] if draw(st.booleans())}
+    mutation = draw(st.sampled_from(["name", "parameter", "params key"]))
+    flag = draw(st.sampled_from(sorted(names)))
+    if mutation == "name":
+        names[flag] = draw(st.sampled_from(["bogus", "", "Delta", "delta ", "empty-cone"]))
+    elif mutation == "parameter":
+        key = draw(st.sampled_from([*keys[flag], "bogus"]))
+        params[flag][key] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        key = draw(st.sampled_from([flag, "bogus", "left_cone", "input"]))
+        params[key] = draw(st.sampled_from(BAD_VALUES))
+    argv = [op, "--model", kind, "--n", str(n), "--m-z", str(m_z),
+            "--params", json.dumps(params)]
+    for flag, name in names.items():
+        argv += ["--" + flag.replace("_", "-"), name]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=commands())
+def test_one_invalid_value_exits_with_a_code(argv):
+    with tempfile.TemporaryDirectory() as out:
+        assert main([*argv, "--out", out]) in (0, 1, 2)

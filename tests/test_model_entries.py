@@ -25,7 +25,7 @@ from grpd.distributions import (Anchor, Distribution, Layer, TestFunction, make_
                                 star_involution, tensor_restrict, unit_delta)
 from grpd.errors import DomainError
 from grpd.gridio import dump_json
-from grpd.models import (Element, GroupoidModel, affine_group, circle_group, element,
+from grpd.models import (Element, GroupoidModel, Unit, affine_group, circle_group, element,
                          pair_circle, pair_times_z, random_element, unit)
 from grpd.wavefront import WfParams
 
@@ -90,6 +90,8 @@ CALLS = {
     # invalid input, refused on every model that takes the call
     "Element non-real": lambda m: Element(m, ("x", 0)),
     "Element no coordinates": lambda m: Element(m, ()),
+    "Element scalar": lambda m: Element(m, 5),
+    "Unit scalar": lambda m: Unit(m, 5),
     "element non-real": lambda m: element(m, "x", 0),
     "element beyond float": lambda m: element(m, 10 ** 400, 0),
     "TestFunction nan": lambda m: TestFunction(m, np.full(_shape(m), math.nan)),
@@ -114,6 +116,12 @@ CALLS = {
     "from_json bad kind": lambda m: GroupoidModel.from_json({**m.to_json(), "kind": "x"}),
     "CATALOG unknown": lambda m: catalog.build_distribution("bogus", m),
     "CONE_CATALOG unknown": lambda m: catalog.build_cone("bogus", m),
+    "CATALOG unknown key": lambda m: catalog.build_distribution("delta", m, {"n": 64}),
+    "CONE_CATALOG unknown key": lambda m: catalog.build_cone("point-cone", m, {"theta": 0}),
+    "gaussian_bump short center": lambda m: catalog.gaussian_bump(m, [0.5] * (m.dim + 1)),
+    "gaussian_bump zero width": lambda m: catalog.gaussian_bump(m, width=0.0),
+    "smooth_field band": lambda m: catalog.smooth_field(m, 1000),
+    "smooth_field negative seed": lambda m: catalog.smooth_field(m, 2, -1),
     # a second model where the call needs one
     "Distribution + other": lambda m: _u(m) + _u(OTHER),
     "Distribution other layer": lambda m: Distribution(m, None, unit_delta(OTHER).layers),
@@ -163,6 +171,7 @@ REFUSALS = {
     "CATALOG smooth-field": {"AFFINE_GROUP": DE},
     "CONE_CATALOG a-star": GRID, "CONE_CATALOG rotation-conormal": LAYERED,
     "Element non-real": EVERY, "Element no coordinates": EVERY, "element non-real": EVERY,
+    "Element scalar": EVERY, "Unit scalar": EVERY,
     "element beyond float": EVERY,
     "TestFunction nan": {**EVERY, **GRID}, "TestFunction shape": {**EVERY, **GRID},
     "TestFunction non-numbers": {**EVERY, **GRID},
@@ -177,6 +186,9 @@ REFUSALS = {
     "ConeSet.from_json non-real end": EVERY,
     "WfParams narrow cone": EVERY,
     "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
+    "CATALOG unknown key": EVERY, "CONE_CATALOG unknown key": EVERY,
+    "gaussian_bump short center": EVERY, "gaussian_bump zero width": EVERY,
+    "smooth_field band": EVERY, "smooth_field negative seed": EVERY,
     **{call: {**dict.fromkeys(MODELS, MM), **GRID} for call in (
         "Distribution + other", "Distribution other layer", "pushforward_base other",
         "slice_family other", "tensor_restrict other", "convolve_gated other",
