@@ -16,7 +16,8 @@ from .cones import (DIRECTION_SETS, CircInterval, ConeCell, ConeSet, a_star_dire
                     a_star_units, point_interval)
 from .distributions import (Distribution, counterexample_distribution, make_layer,
                             point_mass, section_index, smooth_distribution, unit_delta)
-from .errors import DomainError, ModelUnsupportedError, finite_vector, integer, real
+from .errors import (DomainError, ModelUnsupportedError, finite_vector, integer, only_keys,
+                     real)
 from .models import GroupoidModel
 from .spectral import band_limited_field
 
@@ -30,8 +31,7 @@ def rotation_layer(model: GroupoidModel, theta: float = SECTION, coeffs=None,
                    order: int = 0) -> Distribution:
     """Layer on the rotation graph {(x, x - theta)} (pair model) or the
     point mass at theta (group model); unit coefficients by default."""
-    return make_layer(model, theta, 1.0 if coeffs is None else coeffs, order,
-                      label=f"rotation({theta})")
+    return make_layer(model, theta, 1.0 if coeffs is None else coeffs, order)
 
 
 def rotation_cone(model: GroupoidModel, theta: float = SECTION) -> ConeSet:
@@ -66,23 +66,21 @@ def gaussian_bump(model: GroupoidModel, center=None, width: float = 0.05) -> Dis
     for g, c in zip(grids, center):
         d = (g - c + 0.5) % 1.0 - 0.5
         r2 = r2 + d * d
-    return smooth_distribution(model, np.exp(-r2 / (2.0 * width ** 2)),
-                               "gaussian-bump")
+    return smooth_distribution(model, np.exp(-r2 / (2.0 * width ** 2)))
 
 
 def smooth_field(model: GroupoidModel, band: int | None = None, seed: int = 0) -> Distribution:
     """Random field with Fourier support |k_i| <= band on every axis; the
-    band is max(2, n // 16) by default."""
-    if band is None:
-        band = max(2, model.n // 16)
+    band is max(2, n // 16) by default, at most the smallest axis - 1."""
     shape = model.grid_shape
+    if band is None:
+        band = min(max(2, model.n // 16), min(shape) - 1)
     if not 0 <= integer(band, "band") < min(shape):
         raise DomainError(f"band must be within 0..{min(shape) - 1}, got {band!r}")
     if integer(seed, "seed") < 0:
         raise DomainError(f"seed must be at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
-    return smooth_distribution(model, band_limited_field(shape, band, rng),
-                               f"smooth-field(band={band},seed={seed})")
+    return smooth_distribution(model, band_limited_field(shape, band, rng))
 
 
 def counterexample(model: GroupoidModel) -> Distribution:
@@ -131,12 +129,7 @@ def _build(table: dict, what: str, name: str, model: GroupoidModel, params: dict
     if name not in table:
         raise DomainError(f"unknown catalog {what} {name!r}")
     builder, keys = table[name]
-    params = params or {}
-    unknown = sorted(set(params) - set(keys))
-    if unknown:
-        raise DomainError(f"catalog {what} {name!r} accepts the keys {list(keys)}, "
-                          f"not {unknown}")
-    return builder(model, **params)
+    return builder(model, **only_keys(params or {}, keys, f"catalog {what} {name!r}"))
 
 
 def build_distribution(name: str, model: GroupoidModel, params: dict | None = None) -> Distribution:

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import catalog, checks, gridio
 from .cones import cone_product, cone_product_bar
 from .convolution import convolve
 from .distributions import rasterize
-from .errors import GrpdError, SerializationError
+from .errors import GrpdError, SerializationError, only_keys
 from .models import GroupoidModel
 from .wavefront import WfParams, estimate_wavefront, verify_product_bound
 
@@ -31,17 +32,13 @@ EXIT_USAGE = 1
 EXIT_PROPERTY = 2
 
 
-def _load_schema() -> dict:
-    with resources.files("grpd.schemas").joinpath("scenario-v1.json").open() as fh:
-        return json.load(fh)
-
-
 @functools.cache
 def _validator():
     """The scenario schema's validator, checked and built once, as
     ``jsonschema.validate`` would build it on every call."""
     from jsonschema.validators import validator_for
-    schema = _load_schema()
+    with resources.files("grpd.schemas").joinpath("scenario-v1.json").open() as fh:
+        schema = json.load(fh)
     cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -88,6 +85,8 @@ COMMANDS = {
 def run_scenario(spec: dict, outdir: Path) -> int:
     validate_scenario(spec)
     op = spec["operation"]
+    if op not in COMMANDS:
+        raise SerializationError(f"unknown operation {op!r}; the operations are {list(COMMANDS)}")
     _, _, input_flags, cone_flags, uses_wf = COMMANDS[op]
     n_inputs, n_cones = len(input_flags), len(cone_flags)
     if len(spec.get("inputs", [])) < n_inputs or len(spec.get("cones", [])) < n_cones:
@@ -101,7 +100,8 @@ def run_scenario(spec: dict, outdir: Path) -> int:
               for i in spec.get("inputs", [])]
     cones = [catalog.build_cone(c["catalog"], model, c.get("params"))
              for c in spec.get("cones", [])]
-    wf = WfParams(**spec.get("wf_params", {}))
+    wf = WfParams(**only_keys(spec.get("wf_params", {}), [f.name for f in fields(WfParams)],
+                              "wf_params", SerializationError))
     report = {"name": spec["name"], "seed": spec.get("seed", 0),
               "model": model.to_json(), "operation": op, "ok": True}
     if op == "convolve":
@@ -300,11 +300,8 @@ def main(argv=None) -> int:
         params = json.loads(args.params) if args.params else {}
         if not isinstance(params, dict):
             raise SerializationError(f"--params must be a JSON object, not {args.params!r}")
-        keys = [*input_flags, *cone_flags, "wf"]
-        unknown = sorted(set(params) - set(keys))
-        if unknown:
-            raise SerializationError(f"--params of {args.command} accepts the keys {keys}, "
-                                     f"not {unknown}")
+        only_keys(params, [*input_flags, *cone_flags, "wf"], f"--params of {args.command}",
+                  SerializationError)
 
         def entries(flags):
             return [{"catalog": getattr(args, f), "params": params.get(f, {})}

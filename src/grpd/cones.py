@@ -289,10 +289,14 @@ class _DirSet:
 
     A set is frozen, so it hashes its parts once, when built, to the value
     the dataclass hash would give; equality is the dataclass's, by parts.
+    It keeps each composition it makes (``composed``) for as long as it
+    lives, so the product and the bar product of the same sets compose
+    each pair once.
     """
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.parts,)))
+        object.__setattr__(self, "_composed", {})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -310,6 +314,13 @@ class _DirSet:
 
     def union(self, *others):
         return type(self)(tuple(chain(self, *others)))
+
+    def composed(self, other):
+        """``self.compose(other)``, computed on the first call only."""
+        out = self._composed.get(other)
+        if out is None:
+            out = self._composed[other] = self.compose(other)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -912,13 +923,10 @@ def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
     boxes = model.structure.box_product
     (sets1, k1), (sets2, k2) = w1.dir_table, w2.dir_table
     rows, cols = np.nonzero(_meeting(w1, w2))
-    composed = {}       # pair of distinct-set indices -> their composition
     cells = []
     for i, j, a, b in zip(rows.tolist(), cols.tolist(), k1[rows].tolist(), k2[cols].tolist()):
-        if (a, b) not in composed:
-            composed[a, b] = sets1[a].compose(sets2[b])
-        cells += [ConeCell(box, composed[a, b])
-                  for box in boxes(w1.cells[i].base, w2.cells[j].base)]
+        dirs = sets1[a].composed(sets2[b])
+        cells += [ConeCell(box, dirs) for box in boxes(w1.cells[i].base, w2.cells[j].base)]
     return ConeSet(model, tuple(cells))
 
 

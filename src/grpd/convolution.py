@@ -40,13 +40,13 @@ def _as_distribution(x) -> Distribution:
     if isinstance(x, Distribution):
         return x
     if isinstance(x, TestFunction):
-        return Distribution(x.model, x.values, (), "test-function")
+        return Distribution(x.model, x.values)
     raise DomainError(f"cannot convolve object of type {type(x)!r}")
 
 
 # -- the two routes: closed form, and tensor restriction + pushforward -------
 
-def _push(model: GroupoidModel, pieces, fiber_sum, label: str) -> Distribution:
+def _push(model: GroupoidModel, pieces, fiber_sum) -> Distribution:
     """m_* of tagged factor pairs (as in ``TensorRestriction``) through the
     entry's closed forms, smooth x smooth by ``fiber_sum``; the smooth
     parts are summed in the order of the pieces."""
@@ -65,7 +65,7 @@ def _push(model: GroupoidModel, pieces, fiber_sum, label: str) -> Distribution:
         else:
             arr = s.smooth_layer(b.section, b.coeffs, b.order, a)
         smooth = arr if smooth is None else smooth + arr
-    return Distribution(model, smooth, tuple(layers), label).merged_layers()
+    return Distribution(model, smooth, tuple(layers)).merged_layers()
 
 
 def convolve(u, v) -> Distribution:
@@ -82,8 +82,7 @@ def convolve(u, v) -> Distribution:
     if u.smooth is not None:
         pieces += [("sl", u.smooth, l) for l in v.layers]
     pieces += [("ll", l1, l2) for l1 in u.layers for l2 in v.layers]
-    label = f"({u.label})*({v.label})" if u.label and v.label else ""
-    return _push(u.model, pieces, u.model.structure.fiber_sum, label)
+    return _push(u.model, pieces, u.model.structure.fiber_sum)
 
 
 def push_product(tr: TensorRestriction) -> Distribution:
@@ -95,7 +94,7 @@ def push_product(tr: TensorRestriction) -> Distribution:
     summing that product over y, and not a matrix product, so the two
     convolution routes stay computationally independent.
     """
-    return _push(tr.model, tr.pieces, tr.model.structure.streamed_sum, "gated-product")
+    return _push(tr.model, tr.pieces, tr.model.structure.streamed_sum)
 
 
 def convolve_gated(u, v, w1: ConeSet, w2: ConeSet):
@@ -199,9 +198,8 @@ def recover_kernel(apply_fn, model: GroupoidModel) -> Distribution:
         resid = recovered.copy()
         resid[pts] = 0.0
         if float(np.max(np.abs(resid))) <= 1e-9 * max(1.0, float(np.max(np.abs(recovered)))):
-            return Distribution(model, None, (Layer(model, t, recovered[pts] / n, 0),),
-                                "recovered-layer")
-    return smooth_distribution(model, recovered, "recovered-kernel")
+            return Distribution(model, None, (Layer(model, t, recovered[pts] / n, 0),))
+    return smooth_distribution(model, recovered)
 
 
 def adjoint_operator(p: GOperator) -> GOperator:

@@ -105,12 +105,11 @@ class Layer:
 
 @dataclass(frozen=True)
 class Distribution:
-    """smooth grid part + finite list of layers (+ provenance label)."""
+    """smooth grid part + finite list of layers."""
 
     model: GroupoidModel
     smooth: np.ndarray | None = None
     layers: tuple[Layer, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         if self.model.continuous:
@@ -133,13 +132,12 @@ class Distribution:
         smooth = None
         if self.smooth is not None or other.smooth is not None:
             smooth = self.smooth_or_zero() + other.smooth_or_zero()
-        return Distribution(self.model, smooth, self.layers + other.layers,
-                            self.label or other.label)
+        return Distribution(self.model, smooth, self.layers + other.layers)
 
     def scaled(self, factor: complex) -> "Distribution":
         smooth = None if self.smooth is None else factor * self.smooth
         layers = tuple(replace(l, coeffs=factor * l.coeffs) for l in self.layers)
-        return Distribution(self.model, smooth, layers, self.label)
+        return Distribution(self.model, smooth, layers)
 
     def merged_layers(self) -> "Distribution":
         """Combine layers sharing (section, order)."""
@@ -148,11 +146,11 @@ class Distribution:
             key = (l.section, l.order)
             acc[key] = acc.get(key, 0) + l.coeffs
         layers = tuple(Layer(self.model, sec, c, k) for (sec, k), c in sorted(acc.items()))
-        return Distribution(self.model, self.smooth, layers, self.label)
+        return Distribution(self.model, self.smooth, layers)
 
 
-def smooth_distribution(model: GroupoidModel, values, label: str = "") -> Distribution:
-    return Distribution(model, np.asarray(values, dtype=complex), (), label)
+def smooth_distribution(model: GroupoidModel, values) -> Distribution:
+    return Distribution(model, np.asarray(values, dtype=complex))
 
 
 def point_mass(model: GroupoidModel, *coords) -> Distribution:
@@ -161,7 +159,7 @@ def point_mass(model: GroupoidModel, *coords) -> Distribution:
     g = element(model, *coords)
     v = np.zeros(model.grid_shape, dtype=complex)
     v[g.data] = 1.0
-    return Distribution(model, v, (), "point-mass")
+    return Distribution(model, v)
 
 
 def section_index(model: GroupoidModel, theta) -> int:
@@ -170,8 +168,8 @@ def section_index(model: GroupoidModel, theta) -> int:
     return grid_index(theta, model.n, "section")
 
 
-def make_layer(model: GroupoidModel, section: float, coeffs, fiber_order: int = 0,
-               label: str = "") -> Distribution:
+def make_layer(model: GroupoidModel, section: float, coeffs,
+               fiber_order: int = 0) -> Distribution:
     """Distribution with a single layer on the grid section ``section``."""
     if not 0 <= integer(fiber_order, "fiber order") <= ORDER_CAP:
         raise OrderCapError(f"fiber_order must be within 0..{ORDER_CAP}")
@@ -179,12 +177,12 @@ def make_layer(model: GroupoidModel, section: float, coeffs, fiber_order: int = 
     if np.isscalar(coeffs):
         coeffs = np.full(model.unit_shape, coeffs)
     layer = Layer(model, k, coeffs, fiber_order)
-    return Distribution(model, None, (layer,), label or f"layer(theta={section})")
+    return Distribution(model, None, (layer,))
 
 
 def unit_delta(model: GroupoidModel) -> Distribution:
     """The convolution unit: <delta, f> = integral of f over G^(0)."""
-    return make_layer(model, 0.0, 1.0, 0, label="delta")
+    return make_layer(model, 0.0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,7 @@ def star_involution(u: Distribution) -> Distribution:
             sign = (-1.0) ** (l.order - j)
             layers.append(Layer(m, -l.section, sign * math.comb(l.order, j) * shifted,
                                 l.order - j))
-    return Distribution(m, smooth, tuple(layers), u.label and f"star({u.label})")
+    return Distribution(m, smooth, tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +408,7 @@ def counterexample_distribution(n: int) -> Distribution:
     spec = np.broadcast_to(spec, (n, n)).copy()
     spec[:, 0] = 0.0
     values = np.fft.ifft2(spec) * n * n
-    return Distribution(model, values, (), "remark-counterexample")
+    return Distribution(model, values)
 
 
 # ---------------------------------------------------------------------------

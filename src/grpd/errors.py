@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all grpd modules, and the one
 implementation of each input rule that raises it: a finite real number,
-an integer, a finite vector and a finite grid array."""
+an integer, a finite vector, a finite grid array and a mapping of known
+keys."""
 
 import math
 import numbers
@@ -85,6 +86,14 @@ def finite_vector(value, dim: int, what: str) -> tuple[float, ...]:
     if parts is None or len(parts) != dim or not all(map(is_real, parts)):
         raise DomainError(f"{what} must be {dim} finite real numbers, got {value!r}")
     return tuple(map(float, parts))
+
+
+def only_keys(mapping: dict, names, what: str, error: type = DomainError) -> dict:
+    """``mapping``; an ``error`` that names ``names`` if it has another key."""
+    unknown = [k for k in mapping if k not in names]
+    if unknown:
+        raise error(f"{what} accepts the keys {list(names)}, not {unknown}")
+    return mapping
 
 
 def finite_grid(values, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -29,13 +29,13 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (ComposabilityError, DomainError, ModelMismatchError, ModelUnsupportedError,
-                     finite_vector, integer, is_real)
+                     finite_vector, integer, is_real, only_keys)
 from .spectral import spectral_derivative
 
 
@@ -118,6 +118,7 @@ class GroupoidModel:
             kind = Kind(d["kind"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad model descriptor {d!r}") from exc
+        only_keys(d, [f.name for f in fields(GroupoidModel)], "a model descriptor")
         return GroupoidModel(kind, d.get("n", 0), d.get("m_z", 0))
 
 

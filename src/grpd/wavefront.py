@@ -142,6 +142,20 @@ class WfParams:
             raise DomainError("n_directions must be >= 36, so that the direction "
                               "step 2*pi/n_directions stays within ANGULAR_TOL "
                               "(10 degrees)")
+        if not 1 <= p.shell_lo < p.shell_hi <= n / 2:
+            raise DomainError("shells need 1 <= shell_lo < shell_hi <= n/2 "
+                              f"(Nyquist), got [{p.shell_lo}, {p.shell_hi}]")
+        # every shell then starts below Nyquist, where the n-axis holds a
+        # lattice frequency, so all are non-empty; the fit keeps two of them
+        if not 2 * p.shell_lo < p.shell_hi:
+            raise DomainError("[shell_lo, shell_hi] must span at least two "
+                              "dyadic shells (2 * shell_lo < shell_hi)")
+        # the direction tables grow with n_directions, and the lattice
+        # frequencies the bins read lie one unit apart: a step shorter than
+        # one unit of arc on the outer shell's circle adds bins, not resolution
+        if p.n_directions > TWO_PI * p.shell_hi:
+            raise DomainError(f"n_directions must be at most 2*pi*shell_hi "
+                              f"= {TWO_PI * p.shell_hi:.6g}, got {p.n_directions}")
         # below half the direction step, a frequency midway between two
         # bins lies in no direction cone
         if p.cone_half_angle < math.pi / p.n_directions:
@@ -154,14 +168,6 @@ class WfParams:
                               f"got {p.cone_half_angle!r}")
         if not p.slope_threshold < 0:
             raise DomainError("slope_threshold must be negative")
-        if not 1 <= p.shell_lo < p.shell_hi <= n / 2:
-            raise DomainError("shells need 1 <= shell_lo < shell_hi <= n/2 "
-                              f"(Nyquist), got [{p.shell_lo}, {p.shell_hi}]")
-        # every shell then starts below Nyquist, where the n-axis holds a
-        # lattice frequency, so all are non-empty; the fit keeps two of them
-        if not 2 * p.shell_lo < p.shell_hi:
-            raise DomainError("[shell_lo, shell_hi] must span at least two "
-                              "dyadic shells (2 * shell_lo < shell_hi)")
         if not 1 <= p.probe_stride <= n / 4:
             raise DomainError(f"probe_stride must be in [1, n/4={n // 4}]")
         for name in ("min_level", "anchor_level"):

@@ -1,16 +1,15 @@
-import dataclasses
 import json
 import os
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from grpd.cli import DEMOS, _load_schema, main, run_scenario, validate_scenario
+from grpd.cli import DEMOS, main, run_scenario, validate_scenario
 from grpd.errors import DomainError, SerializationError
-from grpd.wavefront import WfParams
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -104,8 +103,9 @@ def test_unknown_wf_params_key_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("wf_params,error", [
-    ({"n_directions": "abc"}, SerializationError),   # the schema's integer type
-    ({"window_radius": 16.0}, DomainError),          # an integer to JSON Schema
+    ({"n_directions": "abc"}, DomainError),          # each refused by WfParams.resolve
+    ({"window_radius": 16.0}, DomainError),
+    ({"n_directions": 64.0}, DomainError),
 ])
 def test_non_integer_wf_params_are_usage_errors(tmp_path, wf_params, error):
     spec = {"version": 1, "name": "bad-wf", "seed": 0,
@@ -134,6 +134,47 @@ def test_non_integer_model_sizes_are_usage_errors(tmp_path, model):
     path = tmp_path / "float-size.json"
     path.write_text(json.dumps(spec))
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
+@pytest.mark.parametrize("model", [{"kind": "PAIR_CIRCLE", "n": 64, "bogus": 1},
+                                   {"kind": "CIRCLE_GROUP", "n": 64, "m": 8}])
+def test_unknown_model_keys_are_usage_errors(tmp_path, model):
+    spec = {"version": 1, "name": "bogus-model", "seed": 0, "model": model,
+            "operation": "cone-product",
+            "cones": [{"catalog": "empty"}, {"catalog": "empty"}]}
+    with pytest.raises(DomainError, match="model descriptor accepts the keys"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "bogus-model.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
+@pytest.mark.parametrize("operation,message", [
+    ("convolution", "the operations are"), ("demo", "the operations are"),
+    (7, "schema violation"),        # the schema's one rule: a string
+])
+def test_unknown_operations_are_usage_errors(tmp_path, operation, message):
+    spec = {"version": 1, "name": "bogus-op", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64}, "operation": operation}
+    with pytest.raises(SerializationError, match=message):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "bogus-op.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+
+
+@pytest.mark.parametrize("n_directions", [101, pytest.param(10 ** 400, id="10**400")])
+def test_fine_direction_step_is_a_usage_error(tmp_path, n_directions):
+    # at most 2*pi*shell_hi bins: 100 on pair_circle(64), whose shell_hi is 16
+    # (65536 bins peaked at 1.4 GB; 10**400 raised OverflowError)
+    spec = {"version": 1, "name": "fine", "seed": 0,
+            "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": "wf-estimate",
+            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}],
+            "wf_params": {"n_directions": n_directions}}
+    with pytest.raises(DomainError, match="2\\*pi\\*shell_hi"):
+        run_scenario(spec, tmp_path / "direct")
+    assert run_scenario(spec | {"wf_params": {"n_directions": 100}}, tmp_path / "ok") == 0
 
 
 @pytest.mark.parametrize("n_directions", [32, 35])
@@ -177,9 +218,15 @@ def test_invalid_thread_cap_is_a_usage_error(tmp_path, monkeypatch, threads):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
-def test_schema_wf_params_are_the_wf_params_fields():
-    keys = _load_schema()["properties"]["wf_params"]["properties"]
-    assert list(keys) == [f.name for f in dataclasses.fields(WfParams)]
+def test_the_schema_names_no_rule_the_code_owns():
+    # model kinds, operations and estimator knobs each have one list, in the code
+    from importlib.resources import files
+    from grpd.cli import COMMANDS
+    from grpd.models import Kind
+    from grpd.wavefront import WfParams
+    text = files("grpd.schemas").joinpath("scenario-v1.json").read_text()
+    owned = [k.value for k in Kind] + list(COMMANDS) + [f.name for f in fields(WfParams)]
+    assert [name for name in owned if f'"{name}"' in text] == []
 
 
 def test_cli_demo_determinism(tmp_path):
@@ -325,6 +372,20 @@ def test_invalid_catalog_parameters_are_usage_errors(tmp_path, capsys, argv):
     assert run_cli(*argv, "--n", "64", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+
+def test_cone_product_composes_each_pair_of_direction_sets_once(tmp_path, monkeypatch):
+    # the product and the bar product of the same cones composed it twice
+    import grpd.cones
+    calls = []
+    real = grpd.cones.compose_direction_arcs
+
+    def counted(arcs1, arcs2):
+        calls.append((arcs1, arcs2))
+        return real(arcs1, arcs2)
+    monkeypatch.setattr(grpd.cones, "compose_direction_arcs", counted)
+    assert run_cli("cone-product", "--n", "64", "--out", str(tmp_path)) == 0
+    assert len(calls) == 1
 
 
 def test_m_z_sets_the_units_of_pair_times_z(tmp_path):

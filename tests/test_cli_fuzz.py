@@ -1,15 +1,16 @@
 """A derandomized fuzz test of the CLI: a valid command over any operation,
-catalog entry and model kind, with one catalog name, catalog parameter or
-``--params`` key made invalid, exits 0, 1 or 2 and raises nothing.
+catalog entry and model kind, with one catalog name, catalog parameter,
+``--params`` key or estimator parameter made invalid, exits 0, 1 or 2 and
+raises nothing.  The grid size is never mutated, so that every run stays
+small (n <= 64)."""
 
-The estimator's parameters and the grid size are never mutated:
-``n_directions`` has no upper bound, and a huge value grows the direction
-tables until memory runs out."""
-
+import dataclasses
+import itertools
 import json
 import math
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from grpd import catalog
 from grpd.cli import COMMANDS, main
 from grpd.distributions import ORDER_CAP
 from grpd.models import GroupoidModel
+from grpd.wavefront import WfParams
 
 KINDS = ["PAIR_CIRCLE", "CIRCLE_GROUP", "PAIR_TIMES_Z", "AFFINE_GROUP"]
 BAD_VALUES = ["x", None, True, math.nan, math.inf, -math.inf, 1e308, 10 ** 400, -1,
@@ -40,28 +42,36 @@ VALID = {
 }
 
 
+WF_KEYS = [f.name for f in dataclasses.fields(WfParams)]
+
+
 @st.composite
 def commands(draw):
-    """argv of a valid subcommand, with one value made invalid."""
+    """argv of a valid subcommand, with one value made invalid; only the
+    operations that run the estimator take an estimator parameter."""
     op = draw(st.sampled_from(sorted(COMMANDS)))
     kind = draw(st.sampled_from(KINDS))
     n = 0 if kind == "AFFINE_GROUP" else draw(st.sampled_from([8, 16, 32, 64]))
     m_z = 8 if kind == "PAIR_TIMES_Z" else 0
     model = GroupoidModel.from_json({"kind": kind, "n": n, "m_z": m_z})
-    _, _, inputs, cones, _ = COMMANDS[op]
+    _, _, inputs, cones, uses_wf = COMMANDS[op]
     names, keys, params = {}, {}, {}
     for flag in [*inputs, *cones]:
         table = catalog.CATALOG if flag in inputs else catalog.CONE_CATALOG
         names[flag] = draw(st.sampled_from(sorted(table)))
         keys[flag] = table[names[flag]][1]
         params[flag] = {k: draw(VALID[k](model)) for k in keys[flag] if draw(st.booleans())}
-    mutation = draw(st.sampled_from(["name", "parameter", "params key"]))
+    mutation = draw(st.sampled_from(["name", "parameter", "params key"]
+                                    + ["estimator parameter"] * uses_wf))
     flag = draw(st.sampled_from(sorted(names)))
     if mutation == "name":
         names[flag] = draw(st.sampled_from(["bogus", "", "Delta", "delta ", "empty-cone"]))
     elif mutation == "parameter":
         key = draw(st.sampled_from([*keys[flag], "bogus"]))
         params[flag][key] = draw(st.sampled_from(BAD_VALUES))
+    elif mutation == "estimator parameter":
+        key = draw(st.sampled_from([*WF_KEYS, "bogus"]))
+        params["wf"] = {key: draw(st.sampled_from(BAD_VALUES))}
     else:
         key = draw(st.sampled_from([flag, "bogus", "left_cone", "input"]))
         params[key] = draw(st.sampled_from(BAD_VALUES))
@@ -78,3 +88,12 @@ def commands(draw):
 def test_one_invalid_value_exits_with_a_code(argv):
     with tempfile.TemporaryDirectory() as out:
         assert main([*argv, "--out", out]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("key", [*WF_KEYS, "bogus"])
+def test_every_invalid_estimator_parameter_exits_with_a_code(key):
+    # the fuzz draws few of these pairs, so each is tried once here
+    for op, value in itertools.product(["wf-estimate", "verify"], BAD_VALUES):
+        params = json.dumps({"wf": {key: value}})
+        with tempfile.TemporaryDirectory() as out:
+            assert main([op, "--n", "64", "--params", params, "--out", out]) in (0, 1, 2)

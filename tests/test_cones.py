@@ -333,6 +333,25 @@ def test_cone_set_json_roundtrip():
         assert cone_contains(back, cone, 1e-12, 0.0)
 
 
+def test_cap_composition_is_the_same_in_any_chunk_size(monkeypatch):
+    # a small chunk dedupes the output directions many times mid-stream
+    import grpd.cones
+    from grpd.cones import compose_direction_caps
+    caps1 = [Cap((1.0, 0.5, 0.2), 0.15), Cap((-0.3, -1.0, 0.4), 0.15)]
+    caps2 = [Cap((-0.6, 1.0, -0.1), 0.15)]
+    whole = compose_direction_caps(caps1, caps2)
+    monkeypatch.setattr(grpd.cones, "_PAIR_CHUNK", 1 << 12)
+    assert len(whole) > 10 and compose_direction_caps(caps1, caps2) == whole
+
+
+def test_cap_composition_over_the_pair_budget_is_refused():
+    # one cap of the full set a side: 7,796 samples each, 60.8M pairs
+    from grpd.cones import compose_direction_caps
+    cap = Caps.full().parts[0]
+    with pytest.raises(DomainError, match="60777616 sample pairs"):
+        compose_direction_caps([cap], [cap])
+
+
 def test_cap_composition_sound_against_dense_oracle():
     from grpd.cones import compose_direction_caps
     rng = np.random.default_rng(9)

@@ -135,6 +135,15 @@ def test_in_kernel_examples():
     assert not in_kernel(bad, KernelKind.KER_M_GAMMA_FACTOR)
 
 
+def test_pairs_over_non_composable_bases_compose_and_annihilate_nothing():
+    # s(g1) = 0.5 but r(g2) = 0.25: the covectors match, the bases do not
+    pair = (cp(M8, (0.125, 0.5), (0, 2)), cp(M8, (0.25, 0.75), (-2, 0)))
+    assert not ct_is_composable(*pair)
+    assert not in_kernel(pair, KernelKind.KER_M_GAMMA_FACTOR)
+    with pytest.raises(ComposabilityError):
+        ct_multiply(*pair)
+
+
 def test_kernel_identities_pointwise():
     # on every model, every covector with components in {0, 1, -2.5}: the
     # exact zeros put covectors in the kernels, whose tests have no tolerance

@@ -8,10 +8,10 @@ from grpd.distributions import (Anchor, Distribution, TestFunction,
                                 point_mass, pushforward_base,
                                 rasterize, slice_family, smooth_distribution,
                                 star_involution, tensor_restrict, unit_delta)
-from grpd.catalog import rotation_cone, rotation_layer
+from grpd.catalog import rotation_cone, rotation_layer, smooth_field
 from grpd.checks import distribution_distance
 from grpd.errors import DomainError, ModelMismatchError, OrderCapError
-from grpd.models import circle_group, pair_circle, unit
+from grpd.models import circle_group, pair_circle, pair_times_z, unit
 from grpd.spectral import band_limited_field, dft_tail_max
 
 N = 64
@@ -291,3 +291,16 @@ def test_ptz_pushforwards():
     assert np.allclose(out_r, np.mean(u.smooth * f.values, axis=1), atol=1e-14)
     out_s = pushforward_base(u, f, Anchor.ALONG_S)
     assert np.allclose(out_s, np.mean(u.smooth * f.values, axis=0), atol=1e-14)
+
+
+@pytest.mark.parametrize("model,band", [
+    (pair_circle(128), 8), (pair_circle(512), 32), (circle_group(64), 4),
+    # max(2, n // 16) = 8 is outside 0..7 on the m_z = 8 axis: refused before
+    (pair_times_z(128, 8), 7), (pair_times_z(256, 8), 7),
+])
+def test_smooth_field_default_band_fits_the_grid(model, band):
+    assert np.array_equal(smooth_field(model).smooth, smooth_field(model, band).smooth)
+
+
+def test_dft_tail_beyond_nyquist_is_empty():
+    assert dft_tail_max(np.ones(8), 4) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from grpd import gridio
 from grpd.catalog import rotation_cone
-from grpd.errors import SerializationError
+from grpd.errors import DomainError, SerializationError
 from grpd.models import pair_circle
 from grpd.wavefront import SlopeTable
 
@@ -44,6 +44,16 @@ def test_cone_set_json_bytes_stable(tmp_path):
     gridio.save_cone_set(p1, cone)
     gridio.save_cone_set(p2, gridio.load_cone_set(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cone_set_json_with_an_unknown_model_key_is_refused(tmp_path):
+    path = tmp_path / "cone.json"
+    gridio.save_cone_set(path, rotation_cone(pair_circle(32), 0.25))
+    d = json.loads(path.read_text())
+    d["model"]["bogus"] = 1
+    path.write_text(json.dumps(d))
+    with pytest.raises(DomainError, match="bogus"):
+        gridio.load_cone_set(path)
 
 
 def test_slope_csv_roundtrip(tmp_path):

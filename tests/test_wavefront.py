@@ -74,6 +74,8 @@ def test_params_validation():
     WfParams(probe_stride=True),
     WfParams(slope_threshold="x"),             # real fields take real numbers only
     WfParams(cone_half_angle=None),
+    WfParams(n_directions=202),                # finer than 2*pi*shell_hi = 201.1
+    WfParams(n_directions=10 ** 400),
 ])
 def test_params_range_checks(params):
     with pytest.raises(DomainError):
@@ -86,6 +88,7 @@ def test_params_range_limits_and_defaults_valid():
     edge = WfParams(shell_lo=16, shell_hi=N // 2, probe_stride=N // 4).resolve(M)
     assert (edge.shell_hi, edge.probe_stride) == (64, 32)
     WfParams(n_directions=36).resolve(M)       # a 10 deg step, the tolerance
+    WfParams(n_directions=201).resolve(M)      # one unit of arc at shell_hi = 32
     for model in (pair_circle(32), pair_circle(64), M, pair_circle(256),
                   pair_circle(512), circle_group(64), pair_times_z(32, 8)):
         WfParams().resolve(model)
@@ -678,6 +681,8 @@ def test_slope_table_columns(monkeypatch):
     again = estimate_wavefront(u).slopes
     assert again == slopes and hash(again) == hash(slopes)
     assert estimate_wavefront(rotation_layer(M, 0.125)).slopes != slopes
+    assert slopes != slope and slopes.__eq__(slope) is NotImplemented
+    assert repr(slopes) == f"SlopeTable({n} fits)"
 
 
 def test_smooth_catalog_reads_empty():
