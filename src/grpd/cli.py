@@ -1,15 +1,13 @@
 """Batch CLI: catalog convolutions, cone products, estimator runs, and the
 built-in demo scenarios (one per acceptance property bundle).
 
-Exit codes: 0 all asserted properties pass, 1 usage/validation error,
-2 property failure.
+Exit codes: 0 all asserted properties pass, 1 usage/validation error (any
+``GrpdError``), 2 property failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import importlib.resources as resources
 import json
 import math
 import sys
@@ -23,7 +21,7 @@ from . import catalog, checks, gridio
 from .cones import cone_product, cone_product_bar
 from .convolution import convolve
 from .distributions import rasterize
-from .errors import GrpdError, SerializationError, only_keys
+from .errors import GrpdError, SerializationError, integer, only_keys
 from .models import GroupoidModel
 from .wavefront import WfParams, estimate_wavefront, verify_product_bound
 
@@ -32,32 +30,40 @@ EXIT_USAGE = 1
 EXIT_PROPERTY = 2
 
 
-@functools.cache
-def _validator():
-    """The scenario schema's validator, checked and built once, as
-    ``jsonschema.validate`` would build it on every call."""
-    from jsonschema.validators import validator_for
-    with resources.files("grpd.schemas").joinpath("scenario-v1.json").open() as fh:
-        schema = json.load(fh)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# scenario and entry key -> its value's JSON type, the required keys first;
+# COMMANDS, GroupoidModel, the catalog builders and WfParams check the rest
+SCENARIO = {"version": int, "name": str, "model": dict, "operation": str,
+            "seed": int, "inputs": list, "cones": list, "wf_params": dict}
+ENTRY = {"catalog": str, "params": dict}
+_JSON_NAMES = {str: "a string", dict: "a JSON object", list: "a JSON array"}
+
+
+def _shape(mapping: dict, keys: dict, required: int, what: str) -> None:
+    """A SerializationError unless ``mapping`` has only ``keys``, the first
+    ``required`` of them included, each holding a value of its JSON type."""
+    only_keys(mapping, list(keys), what, SerializationError)
+    missing = [key for key in list(keys)[:required] if key not in mapping]
+    if missing:
+        raise SerializationError(f"{what} needs the keys {missing}")
+    for key, value in mapping.items():
+        if keys[key] is int:
+            integer(value, f"{what}'s {key}", SerializationError)
+        elif not isinstance(value, keys[key]):
+            raise SerializationError(f"{what}'s {key} must be {_JSON_NAMES[keys[key]]}, "
+                                     f"got {value!r}")
 
 
 def validate_scenario(spec: dict) -> None:
-    from jsonschema.exceptions import best_match
-    error = best_match(_validator().iter_errors(spec))
-    if error is not None:
-        raise SerializationError(f"scenario schema violation: {error.message}") from error
-
-
-def _model_from_args(args) -> GroupoidModel:
-    d = {"kind": args.model}
-    if args.n:
-        d["n"] = args.n
-    if args.m_z:
-        d["m_z"] = args.m_z
-    return GroupoidModel.from_json(d)
+    """A SerializationError unless ``spec`` has the scenario's shape, checked
+    with the rules of ``grpd.errors``: ``SCENARIO``'s keys and types, version
+    1, a non-empty name, a seed >= 0, and ``ENTRY``'s in each entry."""
+    _shape(spec, SCENARIO, 4, "a scenario")
+    if spec["version"] != 1 or not spec["name"] or spec.get("seed", 0) < 0:
+        raise SerializationError("version must be 1, name non-empty and seed >= 0, got "
+                                 f"{spec['version']!r}, {spec['name']!r}, {spec.get('seed', 0)!r}")
+    for key in ("inputs", "cones"):
+        for entry in spec.get(key, []):
+            _shape(entry, ENTRY, 1, f"an entry of {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +242,7 @@ DEMOS = {
 
 def run_demo(name: str, outdir: Path, seed: int, n: int) -> int:
     if name not in DEMOS:
-        print(f"unknown demo {name!r}; see list-demos", file=sys.stderr)
-        return EXIT_USAGE
+        raise GrpdError(f"unknown demo {name!r}; see list-demos")
     fn, desc = DEMOS[name]
     t0 = time.monotonic()
     ok, results = fn(outdir, seed, n)
@@ -298,16 +303,14 @@ def main(argv=None) -> int:
             return run_scenario(spec, Path(args.out))
         name, _, input_flags, cone_flags, _ = COMMANDS[args.command]
         params = json.loads(args.params) if args.params else {}
-        if not isinstance(params, dict):
-            raise SerializationError(f"--params must be a JSON object, not {args.params!r}")
         only_keys(params, [*input_flags, *cone_flags, "wf"], f"--params of {args.command}",
                   SerializationError)
 
         def entries(flags):
             return [{"catalog": getattr(args, f), "params": params.get(f, {})}
                     for f in flags]
-        spec = {"version": 1, "name": name, "seed": args.seed,
-                "model": _model_from_args(args).to_json(), "operation": args.command,
+        spec = {"version": 1, "name": name, "seed": args.seed, "operation": args.command,
+                "model": {"kind": args.model, "n": args.n, "m_z": args.m_z},
                 "inputs": entries(input_flags), "cones": entries(cone_flags)}
         if "wf" in params:
             spec["wf_params"] = params["wf"]

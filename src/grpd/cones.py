@@ -138,13 +138,13 @@ class CircInterval:
                             self.width + other.width, self.period)
 
 
-def interval(lo: float, hi: float, period: float = 1.0) -> CircInterval:
-    """Interval from lo to hi going counterclockwise (hi may wrap past lo;
-    hi = lo + period means the full circle, hi = lo a point)."""
-    width = (real(hi, "interval end") - real(lo, "interval start")) % period
+def interval(lo: float, hi: float) -> CircInterval:
+    """Interval of the unit circle from lo to hi going counterclockwise (hi
+    may wrap past lo; hi = lo + 1 means the full circle, hi = lo a point)."""
+    width = (real(hi, "interval end") - real(lo, "interval start")) % 1.0
     if width == 0.0 and hi != lo:
-        width = period
-    return CircInterval(lo, width, period)
+        width = 1.0
+    return CircInterval(lo, width)
 
 
 def full_interval(period: float = 1.0) -> CircInterval:

@@ -42,7 +42,7 @@ class ModelUnsupportedError(GrpdError):
 
 
 class SerializationError(GrpdError):
-    """Malformed on-disk data (bad magic, truncated payload, schema error)."""
+    """Malformed on-disk data (bad magic, truncated payload, a bad scenario)."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +68,11 @@ def real(value, what: str) -> float:
     return float(value)
 
 
-def integer(value, what: str) -> int:
-    """``value`` as an int; a DomainError unless it is an integer (a bool
+def integer(value, what: str, error: type = DomainError) -> int:
+    """``value`` as an int; an ``error`` unless it is an integer (a bool
     is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -89,7 +89,9 @@ def finite_vector(value, dim: int, what: str) -> tuple[float, ...]:
 
 
 def only_keys(mapping: dict, names, what: str, error: type = DomainError) -> dict:
-    """``mapping``; an ``error`` that names ``names`` if it has another key."""
+    """``mapping``; an ``error`` unless it is a dict of keys in ``names``."""
+    if not isinstance(mapping, dict):
+        raise error(f"{what} must be a JSON object, got {mapping!r}")
     unknown = [k for k in mapping if k not in names]
     if unknown:
         raise error(f"{what} accepts the keys {list(names)}, not {unknown}")

@@ -127,13 +127,13 @@ class WfParams:
         for name in ("cone_half_angle", "slope_threshold", "min_level", "anchor_level",
                      "anchor_slope"):
             real(getattr(self, name), name)
-        n = model.n
-        window_radius = self.window_radius or max(16, n // 8)
-        p = replace(self, window_radius=window_radius,
-                    shell_hi=self.shell_hi or max(self.shell_lo * 4, n // 4),
-                    # derived, so kept inside the range checked below
-                    probe_stride=self.probe_stride
-                    or max(1, min(n // 4, max(n // 16, window_radius // 2))))
+        n, p = model.n, self
+        if p.window_radius is None:
+            p = replace(p, window_radius=max(16, n // 8))
+        if p.shell_hi is None:
+            p = replace(p, shell_hi=max(p.shell_lo * 4, n // 4))
+        if p.probe_stride is None:      # derived, so kept inside the range checked below
+            p = replace(p, probe_stride=max(1, min(n // 4, max(n // 16, p.window_radius // 2))))
         if p.window_radius < 4:
             raise DomainError("window_radius must be >= 4")
         # a direction step wider than the containment tolerance leaves

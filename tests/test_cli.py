@@ -3,7 +3,6 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -123,7 +122,8 @@ def test_non_integer_wf_params_are_usage_errors(tmp_path, wf_params, error):
 @pytest.mark.parametrize("model", [{"kind": "PAIR_CIRCLE", "n": 128.0},
                                    {"kind": "PAIR_TIMES_Z", "n": 16, "m_z": 8.0}])
 def test_non_integer_model_sizes_are_usage_errors(tmp_path, model):
-    # JSON Schema's "integer" accepts 128.0, so the model itself refuses it
+    # validate_scenario checks only that the model is an object, so the model
+    # itself refuses 128.0
     spec = {"version": 1, "name": "float-size", "seed": 0, "model": model,
             "operation": "convolve",
             "inputs": [{"catalog": "gaussian-bump", "params": {"width": 0.1}},
@@ -151,7 +151,7 @@ def test_unknown_model_keys_are_usage_errors(tmp_path, model):
 
 @pytest.mark.parametrize("operation,message", [
     ("convolution", "the operations are"), ("demo", "the operations are"),
-    (7, "schema violation"),        # the schema's one rule: a string
+    (7, "must be a string"),        # the shape's one rule: a string
 ])
 def test_unknown_operations_are_usage_errors(tmp_path, operation, message):
     spec = {"version": 1, "name": "bogus-op", "seed": 0,
@@ -218,15 +218,12 @@ def test_invalid_thread_cap_is_a_usage_error(tmp_path, monkeypatch, threads):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
-def test_the_schema_names_no_rule_the_code_owns():
-    # model kinds, operations and estimator knobs each have one list, in the code
-    from importlib.resources import files
-    from grpd.cli import COMMANDS
-    from grpd.models import Kind
-    from grpd.wavefront import WfParams
-    text = files("grpd.schemas").joinpath("scenario-v1.json").read_text()
-    owned = [k.value for k in Kind] + list(COMMANDS) + [f.name for f in fields(WfParams)]
-    assert [name for name in owned if f'"{name}"' in text] == []
+def test_zero_window_radius_is_a_usage_error(tmp_path, capsys):
+    # a zero window_radius was read as unset, so the window was 16
+    argv = ["wf-estimate", "--n", "64", "--params", '{"wf": {"window_radius": 0}}']
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    assert "window_radius must be >= 4" in capsys.readouterr().err
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 def test_cli_demo_determinism(tmp_path):
@@ -250,6 +247,92 @@ def test_shipped_scenarios(tmp_path):
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
     spec = json.loads((root / "verify-layers.json").read_text())
     assert run_scenario(spec, tmp_path) == 0
+
+
+def test_run_needs_no_jsonschema(tmp_path):
+    # the scenario's shape is checked by grpd.errors' rules, with no schema engine
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "verify-layers.json"
+    code = ("import sys; sys.modules['jsonschema'] = None; from grpd.cli import main; "
+            f"sys.exit(main(['run', {str(scenario)!r}, '--out', {str(tmp_path)!r}]))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "report.json").exists()
+
+
+# a valid scenario with every key, and one shape rule broken per row; each
+# row is a SerializationError (exit 1) before the spec is read any further
+SHAPE = {"version": 1, "name": "shape", "seed": 0, "model": {"kind": "PAIR_CIRCLE", "n": 128},
+         "operation": "verify",
+         "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}},
+                    {"catalog": "rotation-layer", "params": {"theta": 0.125}}],
+         "cones": [{"catalog": "rotation-conormal", "params": {"theta": 0.25}},
+                   {"catalog": "rotation-conormal", "params": {"theta": 0.125}}],
+         "wf_params": {}}
+
+
+def _broken(key=None, value=..., entry=None, entry_value=...):
+    """SHAPE with ``key`` set to ``value`` (dropped if ``...``), or with
+    ``key``'s first entry's ``entry`` set to ``entry_value``."""
+    spec = json.loads(json.dumps(SHAPE))
+    if entry is not None:
+        if entry_value is ...:
+            del spec[key][0][entry]
+        else:
+            spec[key][0][entry] = entry_value
+    elif value is ...:
+        del spec[key]
+    else:
+        spec[key] = value
+    return spec
+
+
+MALFORMED = {
+    "not-an-object": [SHAPE],
+    "no-version": _broken("version"), "no-name": _broken("name"),
+    "no-model": _broken("model"), "no-operation": _broken("operation"),
+    "unknown-key": _broken("bogus", 1),
+    "unknown-entry-key": _broken("inputs", entry="bogus", entry_value=1),
+    "entry-without-catalog": _broken("cones", entry="catalog"),
+    "entry-not-an-object": _broken("inputs", ["rotation-layer", "rotation-layer"]),
+    "version-2": _broken("version", 2), "version-true": _broken("version", True),
+    "empty-name": _broken("name", ""), "name-not-a-string": _broken("name", 5),
+    "negative-seed": _broken("seed", -1), "seed-true": _broken("seed", True),
+    "operation-not-a-string": _broken("operation", ["verify"]),
+    "catalog-not-a-string": _broken("inputs", entry="catalog", entry_value=7),
+    "inputs-not-a-list": _broken("inputs", {"catalog": "rotation-layer"}),
+    "cones-not-a-list": _broken("cones", "rotation-conormal"),
+    "model-not-an-object": _broken("model", "PAIR_CIRCLE"),
+    "params-not-an-object": _broken("cones", entry="params", entry_value=[0.25]),
+    "wf_params-not-an-object": _broken("wf_params", None),
+}
+
+
+def test_the_shape_table_starts_from_a_valid_scenario(tmp_path):
+    assert run_scenario(SHAPE, tmp_path) == 0
+
+
+@pytest.mark.parametrize("spec", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_scenarios_are_usage_errors(tmp_path, capsys, spec):
+    with pytest.raises(SerializationError):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", [_broken("version", 1.0), _broken("seed", 3.0)],
+                         ids=["version-1.0", "seed-3.0"])
+def test_float_version_and_seed_are_usage_errors(tmp_path, spec):
+    # JSON Schema's const 1 and "integer" accepted both floats
+    with pytest.raises(SerializationError, match="must be an integer"):
+        run_scenario(spec, tmp_path / "direct")
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
 def _spec(op, n=64, **lists):

@@ -1,21 +1,23 @@
-"""A derandomized fuzz test of the CLI: a valid command over any operation,
+"""Derandomized fuzz tests of the CLI.  A valid command over any operation,
 catalog entry and model kind, with one catalog name, catalog parameter,
-``--params`` key or estimator parameter made invalid, exits 0, 1 or 2 and
-raises nothing.  The grid size is never mutated, so that every run stays
-small (n <= 64)."""
+``--params`` key or estimator parameter made invalid, and a valid scenario
+file with one part of its shape changed, each exit 0, 1 or 2 and raise
+nothing.  The grid size is never mutated, so that every run stays small
+(n <= 64)."""
 
 import dataclasses
 import itertools
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from grpd import catalog
-from grpd.cli import COMMANDS, main
+from grpd.cli import COMMANDS, ENTRY, SCENARIO, main
 from grpd.distributions import ORDER_CAP
 from grpd.models import GroupoidModel
 from grpd.wavefront import WfParams
@@ -97,3 +99,52 @@ def test_every_invalid_estimator_parameter_exits_with_a_code(key):
         params = json.dumps({"wf": {key: value}})
         with tempfile.TemporaryDirectory() as out:
             assert main([op, "--n", "64", "--params", params, "--out", out]) in (0, 1, 2)
+
+
+# any JSON value; its integers are too small, and its keys too short, to
+# make a valid model of another size
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([1.0, 3.0, math.nan])
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario of any operation at n = 64, with one key dropped,
+    one key (an entry's key included) given any JSON value, or the whole
+    spec or one entry replaced by any JSON value."""
+    op = draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, inputs, cones, uses_wf = COMMANDS[op]
+    spec = {"version": 1, "name": "fuzz", "seed": 0, "model": {"kind": "PAIR_CIRCLE", "n": 64},
+            "operation": op,
+            "inputs": [{"catalog": name} for name in inputs.values()],
+            "cones": [{"catalog": name, "params": {}} for name in cones.values()]}
+    if uses_wf:
+        spec["wf_params"] = {}
+    mutation = draw(st.sampled_from(["spec", "drop", "set", "entry", "entry key"]))
+    if mutation == "spec":
+        return draw(JSON)
+    if mutation == "drop":
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    elif mutation == "set":
+        spec[draw(st.sampled_from([*SCENARIO, "bogus"]))] = draw(JSON)
+    elif mutation == "entry":
+        key = draw(st.sampled_from([k for k in ("inputs", "cones") if spec[k]]))
+        spec[key][draw(st.integers(0, len(spec[key]) - 1))] = draw(JSON)
+    else:
+        entry = draw(st.sampled_from([e for key in ("inputs", "cones") for e in spec[key]]))
+        entry[draw(st.sampled_from([*ENTRY, "bogus"]))] = draw(JSON)
+    return spec
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=scenarios())
+def test_one_malformed_scenario_part_exits_with_a_code(spec):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", str(path), "--out", str(Path(out) / "run")]) in (0, 1, 2)

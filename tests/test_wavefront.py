@@ -76,6 +76,9 @@ def test_params_validation():
     WfParams(cone_half_angle=None),
     WfParams(n_directions=202),                # finer than 2*pi*shell_hi = 201.1
     WfParams(n_directions=10 ** 400),
+    WfParams(window_radius=0),                 # only None is unset: 0 was read as 16
+    WfParams(shell_hi=0),
+    WfParams(probe_stride=0),
 ])
 def test_params_range_checks(params):
     with pytest.raises(DomainError):
