@@ -25,8 +25,7 @@ from .convolution import (GOperator, convolve, convolve_gated,
 from .wavefront import (WfParams, WfReport, VerifyReport, estimate_wavefront,
                         decay_slope, verify_product_bound)
 from .errors import (GrpdError, DomainError, ModelMismatchError,
-                     ComposabilityError, TransversalityError,
-                     ConeConditionError, OrderCapError,
+                     ComposabilityError, ConeConditionError, OrderCapError,
                      ModelUnsupportedError, SerializationError)
 
 __version__ = "0.1.0"

@@ -129,7 +129,8 @@ def _build(table: dict, what: str, name: str, model: GroupoidModel, params: dict
     if name not in table:
         raise DomainError(f"unknown catalog {what} {name!r}")
     builder, keys = table[name]
-    return builder(model, **only_keys(params or {}, keys, f"catalog {what} {name!r}"))
+    params = {} if params is None else params
+    return builder(model, **only_keys(params, keys, f"catalog {what} {name!r}"))
 
 
 def build_distribution(name: str, model: GroupoidModel, params: dict | None = None) -> Distribution:

@@ -2,7 +2,7 @@
 built-in demo scenarios (one per acceptance property bundle).
 
 Exit codes: 0 all asserted properties pass, 1 usage/validation error (any
-``GrpdError``), 2 property failure.
+``GrpdError``, the command line's included), 2 property failure.
 """
 
 from __future__ import annotations
@@ -258,22 +258,28 @@ def run_demo(name: str, outdir: Path, seed: int, n: int) -> int:
 # argparse front end
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are a ``GrpdError`` (exit 1)."""
+
+    def error(self, message):
+        raise GrpdError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="grpd",
-                                 description="groupoid distribution calculus")
+    ap = _Parser(prog="grpd", description="groupoid distribution calculus")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--model", default="PAIR_CIRCLE")
         p.add_argument("--n", type=int, default=128)
-        p.add_argument("--m-z", dest="m_z", type=int, default=0)
-        p.add_argument("--params", default="")
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=0)
 
     for command, (_, help_, inputs, cones, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         common(p)
+        p.add_argument("--model", default="PAIR_CIRCLE")
+        p.add_argument("--m-z", dest="m_z", type=int, default=0)
+        p.add_argument("--params", default="")
         for flag, default in (inputs | cones).items():
             p.add_argument("--" + flag.replace("_", "-"), default=default)
 
@@ -290,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "list-demos":
             for name, (_, desc) in DEMOS.items():
                 print(f"{name:24s} {desc}")

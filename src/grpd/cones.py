@@ -81,7 +81,7 @@ class CircInterval:
     def __post_init__(self):
         p = self.period
         w = min(max(real(self.width, "interval width"), 0.0), p)
-        s = real(self.start, "interval start") % p
+        s = real(self.start, "interval start") % p % p   # -1e-20 % 1.0 rounds to 1.0
         if w >= p:
             s, w = 0.0, p
         object.__setattr__(self, "start", s)
@@ -1021,7 +1021,7 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
         if eps > 0.0:
             w = np.minimum(np.maximum(widths[:, ax] + 2.0 * eps, 0.0), 1.0)
             full = w >= 1.0
-            starts[:, ax] = np.where(full, 0.0, (starts[:, ax] - eps) % 1.0)
+            starts[:, ax] = np.where(full, 0.0, (starts[:, ax] - eps) % 1.0 % 1.0)
             widths[:, ax] = np.where(full, 1.0, w)
     reach = widths + 1e-12
     sets, number_of = b.dir_table

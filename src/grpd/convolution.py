@@ -152,12 +152,17 @@ def module_property_check(p: GOperator, g: TestFunction) -> float:
 
 
 def right_translate(f: TestFunction, gamma: Element) -> TestFunction:
-    """Grid right translation R_gamma (moves the source fiber of gamma's
-    target onto the fiber of its source)."""
+    """Grid right translation (R_gamma f)(h) = f(h gamma^-1) on the s-fiber
+    over s(gamma), 0 elsewhere: an exact gather through the model's
+    multiplication and inversion."""
     m = f.model
     if m != gamma.model:
         raise ModelMismatchError("translation element on a different model")
-    return TestFunction(m, layered(m).right_translate(m, f.values, gamma.data))
+    s, fiber = m.structure, fiber_index(src(gamma).data, layered(m).fibers[0])
+    h = tuple(a[fiber] for a in np.indices(m.grid_shape))
+    out = np.zeros_like(f.values)
+    out[fiber] = f.values[s.multiply(m, h, s.invert(m, gamma.data))]
+    return TestFunction(m, out)
 
 
 def equivariance_defect(p: GOperator, gamma: Element, f: TestFunction) -> float:

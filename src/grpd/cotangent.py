@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComposabilityError, ModelMismatchError, finite_vector
+from .errors import ComposabilityError, ModelMismatchError, ModelUnsupportedError, finite_vector
 from .models import (Element, GroupoidModel, Kind, Unit, _coadjoint, anchor_maps,
                      invert, is_composable, multiply, random_composable_pair,
                      random_composable_triple, unit_embed)
@@ -132,16 +132,22 @@ class KernelKind(enum.Enum):
 def in_kernel(delta, which: KernelKind, tol: float = 0.0) -> bool:
     """Membership tests for ker s_Gamma, ker r_Gamma and (pairs) ker m_Gamma.
 
-    For KER_M_GAMMA_FACTOR pass a composable pair (d1, d2); the test is
-    membership of (d1, d2) in N*G^(2) = ker m_Gamma.
+    For KER_M_GAMMA_FACTOR pass a pair (d1, d2); it lies in
+    N*G^(2) = ker m_Gamma when s(g1) = r(g2), the covectors agree over
+    that unit and their product is zero, each to ``tol``.
     """
     if which is KernelKind.KER_M_GAMMA_FACTOR:
         d1, d2 = delta
-        if d1.model != d2.model:
+        m = d1.model
+        if m != d2.model:
             raise ModelMismatchError("pair on different models")
         if not is_composable(d1.base, d2.base):
             return False
-        return d1.model.structure.ker_m(d1.cov, d2.cov, tol)
+        if m.continuous:
+            raise ModelUnsupportedError("ker m_Gamma test needs a grid model")
+        s, (g1, c1), (g2, c2) = m.structure, (d1.base.data, d1.cov), (d2.base.data, d2.cov)
+        gaps = [a - b for a, b in zip(s.ct_anchors(g1, c1)[0], s.ct_anchors(g2, c2)[1])]
+        return max(map(abs, gaps + list(s.ct_multiply(m, g1, c1, g2, c2)))) <= tol
     u = ct_src(delta) if which is KernelKind.KER_S_GAMMA else ct_tgt(delta)
     return max(abs(c) for c in u.cov) <= tol
 

@@ -11,9 +11,9 @@ r-fibers and N the number of units it pairs as
 
 the section being a rotation graph {(x, x - theta)} on the pair model
 and the point theta on the circle group.  The unit delta is the
-theta = 0, k = 0 layer with unit coefficients.  Where a derivative runs
-across an anchor's fibers (the pair model's s-fibers), Leibniz' rule
-moves it onto the coefficients along the section.
+theta = 0, k = 0 layer with unit coefficients.  ``fiber_terms`` writes a
+layer on the s- or r-fibers, once: across them (the pair model's s-fibers)
+Leibniz' rule moves the derivative onto the coefficients along the section.
 """
 
 from __future__ import annotations
@@ -189,23 +189,39 @@ def unit_delta(model: GroupoidModel) -> Distribution:
 # Pairing and pushforwards
 # ---------------------------------------------------------------------------
 
-def _layer_pair(layer: Layer, values: np.ndarray) -> complex:
+def fiber_terms(layer: Layer, x: tuple, side: int) -> tuple[tuple, list]:
+    """The point of ``layer`` on the s-fiber (side 0) or r-fiber (side 1)
+    over each unit of ``x``, and its terms [(w, c, j)]: on that fiber it
+    pairs with phi as the sum of w c (D^j phi)(point), D along the fiber,
+    c read over the point's target.  Along the r-fibers the layer keeps
+    its derivative, w = (-1)^k; across them Leibniz' rule moves k - j of
+    it onto the coefficients, c = D^(k-j) of them and w = C(k, j)."""
     m = layer.model
     s = m.structure
-    a = ((-1.0) ** layer.order) * spectral_derivative(values, s.fibers[1], layer.order)
-    pts = s.section(m, unit_indices(m), layer.section, 1)
-    return complex(np.sum(layer.coeffs * a[pts]) / math.prod(m.unit_shape))
+    # "..." makes a group's one point read 0-d arrays, not numpy scalars,
+    # whose products round differently
+    pts = s.section(m, x, layer.section, side) + (...,)
+    at = s.anchors(pts)[1] + (...,)
+    k = layer.order
+    if s.fibers[side] == s.fibers[1]:
+        return pts, [((-1.0) ** k, layer.coeffs[at], k)]
+    return pts, [(math.comb(k, i), spectral_derivative(layer.coeffs, 0, i)[at], k - i)
+                 for i in range(k + 1)]
 
 
 def pair(u: Distribution, f: TestFunction) -> complex:
     """Dual pairing <u, f>; bilinear and additive across smooth/layers."""
     if u.model != f.model:
         raise ModelMismatchError("distribution and test function disagree")
+    m = u.model
     total = 0.0 + 0.0j
     if u.smooth is not None:
-        total += complex(np.sum(u.smooth * f.values) * u.model.quadrature_weight)
+        total += complex(np.sum(u.smooth * f.values) * m.quadrature_weight)
     for layer in u.layers:
-        total += _layer_pair(layer, f.values)
+        pts, terms = fiber_terms(layer, unit_indices(m), 1)
+        for w, c, j in terms:
+            a = w * spectral_derivative(f.values, m.structure.fibers[1], j)
+            total += complex(np.sum(c * a[pts]) / math.prod(m.unit_shape))
     return total
 
 
@@ -234,20 +250,12 @@ def pushforward_base(u: Distribution, f: TestFunction, which: str) -> np.ndarray
         raise ModelMismatchError("distribution and test function disagree")
     side = _side(which)
     m = u.model
-    s = m.structure
-    axis = s.fibers[side]
+    axis = m.structure.fibers[side]
     out = np.mean(u.smooth_or_zero() * f.values, axis=axis)
     for l in u.layers:
-        pts = s.section(m, unit_indices(m), l.section, side)
-        if axis == s.fibers[1]:         # the points come in the order of their units
-            a = ((-1.0) ** l.order) * spectral_derivative(f.values, axis, l.order)
-            out = out + l.coeffs * a[pts]
-            continue
-        at = s.anchors(pts)[1]          # the unit each section point lies over
-        for j in range(l.order + 1):
-            cj = spectral_derivative(l.coeffs, 0, j)
-            fj = spectral_derivative(f.values, axis, l.order - j)
-            out = out + math.comb(l.order, j) * cj[at] * fj[pts]
+        pts, terms = fiber_terms(l, unit_indices(m), side)
+        for w, c, j in terms:
+            out = out + w * c * spectral_derivative(f.values, axis, j)[pts]
     return np.asarray(out)
 
 
@@ -296,18 +304,10 @@ def slice_family(u: Distribution, x: Unit, which: str) -> FiberDistribution:
     s = layered(m)
     axis = s.fibers[side]
     vals = None if u.smooth is None else u.smooth[fiber_index(x.data, axis)]
-    masses: list[PointMassTerm] = []
+    masses = []
     for l in u.layers:
-        pt = s.section(m, x.data, l.section, side)
-        at = s.anchors(pt)[1]
-        if axis == s.fibers[1]:
-            masses.append(PointMassTerm(pt[axis], complex(l.coeffs[at]) * (-1.0) ** l.order,
-                                        l.order))
-            continue
-        for j in range(l.order + 1):
-            cj = spectral_derivative(l.coeffs, 0, j)
-            masses.append(PointMassTerm(pt[axis], math.comb(l.order, j) * complex(cj[at]),
-                                        l.order - j))
+        pt, terms = fiber_terms(l, x.data, side)
+        masses += [PointMassTerm(pt[axis], w * complex(c), j) for w, c, j in terms]
     return FiberDistribution(m, x, which, vals, tuple(masses))
 
 
@@ -318,19 +318,21 @@ def slice_family(u: Distribution, x: Unit, which: str) -> FiberDistribution:
 def star_involution(u: Distribution) -> Distribution:
     """u* = conj(i^* u); the adjoint kernel of the convolution algebra.
 
-    i maps a layer's section t onto -t and its r-fibers onto s-fibers;
-    the part of the derivative tangent to the section goes onto the
-    coefficients by Leibniz' rule (none where the section is a point)."""
+    The smooth part is read at the inverse of each grid point.  i maps a
+    layer's section t onto -t and its s-fibers onto r-fibers, so the
+    layer's terms on the s-fibers (``fiber_terms``) are layers of u*."""
     m = u.model
-    smooth = None if u.smooth is None else np.conj(m.structure.invert_values(u.smooth))
-    layers: list[Layer] = []
+    s = m.structure
+    smooth = None if u.smooth is None else np.conj(
+        u.smooth[s.invert(m, tuple(np.indices(m.grid_shape)))])
+    layers = []
     for l in u.layers:
-        for j in range(l.order + 1 if l.coeffs.ndim else 1):
-            cj = spectral_derivative(l.coeffs, 0, j)
-            shifted = np.roll(np.conj(cj), -l.section)   # x -> conj(c^(j))(x + theta)
-            sign = (-1.0) ** (l.order - j)
-            layers.append(Layer(m, -l.section, sign * math.comb(l.order, j) * shifted,
-                                l.order - j))
+        # (-D)^j adds (-1)^j where i keeps the direction of the fibers it
+        # turns onto r-fibers (the pair model), not where it reverses it (a group)
+        step = s.invert(m, s.section(m, (0,) * len(m.unit_shape), 1, 0))[s.fibers[1]]
+        sign = -1.0 if step == 1 else 1.0
+        _, terms = fiber_terms(l, unit_indices(m), 0)
+        layers += [Layer(m, -l.section, sign ** j * w * np.conj(c), j) for w, c, j in terms]
     return Distribution(m, smooth, tuple(layers))
 
 

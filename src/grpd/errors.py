@@ -25,10 +25,6 @@ class ComposabilityError(GrpdError):
     """A pair fed to a partial multiplication is not composable."""
 
 
-class TransversalityError(GrpdError):
-    """No transversal route is available for the requested convolution."""
-
-
 class ConeConditionError(GrpdError):
     """The wave-front gate W1 x W2 meets ker m_Gamma; gated product refused."""
 

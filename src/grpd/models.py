@@ -20,8 +20,11 @@ layer sections and the closed forms that differ between models), on
 plain data and numpy.  The public functions here and in ``cotangent``
 check their arguments, call their model's entry and wrap the result;
 ``cones``, ``distributions``, ``convolution`` and ``catalog`` name no
-kind.  ``PAIR_TIMES_Z`` is the pair groupoid times the unit space T_Z,
-and its entry is built so.
+kind.  What the maps fix is derived from them where it is used: values
+pulled back by the inversion (``distributions.star_involution``), right
+translation (``convolution``) and ker m_Gamma (``cotangent.in_kernel``).
+``PAIR_TIMES_Z`` is the pair groupoid times the unit space T_Z, and its
+entry is built so.
 """
 
 from __future__ import annotations
@@ -302,10 +305,6 @@ def _groups_only(*args):
     raise ModelUnsupportedError("Phi is defined for group models only")
 
 
-def _no_ker_m(c1, c2, tol):
-    raise ModelUnsupportedError("ker m_Gamma test needs a grid model")
-
-
 @dataclass(frozen=True)
 class Structure:
     """The closed forms of one kind, on plain data tuples: g, h, x are
@@ -316,7 +315,8 @@ class Structure:
     cone cell's box, a, u, v, f grid values over G, and t, c, k a layer's
     section offset, coefficients over G^(0) and order.  A closed form is
     a field only where the pair and group formulas differ in arithmetic,
-    so that each keeps its rounding; the rest is written once.
+    so that each keeps its rounding; the rest is written once, or derived
+    from the maps (inverted values, right translation, ker m_Gamma).
     """
 
     dim: int                        # of G
@@ -333,7 +333,6 @@ class Structure:
     ct_multiply: Callable           # (m, g1, c1, g2, c2) -> covector of the product
     ct_invert: Callable             # (g, c) -> covector of the inverse
     ct_match: Callable              # (g, t, rng) -> a random c over g with source t
-    ker_m: Callable                 # (c1, c2, tol) -> is the pair in ker m_Gamma
     phi: Callable = _groups_only    # (g, c) -> R_g^* c
     ad_mismatch: Callable = _groups_only  # (m, g, mu, nu, tol) -> does nu miss Ad*_g mu
     composable: tuple[tuple[int, int], ...] = ()  # (axis of g1, axis of g2) equal on G^(2)
@@ -341,14 +340,12 @@ class Structure:
     fibers: tuple[int, ...] = ()    # the grid axis of the s-fibers and of the r-fibers
     fiber_sum: Callable = None      # (m, a, b) -> a*b, the closed form
     streamed_sum: Callable = None   # (m, a, b) -> a*b term by term: the gated route's
-    invert_values: Callable = None  # (a) -> a o i
     section: Callable = None        # (m, x, t, side) -> the point of section t on the
     #                                 s-fiber (side 0) or r-fiber (side 1) over x
     layer_smooth: Callable = None   # (t, c, k, v) -> L*v
     smooth_layer: Callable = None   # (t, c, k, u) -> u*L
     layer_layer: Callable = None    # (t1, c1, k1, t2, c2, k2) -> [(t, c, k)] of L1*L2
     tensor_pairing: Callable = None  # (m, tag, a, b, F) -> <a (x) b on G^(2), F>
-    right_translate: Callable = None  # (m, f, g) -> R_g f
 
 
 def _pair_streamed_sum(m, a, b) -> np.ndarray:
@@ -406,14 +403,11 @@ _PAIR = Structure(
     ct_multiply=lambda m, g1, c1, g2, c2: (c1[0], c2[1]),
     ct_invert=lambda g, c: (-c[1], -c[0]),
     ct_match=lambda g, t, rng: (float(rng.uniform(-3, 3)), -t[0]),
-    ker_m=lambda c1, c2, tol: (abs(c1[0]) <= tol and abs(c2[1]) <= tol
-                               and abs(c1[1] + c2[0]) <= tol),
     composable=((1, 0),),
     box_product=lambda b1, b2: [(b1[0], b2[1])],
     fibers=(0, 1),
     fiber_sum=lambda m, a, b: (a @ b) / m.n,
     streamed_sum=_pair_streamed_sum,
-    invert_values=lambda a: np.swapaxes(a, 0, 1),
     section=lambda m, x, t, side: (((x[0] + t) % m.n, x[0]) if side == 0
                                    else (x[0], (x[0] - t) % m.n)),
     layer_smooth=lambda t, c, k, v: (((-1.0) ** k) * c[:, None]
@@ -421,9 +415,7 @@ _PAIR = Structure(
     smooth_layer=lambda t, c, k, u: spectral_derivative(
         np.roll(u, -t, axis=1) * np.roll(c, -t)[None, :], 1, k),
     layer_layer=_pair_layer_layer,
-    tensor_pairing=_pair_tensor_pairing,
-    # f on the s-fiber over r(g) moved onto the one over s(g), 0 elsewhere
-    right_translate=lambda m, f, g: np.where(np.arange(m.n) == g[1], f[:, g[0], None], 0))
+    tensor_pairing=_pair_tensor_pairing)
 
 
 def _times_units(base: Structure) -> Structure:
@@ -446,15 +438,12 @@ def _times_units(base: Structure) -> Structure:
         ct_invert=lambda g, c: base.ct_invert(g[:-1], c[:-1]) + (-c[-1],),
         ct_match=lambda g, t, rng: (base.ct_match(g[:-1], t, rng)
                                     + (float(rng.uniform(-3, 3)),)),
-        ker_m=lambda c1, c2, tol: (base.ker_m(c1[:-1], c2[:-1], tol)
-                                   and abs(c1[-1] + c2[-1]) <= tol),
         composable=base.composable + ((base.dim, base.dim),),
         box_product=lambda b1, b2: [box + (z,) for box in base.box_product(b1[:-1], b2[:-1])
                                     for z in b1[-1].intersect(b2[-1])],
         fibers=base.fibers,
         # the pair model's fiber sum at every z, as one contraction
-        fiber_sum=lambda m, a, b: np.einsum("xyz,ywz->xwz", a, b) / m.n,
-        invert_values=base.invert_values)
+        fiber_sum=lambda m, a, b: np.einsum("xyz,ywz->xwz", a, b) / m.n)
 
 
 # a group has one unit, so any h follows g, and A*G = g* sits in T*G as itself
@@ -496,8 +485,6 @@ _CIRCLE_GROUP = Structure(
     ct_multiply=lambda m, g1, c1, g2, c2: c1,
     ct_invert=lambda g, c: c,
     ct_match=lambda g, t, rng: t,
-    # G^(2) = G^2, the conormal is the zero section
-    ker_m=lambda c1, c2, tol: all(abs(c) <= tol for c in c1 + c2),
     phi=lambda g, c: c,
     ad_mismatch=lambda m, g, mu, nu, tol: max(abs(a - b) for a, b in zip(mu, nu)) > tol,
     box_product=lambda b1, b2: [(b1[0].minkowski(b2[0]),)],
@@ -505,13 +492,11 @@ _CIRCLE_GROUP = Structure(
     fiber_sum=lambda m, a, b: np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)) / m.n,
     streamed_sum=lambda m, a, b: np.array([np.sum(a * b[(g - np.arange(m.n)) % m.n])
                                            for g in range(m.n)]) / m.n,
-    invert_values=lambda a: np.roll(a[::-1], 1),
     section=lambda m, x, t, side: (t % m.n,),
     layer_smooth=_group_translate,
     smooth_layer=_group_translate,
     layer_layer=lambda t1, c1, k1, t2, c2, k2: [(t1 + t2, complex(c1) * complex(c2), k1 + k2)],
-    tensor_pairing=_group_tensor_pairing,
-    right_translate=lambda m, f, g: np.roll(f, -g[0]))
+    tensor_pairing=_group_tensor_pairing)
 
 
 def _dl(g) -> np.ndarray:
@@ -559,7 +544,6 @@ _AFFINE = Structure(
                                  @ np.asarray(c, dtype=float)),
     # L_g^* xi = t  =>  xi = diag(1/a, 1/a) t
     ct_match=lambda g, t, rng: tuple(np.asarray(t) / g[0]),
-    ker_m=_no_ker_m,
     phi=lambda g, c: tuple(_dr(g).T @ np.asarray(c, dtype=float)),
     ad_mismatch=_affine_ad_mismatch)
 

@@ -38,6 +38,25 @@ def test_demo_unknown(tmp_path):
     assert run_cli("demo", "no-such-demo", "--out", str(tmp_path)) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bogus", "1"], ["verify", "--n", "abc"], ["convolve", "--m-z", "1.5"], [],
+    # demo reads only --n, --seed and --out
+    ["demo", "roundtrip", "--model", "NOPE"], ["demo", "roundtrip", "--m-z", "3"],
+    ["demo", "roundtrip", "--params", '{"x": 1}'],
+], ids=repr)
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse exited 2, the code of a property failure; none gets to write
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["demo", "--help"]])
+def test_help_exits_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+
+
 def test_scenario_schema_validation():
     with pytest.raises(SerializationError):
         validate_scenario({"version": 1, "name": "x"})

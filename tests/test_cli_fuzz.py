@@ -1,6 +1,7 @@
 """Derandomized fuzz tests of the CLI.  A valid command over any operation,
 catalog entry and model kind, with one catalog name, catalog parameter,
-``--params`` key or estimator parameter made invalid, and a valid scenario
+``--params`` key or estimator parameter made invalid, or an unknown flag
+or a non-integer ``--n`` or ``--m-z`` added (exit 1), and a valid scenario
 file with one part of its shape changed, each exit 0, 1 or 2 and raise
 nothing.  The grid size is never mutated, so that every run stays small
 (n <= 64)."""
@@ -63,7 +64,7 @@ def commands(draw):
         names[flag] = draw(st.sampled_from(sorted(table)))
         keys[flag] = table[names[flag]][1]
         params[flag] = {k: draw(VALID[k](model)) for k in keys[flag] if draw(st.booleans())}
-    mutation = draw(st.sampled_from(["name", "parameter", "params key"]
+    mutation = draw(st.sampled_from(["name", "parameter", "params key", "flag", "size"]
                                     + ["estimator parameter"] * uses_wf))
     flag = draw(st.sampled_from(sorted(names)))
     if mutation == "name":
@@ -74,22 +75,31 @@ def commands(draw):
     elif mutation == "estimator parameter":
         key = draw(st.sampled_from([*WF_KEYS, "bogus"]))
         params["wf"] = {key: draw(st.sampled_from(BAD_VALUES))}
-    else:
+    elif mutation == "params key":
         key = draw(st.sampled_from([flag, "bogus", "left_cone", "input"]))
         params[key] = draw(st.sampled_from(BAD_VALUES))
-    argv = [op, "--model", kind, "--n", str(n), "--m-z", str(m_z),
+    sizes = {"--n": str(n), "--m-z": str(m_z)}
+    if mutation == "size":
+        sizes[draw(st.sampled_from(sorted(sizes)))] = draw(st.sampled_from(
+            ["abc", "", "8.0", "1e3", "0x10"]))
+    argv = [op, "--model", kind, *itertools.chain(*sizes.items()),
             "--params", json.dumps(params)]
     for flag, name in names.items():
         argv += ["--" + flag.replace("_", "-"), name]
-    return argv
+    if mutation == "flag":
+        argv += [draw(st.sampled_from(["--bogus", "--left-cones", "--name", "-x"])), "1"]
+    return argv, mutation in ("flag", "size")
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=commands())
-def test_one_invalid_value_exits_with_a_code(argv):
+@given(case=commands())
+def test_one_invalid_value_exits_with_a_code(case):
+    # a command line argparse refuses is a usage error, exit 1
+    argv, usage = case
     with tempfile.TemporaryDirectory() as out:
-        assert main([*argv, "--out", out]) in (0, 1, 2)
+        code = main([*argv, "--out", out])
+        assert code == 1 if usage else code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("key", [*WF_KEYS, "bogus"])

@@ -320,6 +320,23 @@ def test_right_translate_shapes():
     f = TestFunction.random_band_limited(M, 3, RNG)
     out = right_translate(f, Element(M, (3, 9)))
     assert np.array_equal(out.values[:, 9], f.values[:, 3])
+    # (R_gamma f)(h) = f(h gamma^-1): the identity of the group moves onto gamma
+    # (it landed on gamma^-1, index 7)
+    e = np.zeros(8)
+    e[0] = 1.0
+    assert np.argmax(np.abs(right_translate(TestFunction(circle_group(8), e),
+                                            Element(circle_group(8), (1,))).values)) == 1
+    # R_gamma f = n f * delta_gamma: exactly on the pair model, where the
+    # product moves values, and through the FFT on the group
+    rng = np.random.default_rng(8)
+    for model in (pair_circle(8), circle_group(8), M, G):
+        f = TestFunction.random_band_limited(model, 3, rng, real=False)
+        tol = 0.0 if model.kind.value == "PAIR_CIRCLE" else 1e-12
+        gammas = [Element(model, g) for g in np.ndindex(model.grid_shape)]
+        for gamma in gammas if model.n == 8 else [gammas[i] for i in rng.choice(len(gammas), 8)]:
+            out = right_translate(f, gamma).values
+            ref = model.n * convolve(f, point_mass(model, *gamma.coords)).smooth_or_zero()
+            assert float(np.max(np.abs(out - ref))) <= tol
 
 
 def test_adjoint_operator_prehilbertian():

@@ -13,7 +13,7 @@ from grpd.cotangent import (CotangentPoint, CotangentUnit, KernelKind,
                             transformation_product)
 from grpd.errors import ComposabilityError, DomainError, ModelUnsupportedError
 from grpd.models import (affine_group, circle_group, element, pair_circle, pair_times_z,
-                         random_element, unit)
+                         random_composable_pair, random_element, unit)
 
 
 def cp(model, coords, cov):
@@ -161,6 +161,21 @@ def test_kernel_identities_pointwise():
                 assert in_s == annihilates(cov, ker_dr) and in_r == annihilates(cov, ker_ds)
                 found.add((in_s, in_r))
         assert (False, False) in found and (True, True) in found
+    # ker m_Gamma = N*G^(2), the conormal of {s(g1) = r(g2)} in G x G: the
+    # row space of ds(g1) and -dr(g2) stacked (none on a group, where G^(2)
+    # is all of G x G)
+    for model in (M8, G8, Z8):
+        jac = np.hstack([anchor_jacobian(model, "s"), -anchor_jacobian(model, "r")])
+        found = set()
+        for _ in range(8):
+            g1, g2 = random_composable_pair(model, rng)
+            for cov in itertools.product((0.0, 1.0, -2.5), repeat=2 * model.dim):
+                pair = (CotangentPoint(g1, cov[:model.dim]), CotangentPoint(g2, cov[model.dim:]))
+                member = in_kernel(pair, KernelKind.KER_M_GAMMA_FACTOR)
+                rest = cov - jac.T @ np.linalg.lstsq(jac.T, cov, rcond=None)[0]
+                assert member == (float(np.max(np.abs(rest))) <= 1e-9)
+                found.add(member)
+        assert found == {False, True}
 
 
 @pytest.mark.parametrize("model", [M8, G8, Z8, AFF])

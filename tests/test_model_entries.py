@@ -58,6 +58,7 @@ def _delta(m):
     return CotangentPoint(_gamma(m), (1.0,) * m.dim)
 
 
+FALSY = ([], 0, "", False)
 CALLS = {
     "make_layer": lambda m: make_layer(m, 0.25, 1.0, 1),
     "make_layer off the grid": lambda m: make_layer(m, 0.3, 1.0),
@@ -118,6 +119,9 @@ CALLS = {
     "CONE_CATALOG unknown": lambda m: catalog.build_cone("bogus", m),
     "CATALOG unknown key": lambda m: catalog.build_distribution("delta", m, {"n": 64}),
     "CONE_CATALOG unknown key": lambda m: catalog.build_cone("point-cone", m, {"theta": 0}),
+    # a falsy value other than None is no params object (built the default layer)
+    **{f"CATALOG params {p!r}": lambda m, p=p: catalog.build_distribution("rotation-layer", m, p)
+       for p in FALSY},
     "gaussian_bump short center": lambda m: catalog.gaussian_bump(m, [0.5] * (m.dim + 1)),
     "gaussian_bump zero width": lambda m: catalog.gaussian_bump(m, width=0.0),
     "smooth_field band": lambda m: catalog.smooth_field(m, 1000),
@@ -187,6 +191,7 @@ REFUSALS = {
     "WfParams narrow cone": EVERY,
     "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
     "CATALOG unknown key": EVERY, "CONE_CATALOG unknown key": EVERY,
+    **{f"CATALOG params {p!r}": EVERY for p in FALSY},
     "gaussian_bump short center": EVERY, "gaussian_bump zero width": EVERY,
     "smooth_field band": EVERY, "smooth_field negative seed": EVERY,
     **{call: {**dict.fromkeys(MODELS, MM), **GRID} for call in (
