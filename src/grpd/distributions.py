@@ -200,8 +200,8 @@ def fiber_terms(layer: Layer, x: tuple, side: int) -> tuple[tuple, list]:
     s = m.structure
     # "..." makes a group's one point read 0-d arrays, not numpy scalars,
     # whose products round differently
-    pts = s.section(m, x, layer.section, side) + (...,)
-    at = s.anchors(pts)[1] + (...,)
+    pts = s.section(m, x, layer.section, side)
+    pts, at = pts + (...,), s.anchors(pts)[1] + (...,)
     k = layer.order
     if s.fibers[side] == s.fibers[1]:
         return pts, [((-1.0) ** k, layer.coeffs[at], k)]
@@ -326,13 +326,13 @@ def star_involution(u: Distribution) -> Distribution:
     smooth = None if u.smooth is None else np.conj(
         u.smooth[s.invert(m, tuple(np.indices(m.grid_shape)))])
     layers = []
-    for l in u.layers:
-        # (-D)^j adds (-1)^j where i keeps the direction of the fibers it
-        # turns onto r-fibers (the pair model), not where it reverses it (a group)
+    if u.layers:
+        # (-D)^j adds (-1)^j iff i keeps the fibers' direction, taking a step
+        # along an s-fiber onto a step along r (the pair model, not a group)
         step = s.invert(m, s.section(m, (0,) * len(m.unit_shape), 1, 0))[s.fibers[1]]
         sign = -1.0 if step == 1 else 1.0
-        _, terms = fiber_terms(l, unit_indices(m), 0)
-        layers += [Layer(m, -l.section, sign ** j * w * np.conj(c), j) for w, c, j in terms]
+        layers = [Layer(m, -l.section, sign ** j * w * np.conj(c), j) for l in u.layers
+                  for w, c, j in fiber_terms(l, unit_indices(m), 0)[1]]
     return Distribution(m, smooth, tuple(layers))
 
 

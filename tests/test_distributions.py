@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from grpd.distributions import (Anchor, Distribution, TestFunction,
-                                counterexample_distribution, make_layer, pair,
+                                counterexample_distribution, fiber_terms, make_layer, pair,
                                 point_mass, pushforward_base,
                                 rasterize, slice_family, smooth_distribution,
-                                star_involution, tensor_restrict, unit_delta)
+                                star_involution, tensor_restrict, unit_delta, unit_indices)
 from grpd.catalog import rotation_cone, rotation_layer, smooth_field
 from grpd.checks import distribution_distance
 from grpd.errors import DomainError, ModelMismatchError, OrderCapError
@@ -212,6 +213,24 @@ def test_star_layers():
     fg = band_tf(G)
     assert abs(pair(star_involution(star_involution(g_lam)), fg)
                - pair(g_lam, fg)) < 1e-12
+
+
+@pytest.mark.parametrize("build", [pair_circle, circle_group], ids=["pair", "group"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_fiber_terms_hands_anchors_plain_points(build, side):
+    """``anchors`` reads element coordinates (PTZ's takes the last as z), so
+    ``fiber_terms`` must not pass it the trailing ``...`` it indexes with."""
+    m, seen = build(16), []
+    s = m.structure
+
+    def anchors(g):
+        seen.append(g)
+        return s.anchors(g)
+
+    m.__dict__["structure"] = dataclasses.replace(s, anchors=anchors)
+    pts, _ = fiber_terms(make_layer(m, 0.25, 2.0 - 1.0j, 2).layers[0], unit_indices(m), side)
+    assert seen and all(a is not Ellipsis for g in seen for a in g)
+    assert pts[-1] is Ellipsis
 
 
 # ---------------------------------------------------------------------------
