@@ -53,6 +53,14 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# The most grid points a model may have, checked before anything is
+# allocated on it.  The largest grids in use are pair_times_z(256, 8)
+# (2^19) and pair_circle(512) (2^18); at 2^20, a wf-estimate on
+# pair_circle(1024) peaked at 163 MB and on pair_times_z(256, 16) at
+# 317 MB, while pair_circle(65536) would ask numpy for 64 GiB at once.
+MAX_GRID_POINTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class GroupoidModel:
     """Descriptor of one concrete groupoid (kind + grid resolutions)."""
@@ -68,6 +76,10 @@ class GroupoidModel:
                 raise DomainError(f"{name}={v} must be a power of two >= 8")
             if name not in self.structure.axes and v:
                 raise DomainError(f"{self.kind.value} takes no {name}")
+        points = math.prod(getattr(self, a) for a in self.structure.axes)
+        if points > MAX_GRID_POINTS:
+            raise DomainError(f"a {self.kind.value} grid of {points} points is more than "
+                              f"the {MAX_GRID_POINTS} allowed")
 
     @cached_property
     def structure(self) -> Structure:

@@ -21,9 +21,11 @@ several bins, and the plan groups the points into membership classes
 (the points read by exactly the same bins).  Per probe the kernel takes
 each point's modulus once, the max over each class, then the max of
 each bin over its classes.  ``max`` is exact in any order, so the tables
-are bit for bit those of the full-grid DFT.  The ``GRPD_THREADS`` pool
-takes one contiguous block of the probes left to transform per worker,
-and each worker writes its own rows of one table.
+are bit for bit those of the full-grid DFT.  Where one probe's transform
+covers at least ``POOL_MIN_POINTS`` points, a pool of at most
+``GRPD_THREADS`` workers takes one contiguous block of the probes left to
+transform per worker, and each worker writes its own rows of one table;
+below it, every probe runs on the calling thread.
 A probe whose windowed block is all zero keeps its zero table row and
 runs no transform: the DFT of zeros is signed zeros, which ``abs`` makes
 +0, so the tables stay bit for bit the same.
@@ -330,6 +332,9 @@ class _Scaffold:
                 order[pos], order[-1] = order[-1], order[pos]
             self.swaps.append((ax, pos, tuple(extent[:-1]) + (shape[ax],)))
             extent[-1] = len(kept[ax])
+        # the points one probe's transform covers, which ``_probe_tables``
+        # weighs against ``POOL_MIN_POINTS``
+        self.probe_points = sum(math.prod(lines) for _, _, lines in self.swaps)
         # ``keep[ax]``: the (indices, axis) of the ``take`` after axis ax's
         # transform.  Every axis but the last transformed keeps its read
         # frequencies; the last one's full-length output is read straight
@@ -408,9 +413,20 @@ def _plan(model: GroupoidModel, p: WfParams) -> _Scaffold:
     return _Scaffold(model, p)
 
 
+# The fewest points one probe's transform (``_Scaffold.probe_points``) must
+# cover for the probe pool to run.  Workers hand the GIL back and forth
+# between numpy calls, and below this size the calls are too short for a
+# second worker to win: on 2 CPUs two workers ran the kernel at 0.45-0.90x
+# of one at n=64 and 128 and at pair_times_z(32, 8) (4,096, 12,288 and
+# 22,344 points), 0.74-1.08x at pair_times_z(64, 8) (40,456), and
+# 1.07-1.94x at n=256 and 512 (49,152 and 196,608).
+POOL_MIN_POINTS = 45_000
+
+
 def _max_workers() -> int:
-    """The probe pool size: ``GRPD_THREADS``, where 0 (or unset) means
-    min(8, CPUs)."""
+    """The probe pool's cap: ``GRPD_THREADS``, where 0 (or unset) means
+    min(8, CPUs).  ``_probe_tables`` reads it on every call and runs the
+    pool only at or above ``POOL_MIN_POINTS``."""
     env = os.environ.get("GRPD_THREADS") or "0"
     try:
         cap = int(env)
@@ -477,7 +493,10 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
     frequencies, the last axis's at the read points.  ``abs``, one
     ``maximum.reduceat`` into classes and one over ``sc.bin_classes``
     into bins then fill the probe's row.  The support rows and slices are
-    found once per distinct probe coordinate.
+    found once per distinct probe coordinate.  The probes left run on a
+    pool capped by ``GRPD_THREADS`` when ``sc.probe_points`` reaches
+    ``POOL_MIN_POINTS``, and on the calling thread below it; the cap is
+    checked on every call.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
     places = _places(sc, arr.shape, centers)
@@ -522,7 +541,8 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
         todo = todo[todo != top]
     # one contiguous block of the remaining probes per worker, each
     # writing its own rows
-    workers = max(1, min(_max_workers(), len(todo)))
+    cap = _max_workers()
+    workers = max(1, min(cap if sc.probe_points >= POOL_MIN_POINTS else 1, len(todo)))
     size = max(1, -(-len(todo) // workers))
     blocks = [todo[i:i + size] for i in range(0, len(todo), size)]
     if len(blocks) > 1:

@@ -501,6 +501,22 @@ def test_m_z_sets_the_units_of_pair_times_z(tmp_path):
     assert cone_contains(a_star_units(bar.model), bar, 0.05, 1.0)
 
 
+def test_grid_too_large_to_allocate_is_refused(tmp_path):
+    """A pair_circle(65536) distribution would take 64 GiB; the model
+    refuses the grid before anything is allocated. The command runs under
+    a 2 GB address-space limit, so that a regression fails here rather
+    than exhausting the host's memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+    r = subprocess.run([sys.executable, "-m", "grpd.cli", "wf-estimate", "--n", "65536",
+                        "--out", str(tmp_path)],
+                       capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "points is more than" in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_point_cone_product_on_pair_times_z_is_refused(tmp_path):
     """The full direction set on PAIR_TIMES_Z is six caps of 7,796 samples,
     so the product of two point cones would form 2.19G sample pairs; the

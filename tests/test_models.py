@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from grpd.errors import ComposabilityError, DomainError, ModelMismatchError
-from grpd.models import (Element, GroupoidModel, Kind, Unit, affine_group, anchor_maps,
-                         circle_group, element, invert, is_composable, multiply,
+from grpd.models import (MAX_GRID_POINTS, Element, GroupoidModel, Kind, Unit, affine_group,
+                         anchor_maps, circle_group, element, invert, is_composable, multiply,
                          pair_circle, pair_times_z, random_composable_triple,
                          src, tgt, unit, unit_embed)
 
@@ -20,6 +20,21 @@ def test_model_validation():
         GroupoidModel(Kind.AFFINE_GROUP, 16)
     with pytest.raises(DomainError):
         GroupoidModel(Kind.CIRCLE_GROUP, 16, 8)
+
+
+@pytest.mark.parametrize("kind,n,m_z", [("PAIR_CIRCLE", 2048, 0), ("PAIR_CIRCLE", 65536, 0),
+                                        ("PAIR_TIMES_Z", 256, 32), ("PAIR_TIMES_Z", 8, 1 << 15),
+                                        ("CIRCLE_GROUP", 1 << 21, 0),
+                                        ("PAIR_CIRCLE", 1 << 40, 0)])
+def test_grids_above_the_point_budget_are_refused(kind, n, m_z):
+    with pytest.raises(DomainError, match="points is more than"):
+        GroupoidModel(Kind(kind), n, m_z)
+
+
+def test_the_point_budget_admits_the_grids_in_use():
+    for model in (pair_times_z(256, 8), pair_circle(512), pair_circle(1024),
+                  pair_times_z(256, 16), circle_group(1 << 20)):
+        assert np.prod(model.grid_shape) <= MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("d", [{"kind": "PAIR_CIRCLE", "n": 128.0},

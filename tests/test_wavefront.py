@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -421,8 +422,24 @@ def test_fit_range_matches_min_max():
     assert np.array_equal(hi, fit.max(axis=2), equal_nan=True)
 
 
+def _count_pool_blocks(monkeypatch) -> list:
+    """Patch the probe pool to record the number of blocks of each run."""
+    runs = []
+
+    class Pool(grpd.wavefront.ThreadPoolExecutor):
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            runs.append(len(blocks))
+            return super().map(fn, blocks)
+    monkeypatch.setattr(grpd.wavefront, "ThreadPoolExecutor", Pool)
+    return runs
+
+
 def test_probe_blocks_join_in_order(monkeypatch):
-    # 16 probes: blocks of 16, 8 + 8 and 6 + 6 + 4
+    # 16 probes: blocks of 16, 8 + 8 and 6 + 6 + 4; the grid is far below
+    # the pool's size rule, which is lowered so that the pool runs
+    monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
+    runs = _count_pool_blocks(monkeypatch)
     u = make_layer(circle_group(64), 0.25, 1.0, 0)
     sc = _Scaffold(u.model, WfParams(probe_stride=4).resolve(u.model))
     arr = rasterize(u, mollified=True)
@@ -432,6 +449,7 @@ def test_probe_blocks_join_in_order(monkeypatch):
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("GRPD_THREADS", threads)
         results.append(_probe_tables(sc, arr, centers))
+    assert runs == [2, 3]
     for tables, slopes in results[1:]:
         assert np.array_equal(tables, results[0][0])
         assert np.array_equal(slopes, results[0][1])
@@ -439,7 +457,10 @@ def test_probe_blocks_join_in_order(monkeypatch):
 
 def test_probe_workers_write_their_own_rows(monkeypatch):
     # more workers than CPUs, switching threads often, all writing rows of
-    # one table: a lost or misplaced row would change the tables
+    # one table: a lost or misplaced row would change the tables; the pool's
+    # size rule is lowered so that the n=64 probes run on it
+    monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
+    runs = _count_pool_blocks(monkeypatch)
     u = rotation_layer(pair_circle(64), 0.3125)
     p = WfParams(probe_stride=4).resolve(u.model)
     sc = _Scaffold(u.model, p)
@@ -449,6 +470,7 @@ def test_probe_workers_write_their_own_rows(monkeypatch):
     monkeypatch.setenv("GRPD_THREADS", "1")
     serial = [_probe_tables(sc, arr, centers, f) for f in (0.0, floor)]
     assert not serial[1][0].any(axis=(1, 2)).all()     # some rows are skipped
+    assert runs == []
     monkeypatch.setenv("GRPD_THREADS", "8")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -459,6 +481,32 @@ def test_probe_workers_write_their_own_rows(monkeypatch):
                 assert np.array_equal(got[0], tables) and np.array_equal(got[1], slopes)
     finally:
         sys.setswitchinterval(interval)
+    assert len(runs) == 6 and min(runs) > 1
+
+
+def test_probe_pool_runs_only_from_its_size(monkeypatch):
+    # the rule reads the plan's points per probe transform, not the host:
+    # at a cap of 8, the n=128 estimate runs every probe on the calling
+    # thread, and n=256, the smallest pooled grid in use, splits them
+    runs = _count_pool_blocks(monkeypatch)
+    # pair_times_z(64, 8), where two threads tied or lost, stays serial too
+    *below, large = (_Scaffold(m, WfParams().resolve(m))
+                     for m in (pair_circle(128), pair_times_z(64, 8), pair_circle(256)))
+    assert (max(sc.probe_points for sc in below) < grpd.wavefront.POOL_MIN_POINTS
+            <= large.probe_points)
+    monkeypatch.setenv("GRPD_THREADS", "8")
+    assert estimate_wavefront(rotation_layer(pair_circle(128), 0.3125)).estimated.cells
+    assert runs == []
+    u = rotation_layer(pair_circle(256), 0.3125)
+    arr = rasterize(u, mollified=True)
+    centers = large.probe_centers()
+    floor = min(large.p.min_level, large.p.anchor_level)
+    pooled = _probe_tables(large, arr, centers, floor)
+    assert len(runs) == 1 and runs[0] > 1
+    monkeypatch.setenv("GRPD_THREADS", "1")
+    serial = _probe_tables(large, arr, centers, floor)
+    assert len(runs) == 1
+    assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
 
 
 def test_zero_windows_skip_transforms(monkeypatch):
@@ -858,15 +906,27 @@ def test_determinism_and_thread_cap():
         "from grpd.catalog import rotation_layer\n"
         "from grpd.models import pair_circle\n"
         "from grpd.wavefront import estimate_wavefront\n"
-        "rep = estimate_wavefront(rotation_layer(pair_circle(128), 0.25))\n"
+        "import grpd.wavefront as wf\n"
+        "blocks = []\n"
+        "class Pool(wf.ThreadPoolExecutor):\n"
+        "    def map(self, fn, parts):\n"
+        "        parts = list(parts)\n"
+        "        blocks.append(len(parts))\n"
+        "        return super().map(fn, parts)\n"
+        "wf.ThreadPoolExecutor = Pool\n"
+        "rep = estimate_wavefront(rotation_layer(pair_circle(256), 0.25))\n"
+        "print(json.dumps(blocks))\n"
         "print(json.dumps(rep.estimated.to_json(), sort_keys=True))\n")
     outs = []
     for threads in ("1", "4"):
         env["GRPD_THREADS"] = threads
         r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                            text=True, env=env, check=True)
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
+        blocks, estimate = r.stdout.split("\n", 1)
+        outs.append((json.loads(blocks), estimate))
+    # n=256 is above the pool's size rule, so the cap of 4 splits the probes
+    assert outs[0][0] == [] and outs[1][0] and min(outs[1][0]) > 1
+    assert outs[0][1] == outs[1][1]
 
 
 @pytest.mark.parametrize("theta1,theta2", [(3 / 128, 5 / 128), (0.3125, 0.4375),
