@@ -541,7 +541,7 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
         todo = todo[todo != top]
     # one contiguous block of the remaining probes per worker, each
     # writing its own rows
-    cap = _max_workers()
+    cap = _max_workers()        # read, and so checked, below the threshold too
     workers = max(1, min(cap if sc.probe_points >= POOL_MIN_POINTS else 1, len(todo)))
     size = max(1, -(-len(todo) // workers))
     blocks = [todo[i:i + size] for i in range(0, len(todo), size)]
