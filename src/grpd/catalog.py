@@ -12,8 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .cones import (DIRECTION_SETS, CircInterval, ConeCell, ConeSet, a_star_directions,
-                    a_star_units, point_interval)
+from .cones import DIRECTION_SETS, ConeSet, a_star_directions, a_star_units
 from .distributions import (Distribution, counterexample_distribution, make_layer,
                             point_mass, section_index, smooth_distribution, unit_delta)
 from .errors import (DomainError, ModelUnsupportedError, finite_vector, integer, only_keys,
@@ -39,18 +38,17 @@ def rotation_cone(model: GroupoidModel, theta: float = SECTION) -> ConeSet:
     G^(0), the cell of its section point, with the directions of A*G
     ({(x, x-theta, xi, -xi)} on the pair model)."""
     t = section_index(model, theta)
-    s = model.structure
-    dirs = a_star_directions(model)
-    return ConeSet(model, tuple(
-        ConeCell(tuple(CircInterval(k / size, 1.0 / size)
-                       for k, size in zip(s.section(model, x, t, 1), model.grid_shape)), dirs)
-        for x in product(*map(range, model.unit_shape))))
+    section = model.structure.section
+    points = np.array([section(model, x, t, 1) for x in product(*map(range, model.unit_shape))])
+    shape = np.array(model.grid_shape)
+    return ConeSet.from_boxes(model, points / shape, np.broadcast_to(1.0 / shape, points.shape),
+                              [a_star_directions(model)], np.zeros(len(points), dtype=np.int64))
 
 
 def point_cone(model: GroupoidModel, *coords) -> ConeSet:
     """Full cone (all directions) over a single base point."""
-    base = tuple(point_interval(c) for c in coords)
-    return ConeSet(model, (ConeCell(base, DIRECTION_SETS[model.dim].full()),))
+    return ConeSet.from_boxes(model, [finite_vector(coords, model.dim, "point")],
+                              np.zeros((1, model.dim)), [DIRECTION_SETS[model.dim].full()], [0])
 
 
 def gaussian_bump(model: GroupoidModel, center=None, width: float = 0.05) -> Distribution:

@@ -17,18 +17,19 @@ once, as are the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``,
 ``KER_R``).  Transversality asks of each distinct direction set whether
 its ``kernel_part`` is empty.
 
-A ConeSet carries two views of its cells, built when first read: its
-base boxes as (cells, dim) arrays of starts and widths (``boxes``), and
-an interned table of its distinct direction sets with each cell's index
-into it (``dir_table``).  The gate and the product find the cell pairs
-whose bases meet by one broadcast of the interval test over W1 x W2,
-listed in the order of the all-pairs loop; the gate then reads one row of
-kernel pairs per distinct set, the product composes each distinct pair
-of sets once, and the bar product's zero-section terms are found once per
-distinct set.  Containment dilates B's boxes as arrays, tests them once
-per base point of A, dilates each distinct direction set of B once, and
-unites and tests the directions over a point once per distinct multiset
-of holders' direction sets.
+A ConeSet is held as arrays: its base boxes as (cells, dim) arrays of
+starts and widths (``boxes``), and its distinct direction sets with each
+cell's index into them (``dir_table``); its ``ConeCell``s are a view,
+built when first read.  The estimator, the products and the catalog
+build sets from arrays (``ConeSet.from_boxes``).  The gate and the
+product find the cell pairs whose bases meet by one broadcast over
+W1 x W2; the gate reads one row of kernel pairs per distinct set, the
+product composes each distinct pair of sets once and forms all boxes at
+once (the model's ``box_product`` on interval arrays), and the bar
+product's zero-section terms are found once per distinct set.
+Containment tests all base points of A against B's dilated boxes in one
+chunked broadcast, and unites and tests directions once per distinct
+(multiset of holders' sets, A's set).
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
 ``cone_product_bar`` adds the two zero-section terms.  What differs
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, product
 
 import numpy as np
@@ -104,38 +105,47 @@ class CircInterval:
 
     def intersect(self, other: "CircInterval") -> list["CircInterval"]:
         """Intersection as a list of 0, 1 or 2 closed intervals."""
+        p, (a, b) = self.period, (_Spans(*np.float64((iv.start, iv.width)), self.period)
+                                  for iv in (self, other))
+        return [CircInterval(float(q.start), float(q.width), p) for q in a.intersect(b) if q.ok]
+
+
+def _normalized(starts, widths, period: float = 1.0):
+    """Interval starts and widths as ``CircInterval`` stores them."""
+    widths = np.minimum(np.maximum(widths, 0.0), period)
+    return np.where(widths >= period, 0.0, starts % period % period), widths
+
+
+class _Spans:
+    """Circular intervals as arrays, with the float operations of
+    ``CircInterval``, so that a model's ``box_product`` forms the boxes of
+    every cell pair at once; a box is held where all its ``ok`` are."""
+
+    def __init__(self, start, width, period: float = 1.0, ok=True):
+        self.start, self.width, self.period, self.ok = start, width, period, ok
+
+    def minkowski(self, other: "_Spans") -> "_Spans":
+        return _Spans(*_normalized(self.start + other.start, self.width + other.width))
+
+    def intersect(self, other: "_Spans") -> list["_Spans"]:
+        """The two placements of ``other`` against ``self``, each a piece
+        where ``ok``; the second is dropped where it repeats the first, and
+        a full interval meets the other in the other alone."""
         p = self.period
-        if self.is_full:
-            return [other]
-        if other.is_full:
-            return [self]
-        out = []
-        a = (other.start - self.start) % p
-        # candidate placements of `other` relative to self: [a, a+w2] and the
-        # wrapped copy starting at a - p
+        a, full = (other.start - self.start) % p, (self.width >= p) | (other.width >= p)
+        pieces = []
         for lo in (a, a - p):
-            hi = lo + other.width
-            s = max(lo, 0.0)
-            e = min(hi, self.width)
-            if e >= s - 1e-15:
-                out.append(CircInterval(self.start + s, max(e - s, 0.0), p))
-        # dedupe identical pieces
-        uniq = []
-        for iv in out:
-            if not any(abs(iv.start - j.start) < 1e-12 and abs(iv.width - j.width) < 1e-12
-                       for j in uniq):
-                uniq.append(iv)
-        return uniq
-
-    def intersects(self, other: "CircInterval") -> bool:
-        if self.is_full or other.is_full:
-            return True
-        a = (other.start - self.start) % self.period
-        return a <= self.width or a + other.width >= self.period
-
-    def minkowski(self, other: "CircInterval") -> "CircInterval":
-        return CircInterval(self.start + other.start,
-                            self.width + other.width, self.period)
+            s, e = np.maximum(lo, 0.0), np.minimum(lo + other.width, self.width)
+            pieces.append(_Spans(*_normalized(self.start + s, np.maximum(e - s, 0.0), p), p,
+                                 e >= s - 1e-15))
+        first, second = pieces
+        second.ok &= ~full & ~(first.ok & (np.abs(second.start - first.start) < 1e-12)
+                               & (np.abs(second.width - first.width) < 1e-12))
+        whole = self.width >= p
+        first.start, first.width = (np.where(whole, getattr(other, key), np.where(
+            full, getattr(self, key), getattr(first, key))) for key in ("start", "width"))
+        first.ok |= full
+        return pieces
 
 
 def interval(lo: float, hi: float) -> CircInterval:
@@ -149,13 +159,6 @@ def interval(lo: float, hi: float) -> CircInterval:
 
 def full_interval(period: float = 1.0) -> CircInterval:
     return CircInterval(0.0, period, period)
-
-
-_WHOLE = full_interval(1.0)     # a whole base circle
-
-
-def point_interval(x: float, period: float = 1.0) -> CircInterval:
-    return CircInterval(x, 0.0, period)
 
 
 def merge_arcs(arcs: list[CircInterval]) -> list[CircInterval]:
@@ -604,73 +607,118 @@ class ConeCell:
     dirs: Signs | Arcs | Caps
 
 
-@dataclass(frozen=True)
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, which)``: one index of each distinct row of a 2-d array, by
+    bytes, and each row's number among them."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return first, which.reshape(-1)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ConeSet:
-    """A finite union of cells.  Two views of the cells are built when
-    first read: ``boxes``, the base boxes as (cells, dim) arrays of starts
-    and widths, and ``dir_table``, the distinct direction sets in order of
-    first occurrence with each cell's index into them."""
+    """A finite union of cells, held as arrays: ``boxes``, the base boxes
+    as (cells, dim) arrays of starts and widths, normalised as
+    ``CircInterval`` does, and ``dir_table``, the distinct direction sets
+    in order of first occurrence with each cell's index into them.
+    ``cells`` is a view of the same cells as ``ConeCell``s, built on its
+    first read (or kept, for a set built from cells).  Cells with no
+    directions are dropped; sets are equal when models and cells are."""
 
     model: GroupoidModel
-    cells: tuple[ConeCell, ...] = ()
+    cells: tuple[ConeCell, ...]     # a field, read through the view below
 
-    def __post_init__(self):
-        dim = self.model.dim
-        dirs_type = DIRECTION_SETS[dim]
-        for c in self.cells:
-            if len(c.base) != dim or type(c.dirs) is not dirs_type:
-                raise DomainError(f"dim-{dim} cells need {dim} base intervals "
-                                  f"and {dirs_type.__name__} directions")
-            if not all(type(iv) is CircInterval and iv.period == 1.0 for iv in c.base):
-                raise DomainError(f"base intervals must be period-1 CircIntervals, "
-                                  f"got {c.base!r}")
-        object.__setattr__(self, "cells", tuple(c for c in self.cells if c.dirs))
+    def __init__(self, model: GroupoidModel, cells=()):
+        try:
+            box = np.array([[(iv.start, iv.width, iv.period) for iv in c.base] for c in cells],
+                           dtype=float).reshape(len(cells), -1 if cells else model.dim, 3)
+        except (AttributeError, TypeError, ValueError):
+            box = np.zeros((1, 0, 3))
+        if box.shape[1] != model.dim or (box[..., 2] != 1.0).any():
+            raise DomainError(f"dim-{model.dim} cells need {model.dim} period-1 "
+                              f"CircInterval base intervals")
+        made = ConeSet.from_boxes(model, box[..., 0], box[..., 1], [c.dirs for c in cells],
+                                  range(len(cells)))
+        self.__dict__.update(made.__dict__, cells=tuple(c for c in cells if c.dirs))
+
+    @classmethod
+    def from_boxes(cls, model: GroupoidModel, starts, widths, sets, index) -> "ConeSet":
+        """The cells ``starts[i], widths[i] x sets[index[i]]``, from (cells,
+        dim) rows of finite base starts and widths; ``sets`` may repeat."""
+        dim, dirs_type = model.dim, DIRECTION_SETS[model.dim]
+        index = np.asarray(index, dtype=np.int64).reshape(-1)
+        try:
+            starts, widths = (np.asarray(v, dtype=float) for v in (starts, widths))
+        except (TypeError, ValueError, OverflowError):
+            starts = widths = np.full(1, math.nan)
+        if not (starts.shape == widths.shape == (len(index), dim)
+                and np.isfinite(starts).all() and np.isfinite(widths).all()):
+            raise DomainError(f"dim-{dim} cells need {len(index)} rows of {dim} finite "
+                              f"base starts and widths")
+        if (any(type(d) is not dirs_type for d in sets)
+                or len(index) and not 0 <= index.min() <= index.max() < len(sets)):
+            raise DomainError(f"dim-{dim} cells need {dirs_type.__name__} directions")
+        # each distinct set once, in order of first occurrence over the
+        # cells kept: those with directions
+        table = {}
+        number = np.array([table.setdefault(d, len(table)) for d in sets], dtype=np.int64)[index]
+        distinct = tuple(table)
+        keep = np.array([bool(d) for d in distinct], dtype=bool)[number]
+        used, first, which = np.unique(number[keep], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self = object.__new__(cls)
+        self.__dict__.update(model=model, boxes=_normalized(starts[keep], widths[keep]),
+                             dir_table=(tuple(distinct[u] for u in used[order]),
+                                        np.argsort(order)[which]))
+        for v in (*self.boxes, self.dir_table[1]):
+            v.flags.writeable = False
+        return self
+
+    @cached_property
+    def cells(self) -> tuple[ConeCell, ...]:
+        sets, index = self.dir_table
+        return tuple(ConeCell(tuple(map(CircInterval, s, w)), sets[k])
+                     for s, w, k in zip(*(v.tolist() for v in (*self.boxes, index))))
 
     @property
     def is_empty(self) -> bool:
-        return not self.cells
+        return not len(self.dir_table[1])
 
-    @cached_property
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cells' base boxes: (cells, dim) arrays of starts and widths."""
-        shape = (len(self.cells), self.model.dim)
-        starts = np.array([[iv.start for iv in c.base] for c in self.cells], dtype=float)
-        widths = np.array([[iv.width for iv in c.base] for c in self.cells], dtype=float)
-        return starts.reshape(shape), widths.reshape(shape)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        (sets1, k1), (sets2, k2) = self.dir_table, other.dir_table
+        return (self.model == other.model and all(map(np.array_equal, self.boxes, other.boxes))
+                and all(sets1[a] == sets2[b] for a, b in set(zip(k1.tolist(), k2.tolist()))))
 
-    @cached_property
-    def dir_table(self) -> tuple[tuple, np.ndarray]:
-        """The distinct direction sets, in order of first occurrence, and
-        each cell's index into them."""
-        table = {}
-        index = [table.setdefault(c.dirs, len(table)) for c in self.cells]
-        return tuple(table), np.array(index, dtype=np.int64)
+    def __hash__(self):
+        return hash((self.model, self.cells))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        cells = [{"base_box": [[iv.start, (iv.start + iv.width)] for iv in c.base],
-                  **c.dirs.to_json()} for c in self.cells]
-        return {"model": self.model.to_json(), "cells": cells}
+        (starts, widths), (sets, index) = self.boxes, self.dir_table
+        dirs, boxes = [d.to_json() for d in sets], np.stack([starts, starts + widths], axis=-1)
+        return {"model": self.model.to_json(),
+                "cells": [{"base_box": box, **dirs[k]} for box, k in
+                          zip(boxes.tolist(), index.tolist())]}
 
     @staticmethod
     def from_json(d: dict) -> "ConeSet":
         model = GroupoidModel.from_json(d["model"])
         dirs_type = DIRECTION_SETS[model.dim]
-        cells = []
-        for c in d["cells"]:
-            base = tuple(interval(lo, hi) for lo, hi in c["base_box"])
-            cells.append(ConeCell(base, dirs_type.from_json(c)))
-        return ConeSet(model, tuple(cells))
+        return ConeSet(model, tuple(ConeCell(tuple(interval(lo, hi) for lo, hi in c["base_box"]),
+                                             dirs_type.from_json(c)) for c in d["cells"]))
 
 
 def _meeting(w1: ConeSet, w2: ConeSet) -> np.ndarray:
     """The (cells of W1, cells of W2) mask of the cell pairs whose bases
-    meet on every composable axis: ``CircInterval.intersects``'s float
-    operations on period-1 intervals, broadcast over W1 x W2, so that
+    meet on every composable axis (a full interval meets all; else one
+    starts within the other), broadcast over W1 x W2, so that
     ``np.nonzero`` lists the pairs in the order of the all-pairs loop."""
     (s1, v1), (s2, v2) = w1.boxes, w2.boxes
-    meet = np.ones((len(w1.cells), len(w2.cells)), dtype=bool)
+    meet = np.ones((len(s1), len(s2)), dtype=bool)
     for i, j in w1.model.structure.composable:
         wa, wb = v1[:, i, None], v2[None, :, j]
         off = (s2[None, :, j] - s1[:, i, None]) % 1.0
@@ -913,36 +961,50 @@ def compose_direction_caps(caps1, caps2) -> list[Cap]:
 # cone_product and cone_product_bar
 # ---------------------------------------------------------------------------
 
-def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
-    """m_Gamma((W1 x W2) cap Gamma^(2)), zero covectors pruned."""
+def _product_cells(w1: ConeSet, w2: ConeSet):
+    """The cells of m_Gamma((W1 x W2) cap Gamma^(2)) as ``from_boxes``
+    takes them: each pair of cells whose bases meet gives the model's
+    boxes of its products, in the order of the all-pairs loop, with its
+    sets' composition."""
     if w1.model != w2.model:
         raise ModelMismatchError("cone sets on different models")
     model = w1.model
     if model.continuous:
         raise ModelUnsupportedError("cone products need a grid model")
-    boxes = model.structure.box_product
     (sets1, k1), (sets2, k2) = w1.dir_table, w2.dir_table
     rows, cols = np.nonzero(_meeting(w1, w2))
-    cells = []
-    for i, j, a, b in zip(rows.tolist(), cols.tolist(), k1[rows].tolist(), k2[cols].tolist()):
-        dirs = sets1[a].composed(sets2[b])
-        cells += [ConeCell(box, dirs) for box in boxes(w1.cells[i].base, w2.cells[j].base)]
-    return ConeSet(model, tuple(cells))
+    pairs = np.stack([k1[rows], k2[cols]], axis=1)
+    first, which = distinct_rows(pairs)
+    spans = lambda w, at: [_Spans(*(v[at, ax] for v in w.boxes)) for ax in range(model.dim)]
+    boxes = model.structure.box_product(spans(w1, rows), spans(w2, cols))
+    # (pairs, boxes of a pair, dim): a pair's boxes one after another
+    starts, widths = (np.stack([np.stack([getattr(iv, key) for iv in box], axis=-1)
+                                for box in boxes], axis=1) for key in ("start", "width"))
+    ok = np.stack([np.broadcast_to(reduce(np.logical_and, [iv.ok for iv in box]), rows.shape)
+                   for box in boxes], axis=1)
+    return (starts[ok], widths[ok],
+            [sets1[a].composed(sets2[b]) for a, b in pairs[first].tolist()],
+            np.repeat(which[:, None], len(boxes), axis=1)[ok])
 
 
-def _zero_term_cells(w: ConeSet, side: str) -> list[ConeCell]:
-    """Contributions of W x 0 (side='left') or 0 x W (side='right'): the
-    directions of W in ker s_Gamma (left) or ker r_Gamma (right), over
-    the whole of the fiber the other factor sweeps (g1 g2 with g1 fixed
-    runs along the r-fiber of g1, with g2 fixed along the s-fiber of g2),
-    found once per distinct direction set of W; a cell with none there
-    contributes nothing (on a group, none has any)."""
+def cone_product(w1: ConeSet, w2: ConeSet) -> ConeSet:
+    """m_Gamma((W1 x W2) cap Gamma^(2)), zero covectors pruned."""
+    return ConeSet.from_boxes(w1.model, *_product_cells(w1, w2))
+
+
+def _zero_terms(w: ConeSet, side: str):
+    """Contributions of W x 0 (side='left') or 0 x W (side='right'), as
+    ``from_boxes`` takes them: the directions of W in ker s_Gamma (left)
+    or ker r_Gamma (right), over the whole of the fiber the other factor
+    sweeps (g1 g2 with g1 fixed runs along the r-fiber of g1, with g2
+    fixed along the s-fiber of g2), found once per distinct direction set
+    of W; a cell with none there contributes nothing (on a group, none
+    has any)."""
     s_axis, r_axis = w.model.structure.fibers
     kernel, free = (KER_S, r_axis) if side == "left" else (KER_R, s_axis)
-    sets, index = w.dir_table
-    parts = [d.kernel_part(kernel) for d in sets]
-    return [ConeCell(c.base[:free] + (_WHOLE,) + c.base[free + 1:], parts[k])
-            for c, k in zip(w.cells, index.tolist()) if parts[k]]
+    (starts, widths), (sets, index) = (v.copy() for v in w.boxes), w.dir_table
+    starts[:, free], widths[:, free] = 0.0, 1.0
+    return starts, widths, [d.kernel_part(kernel) for d in sets], index
 
 
 def _kernel_caps(caps: Caps, kernel: AnchorKernel) -> Caps:
@@ -963,30 +1025,46 @@ def _kernel_caps(caps: Caps, kernel: AnchorKernel) -> Caps:
 
 def cone_product_bar(w1: ConeSet, w2: ConeSet) -> ConeSet:
     """W1 *bar W2 = m_Gamma((W1xW2 u W1x0 u 0xW2) cap Gamma^(2))."""
-    core = cone_product(w1, w2)
-    return ConeSet(w1.model, (*core.cells, *_zero_term_cells(w1, "left"),
-                              *_zero_term_cells(w2, "right")))
+    parts = (_product_cells(w1, w2), _zero_terms(w1, "left"), _zero_terms(w2, "right"))
+    first = np.cumsum([0] + [len(sets) for _, _, sets, _ in parts])
+    return ConeSet.from_boxes(w1.model, *(np.concatenate([p[k] for p in parts]) for k in (0, 1)),
+                              [d for _, _, sets, _ in parts for d in sets],
+                              np.concatenate([p[3] + f for p, f in zip(parts, first)]))
 
 
 # ---------------------------------------------------------------------------
 # Containment
 # ---------------------------------------------------------------------------
 
-def _base_grid_points(cell: ConeCell, model: GroupoidModel) -> list[tuple[float, ...]]:
-    """Grid points (plus box corners) inside the cell's base box."""
-    shape = model.grid_shape
-    axes = []
-    for i, iv in enumerate(cell.base):
-        n = shape[i]
-        if iv.is_full:
-            vals = [k / n for k in range(n)]
-        else:
-            k0 = math.ceil(iv.start * n - 1e-9)
-            k1 = math.floor((iv.start + iv.width) * n + 1e-9)
-            vals = [(k % n) / n for k in range(k0, k1 + 1)]
-            vals += [iv.start % 1.0, (iv.start + iv.width) % 1.0]
-        axes.append(sorted(set(vals)))
-    return list(product(*axes))
+def _base_points(w: ConeSet) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct grid points (plus box corners) inside each cell's base
+    box, as (points, dim) coordinates and each point's cell: on each axis
+    the grid values k/n from ceil(start*n - 1e-9) to floor(end*n + 1e-9)
+    (all n on a whole circle) and the box's two ends, in every choice of
+    one value per axis."""
+    starts, widths = w.boxes
+    cells = np.arange(len(starts))
+    values, counts = [], []
+    for ax, n in enumerate(w.model.grid_shape):
+        s, e, full = starts[:, ax], starts[:, ax] + widths[:, ax], widths[:, ax] >= 1.0
+        k0 = np.where(full, 0, np.ceil(s * n - 1e-9)).astype(np.int64)
+        runs = np.maximum(np.where(full, n - 1, np.floor(e * n + 1e-9)).astype(np.int64)
+                          - k0 + 1, 0)
+        ks = np.arange(runs.sum()) + np.repeat(k0 - np.cumsum(runs) + runs, runs)
+        owner = np.concatenate([np.repeat(cells, runs), cells[~full], cells[~full]])
+        values.append(np.concatenate([(ks % n) / n, s[~full] % 1.0, e[~full] % 1.0])
+                      [np.argsort(owner, kind="stable")])
+        counts.append(np.bincount(owner, minlength=len(cells)))
+    size = np.prod(counts, axis=0)
+    owner = np.repeat(cells, size)
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
+    points = np.empty((len(owner), len(counts)))
+    for ax in reversed(range(len(counts))):
+        c = counts[ax][owner]
+        points[:, ax] = values[ax][np.cumsum(counts[ax])[owner] - c + local % c]
+        local //= c
+    first, _ = distinct_rows(np.column_stack([owner, points]))
+    return points[first], owner[first]
 
 
 def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
@@ -997,52 +1075,58 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     axis; ``angular_tol`` dilates B's direction sets.  Both must be finite
     and >= 0.
 
-    B's base boxes are dilated as arrays, with ``CircInterval.dilate``'s
-    normalisation, and tested against each base point of A at once with
-    the float operations of ``CircInterval.contains(x, 1e-12)``.  Each
-    distinct direction set of B (its ``dir_table``) is dilated once, and
-    each of A's gets one cover test.  The directions of
-    B over a base point of A are the union of its holders' dilated sets,
-    which depends only on which distinct sets hold it and how often: the
-    union is formed, and each direction set of A tested against it, once
-    per such multiset.  Duplicates are kept because merging an exact
-    duplicate arc can round its width up by an ulp.
+    Every base point of A (``_base_points``) is tested against B's dilated
+    boxes with the float operations of ``CircInterval.contains(x, 1e-12)``,
+    on each axis once per distinct coordinate and interval, in chunks of
+    points.  The directions over a point are the union of its holders'
+    dilated sets (each distinct set of B dilated once), formed once per
+    multiset of holders' sets and tested once per pair of multiset and set
+    of A.  Duplicates are kept, as merging an exact duplicate arc can round
+    its width up by an ulp; a set held more than twice counts twice, as
+    ``merge_arcs`` extends an arc by the same amount for each later copy.
     """
     if a.model != b.model:
         raise ModelMismatchError("cone sets on different models")
     if not all(is_real(t) and t >= 0.0 for t in (angular_tol, base_tol_cells)):
         raise DomainError(f"containment tolerances must be finite and >= 0, got "
                           f"angular_tol={angular_tol!r}, base_tol_cells={base_tol_cells!r}")
+    if a.is_empty:
+        return True
     model = a.model
     # B's base boxes dilated as CircInterval.dilate does, axis by axis
     starts, widths = (v.copy() for v in b.boxes)
     for ax, n in enumerate(model.grid_shape):
         eps = base_tol_cells / n
         if eps > 0.0:
-            w = np.minimum(np.maximum(widths[:, ax] + 2.0 * eps, 0.0), 1.0)
-            full = w >= 1.0
-            starts[:, ax] = np.where(full, 0.0, (starts[:, ax] - eps) % 1.0 % 1.0)
-            widths[:, ax] = np.where(full, 1.0, w)
-    reach = widths + 1e-12
+            starts[:, ax], widths[:, ax] = _normalized(starts[:, ax] - eps,
+                                                       widths[:, ax] + 2.0 * eps)
     sets, number_of = b.dir_table
     grown = [dirs.dilate(angular_tol) for dirs in sets]
     nothing = DIRECTION_SETS[model.dim]()
     a_sets, a_number_of = a.dir_table
     covers = [dirs.cover_test(angular_tol) for dirs in a_sets]
+    # per base point of A, how often each distinct set of B holds it (a
+    # full interval, start 0 and width 1, holds all)
+    points, owner = _base_points(a)
+    spans = [distinct_rows(np.stack([starts[:, ax], widths[:, ax]], axis=1))
+             for ax in range(model.dim)]
+    held = np.zeros((len(points), len(sets)), dtype=np.int64)
+    per_set = np.eye(len(sets), dtype=np.int64)[number_of]
+    rows = max(1, _PAIR_CHUNK // max(1, len(starts)))
+    for lo in range(0, len(points), rows):
+        inside = True
+        for ax, (first, which) in enumerate(spans):
+            xs, at = np.unique(points[lo:lo + rows, ax], return_inverse=True)
+            off = (xs[:, None] - starts[first, ax]) % 1.0
+            held_ax = (off <= widths[first, ax] + 1e-12) | (off >= 1.0 - 1e-12)
+            inside = inside & held_ax[np.ix_(at, which)]
+        held[lo:lo + rows] = np.minimum(inside @ per_set, 2)
     avail = {}          # sorted holder numbers -> the union of their sets
-    covered = set()     # (holder numbers, number of A's set) found covered
-    for cell, k in zip(a.cells, a_number_of.tolist()):
-        for pt in _base_grid_points(cell, model):
-            # the cells of B holding pt: CircInterval.contains(x, 1e-12)'s
-            # float operations; a full interval (start 0, width 1) holds all
-            off = (np.array(pt) - starts) % 1.0
-            inside = ((off <= reach) | (off >= 1.0 - 1e-12)).all(axis=1)
-            held = tuple(np.sort(number_of[inside]).tolist())
-            if (held, k) in covered:
-                continue
-            if held not in avail:
-                avail[held] = nothing.union(*(grown[i] for i in held))
-            if not covers[k](avail[held]):
-                return False
-            covered.add((held, k))
+    keys = np.column_stack([held, a_number_of[owner]])
+    for *counts, k in keys[distinct_rows(keys)[0]].tolist():
+        holders = tuple(np.repeat(np.arange(len(sets)), counts).tolist())
+        if holders not in avail:
+            avail[holders] = nothing.union(*(grown[i] for i in holders))
+        if not covers[k](avail[holders]):
+            return False
     return True

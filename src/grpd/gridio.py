@@ -145,7 +145,26 @@ def load_json(path):
 
 
 def save_cone_set(path, cones: ConeSet) -> None:
-    dump_json(path, cones.to_json())
+    """Write the bytes ``dump_json`` writes of ``cones.to_json()``, from the
+    set's arrays: each distinct direction set's JSON is made once, and
+    each base box is formatted from its row."""
+    (starts, widths), (sets, index) = cones.boxes, cones.dir_table
+    around = []     # per set, the text before and after a cell's base box
+    for d in sets:
+        (key, value), = d.to_json().items()
+        text = [_escape(key), ": "]
+        _write(value, text, "\n   ")
+        text = "".join(text)
+        # sorted keys: "arcs" comes before "base_box", "caps" and "signs" after
+        around.append(("{\n   ", ",\n   " + text + "\n  }") if key > "base_box"
+                      else ("{\n   " + text + ",\n   ", "\n  }"))
+    cells = [around[k][0] + '"base_box": [\n    ' + ",\n    ".join(
+        f"[\n     {a!r},\n     {b!r}\n    ]" for a, b in zip(lo, hi)) + "\n   ]" + around[k][1]
+        for lo, hi, k in zip(starts.tolist(), (starts + widths).tolist(), index.tolist())]
+    out = ['{\n "cells": ', "[\n  " + ",\n  ".join(cells) + "\n ]" if cells else "[]",
+           ',\n "model": ']
+    _write(cones.model.to_json(), out, "\n ")
+    Path(path).write_text("".join(out) + "\n}\n")
 
 
 def load_cone_set(path) -> ConeSet:

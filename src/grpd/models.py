@@ -323,12 +323,13 @@ class Structure:
     points (grid indices or floats), c covectors in global components and
     m the model.  A map a kind lacks raises ``ModelUnsupportedError``.
 
-    From ``composable`` on, for the cone and distribution calculus: b is a
-    cone cell's box, a, u, v, f grid values over G, and t, c, k a layer's
-    section offset, coefficients over G^(0) and order.  A closed form is
-    a field only where the pair and group formulas differ in arithmetic,
-    so that each keeps its rounding; the rest is written once, or derived
-    from the maps (inverted values, right translation, ker m_Gamma).
+    From ``composable`` on, for the cone and distribution calculus: b is the
+    boxes of cone cells, one interval array per axis (``cones._Spans``), a,
+    u, v, f grid values over G, and t, c, k a layer's section offset,
+    coefficients over G^(0) and order.  A closed form is a field only where
+    the pair and group formulas differ in arithmetic, so that each keeps its
+    rounding; the rest is written once, or derived from the maps (inverted
+    values, right translation, ker m_Gamma).
     """
 
     dim: int                        # of G

@@ -62,10 +62,13 @@ the product-bound verifier does, converts none of them.
 The direction-set type of the model's dimension (``DIRECTION_SETS``)
 lays out the direction bins and turns an anchored probe's flagged bins
 into the directions it reports; only anchored probes report (see
-WfParams).  ``Arcs`` deconvolves flagged runs by the window's ray
-response, measured by running the kernel itself on a canonical conormal
-comb (see ``ray_response_halfwidth``).  Both keep analytic truth covered
-inside the containment tolerance of the product-bound verifier.
+WfParams), once per distinct (flagged, anchors) row, and the estimate is
+a cone set built from arrays: the anchored centers as width-0 boxes and
+each one's report (its cells are a view, built only when read).
+``Arcs`` deconvolves flagged runs by the window's ray response, measured
+by running the kernel itself on a canonical conormal comb (see
+``ray_response_halfwidth``).  Both keep analytic truth covered inside
+the containment tolerance of the product-bound verifier.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ from itertools import product
 
 import numpy as np
 
-from .cones import (DIRECTION_SETS, TWO_PI, ConeCell, ConeSet, cone_contains,
-                    cone_product_bar, point_interval)
+from .cones import (DIRECTION_SETS, TWO_PI, ConeSet, cone_contains, cone_product_bar,
+                    distinct_rows)
 from .convolution import convolve, convolve_gated, _as_distribution
 from .distributions import Distribution, Layer, rasterize
 from .errors import ConeConditionError, DomainError, finite_vector, integer, real
@@ -176,32 +179,57 @@ class WfParams:
             v = getattr(p, name)
             if not 0 <= v < 1:
                 raise DomainError(f"{name} must be in [0, 1), got {v!r}")
+        entries = _table_entries(model, p.n_directions, p.cone_half_angle, p.shell_lo, p.shell_hi)
+        if entries > MAX_TABLE_ENTRIES:
+            raise DomainError(f"these estimator parameters lay out {entries} direction-table "
+                              f"entries, more than the {MAX_TABLE_ENTRIES} allowed")
         return p
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
+# The most direction-table entries one estimator plan may lay out: the grid
+# points in the shell band times the bins a point may sit in (``bins``'
+# candidates).  Every grid the point budget admits lays out at most 13.1M at
+# the default knobs (pair_times_z(256, 16)); n=512 with shell_hi 256 and
+# 1,608 directions laid out 19.3M and peaked at 1,795 MB.
+MAX_TABLE_ENTRIES = 1 << 24
+
+
+@lru_cache(maxsize=64)
+def _table_entries(model: GroupoidModel, n_dirs: int, half_angle: float, lo: int,
+                   hi: int) -> int:
+    """The direction-table entries of a plan, counted before it is laid out."""
+    freqs = np.meshgrid(*map(freq_integers, model.grid_shape), indexing="ij", sparse=True)
+    radius = np.sqrt(sum(f * f for f in freqs))
+    _, cand, _ = DIRECTION_SETS[model.dim].bins([np.ones(1)] * model.dim, n_dirs, half_angle)
+    return int(np.count_nonzero((radius >= lo) & (radius <= hi))) * cand.shape[1]
+
+
 class SlopeTable:
     """The kept (probe, direction) slope fits of one estimate, in row-major
     (probe, direction) order.  It holds the fit arrays the estimate
-    already has and reads them out as columns; two tables are equal when
-    their columns are."""
+    already has, the probe centers as grid indices (``centers``, one row
+    per probe, on a grid of ``shape``), and reads them out as columns; two
+    tables are equal when their columns are."""
 
-    def __init__(self, coords, dirs, kept: np.ndarray, slopes: np.ndarray,
-                 peaks: np.ndarray):
-        self._fits = (coords, dirs, np.nonzero(kept), slopes, peaks)
+    def __init__(self, centers: np.ndarray, shape: tuple[int, ...], dirs, kept: np.ndarray,
+                 slopes: np.ndarray, peaks: np.ndarray):
+        self._fits = (centers, shape, dirs, np.nonzero(kept), slopes, peaks)
 
     def columns(self) -> tuple[list, list, list, list, list, list]:
         """``(centers, directions, probe, direction, slope, peak)``: fit r is
         the decay slope ``slope[r]``, with peak ``peak[r]``, at probe center
-        ``centers[probe[r]]`` along unit covector ``directions[direction[r]]``."""
-        coords, dirs, (ks, is_), slopes, peaks = self._fits
+        ``centers[probe[r]]`` (coordinates in [0, 1)) along unit covector
+        ``directions[direction[r]]``."""
+        centers, shape, dirs, (ks, is_), slopes, peaks = self._fits
+        coords = list(map(tuple, (np.asarray(centers) / np.asarray(shape)).tolist()))
         return (coords, dirs, ks.tolist(), is_.tolist(),
                 slopes[ks, is_].tolist(), peaks[ks, is_].tolist())
 
     def __len__(self) -> int:
-        return len(self._fits[2][0])
+        return len(self._fits[3][0])
 
     def __eq__(self, other):
         if isinstance(other, SlopeTable):
@@ -606,14 +634,18 @@ def estimate_wavefront(u, p: WfParams | None = None) -> WfReport:
     lo, peaks = _fit_range(sc, tables)
     kept, flagged = _flags(p, lo, peaks, slopes, amp_scale)
     anchors = (lo > 0.0) & (slopes > p.anchor_slope) & (peaks > p.anchor_level * amp_scale)
-    coords = [tuple(i / s for i, s in zip(c, model.grid_shape)) for c in centers]
-    # only anchored probes report; ConeSet drops cells with no directions
+    # an anchored probe reports one cell over its center, one report per
+    # distinct (flagged, anchors) row; cells with no directions are dropped
+    grid = np.array(centers).reshape(len(centers), model.dim)
+    rows = np.flatnonzero(anchors.any(axis=1))
+    first, which = distinct_rows(np.hstack([flagged[rows], anchors[rows]]))
     report = DIRECTION_SETS[model.dim].report
-    cells = tuple(ConeCell(tuple(point_interval(x) for x in coords[k]),
-                           report(flagged[k], anchors[k], sc.dirs, p.cone_half_angle,
-                                  sc.ray_response_halfwidth))
-                  for k in np.flatnonzero(anchors.any(axis=1)))
-    return WfReport(ConeSet(model, cells), SlopeTable(coords, sc.dirs, kept, slopes, peaks), p)
+    sets = [report(flagged[k], anchors[k], sc.dirs, p.cone_half_angle, sc.ray_response_halfwidth)
+            for k in rows[first]]
+    estimated = ConeSet.from_boxes(model, grid[rows] / model.grid_shape,
+                                   np.zeros((len(rows), model.dim)), sets, which)
+    return WfReport(estimated, SlopeTable(grid, model.grid_shape, sc.dirs, kept, slopes, peaks),
+                    p)
 
 
 def decay_slope(u, center: tuple[float, ...], direction, p: WfParams | None = None) -> float:

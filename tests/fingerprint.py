@@ -9,6 +9,10 @@ checked by running this at two commits and diffing the output::
     (cd ../base && python tests/fingerprint.py) > old.json
     diff old.json new.json
 
+``python tests/fingerprint.py --against <rev>`` runs that recipe itself,
+in a temporary directory, prints the top-level keys whose values differ
+(or that only one side has), and exits 1 if there are any.
+
 The script puts its own checkout's ``src`` first on ``sys.path``, so each
 copy fingerprints its own code.
 
@@ -50,6 +54,7 @@ import enum
 import hashlib
 import itertools
 import json
+import subprocess
 import sys
 import tempfile
 from collections.abc import Sequence
@@ -393,13 +398,36 @@ def layers_and_cones() -> dict:
     return found
 
 
-def main() -> None:
+def fingerprint() -> dict:
     # the CLI prints progress with timings; keep it out of the JSON
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         tmp = Path(tmp)
-        found = (artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases()
-                 | floor_cases() | cone_sets() | structures() | layers_and_cones())
-    json.dump(found, sys.stdout, indent=1, sort_keys=True)
+        return (artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases()
+                | floor_cases() | cone_sets() | structures() | layers_and_cones())
+
+
+def against(rev: str) -> int:
+    """Fingerprint ``rev`` with this script, in a ``git archive`` of it, and
+    this checkout; print the top-level keys that differ, and return 1 if
+    any do."""
+    with tempfile.TemporaryDirectory() as base:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        script = Path(base) / "tests" / "fingerprint.py"
+        script.write_bytes(Path(__file__).read_bytes())
+        old = json.loads(subprocess.run([sys.executable, str(script)], check=True,
+                                        capture_output=True, text=True).stdout)
+    new = fingerprint()
+    differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    print("\n".join(differ) if differ else f"no key differs from {rev} ({len(new)} keys)")
+    return 1 if differ else 0
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
+        sys.exit(against(sys.argv[2]))
+    json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
     print()
 
 

@@ -517,6 +517,24 @@ def test_grid_too_large_to_allocate_is_refused(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_direction_tables_too_large_to_allocate_are_refused(tmp_path):
+    """1,608 directions over the shells up to 256 at n=512 lay out 19.3M
+    direction-table entries, which peaked at 1,795 MB; the knobs are
+    refused before the plan is laid out.  The command runs under a 2 GB
+    address-space limit, so that a regression fails here rather than
+    exhausting the host's memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+    r = subprocess.run([sys.executable, "-m", "grpd.cli", "wf-estimate", "--n", "512",
+                        "--params", json.dumps({"wf": {"n_directions": 1608, "shell_hi": 256}}),
+                        "--out", str(tmp_path)],
+                       capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "direction-table entries" in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_point_cone_product_on_pair_times_z_is_refused(tmp_path):
     """The full direction set on PAIR_TIMES_Z is six caps of 7,796 samples,
     so the product of two point cones would form 2.19G sample pairs; the

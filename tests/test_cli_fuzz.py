@@ -64,8 +64,8 @@ def commands(draw):
         names[flag] = draw(st.sampled_from(sorted(table)))
         keys[flag] = table[names[flag]][1]
         params[flag] = {k: draw(VALID[k](model)) for k in keys[flag] if draw(st.booleans())}
-    mutation = draw(st.sampled_from(["name", "parameter", "params key", "flag", "size"]
-                                    + ["estimator parameter"] * uses_wf))
+    mutation = draw(st.sampled_from(["name", "parameter", "params key", "flag", "size",
+                                     "grid size"] + ["estimator parameter"] * uses_wf))
     flag = draw(st.sampled_from(sorted(names)))
     if mutation == "name":
         names[flag] = draw(st.sampled_from(["bogus", "", "Delta", "delta ", "empty-cone"]))
@@ -82,13 +82,16 @@ def commands(draw):
     if mutation == "size":
         sizes[draw(st.sampled_from(sorted(sizes)))] = draw(st.sampled_from(
             ["abc", "", "8.0", "1e3", "0x10"]))
+    elif mutation == "grid size":   # any integer; above 2^20 points, refused unallocated
+        sizes[draw(st.sampled_from(sorted(sizes)))] = str(draw(
+            st.sampled_from([-8, 0, 4, 6, 12, 1 << 21, 1 << 40, 10 ** 30])))
     argv = [op, "--model", kind, *itertools.chain(*sizes.items()),
             "--params", json.dumps(params)]
     for flag, name in names.items():
         argv += ["--" + flag.replace("_", "-"), name]
     if mutation == "flag":
         argv += [draw(st.sampled_from(["--bogus", "--left-cones", "--name", "-x"])), "1"]
-    return argv, mutation in ("flag", "size")
+    return argv, mutation in ("flag", "size", "grid size")
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None,

@@ -8,12 +8,13 @@ from grpd.cones import (Arcs, Cap, Caps, CircInterval, ConeCell, ConeSet,
                         Signs, TWO_PI, Transversality, a_star_directions, a_star_units, arcs_cover,
                         compose_direction_arcs, cone_contains, cone_product,
                         cone_product_bar, full_interval, hormander_gate,
-                        merge_arcs, point_interval, transversality)
+                        merge_arcs, transversality)
 from grpd.catalog import empty_cone, point_cone, rotation_cone
 from grpd.checks import random_cone_set
-from grpd.cones import KER_S, SAMPLING_STEP, _base_grid_points, _zero_term_cells
+from grpd.cones import KER_S, SAMPLING_STEP, _base_points, _zero_terms
 from grpd.errors import DomainError
 from grpd.models import circle_group, pair_circle, pair_times_z
+from reference import base_grid_points, contains_by_point, intersects, point_interval
 
 M = pair_circle(64)
 G = circle_group(64)
@@ -42,8 +43,8 @@ def test_interval_intersection():
     b = CircInterval(0.8, 0.4)          # [0.8, 1.2] wraps
     pieces = sorted(a.intersect(b), key=lambda p: p.start)
     assert len(pieces) == 2
-    assert a.intersects(b)
-    assert not CircInterval(0.0, 0.1).intersects(CircInterval(0.5, 0.1))
+    assert intersects(a, b)
+    assert not intersects(CircInterval(0.0, 0.1), CircInterval(0.5, 0.1))
 
 
 def test_merge_and_cover():
@@ -122,7 +123,7 @@ def test_merge_arcs_wrap_absorbs_every_leading_arc():
                 for _ in range(rng.integers(1, 8))]
         merged = merge_arcs(arcs)
         assert merge_arcs(merged) == merged
-        assert not any(a.intersects(b) for i, a in enumerate(merged)
+        assert not any(intersects(a, b) for i, a in enumerate(merged)
                        for b in merged[i + 1:])
         for x in rng.uniform(0.0, TWO_PI, 20):
             assert any(a.contains(x) for a in arcs) == any(m.contains(x) for m in merged)
@@ -331,6 +332,13 @@ def test_cone_set_json_roundtrip():
         assert back.to_json() == cone.to_json()
         assert cone_contains(cone, back, 1e-12, 0.0)
         assert cone_contains(back, cone, 1e-12, 0.0)
+        # built from its cells or from its arrays, the set is the same, in
+        # == and in hash, and its cells read back as they went in
+        again = ConeSet(cone.model, cone.cells)
+        arrays = ConeSet.from_boxes(cone.model, *cone.boxes, *cone.dir_table)
+        assert again == cone == arrays and hash(again) == hash(cone) == hash(arrays)
+        assert arrays.cells == again.cells == cone.cells and arrays.to_json() == cone.to_json()
+        assert ConeSet(cone.model, arrays.cells[1:]) != cone and cone != cone.to_json()
 
 
 def test_cap_composition_is_the_same_in_any_chunk_size(monkeypatch):
@@ -386,6 +394,26 @@ def test_cell_direction_type_and_base_length_checked():
         with pytest.raises(DomainError):
             ConeSet(model, (cell,))
     assert ConeSet(M, (ConeCell((pt, pt), Arcs()),)).is_empty
+    # the same rules on a set built from arrays: a wrong base length, a
+    # wrong direction type, an index with no set, a non-finite start or
+    # width, and cells with no directions dropped
+    zero = np.zeros((1, 2))
+    for model, starts, widths, dirs in ((M, np.zeros((1, 1)), np.zeros((1, 1)), arcs),
+                                        (M, np.zeros((1, 3)), np.zeros((1, 3)), arcs),
+                                        (M, zero, np.zeros((1, 1)), arcs),
+                                        (M, zero, zero, Signs({1})),
+                                        (Z, np.zeros((1, 3)), np.zeros((1, 3)), arcs),
+                                        (M, [[math.nan, 0.0]], zero, arcs),
+                                        (M, zero, [[0.0, math.inf]], arcs),
+                                        (M, [["x", 0.0]], zero, arcs)):
+        with pytest.raises(DomainError):
+            ConeSet.from_boxes(model, starts, widths, [dirs], [0])
+    with pytest.raises(DomainError):
+        ConeSet.from_boxes(M, zero, zero, [arcs], [1])
+    with pytest.raises(DomainError):
+        point_cone(M, 0.5)
+    dropped = ConeSet.from_boxes(M, np.zeros((3, 2)), zero.repeat(3, 0), [arcs, Arcs()], [1, 0, 1])
+    assert len(dropped.cells) == 1 and dropped.dir_table[0] == (arcs,)
 
 
 def _reference_contains(a, b, angular_tol, base_tol_cells):
@@ -394,7 +422,7 @@ def _reference_contains(a, b, angular_tol, base_tol_cells):
     dim = a.model.dim
     shape = a.model.grid_shape
     for cell in a.cells:
-        for pt in _base_grid_points(cell, a.model):
+        for pt in base_grid_points(cell, a.model):
             avail_arcs, avail_signs, avail_caps = [], set(), []
             for bc in b.cells:
                 if not all(bc.base[i].dilate(base_tol_cells / shape[i]).contains(pt[i], 1e-12)
@@ -455,6 +483,43 @@ def test_cone_contains_matches_per_point_reference(model, pairs, tols):
     assert any(verdicts) and not all(verdicts)
 
 
+def _pairs_of_every_dimension(seed, count, max_cells):
+    """Random pairs with up to ``max_cells`` cells on each model, PTZ caps
+    shrunk (``_narrow``), as a cover test at tolerance 0 samples a cap
+    1e-3 apart."""
+    rng = np.random.default_rng(seed)
+    for model in (M, G, Z):
+        for _ in range(count):
+            yield tuple(_narrow(random_cone_set(model, rng, int(rng.integers(1, max_cells + 1))))
+                        for _ in range(2))
+
+
+@pytest.mark.parametrize("tols", [(0.0, 0.0), (0.05, 1.0), (math.radians(10), 16.0)])
+def test_cone_contains_matches_the_point_loop(tols):
+    # the array containment against today's loop over A's base points, on
+    # random pairs of every dimension with up to 8 cells, each unioned
+    # and dilated so that some verdicts hold
+    verdicts = []
+    for w1, w2 in _pairs_of_every_dimension(21, 12, 8):
+        model = w1.model
+        for a, b in ((w1, w2), (w1, ConeSet(model, w1.cells + w2.cells)),
+                     (_nudged(w1, 0.05, 0.5), ConeSet(model, w2.cells + w1.cells))):
+            got = cone_contains(a, b, *tols)
+            assert got == contains_by_point(a, b, *tols)
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_containment_points_are_the_point_loop_points():
+    for w1, w2 in _pairs_of_every_dimension(22, 4, 8):
+        for w in (w1, w2, cone_product_bar(w1, w2)):
+            points, owner = _base_points(w)
+            got = sorted(zip(owner.tolist(), map(tuple, points.tolist())))
+            want = sorted((i, pt) for i, c in enumerate(w.cells)
+                          for pt in base_grid_points(c, w.model))
+            assert got == want
+
+
 def _reference_product(w1, w2):
     """cone_product as the all-pairs loop over W1 x W2, composing the
     directions of every pair whose bases meet."""
@@ -464,13 +529,14 @@ def _reference_product(w1, w2):
     for c1 in w1.cells:
         for c2 in w2.cells:
             if model.dim == 1:
-                cells.append(ConeCell((c1.base[0].minkowski(c2.base[0]),),
+                cells.append(ConeCell((CircInterval(c1.base[0].start + c2.base[0].start,
+                                                        c1.base[0].width + c2.base[0].width),),
                                       Signs(c1.dirs.parts & c2.dirs.parts)))
             elif model.dim == 2:
-                if c1.base[1].intersects(c2.base[0]):
+                if intersects(c1.base[1], c2.base[0]):
                     arcs = compose_direction_arcs(c1.dirs.parts, c2.dirs.parts)
                     cells.append(ConeCell((c1.base[0], c2.base[1]), Arcs(tuple(arcs))))
-            elif c1.base[1].intersects(c2.base[0]) and c1.base[2].intersects(c2.base[2]):
+            elif intersects(c1.base[1], c2.base[0]) and intersects(c1.base[2], c2.base[2]):
                 caps = Caps(tuple(compose_direction_caps(c1.dirs.parts, c2.dirs.parts)))
                 if caps:
                     for zi in c1.base[2].intersect(c2.base[2]):
@@ -480,7 +546,8 @@ def _reference_product(w1, w2):
 
 def _reference_bar(w1, w2):
     return ConeSet(w1.model, (*_reference_product(w1, w2).cells,
-                              *_zero_term_cells(w1, "left"), *_zero_term_cells(w2, "right")))
+                              *ConeSet.from_boxes(w1.model, *_zero_terms(w1, "left")).cells,
+                              *ConeSet.from_boxes(w2.model, *_zero_terms(w2, "right")).cells))
 
 
 def _reference_gate(w1, w2):
@@ -492,13 +559,13 @@ def _reference_gate(w1, w2):
     for c1 in w1.cells:
         for c2 in w2.cells:
             if w1.model.dim == 2:
-                if not c1.base[1].intersects(c2.base[0]):
+                if not intersects(c1.base[1], c2.base[0]):
                     continue
                 if ((c1.dirs.contains(math.pi / 2) and c2.dirs.contains(math.pi))
                         or (c1.dirs.contains(3 * math.pi / 2) and c2.dirs.contains(0.0))):
                     return False
                 continue
-            if not (c1.base[1].intersects(c2.base[0]) and c1.base[2].intersects(c2.base[2])):
+            if not (intersects(c1.base[1], c2.base[0]) and intersects(c1.base[2], c2.base[2])):
                 continue
             for mu in mus:
                 d1 = (0.0, math.cos(mu), math.sin(mu))
@@ -647,7 +714,7 @@ def test_directions_composed_once_per_distinct_pair(monkeypatch):
     w1 = ConeSet(M, w1.cells + rotation_cone(M, 0.5).cells)
     cone_product(w1, w2)
     distinct = {(c1.dirs, c2.dirs) for c1 in w1.cells for c2 in w2.cells
-                if c1.base[1].intersects(c2.base[0])}
+                if intersects(c1.base[1], c2.base[0])}
     assert len(calls) == len(distinct) == len(set(calls)) > 1
 
 
@@ -677,14 +744,15 @@ def test_containment_dilates_and_unites_once_per_distinct_set(monkeypatch):
                 + random_cone_set(M, rng, max_cells=4).cells)
     a = ConeSet(M, b.cells[::5])
     angular_tol, base_tol = 0.05, 1.0
-    # the multisets of B's direction sets over A's base points
+    # the multisets of B's direction sets over A's base points, each set
+    # counted at most twice
     held = set()
     for cell in a.cells:
-        for pt in _base_grid_points(cell, M):
+        for pt in base_grid_points(cell, M):
             holders = [bc.dirs for bc in b.cells
                        if all(iv.dilate(base_tol / n).contains(x, 1e-12)
                               for iv, n, x in zip(bc.base, M.grid_shape, pt))]
-            held.add(frozenset((d, holders.count(d)) for d in holders))
+            held.add(frozenset((d, min(holders.count(d), 2)) for d in holders))
     distinct = {bc.dirs for bc in b.cells}
     assert len(distinct) > 2 and len(held) > 2
     dilated = _counted(monkeypatch, Arcs, "dilate")
@@ -709,12 +777,13 @@ def test_zero_terms_once_per_distinct_direction_set(monkeypatch):
         want = [c for c in want if c.dirs]
         assert 0 < len(want) < len(w.cells)
         probed = _counted(monkeypatch, Arcs, "contains")
-        assert _zero_term_cells(w, side) == want
+        assert ConeSet.from_boxes(M, *_zero_terms(w, side)).cells == tuple(want)
         assert len(probed) == len(kernel.angles) * len({c.dirs for c in w.cells})
         monkeypatch.undo()
     ast = a_star_units(Z)
     built = _counted(monkeypatch, grpd.cones, "_kernel_caps")
-    assert len(ast.cells) > 1 and _zero_term_cells(ast, "left") == []   # a* misses ker s
+    # a* misses ker s
+    assert len(ast.cells) > 1 and ConeSet.from_boxes(Z, *_zero_terms(ast, "left")).is_empty
     assert len(built) == 1
 
 

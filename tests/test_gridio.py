@@ -38,12 +38,27 @@ def test_grid_bad_magic_and_truncation():
 
 
 def test_cone_set_json_bytes_stable(tmp_path):
-    cone = rotation_cone(pair_circle(32), 0.25)
-    p1 = tmp_path / "a.json"
-    p2 = tmp_path / "b.json"
-    gridio.save_cone_set(p1, cone)
-    gridio.save_cone_set(p2, gridio.load_cone_set(p1))
-    assert p1.read_bytes() == p2.read_bytes()
+    # the cone writer formats the arrays itself: its bytes are those of
+    # the generic writer on ``to_json()``, for every direction type, empty
+    # sets, whole base axes and estimates
+    from grpd.catalog import point_cone, rotation_layer
+    from grpd.checks import random_cone_set
+    from grpd.cones import ConeSet, cone_product_bar
+    from grpd.models import circle_group, pair_times_z
+    from grpd.wavefront import estimate_wavefront
+    m = pair_circle(32)
+    rng = np.random.default_rng(3)
+    cones = [rotation_cone(m, 0.25), ConeSet(m), point_cone(m, 0.5, 0.25),
+             cone_product_bar(point_cone(m, 0.25, 0.5), point_cone(m, 0.5, 0.25)),
+             estimate_wavefront(rotation_layer(pair_circle(64), 0.25)).estimated]
+    cones += [random_cone_set(model, rng, 4) for model in (m, circle_group(16), pair_times_z(8, 8))
+              for _ in range(3)]
+    p1, p2, p3 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    for cone in cones:
+        gridio.save_cone_set(p1, cone)
+        gridio.save_cone_set(p2, gridio.load_cone_set(p1))
+        gridio.dump_json(p3, cone.to_json())
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
 
 def test_cone_set_json_with_an_unknown_model_key_is_refused(tmp_path):
@@ -61,7 +76,8 @@ def test_slope_csv_roundtrip(tmp_path):
     kept = np.array([[True, False], [False, True]])
     slopes = np.array([[-2.25, 9.0], [9.0, 0.125]])
     peaks = np.array([[3.5e-3, 9.0], [9.0, 17.0]])
-    table = SlopeTable([(0.0, 0.5), (0.25, 0.75)], [(1.0, 0.0), (0.0, -1.0)],
+    # probe centers (0, 2) and (1, 3) on a 4 x 4 grid: (0.0, 0.5) and (0.25, 0.75)
+    table = SlopeTable(np.array([[0, 2], [1, 3]]), (4, 4), [(1.0, 0.0), (0.0, -1.0)],
                        kept, slopes, peaks)
     path = tmp_path / "slopes.csv"
     gridio.save_slope_csv(path, table)

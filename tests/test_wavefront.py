@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from grpd.wavefront import (WfParams, _fit_range, _places, _probe_tables, _Scaff
                             _window_norms, decay_slope, estimate_wavefront,
                             verify_product_bound)
 import grpd.wavefront
+from reference import contains_by_point, estimate_by_probe
 
 N = 128
 M = pair_circle(N)
@@ -962,3 +964,50 @@ def test_verify_smooth_times_smooth_at_256():
                                ConeSet(m), ConeSet(m))
     assert rep.passed and rep.used_gated_route
     assert not rep.estimated.cells
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_estimated_cells_match_one_report_per_probe(case):
+    # the estimate reports once per distinct (flagged, anchors) row and
+    # builds its cone set from arrays; the reference reports once per
+    # anchored probe and builds one cell each
+    u, params = KERNEL_CASES[case]()
+    got = estimate_wavefront(u, params).estimated
+    want = estimate_by_probe(u, params)
+    assert got == want and got.cells == want.cells and got.to_json() == want.to_json()
+    assert got.dir_table[0] == want.dir_table[0]
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_verify_pair_containment_matches_the_point_loop(seed, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import workloads
+    reports = [op.run() for op in workloads.build_verify_pair(seed, tmp_path)]
+    assert sum(not r.estimated.is_empty for r in reports) >= 2
+    for r in reports:
+        for a, b in ((r.estimated, r.predicted), (r.predicted, r.estimated)):
+            for tols in ((r.angular_tol, r.base_tol_cells), (0.0, 0.0), (0.05, 1.0)):
+                assert cone_contains(a, b, *tols) == contains_by_point(a, b, *tols)
+        assert r.passed
+
+
+def test_the_table_budget_admits_the_grids_in_use():
+    # the default knobs on the largest grids of each kind, and the largest
+    # knobs a test or the CLI fuzz uses
+    for model, params in ((pair_circle(1024), WfParams()), (pair_times_z(256, 16), WfParams()),
+                          (pair_times_z(128, 64), WfParams()), (circle_group(1 << 20), WfParams()),
+                          (pair_circle(512), WfParams(n_directions=804)),
+                          (pair_times_z(64, 8), WfParams(n_directions=201, shell_hi=32))):
+        p = params.resolve(model)
+        entries = grpd.wavefront._table_entries(model, p.n_directions, p.cone_half_angle,
+                                                p.shell_lo, p.shell_hi)
+        assert 0 < entries <= grpd.wavefront.MAX_TABLE_ENTRIES
+
+
+@pytest.mark.parametrize("model,params", [
+    (pair_circle(512), WfParams(n_directions=1608, shell_hi=256)),
+    (pair_circle(1024), WfParams(n_directions=1608)),
+])
+def test_tables_above_the_budget_are_refused(model, params):
+    with pytest.raises(DomainError, match="direction-table entries"):
+        params.resolve(model)
