@@ -290,24 +290,14 @@ class _DirSet:
     directions (d1 on the s side, d2 on the r side) of covector pairs in
     ker m_Gamma = N*G^(2), found to ``KERNEL_TOL``.
 
-    A set is frozen, so it hashes its parts once, when built, to the value
-    the dataclass hash would give; equality is the dataclass's, by parts.
-    It keeps each composition it makes (``composed``) for as long as it
-    lives, so the product and the bar product of the same sets compose
-    each pair once.
+    A set is a frozen dataclass, equal and hashed by its parts.  It keeps
+    each composition it makes (``composed``) for as long as it lives, so
+    the product and the bar product of the same sets compose each pair
+    once.
     """
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.parts,)))
         object.__setattr__(self, "_composed", {})
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     def __iter__(self):
         return iter(self.parts)
@@ -326,7 +316,7 @@ class _DirSet:
         return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Signs(_DirSet):
     """Directions of a 1-d cotangent fiber: a subset of {+1, -1}."""
 
@@ -384,7 +374,7 @@ class Signs(_DirSet):
         return Signs(d["signs"])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Arcs(_DirSet):
     """Directions in the plane: closed angle arcs (period 2pi), merged
     when built into arcs more than 1e-12 apart, as ``arcs_cover`` needs."""
@@ -475,7 +465,7 @@ class Arcs(_DirSet):
         return Arcs(tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in d["arcs"]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Caps(_DirSet):
     """Directions in 3-space: a finite union of spherical caps."""
 

@@ -158,7 +158,7 @@ def right_translate(f: TestFunction, gamma: Element) -> TestFunction:
     m = f.model
     if m != gamma.model:
         raise ModelMismatchError("translation element on a different model")
-    s, fiber = m.structure, fiber_index(src(gamma).data, layered(m).fibers[0])
+    s, fiber = m.structure, fiber_index(src(gamma).data, m.structure.fibers[0])
     h = tuple(a[fiber] for a in np.indices(m.grid_shape))
     out = np.zeros_like(f.values)
     out[fiber] = f.values[s.multiply(m, h, s.invert(m, gamma.data))]

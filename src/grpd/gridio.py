@@ -2,13 +2,18 @@
 ``write_artifacts``, the one writer of a run's named files.
 
 Binary grid layout (little-endian): magic ``GRPD``, u32 rank, u32 dims
-(one per axis), zero padding to a 16-byte boundary, then float64
-re/im pairs in row-major order.
+(one per axis), zero padding to a 16-byte boundary, then the values in
+row-major order as float64 re/im pairs.  numpy writes and reads that
+payload as its ``<c16`` (complex128) bytes, so every value, signed zeros,
+infinities and nans included, reads back with the bits it was written
+with.
 
-JSON is written in one pass (``dump_json``): the bytes of
-``json.dumps(..., sort_keys=True, indent=1)``, with numpy values
-converted at the leaves and an infinite float written as the string
-``"inf"`` or ``"-inf"``.
+JSON is the text of ``json.dumps(..., sort_keys=True, indent=1)``
+(``dump_json``), with numpy values converted to Python values and an
+infinite float written as the string ``"inf"`` or ``"-inf"``.  Cone JSON
+has the same bytes: the encoder writes the text around each distinct
+direction set's cells and around the cell list, and ``save_cone_set``
+formats only the base boxes, from the set's arrays.
 """
 
 from __future__ import annotations
@@ -34,26 +39,24 @@ def _header(shape: tuple[int, ...]) -> bytes:
 
 
 def grid_to_bytes(values: np.ndarray) -> bytes:
-    values = np.ascontiguousarray(values, dtype=complex)
-    payload = np.empty(values.shape + (2,), dtype="<f8")
-    payload[..., 0] = values.real
-    payload[..., 1] = values.imag
-    return _header(values.shape) + payload.tobytes()
+    values = np.asarray(values, dtype="<c16")
+    return _header(values.shape) + values.tobytes()
 
 
 def grid_from_bytes(blob: bytes) -> np.ndarray:
     if blob[:4] != MAGIC:
         raise SerializationError("bad magic (expected GRPD)")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
+    rank = int.from_bytes(blob[4:8], "little")
     head_len = 8 + 4 * rank
+    if len(blob) < head_len:        # also when the rank itself is cut short
+        raise SerializationError("truncated grid header")
+    dims = struct.unpack_from(f"<{rank}I", blob, 8)
     head_len += (-head_len) % 16
-    count = int(np.prod(dims)) * 2
-    if len(blob) < head_len + 8 * count:
+    count = math.prod(dims)
+    if len(blob) < head_len + 16 * count:
         raise SerializationError("truncated grid payload")
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=head_len)
-    pairs = flat.reshape(dims + (2,))
-    return (pairs[..., 0] + 1j * pairs[..., 1]).astype(complex)
+    flat = np.frombuffer(blob, dtype="<c16", count=count, offset=head_len)
+    return flat.reshape(dims).astype(complex)
 
 
 def save_grid(path, values: np.ndarray) -> None:
@@ -66,78 +69,31 @@ def load_grid(path) -> np.ndarray:
 
 # -- deterministic JSON/CSV helpers -----------------------------------------
 
-_escape = json.encoder.encode_basestring_ascii
+def _jsonable(obj):
+    """``obj`` with numpy values as Python values and +-inf as the strings
+    ``"inf"``/``"-inf"``."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return str(float(obj)) if np.isinf(obj) else float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    return obj
 
 
-def _scalar(x) -> str:
-    """A JSON leaf: numpy scalars as their Python values, +-inf as the
-    strings ``"inf"``/``"-inf"``, nan as ``NaN``."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return float.__repr__(x) if x == x else "NaN"
-    if isinstance(x, (int, np.integer)):
-        return int.__repr__(int(x))
-    if x is None:
-        return "null"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (float, int)) or key is None:
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _write(obj, out: list, nl: str) -> None:
-    """Append the JSON text of ``obj`` to ``out``, where ``nl`` is the line
-    break and indent of its own level: the text of ``json.dumps(...,
-    sort_keys=True, indent=1)``, with ``_scalar``'s leaves.  A list of
-    finite floats is one join of their reprs."""
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + " "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out += (sep, _escape(_key(key)), ": ")
-            _write(value, out, inner)
-            sep = "," + inner
-        out += (nl, "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + " "
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            out += ("[", inner, ("," + inner).join(map(float.__repr__, obj)), nl, "]")
-            return
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _write(value, out, inner)
-            sep = "," + inner
-        out += (nl, "]")
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, nl)
-    else:
-        out.append(_scalar(obj))
+def _dumps(data) -> str:
+    return json.dumps(_jsonable(data), sort_keys=True, indent=1)
 
 
 def dump_json(path, data) -> None:
-    """Write ``data`` as sorted-key JSON, one value per line, in one pass."""
-    out = []
-    _write(data, out, "\n")
-    out.append("\n")
-    Path(path).write_text("".join(out))
+    """Write ``data`` as sorted-key JSON, one value per line."""
+    Path(path).write_text(_dumps(data) + "\n")
 
 
 def load_json(path):
@@ -146,25 +102,21 @@ def load_json(path):
 
 def save_cone_set(path, cones: ConeSet) -> None:
     """Write the bytes ``dump_json`` writes of ``cones.to_json()``, from the
-    set's arrays: each distinct direction set's JSON is made once, and
-    each base box is formatted from its row."""
+    set's arrays.  The encoder writes each distinct direction set's cell
+    once, with ``null`` for its base box, and the document with ``null``
+    for two cells; each base box is formatted from its row."""
     (starts, widths), (sets, index) = cones.boxes, cones.dir_table
-    around = []     # per set, the text before and after a cell's base box
-    for d in sets:
-        (key, value), = d.to_json().items()
-        text = [_escape(key), ": "]
-        _write(value, text, "\n   ")
-        text = "".join(text)
-        # sorted keys: "arcs" comes before "base_box", "caps" and "signs" after
-        around.append(("{\n   ", ",\n   " + text + "\n  }") if key > "base_box"
-                      else ("{\n   " + text + ",\n   ", "\n  }"))
-    cells = [around[k][0] + '"base_box": [\n    ' + ",\n    ".join(
+    if not len(index):
+        dump_json(path, cones.to_json())
+        return
+    # a cell sits two levels deep, so its lines are indented by two more
+    around = [_dumps({"base_box": None, **d.to_json()}).replace("\n", "\n  ").split("null")
+              for d in sets]
+    cells = [around[k][0] + "[\n    " + ",\n    ".join(
         f"[\n     {a!r},\n     {b!r}\n    ]" for a, b in zip(lo, hi)) + "\n   ]" + around[k][1]
         for lo, hi, k in zip(starts.tolist(), (starts + widths).tolist(), index.tolist())]
-    out = ['{\n "cells": ', "[\n  " + ",\n  ".join(cells) + "\n ]" if cells else "[]",
-           ',\n "model": ']
-    _write(cones.model.to_json(), out, "\n ")
-    Path(path).write_text("".join(out) + "\n}\n")
+    head, sep, tail = _dumps({"cells": [None, None], "model": cones.model.to_json()}).split("null")
+    Path(path).write_text(head + sep.join(cells) + tail + "\n")
 
 
 def load_cone_set(path) -> ConeSet:

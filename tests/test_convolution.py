@@ -15,7 +15,7 @@ from grpd.distributions import (TestFunction, make_layer, point_mass,
                                 tensor_restrict, unit_delta)
 from grpd.convolution import apply_operator
 from grpd.errors import ConeConditionError, ModelMismatchError
-from grpd.models import Element, circle_group, pair_circle
+from grpd.models import Element, circle_group, pair_circle, pair_times_z
 from grpd.spectral import band_limited_field
 
 N = 64
@@ -326,12 +326,12 @@ def test_right_translate_shapes():
     e[0] = 1.0
     assert np.argmax(np.abs(right_translate(TestFunction(circle_group(8), e),
                                             Element(circle_group(8), (1,))).values)) == 1
-    # R_gamma f = n f * delta_gamma: exactly on the pair model, where the
+    # R_gamma f = n f * delta_gamma: exactly on the pair models, where the
     # product moves values, and through the FFT on the group
     rng = np.random.default_rng(8)
-    for model in (pair_circle(8), circle_group(8), M, G):
+    for model in (pair_circle(8), circle_group(8), M, G, pair_times_z(8, 8)):
         f = TestFunction.random_band_limited(model, 3, rng, real=False)
-        tol = 0.0 if model.kind.value == "PAIR_CIRCLE" else 1e-12
+        tol = 1e-12 if model.kind.value == "CIRCLE_GROUP" else 0.0
         gammas = [Element(model, g) for g in np.ndindex(model.grid_shape)]
         for gamma in gammas if model.n == 8 else [gammas[i] for i in rng.choice(len(gammas), 8)]:
             out = right_translate(f, gamma).values
@@ -358,7 +358,6 @@ def test_adjoint_operator_prehilbertian():
 
 
 def test_ptz_smooth_convolution():
-    from grpd.models import pair_times_z
     mz = pair_times_z(16, 8)
     rng = np.random.default_rng(5)
     u, v, w = (rand_smooth(mz, band=2, rng=rng) for _ in range(3))

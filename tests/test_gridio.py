@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -37,9 +38,33 @@ def test_grid_bad_magic_and_truncation():
         gridio.grid_from_bytes(good[:-8])
 
 
+def test_grid_bytes_are_exact_and_short_headers_are_refused():
+    # each short header raised struct.error: the magic alone, a rank with no
+    # dims, and a rank of 2^32 - 1
+    for blob in (b"GRPD", b"GRPD\x01\0\0\0", b"GRPD\xff\xff\xff\xff" + b"\0" * 24):
+        with pytest.raises(SerializationError, match="header"):
+            gridio.grid_from_bytes(blob)
+    # re + 1j*im turned -0.0 into 0.0 and 1+inf*j into nan+inf*j
+    values = np.array([complex(-0.0, 1.0), complex(1.0, np.inf), complex(np.nan, 2.0)])
+    back = gridio.grid_from_bytes(gridio.grid_to_bytes(values))
+    assert back.dtype == complex and back.shape == (3,)
+    assert back.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    # a 0-d grid was written as rank 1 and read back with shape (1,)
+    blob = gridio.grid_to_bytes(np.array(1 - 2j))
+    assert len(blob) == 16 + 16 and gridio.grid_from_bytes(blob).shape == ()
+    # the documented layout, built apart: magic, u32 rank, u32 dims (16
+    # bytes, so no padding), then float64 re/im pairs in row-major order,
+    # also for a strided view
+    grid = np.array([[1 + 2j, -3.5, 0.25j], [4.0, 5 - 6j, 1e-300 + 7j]])
+    blob = b"GRPD" + struct.pack("<3I", 2, 2, 3) + struct.pack(
+        "<12d", *(part for v in grid.ravel().tolist() for part in (v.real, v.imag)))
+    assert gridio.grid_to_bytes(grid) == gridio.grid_to_bytes(grid.T.copy().T) == blob
+    assert np.array_equal(gridio.grid_from_bytes(blob), grid)
+
+
 def test_cone_set_json_bytes_stable(tmp_path):
-    # the cone writer formats the arrays itself: its bytes are those of
-    # the generic writer on ``to_json()``, for every direction type, empty
+    # the cone writer formats the base boxes itself: its bytes are those
+    # of ``dump_json`` on ``to_json()``, for every direction type, empty
     # sets, whole base axes and estimates
     from grpd.catalog import point_cone, rotation_layer
     from grpd.checks import random_cone_set
@@ -123,9 +148,30 @@ def test_json_writes_infinity_as_a_string(tmp_path):
     assert gridio.load_json(tmp_path / "inf.json") == {"best": "inf", "low": "-inf"}
 
 
+def test_dump_json_text(tmp_path):
+    path = tmp_path / "out.json"
+    cases = [
+        ({"inf": np.inf, "-inf": -np.inf, "nan": np.nan, "f32": np.float32(-np.inf)},
+         '{\n "-inf": "-inf",\n "f32": "-inf",\n "inf": "inf",\n "nan": NaN\n}'),
+        ([np.float64(0.5), np.float32(0.25), np.int8(-3), np.uint64(2**63), np.bool_(True),
+          False, None, np.array([1.5, -0.0])],
+         '[\n 0.5,\n 0.25,\n -3,\n 9223372036854775808,\n true,\n false,\n null,\n'
+         ' [\n  1.5,\n  -0.0\n ]\n]'),
+        ({"ξ": "naïve ∂ξ", "esc": "\"\\\n\t\x01"},
+         '{\n "esc": "\\"\\\\\\n\\t\\u0001",\n'
+         ' "\\u03be": "na\\u00efve \\u2202\\u03be"\n}'),
+        ({"list": [], "dict": {}, "tuple": (), "array": np.zeros((2, 0))},
+         '{\n "array": [\n  [],\n  []\n ],\n "dict": {},\n "list": [],\n "tuple": []\n}'),
+        ([], "[]"), ({}, "{}"),
+    ]
+    for data, text in cases:
+        gridio.dump_json(path, data)
+        assert path.read_text() == text + "\n", data
+
+
 def reference_jsonable(obj):
-    """The artifact writer's leaf conversion as it was before the one-pass
-    writer, kept as the reference for ``dump_json``'s bytes."""
+    """The artifact writer's leaf conversion, kept apart from ``gridio`` as
+    the reference for ``dump_json``'s bytes."""
     if isinstance(obj, dict):
         return {k: reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

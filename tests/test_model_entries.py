@@ -166,7 +166,7 @@ REFUSALS = {
     "slice_family s": LAYERED, "slice_family r": LAYERED, "star_involution": GRID,
     "rasterize": GRID, "rasterize mollified": GRID, "pair_with": LAYERED,
     "convolve": GRID, "convolve_gated": GRID, "push_product": LAYERED,
-    "right_translate": LAYERED, "equivariance_defect": LAYERED,
+    "right_translate": GRID, "equivariance_defect": GRID,
     "recover_kernel": LAYERED, "a_star_units": GRID, "hormander_gate": GRID,
     "cone_product": GRID, "cone_product_bar": GRID,
     "CATALOG counterexample": dict.fromkeys(MODELS, DE),     # n >= 64 only
