@@ -3,38 +3,54 @@
 One array kernel, ``_probe_tables``, does the spectral work: per probe
 center it windows the distribution with a compactly supported bump, DFTs
 it, and takes the max modulus of every (direction cone, dyadic frequency
-shell) bin; one batched least-squares fit of log max modulus against log
-shell radius then gives every (probe, direction) decay slope.  Slopes
-above ``slope_threshold`` flag a singular direction.
+shell) bin; the least-squares slope of log max modulus against log shell
+radius then gives every (probe, direction) decay slope.  The slope has a
+closed form, the logs dotted with fixed weights (``_fit_slopes``),
+summed shell by shell with elementwise ops, so each row's bits depend on
+that row alone.  Slopes above ``slope_threshold`` flag a singular
+direction.
 
 The DFT is pruned, not approximated: it takes the window's support box
 from the grid (one circular range of rows per axis), then transforms
 axis by axis in ``np.fft.fftn``'s order, last axis first, keeping only
-the frequencies some bin reads.  Each axis in turn is swapped to the
-last position and written, by at most two slices, into full-length lines
-of one zero buffer that the worker reuses for every axis and probe and
-zeroes again after each transform, so the 1-d transforms run along
-contiguous lines.  Every one of them sees the input it has inside
-``fftn``.  The last axis's output is read once at each distinct point
-some bin reads; cones overlap and shells are closed, so a point sits in
-several bins, and the plan groups the points into membership classes
-(the points read by exactly the same bins).  Per probe the kernel takes
-each point's modulus once, the max over each class, then the max of
-each bin over its classes.  ``max`` is exact in any order, so the tables
-are bit for bit those of the full-grid DFT.  Where one probe's transform
+the frequencies some bin reads.  The window is the outer product of
+per-axis profiles, and the first pass is linear along its lines, so the
+probes that share a last coordinate (a column) share it: the first pass
+windows each row of the union of the column's support rows by the last
+axis's profile and transforms it once, and each probe then gathers its
+rows of that output and multiplies them by the other axes' profiles
+before the remaining passes.  Each axis in turn is swapped to the last
+position and written, by at most two slices, into full-length lines of
+one zero buffer that the worker reuses for every pass and zeroes again
+after each transform, so the 1-d transforms run along contiguous lines;
+the first pass takes at most as many lines at a time as that buffer
+holds.  Every transform sees the input it has inside ``fftn`` up to
+where the window's factors are applied, so the tables match the
+full-grid DFT's up to rounding of order eps * log2(N) times the block's
+L1 norm (in 1-d, where there is no other factor, bit for bit).  The last
+axis's output is read once at each distinct point some bin reads; cones
+overlap and shells are closed, so a point sits in several bins, and the
+plan groups the points into membership classes (the points read by
+exactly the same bins).  Per probe the kernel takes each point's modulus
+once, the max over each class, then the max of each bin over its
+classes; ``max`` is exact in any order.  Where one probe's transform
 covers at least ``POOL_MIN_POINTS`` points, a pool of at most
-``GRPD_THREADS`` workers takes one contiguous block of the probes left to
-transform per worker, and each worker writes its own rows of one table;
-below it, every probe runs on the calling thread.
-A probe whose windowed block is all zero keeps its zero table row and
-runs no transform: the DFT of zeros is signed zeros, which ``abs`` makes
-+0, so the tables stay bit for bit the same.
+``GRPD_THREADS`` workers takes one contiguous run of whole columns per
+worker, balanced by probe count, and each worker writes its own rows of
+one table; below it, every column runs on the calling thread.  A row's
+bits do not depend on the other probes of its column, on the worker or
+on which probes are skipped.
 
-The estimator also skips every probe that a cheap bound proves can never
-be kept or anchored.  Every DFT modulus of a windowed block x obeys
-|X[k]| <= ||x||_1, and the window is the outer product of per-axis
-profiles, so every probe's L1 norm is one separable contraction of
-``|arr|`` (``_window_norms``).  The estimator passes the kernel the
+A probe whose support box holds no nonzero value keeps its zero row and
+is neither gathered nor transformed: a positive window norm (below)
+proves a nonzero value, and where a norm is zero, possibly by underflow,
+a box sum of the nonzero marks decides exactly, since every window
+weight on the support is positive.  The DFT of zeros is signed zeros,
+which ``abs`` makes +0.  The estimator also skips every probe that a
+cheap bound proves can never be kept or anchored.  Every DFT modulus of
+a windowed block x obeys |X[k]| <= ||x||_1, and the window is the outer
+product of per-axis profiles, so every probe's L1 norm is one separable
+contraction of ``|arr|`` (``_window_norms``).  The estimator passes the kernel the
 floor min(``min_level``, ``anchor_level``); the kernel transforms the
 probe of largest norm first, whose table max ``a_lb`` bounds the final
 table max ``amp_scale`` from below, and leaves at zero every row with
@@ -42,12 +58,12 @@ table max ``amp_scale`` from below, and leaves at zero every row with
 1e-12 * ||x||_1 at n=512).  A skipped row's true max is below
 floor * amp_scale, so it was never kept (peak above min_level * amp_scale)
 nor anchored (above anchor_level * amp_scale); it sits far below
-``a_lb``, so ``amp_scale`` is unchanged; and the slope fit still runs over
-the full table, zero rows included, so every kept slope sees the same
-batch.  Every output is bit for bit that of floor 0, which skips nothing
-and is what the ray-response calibration, ``decay_slope`` and direct
-kernel callers use.  A flag rule that drops either level must re-derive
-this floor.  A non-finite raster is refused, as it would read as smooth.
+``a_lb``, so ``amp_scale`` is unchanged; and every other row keeps its
+bits, slope included.  So every output is bit for bit that of floor 0,
+which skips only zero windows and is what the ray-response calibration,
+``decay_slope`` and direct kernel callers use.  A flag rule that drops
+either level must re-derive this floor.  A non-finite raster is refused,
+as it would read as smooth.
 
 The frequency-domain plan (``_Scaffold``: shells, direction bins, window
 support, read points, membership classes and the memoized ray-response
@@ -305,6 +321,11 @@ class _Scaffold:
             first += 1
         self.fit_slice = slice(first, None)
         self.fit_radii = np.array([math.sqrt(a * b) for a, b in self.shells[first:]])
+        # the least-squares slope over the fit shells is the logs dotted
+        # with the centred log radii over their sum of squares
+        x = [math.log(r) for r in self.fit_radii]
+        centred = [v - sum(x) / len(x) for v in x]
+        self.fit_weights = [v / sum(c * c for c in centred) for v in centred]
         # direction table over the grid points inside the shell band: point
         # k may sit in bin cand[k, c] when hit[k, c] (cones overlap)
         pts = np.flatnonzero((radius >= self.shells[0][0])
@@ -334,8 +355,8 @@ class _Scaffold:
         # frequencies some bin reads, per axis: the support is the circular
         # range of ``span[ax] = (first, length)`` positions from ``first``
         # (relative to the probe center) on, ``profiles[ax]`` the window's
-        # values on it in position order, ``window`` their outer product
-        # on the support box, and ``kept`` the read frequency indices of
+        # values on it in position order (the window on the support box is
+        # their outer product), and ``kept`` the read frequency indices of
         # each axis
         self.span, self.profiles = [], []
         for s in shape:
@@ -344,7 +365,10 @@ class _Scaffold:
             sup = sup[np.argsort(off[sup])]     # a bump's support is one range
             self.span.append((int(off[sup[0]]), len(sup)))
             self.profiles.append(self._axis_window(s)[sup])
-        self.window = reduce(np.multiply.outer, self.profiles)
+        # the window over the other axes' support, which multiplies each
+        # probe's rows of the first pass's output (with a trailing axis for
+        # the kept frequencies of the last axis)
+        self.cross = reduce(np.multiply.outer, self.profiles[:-1], np.float64(1.0))[..., None]
         grid_idx = np.unravel_index(pts[read[by_row]], shape)
         kept = [np.unique(i) for i in grid_idx]
         # the transform takes the axes in fftn's order, last first, and
@@ -488,15 +512,51 @@ def _window_norms(sc: _Scaffold, arr: np.ndarray, places,
     """The L1 norm of each probe's windowed block, which bounds every DFT
     modulus of the block.  The window is the outer product of
     ``sc.profiles``, so the norm is a separable contraction of ``|arr|``:
-    one gather and one contraction per axis and distinct coordinate, and
-    no per-probe block."""
+    per axis, one product with the matrix that holds each distinct
+    coordinate's profile on its support rows, and no per-probe block."""
     norms = np.abs(arr)
     for ax, (per, profile) in enumerate(zip(places, sc.profiles)):
-        norms = np.stack([np.tensordot(profile, norms.take(rows, axis=ax), axes=(0, ax))
-                          for rows, _ in per.values()], axis=ax)
+        weights = np.zeros((len(per), arr.shape[ax]))
+        for i, (rows, _) in enumerate(per.values()):
+            weights[i, rows] = profile
+        norms = np.moveaxis(np.tensordot(weights, norms, axes=(1, ax)), 0, ax)
     at = [{x: i for i, x in enumerate(per)} for per in places]
     return norms[tuple(np.array([at[ax][x] for x in coords])
                        for ax, coords in enumerate(zip(*centers)))]
+
+
+def _column_groups(places, shape: tuple[int, ...], centers: list[tuple[int, ...]],
+                   todo: np.ndarray) -> list:
+    """The probes ``todo`` grouped by their last coordinate, in ascending
+    order: per group, that coordinate, the group's probes, per other axis
+    the sorted union of their support rows, and per probe its rows'
+    positions in each union."""
+    groups = {}
+    for k in todo.tolist():
+        groups.setdefault(centers[k][-1], []).append(k)
+    out = []
+    for x in sorted(groups):
+        members = groups[x]
+        unions, at = [], []
+        for ax, per in enumerate(places[:-1]):
+            coords = {centers[k][ax] for k in members}
+            marked = np.zeros(shape[ax], dtype=bool)
+            for c in coords:
+                marked[per[c][0]] = True
+            position = np.cumsum(marked) - 1        # a marked row's place in the union
+            unions.append(np.flatnonzero(marked))
+            at.append({c: position[per[c][0]] for c in coords})
+        out.append((x, members, unions, at))
+    return out
+
+
+def _balanced_blocks(groups: list, workers: int) -> list[list]:
+    """At most ``workers`` contiguous runs of ``groups``, whole groups
+    each, cut where the running probe count crosses each equal share."""
+    ends = np.cumsum([len(members) for _, members, _, _ in groups])
+    cuts = np.searchsorted(ends, np.arange(1, workers) * ends[-1] / workers) + 1
+    bounds = sorted({0, len(groups), *cuts.tolist()})
+    return [groups[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]],
@@ -506,84 +566,129 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
     ``tables[k, i, j]`` is the max DFT modulus of ``arr`` windowed at
     ``centers[k]`` over direction cone ``i`` and shell ``j`` (0 for an empty
     bin); ``slopes[k, i]`` is the least-squares slope of its log over the
-    fit shells against log shell radius, all from one batched fit.
+    fit shells against log shell radius (``_fit_slopes``).
 
-    With a relative ``floor`` above 0, a probe whose row provably stays
-    below ``floor * tables.max()`` keeps a zero row and runs no transform:
-    the probe of largest window norm (``_window_norms``) is transformed
-    first, its table max ``a_lb`` bounds ``tables.max()`` from below, and
-    every probe with ``2 * norm < floor * a_lb`` is skipped.  Floor 0
-    skips nothing, so the tables are exact.
+    A probe whose support box holds no nonzero value of ``arr`` keeps its
+    zero row and is neither gathered nor transformed.  With a relative
+    ``floor`` above 0, a probe whose row provably stays below
+    ``floor * tables.max()`` is skipped too: the probe of largest window
+    norm (``_window_norms``) is transformed first, its table max ``a_lb``
+    bounds ``tables.max()`` from below, and every probe with
+    ``2 * norm < floor * a_lb`` is skipped.  Floor 0 skips no nonzero
+    window.
 
-    Per probe, the loop makes one ``take`` per axis for the support box,
-    and per axis one swap, the slice writes into the block's zero buffer,
-    one ``np.fft.fft`` along its last axis and one ``take`` of the kept
-    frequencies, the last axis's at the read points.  ``abs``, one
-    ``maximum.reduceat`` into classes and one over ``sc.bin_classes``
-    into bins then fill the probe's row.  The support rows and slices are
-    found once per distinct probe coordinate.  The probes left run on a
-    pool capped by ``GRPD_THREADS`` when ``sc.probe_points`` reaches
-    ``POOL_MIN_POINTS``, and on the calling thread below it; the cap is
-    checked on every call.
+    The probes left are grouped by their last coordinate
+    (``_column_groups``).  Per group, the first pass windows each row of
+    the union of the group's support rows by the last axis's profile,
+    places it on a full-length line of the worker's zero buffer, at most
+    as many lines at a time as the buffer holds, and keeps the read
+    frequencies of one ``np.fft.fft``.  Per probe, the kernel then gathers
+    its rows of that output, multiplies them by the outer product of the
+    other axes' profiles (``sc.cross``) and runs the remaining passes as
+    the first: per axis one swap, the slice writes, one ``np.fft.fft``
+    and one ``take`` of the kept frequencies, the last axis's at the read
+    points.  ``abs``, one ``maximum.reduceat`` into classes and one over
+    ``sc.bin_classes`` into bins then fill the probe's row.  The groups
+    run on a pool capped by ``GRPD_THREADS`` when ``sc.probe_points``
+    reaches ``POOL_MIN_POINTS``, in whole groups balanced by probe count,
+    and on the calling thread below it; the cap is checked on every call.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
     places = _places(sc, arr.shape, centers)
     out = np.zeros((len(centers), n_dir * n_shells))
+    dtype = np.result_type(arr, sc.cross, 1j)
+    n_last = arr.shape[-1]
+    lines = arr.reshape(-1, n_last)     # the rows the first pass transforms
+    rest = sc.swaps[1:]                 # the passes after the first
+    # the last axis's kept frequencies; in 1-d these are the read points,
+    # whose flat indices into one line are its column indices
+    keep = sc.keep[-1][0]
+    buffer = max(math.prod(shape) for _, _, shape in sc.swaps)
 
-    def probe_block(block):
-        # the block's zero buffer, which holds every axis's lines in turn
-        zeros = np.zeros(max(math.prod(lines) for _, _, lines in sc.swaps),
-                         dtype=np.result_type(arr, sc.window, 1j))
-        for k in block:
-            at = [places[ax][x] for ax, x in enumerate(centers[k])]
-            spec = arr
-            for ax, (rows, _) in enumerate(at):
-                spec = spec.take(rows, axis=ax)
-            spec = spec * sc.window
-            if not spec.any():
-                continue        # its transform is zero, as is its row
-            # fftn's axis order, last axis first; each 1-d transform sees
-            # fftn's own input, since the rows skipped are all zero
-            for ax, pos, lines in sc.swaps:
-                spec = spec.swapaxes(pos, -1)
-                full, pieces = zeros[:math.prod(lines)].reshape(lines), at[ax][1]
+    def run(groups):
+        # the worker's buffers, allocated once: the zero buffer, which
+        # holds every pass's full-length lines in turn, and the first
+        # pass's output over the largest union
+        zeros = np.zeros(buffer, dtype=dtype)
+        spans = [math.prod(map(len, unions)) for _, _, unions, _ in groups]
+        done = np.empty((max(spans), len(keep)), dtype=dtype)
+        step = buffer // n_last
+        for (x, members, unions, at), span in zip(groups, spans):
+            pieces = places[-1][x][1]
+            flat = np.zeros(1, dtype=np.intp)       # the union's rows of ``lines``
+            for union, s in zip(unions, arr.shape):
+                flat = (flat[:, None] * s + union).ravel()
+            for lo in range(0, span, step):
+                chunk = flat[lo:lo + step]
+                full = zeros[:len(chunk) * n_last].reshape(len(chunk), n_last)
+                # the support sits at its own positions of the line, so each
+                # piece is windowed straight into place
                 for dst, src in pieces:
-                    full[..., dst] = spec[..., src]
-                keep, along = sc.keep[ax]
-                spec = np.fft.fft(full).take(keep, axis=along)
+                    np.multiply(lines[chunk, dst], sc.profiles[-1][src], out=full[:, dst])
+                np.fft.fft(full).take(keep, axis=-1, out=done[lo:lo + len(chunk)], mode="clip")
                 for dst, _ in pieces:
-                    full[..., dst] = 0.0
-            # each read point's modulus once, then max into classes, then
-            # classes into bins
-            classes = np.maximum.reduceat(np.abs(spec), sc.read_starts)
-            out[k, sc.bin_filled] = np.maximum.reduceat(classes.take(sc.bin_classes),
-                                                        sc.bin_starts)
+                    full[:, dst] = 0.0
+            column = done[:span].reshape([len(u) for u in unions] + [len(keep)])
+            for k in members:
+                spec = column
+                for ax, c in enumerate(centers[k][:-1]):
+                    spec = spec.take(at[ax][c], axis=ax)
+                if rest:        # spec is then a fresh gather
+                    spec *= sc.cross
+                # the remaining axes in fftn's order; each 1-d transform sees
+                # fftn's input up to where the window's factors are applied,
+                # since the rows skipped are all zero
+                for ax, pos, shape in rest:
+                    spec = spec.swapaxes(pos, -1)
+                    full = zeros[:math.prod(shape)].reshape(shape)
+                    placed = places[ax][centers[k][ax]][1]
+                    for dst, src in placed:
+                        full[..., dst] = spec[..., src]
+                    idx, axis = sc.keep[ax]
+                    spec = np.fft.fft(full).take(idx, axis=axis)
+                    for dst, _ in placed:
+                        full[..., dst] = 0.0
+                # each read point's modulus once, then max into classes, then
+                # classes into bins
+                classes = np.maximum.reduceat(np.abs(spec), sc.read_starts)
+                out[k, sc.bin_filled] = np.maximum.reduceat(classes.take(sc.bin_classes),
+                                                            sc.bin_starts)
 
-    todo = np.arange(len(centers))
-    if floor > 0:
+    # a box with a positive norm holds a nonzero value; a zero norm may have
+    # underflowed, so then the nonzero marks decide: every window weight on
+    # the support is positive, so their box sum is 0 exactly when the box
+    # holds only zeros
+    norms = _window_norms(sc, arr, places, centers)
+    live = norms > 0
+    if not live.all():
+        live = _window_norms(sc, arr != 0, places, centers) > 0
+    todo = np.flatnonzero(live)
+    if floor > 0 and len(todo):
         # |X[k]| <= ||x||_1, and the factor 2 dwarfs the FFT's rounding
-        norms = _window_norms(sc, arr, places, centers)
-        top = int(np.argmax(norms))
-        probe_block([top])
-        todo = np.flatnonzero(2 * norms >= floor * out[top].max())
-        todo = todo[todo != top]
-    # one contiguous block of the remaining probes per worker, each
-    # writing its own rows
+        top = todo[np.argmax(norms[todo])]
+        run(_column_groups(places, arr.shape, centers, np.array([top])))
+        todo = todo[(2 * norms[todo] >= floor * out[top].max()) & (todo != top)]
     cap = _max_workers()        # read, and so checked, below the threshold too
-    workers = max(1, min(cap if sc.probe_points >= POOL_MIN_POINTS else 1, len(todo)))
-    size = max(1, -(-len(todo) // workers))
-    blocks = [todo[i:i + size] for i in range(0, len(todo), size)]
-    if len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(probe_block, blocks))
-    else:
-        probe_block(todo)
+    if len(todo):
+        groups = _column_groups(places, arr.shape, centers, todo)
+        workers = min(cap if sc.probe_points >= POOL_MIN_POINTS else 1, len(groups))
+        blocks = _balanced_blocks(groups, workers)
+        if len(blocks) > 1:
+            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+                list(pool.map(run, blocks))
+        else:
+            run(groups)
     tables = out.reshape(len(centers), n_dir, n_shells)
-    # the fit runs over every row, skipped ones included, so each kept
-    # row's slope sees the same batch shape
+    return tables, _fit_slopes(sc, tables)
+
+
+def _fit_slopes(sc: _Scaffold, tables: np.ndarray) -> np.ndarray:
+    """Per (probe, direction), the least-squares slope of the log fit-shell
+    maxima against log shell radius, in closed form: the logs dotted with
+    ``sc.fit_weights``, summed shell by shell with elementwise ops, so
+    each row's bits depend on that row alone."""
     logs = np.log(np.maximum(tables[:, :, sc.fit_slice], 1e-300))
-    coef = np.polyfit(np.log(sc.fit_radii), logs.reshape(-1, len(sc.fit_radii)).T, 1)
-    return tables, coef[0].reshape(len(centers), n_dir)
+    return reduce(np.add, (logs[:, :, j] * w for j, w in enumerate(sc.fit_weights)))
 
 
 def _fit_range(sc: _Scaffold, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,11 @@ checked by running this at two commits and diffing the output::
 in a temporary directory, prints the top-level keys whose values differ
 (or that only one side has), and exits 1 if there are any.
 
+``--verdicts`` keeps only what hashes an estimated or a predicted cone
+set or a verdict (``passed``, exit codes), with or without ``--against``.
+It is the check for a change that may move slopes and kernel tables by
+rounding but must keep every estimate, prediction and verdict.
+
 The script puts its own checkout's ``src`` first on ``sys.path``, so each
 copy fingerprints its own code.
 
@@ -49,6 +54,7 @@ every run.  pytest does not collect this file; it takes about 25 s on
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import enum
 import hashlib
@@ -398,15 +404,34 @@ def layers_and_cones() -> dict:
     return found
 
 
-def fingerprint() -> dict:
+# the names under which an entry hashes an estimated or predicted cone set
+# or a verdict: a verify report's ``passed`` and a CLI call's exit code
+VERDICTS = {"estimated", "estimated.json", "predicted", "predicted.json",
+            "counterexample_wf.json", "passed", "exit"}
+
+
+def only_verdicts(found: dict) -> dict:
+    """The entries of ``found`` named in ``VERDICTS``, at any depth, under
+    their keys; a key with none is dropped."""
+    def keep(value):
+        if not isinstance(value, dict):
+            return None
+        kept = {k: v if k in VERDICTS else keep(v) for k, v in value.items()}
+        return {k: v for k, v in kept.items() if v is not None} or None
+    return {k: v for k, v in ((k, keep(v)) for k, v in found.items()) if v}
+
+
+def fingerprint(verdicts: bool = False) -> dict:
     # the CLI prints progress with timings; keep it out of the JSON
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         tmp = Path(tmp)
-        return (artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases()
-                | floor_cases() | cone_sets() | structures() | layers_and_cones())
+        found = artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases() | floor_cases()
+        if verdicts:    # no estimate runs in the parts below
+            return only_verdicts(found)
+        return found | cone_sets() | structures() | layers_and_cones()
 
 
-def against(rev: str) -> int:
+def against(rev: str, verdicts: bool = False) -> int:
     """Fingerprint ``rev`` with this script, in a ``git archive`` of it, and
     this checkout; print the top-level keys that differ, and return 1 if
     any do."""
@@ -416,18 +441,25 @@ def against(rev: str) -> int:
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         script = Path(base) / "tests" / "fingerprint.py"
         script.write_bytes(Path(__file__).read_bytes())
-        old = json.loads(subprocess.run([sys.executable, str(script)], check=True,
-                                        capture_output=True, text=True).stdout)
-    new = fingerprint()
+        old = json.loads(subprocess.run(
+            [sys.executable, str(script)] + ["--verdicts"] * verdicts, check=True,
+            capture_output=True, text=True).stdout)
+    new = fingerprint(verdicts)
     differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     print("\n".join(differ) if differ else f"no key differs from {rev} ({len(new)} keys)")
     return 1 if differ else 0
 
 
 def main() -> None:
-    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
-        sys.exit(against(sys.argv[2]))
-    json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
+    parser = argparse.ArgumentParser(description="Hash grpd's deterministic outputs.")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="only the estimated and predicted cone sets and the verdicts")
+    parser.add_argument("--against", metavar="REV",
+                        help="print the keys that differ from REV's")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against, args.verdicts))
+    json.dump(fingerprint(args.verdicts), sys.stdout, indent=1, sort_keys=True)
     print()
 
 

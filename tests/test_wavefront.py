@@ -12,7 +12,7 @@ from grpd.catalog import (gaussian_bump, point_cone, rotation_cone,
                           rotation_layer, smooth_field)
 from grpd.cones import (TWO_PI, Arcs, Cap, Caps, CircInterval, ConeSet, Signs,
                         _circular_runs, a_star_units, cone_contains)
-from grpd.distributions import (counterexample_distribution, make_layer,
+from grpd.distributions import (Distribution, counterexample_distribution, make_layer,
                                 point_mass, rasterize, smooth_distribution,
                                 unit_delta)
 from grpd.errors import DomainError, ModelUnsupportedError
@@ -140,7 +140,7 @@ def reference_window(sc, center_idx):
 
 
 def reference_tables(sc, arr, centers, bins):
-    """Per-probe full-grid fftn, per-bin max over boolean masks, per-row np.polyfit."""
+    """Per-probe full-grid fftn, per-bin max over boolean masks."""
     tables = np.zeros((len(centers), len(sc.dirs), len(sc.shells)))
     for k, c in enumerate(centers):
         spec = np.abs(np.fft.fftn(arr * reference_window(sc, c)))
@@ -148,10 +148,29 @@ def reference_tables(sc, arr, centers, bins):
             for j, mask in enumerate(per_shell):
                 if mask.any():
                     tables[k, i, j] = spec[mask].max()
+    return tables
+
+
+def fit_logs(sc, tables):
+    return np.log(np.maximum(tables[:, :, sc.fit_slice], 1e-300))
+
+
+def closed_form_slopes(sc, tables):
+    """Row by row, in Python floats: the log fit-shell maxima dotted with
+    the centred log radii over their sum of squares, shell by shell."""
+    x = [math.log(r) for r in sc.fit_radii]
+    mean = sum(x) / len(x)
+    squares = sum((v - mean) ** 2 for v in x)
+    weights = [(v - mean) / squares for v in x]
+    return np.array([[sum(float(v) * w for v, w in zip(row, weights)) for row in logs]
+                     for logs in fit_logs(sc, tables)])
+
+
+def polyfit_slopes(sc, tables):
+    """Row by row, np.polyfit's least-squares slope."""
     x = np.log(sc.fit_radii)
-    slopes = np.array([[np.polyfit(x, np.log(np.maximum(row[sc.fit_slice], 1e-300)), 1)[0]
-                        for row in table] for table in tables])
-    return tables, slopes
+    return np.array([[np.polyfit(x, row, 1)[0] for row in logs]
+                     for logs in fit_logs(sc, tables)])
 
 
 def read_grid_points(sc):
@@ -375,9 +394,25 @@ def test_probe_kernel_matches_reference(case):
                for i in range(len(sc.dirs))]
     assert [True, True] in per_dir
     tables, slopes = _probe_tables(sc, arr, centers)
-    ref_tables, ref_slopes = reference_tables(sc, arr, centers, bins)
-    assert np.array_equal(tables, ref_tables)
-    assert np.array_equal(slopes, ref_slopes)
+    ref_tables = reference_tables(sc, arr, centers, bins)
+    eps = np.finfo(float).eps
+    # the kernel applies the other axes' profiles after the first pass, so
+    # it rounds differently from fftn of the windowed grid; each side errs
+    # by a small multiple of eps * log2(N) times the block's L1 norm, the
+    # bound of every modulus (seen: at most 0.15 of this bound).  In 1-d
+    # the window is applied as in fftn's input, and the bits are the same
+    norms = _window_norms(sc, arr, _places(sc, arr.shape, centers), centers)
+    bound = eps * math.log2(arr.size) * norms
+    assert (np.abs(tables - ref_tables) <= bound[:, None, None]).all()
+    if sc.dim == 1:
+        assert np.array_equal(tables, ref_tables)
+    # each row's slope is its own closed form, whatever the batch
+    assert np.array_equal(slopes, closed_form_slopes(sc, tables))
+    # and it is np.polyfit's least squares up to rounding: both err by a few
+    # ulps of the weighted logs they sum (seen: at most 5.6 of the 16 ulps)
+    weights = np.abs(sc.fit_weights)
+    scale = (np.abs(fit_logs(sc, tables)) * weights).sum(axis=2)
+    assert (np.abs(slopes - polyfit_slopes(sc, tables)) <= 16 * eps * scale).all()
     empty = ~sc.bin_filled.reshape(len(sc.dirs), len(sc.shells))
     if case in ("2d-low-shells", "3d-point"):
         assert empty.any()
@@ -438,8 +473,9 @@ def _count_pool_blocks(monkeypatch) -> list:
 
 
 def test_probe_blocks_join_in_order(monkeypatch):
-    # 16 probes: blocks of 16, 8 + 8 and 6 + 6 + 4; the grid is far below
-    # the pool's size rule, which is lowered so that the pool runs
+    # 16 probes, each its own column in 1-d: blocks of 16, 8 + 8 and
+    # 6 + 5 + 5; the grid is far below the pool's size rule, which is
+    # lowered so that the pool runs
     monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
     runs = _count_pool_blocks(monkeypatch)
     u = make_layer(circle_group(64), 0.25, 1.0, 0)
@@ -511,23 +547,105 @@ def test_probe_pool_runs_only_from_its_size(monkeypatch):
     assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
 
 
+def count_fft_lines(monkeypatch) -> list:
+    """Patch ``np.fft.fft`` to add up the 1-d lines it transforms."""
+    lines = [0]
+    real = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        lines[0] += a.size // a.shape[-1]
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return lines
+
+
+def schedule_lines(sc, centers, probes):
+    """The lines the kernel transforms for ``probes`` in one schedule: per
+    last coordinate, the union of the probes' support rows in the first
+    pass, then per probe the lines of every later pass."""
+    places = _places(sc, sc.model.grid_shape, centers)
+    columns = {}
+    for k in probes:
+        columns.setdefault(centers[k][-1], []).append(centers[k])
+    first = sum(math.prod(len(set().union(*(places[ax][c[ax]][0].tolist() for c in cs)))
+                          for ax in range(sc.dim - 1))
+                for cs in columns.values())
+    later = sum(math.prod(lines[:-1]) for _, _, lines in sc.swaps[1:])
+    return first + len(probes) * later
+
+
 def test_zero_windows_skip_transforms(monkeypatch):
     monkeypatch.setenv("GRPD_THREADS", "1")
     u, params = KERNEL_CASES["2d-quarter-support"]()
     sc = _Scaffold(u.model, params.resolve(u.model))
     arr = rasterize(u, mollified=True)
-    calls = []
-    real = np.fft.fft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(np.fft, "fft", counted)
-    tables, _ = _probe_tables(sc, arr, sc.probe_centers())
+    centers = sc.probe_centers()
+    lines = count_fft_lines(monkeypatch)
+    tables, _ = _probe_tables(sc, arr, centers)
     zero = ~tables.reshape(len(tables), -1).any(axis=1)
     assert zero.sum() == 15
-    # one transform per axis, for the 49 probes that see nonzero data
-    assert len(calls) == 2 * 49
+    # the lines of the 49 probes that see nonzero data, and no more
+    live = [k for k, c in enumerate(centers) if (arr * reference_window(sc, c)).any()]
+    assert len(live) == 49 and not zero[live].any()
+    assert lines[0] == schedule_lines(sc, centers, live)
+    assert lines[0] < schedule_lines(sc, centers, range(len(centers)))
+
+
+class _CountedTakes(np.ndarray):
+    """A raster that counts the ``take`` calls on its own memory."""
+
+    takes = 0
+
+    def take(self, *args, **kwargs):
+        _CountedTakes.takes += np.shares_memory(self, _CountedTakes.raster)
+        return super().take(*args, **kwargs)
+
+
+@pytest.mark.parametrize("model", [circle_group(64), pair_circle(128), pair_times_z(32, 8)],
+                         ids=["1d", "2d", "3d"])
+def test_zero_raster_gathers_no_windows(model, monkeypatch):
+    # a zero product (verify-pair's disjoint points) has no nonzero window:
+    # at the estimator's floor the largest norm's table max is 0, and
+    # 2 * norm >= floor * 0 once admitted every probe to a gather
+    monkeypatch.setenv("GRPD_THREADS", "1")
+    p = WfParams().resolve(model)
+    sc = grpd.wavefront._plan(model, p)       # the estimate below reuses it
+    centers = sc.probe_centers()
+    raster = np.zeros(model.grid_shape, dtype=complex).view(_CountedTakes)
+    _CountedTakes.raster = raster
+    lines = count_fft_lines(monkeypatch)
+    for floor in (0.0, min(p.min_level, p.anchor_level)):
+        _CountedTakes.takes = 0
+        tables, slopes = _probe_tables(sc, raster, centers, floor)
+        assert (_CountedTakes.takes, lines[0]) == (0, 0)
+        assert not tables.any() and slopes.shape == (len(centers), len(sc.dirs))
+    rep = estimate_wavefront(Distribution(model, np.zeros(model.grid_shape)))
+    assert not rep.estimated.cells and len(rep.slopes) == 0 and lines[0] == 0
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_bits_hold_across_threads_and_floor(case, monkeypatch):
+    # the pool's size rule is lowered so that every case runs on it; a
+    # probe's rows and slopes are the same bits whatever the other probes
+    # of its column, the worker or the floor
+    monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
+    u, params = KERNEL_CASES[case]()
+    p = params.resolve(u.model)
+    sc = _Scaffold(u.model, p)
+    arr = rasterize(u, mollified=True)
+    centers = sc.probe_centers()
+    floor = min(p.min_level, p.anchor_level)
+    got = {}
+    for threads in ("1", "8"):
+        monkeypatch.setenv("GRPD_THREADS", threads)
+        got[threads] = [_probe_tables(sc, arr, centers, f) for f in (0.0, floor)]
+    for (tables, slopes), (pooled, pooled_slopes) in zip(got["1"], got["8"]):
+        assert np.array_equal(tables, pooled) and np.array_equal(slopes, pooled_slopes)
+    (exact, exact_slopes), (tables, slopes) = got["1"]
+    done = tables.any(axis=(1, 2))
+    assert np.array_equal(tables[done], exact[done])
+    assert np.array_equal(slopes[done], exact_slopes[done])
+    assert not tables[~done].any()
 
 
 def _layer_case(n, order):
@@ -571,35 +689,31 @@ def test_probe_tables_floor_skips_transforms(monkeypatch):
     p = WfParams().resolve(m)
     sc = _Scaffold(m, p)
     centers = sc.probe_centers()
+    everything = range(len(centers))
     floor = min(p.min_level, p.anchor_level)
-    calls = []
-    real = np.fft.fft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(np.fft, "fft", counted)
-    transforms = {}
+    lines = count_fft_lines(monkeypatch)
+    skips = {}
     for name, u in (("layer", rotation_layer(m, 0.3125)), ("smooth", smooth_field(m, 3, 0))):
         arr = rasterize(u, mollified=True)
-        calls.clear()
+        lines[0] = 0
         exact, exact_slopes = _probe_tables(sc, arr, centers)
-        n_exact = len(calls)
-        calls.clear()
+        assert lines[0] == schedule_lines(sc, centers, everything)
+        lines[0] = 0
         tables, slopes = _probe_tables(sc, arr, centers, floor)
-        n_floor = len(calls)
-        calls.clear()
-        transforms[name] = n_exact, n_floor
-        assert n_exact == 2 * len(centers) == 2 * 256
         skipped = ~tables.any(axis=(1, 2))
+        skips[name] = skipped.sum()
         assert np.array_equal(tables[~skipped], exact[~skipped])
         assert np.array_equal(slopes[~skipped], exact_slopes[~skipped])
         # a skipped row could never reach the floor
         assert (exact[skipped].max(initial=0.0) < floor * exact.max())
-        # one transform per axis for each probe the floor keeps
-        assert n_floor == 2 * (~skipped).sum()
-    assert transforms["layer"][1] < 2 * 256
-    assert transforms["smooth"][1] == transforms["smooth"][0]
+        # the probe of largest norm alone, then the lines of the probes the
+        # floor keeps, and none of a skipped probe's
+        norms = _window_norms(sc, arr, _places(sc, m.grid_shape, centers), centers)
+        top = int(np.argmax(norms))
+        rest = [k for k in np.flatnonzero(~skipped) if k != top]
+        assert lines[0] == (schedule_lines(sc, centers, [top])
+                            + schedule_lines(sc, centers, rest))
+    assert skips["layer"] > 0 and skips["smooth"] == 0
 
 
 @pytest.mark.parametrize("model", [circle_group(64), pair_circle(64), pair_times_z(32, 8)],
