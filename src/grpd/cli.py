@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -265,7 +266,10 @@ class _Parser(argparse.ArgumentParser):
         raise GrpdError(f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared by
+    every ``main`` call; parsing does not change it."""
     ap = _Parser(prog="grpd", description="groupoid distribution calculus")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -373,6 +373,10 @@ def rasterize(u: Distribution, mollified: bool = False) -> np.ndarray:
             taper = _nyquist_taper(m.n).reshape([-1 if a == axis else 1
                                                  for a in range(comb_arr.ndim)])
             comb_arr = np.fft.ifft(np.fft.fft(comb_arr, axis=axis) * taper, axis=axis)
+        if not l.coeffs.imag.any():
+            # real coefficients, a Hermitian derivative symbol and taper: the
+            # comb is real, and its imaginary part only rounding residue
+            comb_arr = comb_arr.real
         out += comb_arr
     return out
 
@@ -409,7 +413,8 @@ def counterexample_distribution(n: int) -> Distribution:
     spec = ramp_chi(eta) * gauss
     spec = np.broadcast_to(spec, (n, n)).copy()
     spec[:, 0] = 0.0
-    values = np.fft.ifft2(spec) * n * n
+    # the spectrum is real and even, so the values are real
+    values = np.fft.ifft2(spec).real * n * n
     return Distribution(model, values)
 
 

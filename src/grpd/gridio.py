@@ -126,14 +126,14 @@ def load_cone_set(path) -> ConeSet:
 def save_slope_csv(path, table) -> None:
     """Slope table sidecar: one row per kept (center, direction) fit of a
     ``SlopeTable``, written from its columns, so each center and direction
-    is formatted once."""
+    is formatted once, and every row by one ``%`` format call."""
     centers, dirs, probe, direction, slopes, peaks = table.columns()
     centers, dirs = ([",".join(format(v, ".17g") for v in x) for x in xs]
                      for xs in (centers, dirs))
-    lines = ["center;direction;slope;peak"]
-    lines += [f"{centers[k]};{dirs[i]};{format(s, '.17g')};{format(p, '.17g')}"
-              for k, i, s, p in zip(probe, direction, slopes, peaks)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    fields = [v for k, i, s, p in zip(probe, direction, slopes, peaks)
+              for v in (centers[k], dirs[i], s, p)]
+    rows = "%s;%s;%.17g;%.17g\n" * len(probe) % tuple(fields)
+    Path(path).write_text("center;direction;slope;peak\n" + rows)
 
 
 def load_slope_csv(path) -> list[dict]:

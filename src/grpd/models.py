@@ -363,9 +363,17 @@ class Structure:
 
 def _pair_streamed_sum(m, a, b) -> np.ndarray:
     """(1/n) sum_y a(x, y) b(y, z), adding the terms in y order into one
-    (n, n) accumulator: the summed tensor product, never built."""
-    acc = a[:, 0, None] * b[None, 0, :]
-    for y in range(1, m.n):
+    (n, n) accumulator: the summed tensor product, never built.
+
+    Only the y where column ``a[:, y]`` and row ``b[y, :]`` both hold a
+    nonzero are added, and zeros are returned when there is none.  A
+    skipped term is all signed zeros, so the result equals the full loop's
+    except possibly for the sign of an exact zero."""
+    shared = np.flatnonzero(a.any(axis=0) & b.any(axis=1))
+    if not len(shared):
+        return np.zeros((m.n, m.n), dtype=np.result_type(a, b))
+    acc = a[:, shared[0], None] * b[None, shared[0], :]
+    for y in shared[1:]:
         acc += a[:, y, None] * b[None, y, :]
     acc /= m.n
     return acc

@@ -11,7 +11,9 @@ checked by running this at two commits and diffing the output::
 
 ``python tests/fingerprint.py --against <rev>`` runs that recipe itself,
 in a temporary directory, prints the top-level keys whose values differ
-(or that only one side has), and exits 1 if there are any.
+(or that only one side has), and exits 1 if there are any.  It copies
+this checkout's ``tests/test_wavefront.py`` too, so both sides run the
+same ``KERNEL_CASES``.
 
 ``--verdicts`` keeps only what hashes an estimated or a predicted cone
 set or a verdict (``passed``, exit codes), with or without ``--against``.
@@ -432,15 +434,16 @@ def fingerprint(verdicts: bool = False) -> dict:
 
 
 def against(rev: str, verdicts: bool = False) -> int:
-    """Fingerprint ``rev`` with this script, in a ``git archive`` of it, and
-    this checkout; print the top-level keys that differ, and return 1 if
-    any do."""
+    """Fingerprint ``rev`` with this script and kernel cases, in a ``git
+    archive`` of it, and this checkout; print the top-level keys that
+    differ, and return 1 if any do."""
     with tempfile.TemporaryDirectory() as base:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         script = Path(base) / "tests" / "fingerprint.py"
-        script.write_bytes(Path(__file__).read_bytes())
+        for name in ("fingerprint.py", "test_wavefront.py"):
+            (script.parent / name).write_bytes((Path(__file__).parent / name).read_bytes())
         old = json.loads(subprocess.run(
             [sys.executable, str(script)] + ["--verdicts"] * verdicts, check=True,
             capture_output=True, text=True).stdout)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grpd.cli import DEMOS, main, run_scenario, validate_scenario
+from grpd.cli import DEMOS, build_parser, main, run_scenario, validate_scenario
 from grpd.errors import DomainError, SerializationError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -55,6 +55,23 @@ def test_help_exits_0(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 0
+
+
+def test_consecutive_calls_keep_their_exit_codes(tmp_path, capsys):
+    # one parser serves every call; no call's flags or error leak into the next
+    assert build_parser() is build_parser()
+    calls = [(["list-demos"], 0),
+             (["convolve", "--n", "32", "--out", str(tmp_path / "a")], 0),
+             (["verify", "--bogus", "1"], 1),
+             (["demo", "no-such-demo", "--out", str(tmp_path / "b")], 1),
+             (["cone-product", "--n", "64", "--out", str(tmp_path / "c")], 0),
+             ([], 1),
+             (["convolve", "--n", "16", "--out", str(tmp_path / "d")], 0),
+             (["demo", "roundtrip", "--n", "64", "--out", str(tmp_path / "e")], 0)]
+    assert [run_cli(*argv) for argv, _ in calls] == [code for _, code in calls]
+    ns = [json.loads((tmp_path / d / "report.json").read_text())["model"]["n"]
+          for d in "acd"]
+    assert ns == [32, 64, 16]
 
 
 def test_scenario_schema_validation():

@@ -15,7 +15,7 @@ from grpd.distributions import (TestFunction, make_layer, point_mass,
                                 tensor_restrict, unit_delta)
 from grpd.convolution import apply_operator
 from grpd.errors import ConeConditionError, ModelMismatchError
-from grpd.models import Element, circle_group, pair_circle, pair_times_z
+from grpd.models import Element, _pair_streamed_sum, circle_group, pair_circle, pair_times_z
 from grpd.spectral import band_limited_field
 
 N = 64
@@ -180,6 +180,40 @@ def test_pair_fiber_sum_is_bitwise_the_summed_tensor_product(n):
     # compare bit patterns, so that -0.0 and 0.0 differ
     assert np.array_equal(pushed.smooth.view(np.uint64),
                           _reference_push_ss(a, b).view(np.uint64))
+
+
+def _loop_push_ss(m, a, b):
+    """The fiber sum as a loop over every y, in y order."""
+    acc = a[:, 0, None] * b[None, 0, :]
+    for y in range(1, m.n):
+        acc += a[:, y, None] * b[None, y, :]
+    acc /= m.n
+    return acc
+
+
+def test_pair_fiber_sum_adds_only_the_shared_fiber_support():
+    m = pair_circle(32)
+    rng = np.random.default_rng(11)
+    a, b = (rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+            for _ in range(2))
+    # dense: every y is shared, so the bits are the loop's
+    got = _pair_streamed_sum(m, a, b)
+    assert np.array_equal(got.view(np.uint64), _loop_push_ss(m, a, b).view(np.uint64))
+    # zero columns of a and zero rows of b, among negative values: the
+    # restricted sum may differ from the loop only in the sign of a zero
+    a, b = -np.abs(a), -np.abs(b)
+    a[:, ::3] = 0.0
+    b[1::4] = -0.0
+    assert np.array_equal(_pair_streamed_sum(m, a, b), _loop_push_ss(m, a, b))
+    # point masses: one shared y, then none, which returns zeros
+    a, b = np.zeros((32, 32), dtype=complex), np.zeros((32, 32), dtype=complex)
+    a[3, 5], b[5, 7] = -2.0, -1.5 + 0.5j
+    got = _pair_streamed_sum(m, a, b)
+    assert np.array_equal(got, _loop_push_ss(m, a, b)) and got[3, 7] == (3.0 - 1.0j) / 32
+    b = np.roll(b, 1, axis=0)
+    got = _pair_streamed_sum(m, a, b)
+    assert got.dtype == complex and got.shape == (32, 32) and not got.any()
+    assert np.array_equal(got, _loop_push_ss(m, a, b))
 
 
 def test_pair_fiber_sum_working_set_is_quadratic():

@@ -323,3 +323,20 @@ def test_smooth_field_default_band_fits_the_grid(model, band):
 
 def test_dft_tail_beyond_nyquist_is_empty():
     assert dft_tail_max(np.ones(8), 4) == 0.0
+
+
+@pytest.mark.parametrize("mollified", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_real_coefficient_rasters_are_real(order, mollified):
+    # the derivative symbol and the taper are Hermitian, so a layer with real
+    # coefficients rasterizes to a real comb: no imaginary rounding residue
+    # is kept, and the real parts are those of the complex computation,
+    # which the layer with coefficients i c carries as its imaginary parts
+    for model, coeffs in ((M, np.cos(np.arange(N) / 5.0)), (G, -0.75)):
+        arr = rasterize(make_layer(model, 0.25, coeffs, order), mollified=mollified)
+        assert arr.dtype == complex and not arr.imag.any() and arr.real.any()
+        turned = rasterize(make_layer(model, 0.25, 1j * coeffs, order), mollified=mollified)
+        assert np.array_equal(turned.imag, arr.real)
+    # and the counterexample's spectrum is real and even
+    for mollified in (False, True):
+        assert not rasterize(counterexample_distribution(64), mollified=mollified).imag.any()

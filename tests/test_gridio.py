@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -114,6 +115,33 @@ def test_slope_csv_roundtrip(tmp_path):
     assert back[1]["peak"] == 17.0
     gridio.save_slope_csv(tmp_path / "again.csv", table)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_slope_csv_bytes_match_per_value_format(tmp_path):
+    # slopes and peaks at the edges of the float format: the rows are the
+    # bytes of formatting each value by itself with format(v, '.17g')
+    edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -2.25, 0.1]
+    slopes = np.array([edge, edge[::-1]])
+    peaks = np.array([edge[3:] + edge[:3], edge[::2] + edge[1::2]])
+    dirs = [(math.cos(a), math.sin(a)) for a in np.linspace(0.0, 6.0, len(edge))]
+    kept = np.ones(slopes.shape, dtype=bool)
+    kept[1, 2] = False
+    table = SlopeTable(np.array([[0, 3], [5, 7]]), (8, 8), dirs, kept, slopes, peaks)
+    path = tmp_path / "slopes.csv"
+    gridio.save_slope_csv(path, table)
+    centers, dirs, probe, direction, s, p = table.columns()
+    text = "".join(";".join([",".join(format(v, ".17g") for v in centers[k]),
+                             ",".join(format(v, ".17g") for v in dirs[i]),
+                             format(a, ".17g"), format(b, ".17g")]) + "\n"
+                   for k, i, a, b in zip(probe, direction, s, p))
+    assert path.read_bytes() == ("center;direction;slope;peak\n" + text).encode()
+    fields = set(text.replace("\n", ";").split(";"))
+    assert len(text.splitlines()) == 15 and {
+        "nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1.0000000000000001e+300"} <= fields
+    gridio.save_slope_csv(path, SlopeTable(np.zeros((1, 2), dtype=int), (8, 8), dirs,
+                                           np.zeros((1, len(edge)), dtype=bool),
+                                           slopes[:1], peaks[:1]))
+    assert path.read_bytes() == b"center;direction;slope;peak\n"
 
 
 def test_write_artifacts(tmp_path):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -173,15 +174,22 @@ def polyfit_slopes(sc, tables):
                      for logs in fit_logs(sc, tables)])
 
 
-def read_grid_points(sc):
-    """The kernel's read points, decoded from flat indices into the last
-    transform's output to flat grid indices, in plan (class) order."""
-    last, _, lines = sc.swaps[-1]
-    box = np.unravel_index(sc.keep[last][0], lines)
+def read_grid_points(sc, layout=None):
+    """The points a layout (the full one by default) reads, decoded from
+    flat indices into the last transform's output to flat grid indices,
+    in plan (class) order."""
+    layout = layout or sc.full
+    last, _, lines = layout.swaps[-1]
+    box = np.unravel_index(layout.keep[last][0], lines)
     coords = [None] * sc.dim
-    for q, a in enumerate(sc.layout):
-        coords[a] = box[q] if a == last else sc.keep[a][0][box[q]]
+    for q, a in enumerate(layout.order):
+        coords[a] = box[q] if a == last else layout.keep[a][0][box[q]]
     return np.ravel_multi_index(coords, sc.model.grid_shape)
+
+
+def in_force(sc, arr):
+    """The layout the kernel reads ``arr`` with: the half one when it is real."""
+    return sc.layout(half=not arr.imag.any())
 
 
 def kernel_bin_sets(sc):
@@ -361,6 +369,11 @@ def _quarter_support():
 
 KERNEL_CASES = {
     "1d-layer": lambda: (make_layer(circle_group(64), 0.25, 1.0, 0), WfParams()),
+    # complex coefficients, whose rasters the kernel reads with the full layout
+    "1d-complex-layer": lambda: (make_layer(circle_group(64), 0.25, 1.0 - 0.5j, 0), WfParams()),
+    "2d-complex-rotation": lambda: (rotation_layer(pair_circle(64), 0.25,
+                                                   np.exp(2j * np.pi * np.arange(64) / 16)),
+                                    WfParams()),
     "2d-rotation": lambda: (rotation_layer(pair_circle(64), 0.25), WfParams()),
     "2d-point": lambda: (point_mass(pair_circle(64), 0.0, 0.0), WfParams()),
     "2d-counterexample": lambda: (counterexample_distribution(64), WfParams()),
@@ -393,18 +406,25 @@ def test_probe_kernel_matches_reference(case):
     per_dir = [[edge in flat_masks[i * len(sc.shells) + j] for j in (0, 1)]
                for i in range(len(sc.dirs))]
     assert [True, True] in per_dir
+    # a real raster is read with the half layout, which the plan derives
+    # only then, any other with the full one
+    real = not arr.imag.any()
+    assert real == ("complex" not in case)
     tables, slopes = _probe_tables(sc, arr, centers)
+    assert (sc._half is not None) == real
     ref_tables = reference_tables(sc, arr, centers, bins)
     eps = np.finfo(float).eps
-    # the kernel applies the other axes' profiles after the first pass, so
-    # it rounds differently from fftn of the windowed grid; each side errs
-    # by a small multiple of eps * log2(N) times the block's L1 norm, the
-    # bound of every modulus (seen: at most 0.15 of this bound).  In 1-d
-    # the window is applied as in fftn's input, and the bits are the same
+    # the kernel applies the other axes' profiles after the first pass and
+    # reads a real raster's negative last-axis frequencies at their
+    # mirrors, so it rounds differently from fftn of the windowed grid;
+    # each side errs by a small multiple of eps * log2(N) times the block's
+    # L1 norm, the bound of every modulus (seen: at most 0.15 of this
+    # bound).  In 1-d the full layout applies the window as in fftn's
+    # input, and the bits are the same
     norms = _window_norms(sc, arr, _places(sc, arr.shape, centers), centers)
     bound = eps * math.log2(arr.size) * norms
     assert (np.abs(tables - ref_tables) <= bound[:, None, None]).all()
-    if sc.dim == 1:
+    if sc.dim == 1 and not real:
         assert np.array_equal(tables, ref_tables)
     # each row's slope is its own closed form, whatever the batch
     assert np.array_equal(slopes, closed_form_slopes(sc, tables))
@@ -425,7 +445,7 @@ def test_bin_reduction_reads_each_frequency_once(case):
     sc = _Scaffold(u.model, params.resolve(u.model))
     read = read_grid_points(sc)
     # each read frequency is gathered once
-    assert len(np.unique(read)) == len(read) == len(sc.keep[sc.swaps[-1][0]][0])
+    assert len(np.unique(read)) == len(read) == len(sc.full.keep[sc.full.swaps[-1][0]][0])
     # the classes are non-empty runs that partition the read points
     starts = sc.read_starts
     assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < len(read)
@@ -441,6 +461,13 @@ def test_bin_reduction_reads_each_frequency_once(case):
     ref = [set(np.flatnonzero(m)) for per_shell in reference_bins(sc) for m in per_shell]
     assert kernel_bin_sets(sc) == ref
     assert set(read.tolist()) == set().union(*ref)
+    # the half layout reads each point in class order, at itself or, where
+    # its last-axis index lies past the rfft's last bin n//2, at its mirror
+    shape = sc.model.grid_shape
+    idx = np.unravel_index(read, shape)
+    mirror = idx[-1] > shape[-1] // 2
+    want = np.ravel_multi_index([np.where(mirror, -i % s, i) for i, s in zip(idx, shape)], shape)
+    assert np.array_equal(read_grid_points(sc, sc.layout(half=True)), want)
 
 
 def test_fit_range_matches_min_max():
@@ -547,22 +574,28 @@ def test_probe_pool_runs_only_from_its_size(monkeypatch):
     assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
 
 
-def count_fft_lines(monkeypatch) -> list:
-    """Patch ``np.fft.fft`` to add up the 1-d lines it transforms."""
-    lines = [0]
-    real = np.fft.fft
+def count_fft_lines(monkeypatch) -> Counter:
+    """Patch ``np.fft.fft`` and ``np.fft.rfft`` to add up the 1-d lines
+    each transforms, by name."""
+    lines = Counter()
 
-    def counted(a, *args, **kwargs):
-        lines[0] += a.size // a.shape[-1]
-        return real(a, *args, **kwargs)
-    monkeypatch.setattr(np.fft, "fft", counted)
+    def counter(name):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, **kwargs):
+            lines[name] += a.size // a.shape[-1]
+            return real(a, *args, **kwargs)
+        return counted
+    for name in ("fft", "rfft"):
+        monkeypatch.setattr(np.fft, name, counter(name))
     return lines
 
 
-def schedule_lines(sc, centers, probes):
-    """The lines the kernel transforms for ``probes`` in one schedule: per
-    last coordinate, the union of the probes' support rows in the first
-    pass, then per probe the lines of every later pass."""
+def schedule_lines(sc, layout, centers, probes):
+    """The lines ``layout`` transforms for ``probes`` in one schedule, by
+    transform: per last coordinate, the union of the probes' support rows
+    in the first pass (``rfft`` lines in the half layout), then per probe
+    the ``fft`` lines of every later pass."""
     places = _places(sc, sc.model.grid_shape, centers)
     columns = {}
     for k in probes:
@@ -570,8 +603,8 @@ def schedule_lines(sc, centers, probes):
     first = sum(math.prod(len(set().union(*(places[ax][c[ax]][0].tolist() for c in cs)))
                           for ax in range(sc.dim - 1))
                 for cs in columns.values())
-    later = sum(math.prod(lines[:-1]) for _, _, lines in sc.swaps[1:])
-    return first + len(probes) * later
+    later = sum(math.prod(lines[:-1]) for _, _, lines in layout.swaps[1:])
+    return Counter({"rfft" if layout.half else "fft": first}) + Counter(fft=len(probes) * later)
 
 
 def test_zero_windows_skip_transforms(monkeypatch):
@@ -587,8 +620,9 @@ def test_zero_windows_skip_transforms(monkeypatch):
     # the lines of the 49 probes that see nonzero data, and no more
     live = [k for k, c in enumerate(centers) if (arr * reference_window(sc, c)).any()]
     assert len(live) == 49 and not zero[live].any()
-    assert lines[0] == schedule_lines(sc, centers, live)
-    assert lines[0] < schedule_lines(sc, centers, range(len(centers)))
+    layout = in_force(sc, arr)
+    assert lines == schedule_lines(sc, layout, centers, live)
+    assert lines < schedule_lines(sc, layout, centers, range(len(centers)))
 
 
 class _CountedTakes(np.ndarray):
@@ -617,10 +651,10 @@ def test_zero_raster_gathers_no_windows(model, monkeypatch):
     for floor in (0.0, min(p.min_level, p.anchor_level)):
         _CountedTakes.takes = 0
         tables, slopes = _probe_tables(sc, raster, centers, floor)
-        assert (_CountedTakes.takes, lines[0]) == (0, 0)
+        assert (_CountedTakes.takes, lines.total()) == (0, 0)
         assert not tables.any() and slopes.shape == (len(centers), len(sc.dirs))
     rep = estimate_wavefront(Distribution(model, np.zeros(model.grid_shape)))
-    assert not rep.estimated.cells and len(rep.slopes) == 0 and lines[0] == 0
+    assert not rep.estimated.cells and len(rep.slopes) == 0 and lines.total() == 0
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -695,10 +729,11 @@ def test_probe_tables_floor_skips_transforms(monkeypatch):
     skips = {}
     for name, u in (("layer", rotation_layer(m, 0.3125)), ("smooth", smooth_field(m, 3, 0))):
         arr = rasterize(u, mollified=True)
-        lines[0] = 0
+        layout = in_force(sc, arr)
+        lines.clear()
         exact, exact_slopes = _probe_tables(sc, arr, centers)
-        assert lines[0] == schedule_lines(sc, centers, everything)
-        lines[0] = 0
+        assert lines == schedule_lines(sc, layout, centers, everything)
+        lines.clear()
         tables, slopes = _probe_tables(sc, arr, centers, floor)
         skipped = ~tables.any(axis=(1, 2))
         skips[name] = skipped.sum()
@@ -711,8 +746,8 @@ def test_probe_tables_floor_skips_transforms(monkeypatch):
         norms = _window_norms(sc, arr, _places(sc, m.grid_shape, centers), centers)
         top = int(np.argmax(norms))
         rest = [k for k in np.flatnonzero(~skipped) if k != top]
-        assert lines[0] == (schedule_lines(sc, centers, [top])
-                            + schedule_lines(sc, centers, rest))
+        assert lines == (schedule_lines(sc, layout, centers, [top])
+                         + schedule_lines(sc, layout, centers, rest))
     assert skips["layer"] > 0 and skips["smooth"] == 0
 
 
