@@ -375,7 +375,8 @@ def rasterize(u: Distribution, mollified: bool = False) -> np.ndarray:
             comb_arr = np.fft.ifft(np.fft.fft(comb_arr, axis=axis) * taper, axis=axis)
         if not l.coeffs.imag.any():
             # real coefficients, a Hermitian derivative symbol and taper: the
-            # comb is real, and its imaginary part only rounding residue
+            # comb is real, and its imaginary part only rounding residue,
+            # dropped so that the estimator transforms one plane, not two
             comb_arr = comb_arr.real
         out += comb_arr
     return out

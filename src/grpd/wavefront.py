@@ -24,24 +24,25 @@ position and written, by at most two slices, into full-length lines of
 one zero buffer that the worker reuses for every pass and zeroes again
 after each transform, so the 1-d transforms run along contiguous lines;
 the first pass takes at most as many lines at a time as that buffer
-holds.  The kernel reads a raster by one of two layouts
-(``_Layout``), chosen by the exact test ``arr.imag.any()``: a complex
-raster by the full layout, a real one by the half layout.  A real
-raster's DFT is Hermitian, X(-k) = conj X(k), so the half layout's first
-pass is one ``np.fft.rfft``, which keeps the last axis's frequencies
-k >= 0 only; the later passes run on those half lines, and a read point
-whose last-axis frequency is negative is read at its mirror -k, of equal
-modulus.  One loop runs either layout; only its plan data differ.  Every
-transform sees the input it has inside ``fftn`` up to where the window's
-factors are applied, so the tables match the full-grid DFT's up to
-rounding of order eps * log2(N) times the block's L1 norm (the full
-layout's 1-d tables, where there is no other factor, bit for bit).  The
+holds.  The kernel reads a raster as real planes, which share every
+pass: a real raster (by the exact test ``arr.imag.any()``) as one, the
+view ``arr.real``, and any other z = a + ib as two, a and b.  A real
+plane's DFT is Hermitian, A(-k) = conj A(k), so each plane's first pass
+is one ``np.fft.rfft``, which keeps the last axis's frequencies k >= 0
+only; the later passes run on those half lines, and a read point whose
+last-axis frequency is negative is read at its mirror -k.  The raster's
+DFT is Z = A + iB, so before the modulus two planes combine as
+s0 + i*s1 at a point read at itself and as s0 - i*s1 at a mirror, since
+|conj A + i conj B| = |A - iB|.  Every transform sees the input it has
+inside ``fftn`` up to where the window's factors are applied and the
+raster is split into planes, so the tables match the full-grid DFT's up
+to rounding of order eps * log2(N) times the block's L1 norm.  The
 last transform's output is read once at each distinct point some bin
 reads; cones overlap and shells are closed, so a point sits in several
 bins, and the plan groups the points into membership classes (the points
 read by exactly the same bins).  Per probe the kernel takes each point's
 modulus once, the max over each class, then the max of each bin over its
-classes; ``max`` is exact in any order.  Where one probe's full-layout
+classes; ``max`` is exact in any order.  Where one plane's probe
 transform covers at least ``POOL_MIN_POINTS`` points, a pool of at most
 ``GRPD_THREADS`` workers takes one contiguous run of whole columns per
 worker, balanced by probe count, and each worker writes its own rows of
@@ -293,12 +294,13 @@ class _Scaffold:
     Besides the shells, direction bins and window support, it holds the
     kernel's reads and reductions.  ``reads`` holds the grid indices of
     the distinct read points, class by class (``read_starts`` starts each
-    membership class), and ``layout`` lays out the pruned transform that
-    reads them: ``full`` for any raster, the half layout for a real one.
-    ``bin_classes`` lists the classes of each ``bin_filled`` bin, one run
-    per bin from ``bin_starts``; class c is in exactly the bins whose
-    runs list it.  The class table is built by sorting the membership
-    rows, with no loop per point.
+    membership class); ``swaps``, ``order`` and ``keep`` lay out the
+    pruned transform of one real plane that reads them, each at itself or
+    at its mirror, and ``imag_unit`` is the factor of the second plane at
+    each (i, or -i at a mirror).  ``bin_classes`` lists the classes of
+    each ``bin_filled`` bin, one run per bin from ``bin_starts``; class c
+    is in exactly the bins whose runs list it.  The class table is built
+    by sorting the membership rows, with no loop per point.
     """
 
     def __init__(self, model: GroupoidModel, p: WfParams):
@@ -380,12 +382,42 @@ class _Scaffold:
         self.cross = reduce(np.multiply.outer, self.profiles[:-1], np.float64(1.0))[..., None]
         # the read points' grid indices per axis, in class order
         self.reads = np.unravel_index(pts[read[by_row]], shape)
-        self.full = _Layout(shape, self.span, self.reads, half=False)
-        self._half = None
-        # the points one full-layout probe transform covers, which
-        # ``_probe_tables`` weighs against ``POOL_MIN_POINTS`` whichever
-        # layout runs
-        self.probe_points = sum(math.prod(lines) for _, _, lines in self.full.swaps)
+        # every plane the kernel transforms is real, so its first pass is
+        # an rfft, which keeps the last axis's frequencies k >= 0 only: a
+        # read point past the rfft's last bin n//2 is read at its mirror
+        # -k, where a second plane enters with the factor -i, not i (see
+        # the module docstring); the kept frequencies of every axis are
+        # those of the mirrored points, and two read points may share a
+        # mirror (a 1-d grid's k and -k), which is then read twice
+        mirror = self.reads[-1] > shape[-1] // 2
+        self.imag_unit = np.where(mirror, -1j, 1j)
+        at = [np.where(mirror, -i % s, i) for i, s in zip(self.reads, shape)]
+        kept = [np.unique(i) for i in at]
+        # the passes take the axes in fftn's order, last first, and swap
+        # each to the last position (``swaps``: axis, its position, the
+        # shape of its full-length lines), so they run along contiguous
+        # lines; the kept-frequency box then holds the axes in the order
+        # ``order``, the last transformed one at full length.  ``keep[ax]``
+        # is the (indices, axis) of the ``take`` after axis ax's pass: every
+        # axis but the last transformed keeps its kept frequencies, and the
+        # last one's output is read straight at the read points (axis None:
+        # flat indices), in class order
+        self.order, self.swaps = list(range(self.dim)), []
+        extent = [length for _, length in self.span]
+        for ax in reversed(range(self.dim)):
+            pos = self.order.index(ax)
+            for seq in (self.order, extent):
+                seq[pos], seq[-1] = seq[-1], seq[pos]
+            self.swaps.append((ax, pos, tuple(extent[:-1]) + (shape[ax],)))
+            extent[-1] = len(kept[ax])
+        last = self.swaps[-1][0]
+        box_idx = [i if a == last else np.searchsorted(k, i)
+                   for a, (k, i) in enumerate(zip(kept, at))]
+        read = np.ravel_multi_index([box_idx[a] for a in self.order], self.swaps[-1][2])
+        self.keep = [(read, None) if a == last else (k, -1) for a, k in enumerate(kept)]
+        # the points one plane's probe transform covers, which
+        # ``_probe_tables`` weighs against ``POOL_MIN_POINTS``
+        self.probe_points = sum(math.prod(lines) for _, _, lines in self.swaps)
         self.read_starts = np.flatnonzero(new)
         # classes to bins: the classes of the k-th non-empty bin, in
         # row-major (direction, shell) order, are
@@ -396,15 +428,6 @@ class _Scaffold:
         counts = np.bincount(bin_id, minlength=n_bins)
         self.bin_filled = counts > 0
         self.bin_starts = (np.cumsum(counts) - counts)[self.bin_filled]
-
-    def layout(self, half: bool) -> "_Layout":
-        """The full read layout, or the half layout of real rasters, which
-        is derived on first use and kept on the plan."""
-        if not half:
-            return self.full
-        if self._half is None:
-            self._half = _Layout(self.model.grid_shape, self.span, self.reads, half=True)
-        return self._half
 
     def ray_response_halfwidth(self) -> float:
         """Angular halfwidth of the estimator's response to an exact
@@ -450,52 +473,6 @@ class _Scaffold:
                               for s in self.model.grid_shape)))
 
 
-class _Layout:
-    """How the pruned transform of one probe runs and where its last
-    ``take`` reads, for a raster of any values (``half`` False) or for a
-    real one (``half`` True).
-
-    The transform takes the axes in fftn's order, last first, and swaps
-    each to the last position (``swaps``: axis, its position, the shape
-    of its full-length lines), so it runs along contiguous lines; the
-    kept-frequency box then holds the axes in the order ``order``, the
-    last transformed one at full length.  ``keep[ax]`` is the (indices,
-    axis) of the ``take`` after axis ax's transform: every axis but the
-    last transformed keeps its read frequencies, and the last one's
-    output is read straight at the read points (axis None: flat
-    indices), in class order.
-
-    The half layout's first pass is ``np.fft.rfft``, which keeps the last
-    axis's frequencies k >= 0 only.  A real raster's DFT is Hermitian,
-    X(-k) = conj X(k), so a read point whose last-axis frequency is
-    negative is read at its mirror -k, of the same modulus; the kept
-    frequencies of every axis are those of the mirrored points.  Two read
-    points may share a mirror (a 1-d grid's k and -k), which is then
-    read twice.
-    """
-
-    def __init__(self, shape: tuple[int, ...], span: list, reads: tuple, half: bool):
-        self.half = half
-        if half:
-            mirror = reads[-1] > shape[-1] // 2       # past the rfft's last bin
-            reads = [np.where(mirror, -i % s, i) for i, s in zip(reads, shape)]
-        kept = [np.unique(i) for i in reads]
-        dim = len(shape)
-        self.order, self.swaps = list(range(dim)), []
-        extent = [length for _, length in span]
-        for ax in reversed(range(dim)):
-            pos = self.order.index(ax)
-            for seq in (self.order, extent):
-                seq[pos], seq[-1] = seq[-1], seq[pos]
-            self.swaps.append((ax, pos, tuple(extent[:-1]) + (shape[ax],)))
-            extent[-1] = len(kept[ax])
-        last = self.swaps[-1][0]
-        box_idx = [i if a == last else np.searchsorted(k, i)
-                   for a, (k, i) in enumerate(zip(kept, reads))]
-        read = np.ravel_multi_index([box_idx[a] for a in self.order], self.swaps[-1][2])
-        self.keep = [(read, None) if a == last else (k, -1) for a, k in enumerate(kept)]
-
-
 @lru_cache(maxsize=8)
 def _plan(model: GroupoidModel, p: WfParams) -> _Scaffold:
     """The shared ``_Scaffold`` of ``model`` and resolved ``p``.
@@ -509,23 +486,24 @@ def _plan(model: GroupoidModel, p: WfParams) -> _Scaffold:
     return _Scaffold(model, p)
 
 
-# The fewest points one probe's transform (``_Scaffold.probe_points``) must
-# cover for the probe pool to run.  Workers hand the GIL back and forth
+# The fewest points one plane's probe transform (``_Scaffold.probe_points``)
+# must cover for the probe pool to run.  Workers hand the GIL back and forth
 # between numpy calls, and below this size the calls are too short for a
 # second worker to win: on 2 CPUs two workers ran the kernel at 0.45-0.90x
-# of one at n=64 and 128 and at pair_times_z(32, 8) (4,096, 12,288 and
-# 22,344 points), 0.74-1.08x at pair_times_z(64, 8) (40,456), and
-# 1.07-1.94x at n=256 and 512 (49,152 and 196,608).  The points are the
-# full layout's; on real rasters the half layout, which covers 2/3 of them,
-# ran pooled at 0.92-0.96x of serial at n=128 and 0.94-1.30x at n=256,
-# where the full layout ran at 0.97-1.37x on the same host.
-POOL_MIN_POINTS = 45_000
+# of one at n=64 and 128 and at pair_times_z(32, 8) (3,072, 8,192 and
+# 16,488 points), 0.74-1.08x at pair_times_z(64, 8) (28,168), and
+# 1.07-1.94x at n=256 and 512 (32,768 and 131,072); those times are from
+# an older kernel that transformed complex lines throughout, and the
+# one-plane kernel ran pooled at 0.92-0.96x of serial at n=128 and
+# 0.94-1.30x at n=256.  circle_group(32768), 16 probes of 32,768 points,
+# ran pooled at 0.69-1.01x of serial.
+POOL_MIN_POINTS = 32_768
 
 
 def _max_workers() -> int:
     """The probe pool's cap: ``GRPD_THREADS``, where 0 (or unset) means
-    min(8, CPUs).  ``_probe_tables`` reads it on every call and runs the
-    pool only at or above ``POOL_MIN_POINTS``."""
+    min(8, the CPUs this process may run on).  ``_probe_tables`` reads it
+    on every call and runs the pool only at or above ``POOL_MIN_POINTS``."""
     env = os.environ.get("GRPD_THREADS") or "0"
     try:
         cap = int(env)
@@ -533,7 +511,10 @@ def _max_workers() -> int:
         cap = -1
     if cap < 0:
         raise DomainError(f"GRPD_THREADS must be a non-negative integer, got {env!r}")
-    return cap or min(8, os.cpu_count() or 1)
+    if cap:
+        return cap
+    affinity = getattr(os, "sched_getaffinity", None)     # not on every platform
+    return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def _places(sc: _Scaffold, shape: tuple[int, ...], centers: list[tuple[int, ...]]):
@@ -624,53 +605,53 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
     ``2 * norm < floor * a_lb`` is skipped.  Floor 0 skips no nonzero
     window.
 
-    The kernel reads ``arr`` by ``sc.layout(half=not arr.imag.any())``:
-    a real raster by the half layout, through a view of its real plane.
-    The probes left are grouped by their last coordinate
-    (``_column_groups``).  Per group, the first pass windows each row of
-    the union of the group's support rows by the last axis's profile,
-    places it on a full-length line of the worker's zero buffer (viewed
-    as real lines in the half layout), at most as many lines at a time as
-    the buffer holds, and keeps the read frequencies of one ``np.fft.fft``
-    (``np.fft.rfft`` in the half layout).  Per probe, the kernel then gathers
-    its rows of that output, multiplies them by the outer product of the
-    other axes' profiles (``sc.cross``) and runs the remaining passes as
-    the first: per axis one swap, the slice writes, one ``np.fft.fft``
-    and one ``take`` of the kept frequencies, the last axis's at the read
-    points.  ``abs``, one ``maximum.reduceat`` into classes and one over
-    ``sc.bin_classes`` into bins then fill the probe's row.  The groups
-    run on a pool capped by ``GRPD_THREADS`` when ``sc.probe_points`` (the
-    full layout's) reaches ``POOL_MIN_POINTS``, in whole groups balanced by probe count,
-    and on the calling thread below it; the cap is checked on every call.
+    The kernel reads ``arr`` as real planes on a leading axis: a real
+    raster as one, the view ``arr.real[None]``, any other as two, its real
+    and imaginary parts.  The probes left are grouped by their last
+    coordinate (``_column_groups``).  Per group, the first pass windows
+    each row of the union of the group's support rows, plane by plane, by
+    the last axis's profile, places it on a full-length real line of the
+    worker's zero buffer, at most as many lines at a time as the buffer
+    holds, and keeps the read frequencies of one ``np.fft.rfft``.  Per
+    probe, the kernel then gathers its rows of that output, multiplies
+    them by the outer product of the other axes' profiles (``sc.cross``)
+    and runs the remaining passes on both planes at once: per axis one
+    swap, the slice writes, one ``np.fft.fft`` and one ``take`` of the
+    kept frequencies, the last axis's at the read points.  Two planes are
+    combined by ``sc.imag_unit``; ``abs``, one ``maximum.reduceat`` into
+    classes and one over ``sc.bin_classes`` into bins then fill the
+    probe's row.  The groups run on a pool capped by ``GRPD_THREADS`` when
+    ``sc.probe_points`` reaches ``POOL_MIN_POINTS``, in whole groups
+    balanced by probe count, and on the calling thread below it; the cap
+    is checked on every call.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
-    layout = sc.layout(half=not arr.imag.any())
-    if layout.half:
-        arr = arr.real      # a view, as is every reshape of it below
+    # a real raster is one plane, read through a view; any other is two
+    planes = np.stack((arr.real, arr.imag)) if arr.imag.any() else arr.real[None]
+    n_planes = len(planes)
     places = _places(sc, arr.shape, centers)
     out = np.zeros((len(centers), n_dir * n_shells))
     n_last = arr.shape[-1]
-    lines = arr.reshape(-1, n_last)     # the rows the first pass transforms
-    first = np.fft.rfft if layout.half else np.fft.fft
-    rest = layout.swaps[1:]             # the passes after the first
+    lines = planes.reshape(-1, n_last)      # the rows the first pass transforms
+    rest = sc.swaps[1:]                     # the passes after the first
     # the last axis's kept frequencies; in 1-d these are the read points,
     # whose flat indices into one line are its column indices
-    keep = layout.keep[-1][0]
-    buffer = max(math.prod(shape) for _, _, shape in layout.swaps)
+    keep = sc.keep[-1][0]
+    buffer = n_planes * max(math.prod(shape) for _, _, shape in sc.swaps)
 
     def run(groups):
         # the worker's buffers, allocated once: the zero buffer, which
         # holds every pass's full-length lines in turn (the first pass's
-        # as the raster's dtype, over the same memory), and the first
-        # pass's output over the largest union
+        # as real lines, over the same memory), and the first pass's
+        # output over the largest union
         zeros = np.zeros(buffer, dtype=complex)
-        lane = zeros.view(float) if layout.half else zeros
-        spans = [math.prod(map(len, unions)) for _, _, unions, _ in groups]
+        lane = zeros.view(float)
+        spans = [n_planes * math.prod(map(len, unions)) for _, _, unions, _ in groups]
         done = np.empty((max(spans), len(keep)), dtype=complex)
         step = len(lane) // n_last
         for (x, members, unions, at), span in zip(groups, spans):
             pieces = places[-1][x][1]
-            flat = np.zeros(1, dtype=np.intp)       # the union's rows of ``lines``
+            flat = np.arange(n_planes)      # the union's rows of ``lines``, plane by plane
             for union, s in zip(unions, arr.shape):
                 flat = (flat[:, None] * s + union).ravel()
             for lo in range(0, span, step):
@@ -680,31 +661,36 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
                 # piece is windowed straight into place
                 for dst, src in pieces:
                     np.multiply(lines[chunk, dst], sc.profiles[-1][src], out=full[:, dst])
-                first(full).take(keep, axis=-1, out=done[lo:lo + len(chunk)], mode="clip")
+                np.fft.rfft(full).take(keep, axis=-1, out=done[lo:lo + len(chunk)], mode="clip")
                 for dst, _ in pieces:
                     full[:, dst] = 0.0
-            column = done[:span].reshape([len(u) for u in unions] + [len(keep)])
+            column = done[:span].reshape([n_planes] + [len(u) for u in unions] + [len(keep)])
             for k in members:
                 spec = column
                 for ax, c in enumerate(centers[k][:-1]):
-                    spec = spec.take(at[ax][c], axis=ax)
+                    spec = spec.take(at[ax][c], axis=1 + ax)
                 if rest:        # spec is then a fresh gather
                     spec *= sc.cross
-                # the remaining axes in fftn's order; each 1-d transform sees
-                # fftn's input up to where the window's factors are applied,
-                # since the rows skipped are all zero
+                # the remaining axes in fftn's order, past the plane axis;
+                # each 1-d transform sees fftn's input up to where the
+                # window's factors are applied, since the rows skipped are
+                # all zero
                 for ax, pos, shape in rest:
-                    spec = spec.swapaxes(pos, -1)
-                    full = zeros[:math.prod(shape)].reshape(shape)
+                    spec = spec.swapaxes(1 + pos, -1)
+                    full = zeros[:n_planes * math.prod(shape)].reshape((n_planes,) + shape)
                     placed = places[ax][centers[k][ax]][1]
                     for dst, src in placed:
                         full[..., dst] = spec[..., src]
-                    idx, axis = layout.keep[ax]
-                    spec = np.fft.fft(full).take(idx, axis=axis)
+                    idx, axis = sc.keep[ax]
+                    spec = np.fft.fft(full)
+                    if axis is None:        # flat indices into each plane's output
+                        spec = spec.reshape(n_planes, -1)
+                    spec = spec.take(idx, axis=-1)
                     for dst, _ in placed:
                         full[..., dst] = 0.0
-                # each read point's modulus once, then max into classes, then
-                # classes into bins
+                # the planes combined, each read point's modulus once, then
+                # max into classes, then classes into bins
+                spec = spec[0] if n_planes == 1 else spec[0] + sc.imag_unit * spec[1]
                 classes = np.maximum.reduceat(np.abs(spec), sc.read_starts)
                 out[k, sc.bin_filled] = np.maximum.reduceat(classes.take(sc.bin_classes),
                                                             sc.bin_starts)

@@ -174,28 +174,23 @@ def polyfit_slopes(sc, tables):
                      for logs in fit_logs(sc, tables)])
 
 
-def read_grid_points(sc, layout=None):
-    """The points a layout (the full one by default) reads, decoded from
-    flat indices into the last transform's output to flat grid indices,
-    in plan (class) order."""
-    layout = layout or sc.full
-    last, _, lines = layout.swaps[-1]
-    box = np.unravel_index(layout.keep[last][0], lines)
+def read_grid_points(sc):
+    """The points the kernel's last ``take`` reads, decoded from flat
+    indices into the last transform's output to flat grid indices, in
+    plan (class) order."""
+    last, _, lines = sc.swaps[-1]
+    box = np.unravel_index(sc.keep[last][0], lines)
     coords = [None] * sc.dim
-    for q, a in enumerate(layout.order):
-        coords[a] = box[q] if a == last else layout.keep[a][0][box[q]]
+    for q, a in enumerate(sc.order):
+        coords[a] = box[q] if a == last else sc.keep[a][0][box[q]]
     return np.ravel_multi_index(coords, sc.model.grid_shape)
-
-
-def in_force(sc, arr):
-    """The layout the kernel reads ``arr`` with: the half one when it is real."""
-    return sc.layout(half=not arr.imag.any())
 
 
 def kernel_bin_sets(sc):
     """The kernel's bin plan, decoded to a set of flat grid indices per
     bin: the read points of the bin's membership classes."""
-    classes = np.split(read_grid_points(sc), sc.read_starts[1:])
+    classes = np.split(np.ravel_multi_index(sc.reads, sc.model.grid_shape),
+                       sc.read_starts[1:])
     segments = iter(np.split(sc.bin_classes, sc.bin_starts[1:]))
     return [set().union(*(classes[c] for c in next(segments))) if filled else set()
             for filled in sc.bin_filled]
@@ -369,7 +364,7 @@ def _quarter_support():
 
 KERNEL_CASES = {
     "1d-layer": lambda: (make_layer(circle_group(64), 0.25, 1.0, 0), WfParams()),
-    # complex coefficients, whose rasters the kernel reads with the full layout
+    # complex coefficients, whose rasters the kernel reads as two planes
     "1d-complex-layer": lambda: (make_layer(circle_group(64), 0.25, 1.0 - 0.5j, 0), WfParams()),
     "2d-complex-rotation": lambda: (rotation_layer(pair_circle(64), 0.25,
                                                    np.exp(2j * np.pi * np.arange(64) / 16)),
@@ -406,26 +401,20 @@ def test_probe_kernel_matches_reference(case):
     per_dir = [[edge in flat_masks[i * len(sc.shells) + j] for j in (0, 1)]
                for i in range(len(sc.dirs))]
     assert [True, True] in per_dir
-    # a real raster is read with the half layout, which the plan derives
-    # only then, any other with the full one
-    real = not arr.imag.any()
-    assert real == ("complex" not in case)
+    # a real raster is read as one plane, any other as two
+    assert arr.imag.any() == ("complex" in case)
     tables, slopes = _probe_tables(sc, arr, centers)
-    assert (sc._half is not None) == real
     ref_tables = reference_tables(sc, arr, centers, bins)
     eps = np.finfo(float).eps
-    # the kernel applies the other axes' profiles after the first pass and
-    # reads a real raster's negative last-axis frequencies at their
-    # mirrors, so it rounds differently from fftn of the windowed grid;
-    # each side errs by a small multiple of eps * log2(N) times the block's
-    # L1 norm, the bound of every modulus (seen: at most 0.15 of this
-    # bound).  In 1-d the full layout applies the window as in fftn's
-    # input, and the bits are the same
+    # the kernel applies the other axes' profiles after the first pass,
+    # transforms a raster's real and imaginary planes apart and reads
+    # negative last-axis frequencies at their mirrors, so it rounds
+    # differently from fftn of the windowed grid; each side errs by a small
+    # multiple of eps * log2(N) times the block's L1 norm, the bound of
+    # every modulus (seen: at most 0.16 of this bound)
     norms = _window_norms(sc, arr, _places(sc, arr.shape, centers), centers)
     bound = eps * math.log2(arr.size) * norms
     assert (np.abs(tables - ref_tables) <= bound[:, None, None]).all()
-    if sc.dim == 1 and not real:
-        assert np.array_equal(tables, ref_tables)
     # each row's slope is its own closed form, whatever the batch
     assert np.array_equal(slopes, closed_form_slopes(sc, tables))
     # and it is np.polyfit's least squares up to rounding: both err by a few
@@ -440,12 +429,33 @@ def test_probe_kernel_matches_reference(case):
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_probe_tables_ignore_a_global_phase(case):
+    # |c Z| = |Z| for |c| = 1.  Times i, the planes trade places and one
+    # changes sign, which negates its transforms exactly, and the planes'
+    # combination gives the same moduli bit for bit; any other phase mixes
+    # the planes and moves the tables by rounding only
+    u, params = KERNEL_CASES[case]()
+    sc = _Scaffold(u.model, params.resolve(u.model))
+    arr = rasterize(u, mollified=True)
+    centers = sc.probe_centers()
+    tables, slopes = _probe_tables(sc, arr, centers)
+    turned, turned_slopes = _probe_tables(sc, 1j * arr, centers)
+    assert np.array_equal(turned, tables) and np.array_equal(turned_slopes, slopes)
+    # the kernel-against-fftn bound (seen: at most 0.23 of it)
+    norms = _window_norms(sc, arr, _places(sc, arr.shape, centers), centers)
+    bound = np.finfo(float).eps * math.log2(arr.size) * norms
+    phased, _ = _probe_tables(sc, np.exp(0.7j) * arr, centers)
+    assert (np.abs(phased - tables) <= bound[:, None, None]).all()
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_bin_reduction_reads_each_frequency_once(case):
     u, params = KERNEL_CASES[case]()
     sc = _Scaffold(u.model, params.resolve(u.model))
-    read = read_grid_points(sc)
+    shape = sc.model.grid_shape
+    read = np.ravel_multi_index(sc.reads, shape)
     # each read frequency is gathered once
-    assert len(np.unique(read)) == len(read) == len(sc.full.keep[sc.full.swaps[-1][0]][0])
+    assert len(np.unique(read)) == len(read) == len(read_grid_points(sc))
     # the classes are non-empty runs that partition the read points
     starts = sc.read_starts
     assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < len(read)
@@ -461,13 +471,14 @@ def test_bin_reduction_reads_each_frequency_once(case):
     ref = [set(np.flatnonzero(m)) for per_shell in reference_bins(sc) for m in per_shell]
     assert kernel_bin_sets(sc) == ref
     assert set(read.tolist()) == set().union(*ref)
-    # the half layout reads each point in class order, at itself or, where
-    # its last-axis index lies past the rfft's last bin n//2, at its mirror
-    shape = sc.model.grid_shape
-    idx = np.unravel_index(read, shape)
-    mirror = idx[-1] > shape[-1] // 2
-    want = np.ravel_multi_index([np.where(mirror, -i % s, i) for i, s in zip(idx, shape)], shape)
-    assert np.array_equal(read_grid_points(sc, sc.layout(half=True)), want)
+    # the kernel reads each point in class order, at itself or, where its
+    # last-axis index lies past the rfft's last bin n//2, at its mirror,
+    # where the imaginary plane enters with the sign flipped
+    mirror = sc.reads[-1] > shape[-1] // 2
+    want = np.ravel_multi_index([np.where(mirror, -i % s, i) for i, s in zip(sc.reads, shape)],
+                                shape)
+    assert np.array_equal(read_grid_points(sc), want)
+    assert np.array_equal(sc.imag_unit, np.where(mirror, -1j, 1j))
 
 
 def test_fit_range_matches_min_max():
@@ -549,16 +560,30 @@ def test_probe_workers_write_their_own_rows(monkeypatch):
     assert len(runs) == 6 and min(runs) > 1
 
 
+# one row per pool decision at the default knobs: (grid, points per
+# plane's probe transform, pooled)
+POOL_DECISIONS = [
+    (pair_circle(64), 3_072, False),
+    (pair_circle(128), 8_192, False),
+    (pair_times_z(32, 8), 16_488, False),
+    (pair_times_z(64, 8), 28_168, False),       # two threads tied or lost here
+    (pair_times_z(32, 16), 31_024, False),
+    (pair_circle(256), 32_768, True),           # the smallest pooled grid in use
+    (pair_circle(512), 131_072, True),
+    (circle_group(32768), 32_768, True),
+]
+
+
 def test_probe_pool_runs_only_from_its_size(monkeypatch):
-    # the rule reads the plan's points per probe transform, not the host:
+    # the rule reads the plan's points per probe transform, not the host
+    for model, points, pooled in POOL_DECISIONS:
+        sc = _Scaffold(model, WfParams().resolve(model))
+        assert sc.probe_points == points
+        assert (sc.probe_points >= grpd.wavefront.POOL_MIN_POINTS) == pooled, model
     # at a cap of 8, the n=128 estimate runs every probe on the calling
-    # thread, and n=256, the smallest pooled grid in use, splits them
+    # thread, and n=256 splits them
     runs = _count_pool_blocks(monkeypatch)
-    # pair_times_z(64, 8), where two threads tied or lost, stays serial too
-    *below, large = (_Scaffold(m, WfParams().resolve(m))
-                     for m in (pair_circle(128), pair_times_z(64, 8), pair_circle(256)))
-    assert (max(sc.probe_points for sc in below) < grpd.wavefront.POOL_MIN_POINTS
-            <= large.probe_points)
+    large = _Scaffold(pair_circle(256), WfParams().resolve(pair_circle(256)))
     monkeypatch.setenv("GRPD_THREADS", "8")
     assert estimate_wavefront(rotation_layer(pair_circle(128), 0.3125)).estimated.cells
     assert runs == []
@@ -572,6 +597,19 @@ def test_probe_pool_runs_only_from_its_size(monkeypatch):
     serial = _probe_tables(large, arr, centers, floor)
     assert len(runs) == 1
     assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
+
+
+def test_worker_cap_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # pinned to one CPU of four, the auto cap is one worker
+    monkeypatch.delenv("GRPD_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert grpd.wavefront._max_workers() == 1
+    # where the platform has no affinity call, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert grpd.wavefront._max_workers() == 4
+    monkeypatch.setenv("GRPD_THREADS", "3")
+    assert grpd.wavefront._max_workers() == 3
 
 
 def count_fft_lines(monkeypatch) -> Counter:
@@ -591,11 +629,11 @@ def count_fft_lines(monkeypatch) -> Counter:
     return lines
 
 
-def schedule_lines(sc, layout, centers, probes):
-    """The lines ``layout`` transforms for ``probes`` in one schedule, by
-    transform: per last coordinate, the union of the probes' support rows
-    in the first pass (``rfft`` lines in the half layout), then per probe
-    the ``fft`` lines of every later pass."""
+def schedule_lines(sc, centers, probes):
+    """The lines the kernel transforms for ``probes`` of a real raster in
+    one schedule, by transform: per last coordinate, the ``rfft`` lines of
+    the union of the probes' support rows in the first pass, then per
+    probe the ``fft`` lines of every later pass."""
     places = _places(sc, sc.model.grid_shape, centers)
     columns = {}
     for k in probes:
@@ -603,8 +641,8 @@ def schedule_lines(sc, layout, centers, probes):
     first = sum(math.prod(len(set().union(*(places[ax][c[ax]][0].tolist() for c in cs)))
                           for ax in range(sc.dim - 1))
                 for cs in columns.values())
-    later = sum(math.prod(lines[:-1]) for _, _, lines in layout.swaps[1:])
-    return Counter({"rfft" if layout.half else "fft": first}) + Counter(fft=len(probes) * later)
+    later = sum(math.prod(lines[:-1]) for _, _, lines in sc.swaps[1:])
+    return Counter(rfft=first) + Counter(fft=len(probes) * later)
 
 
 def test_zero_windows_skip_transforms(monkeypatch):
@@ -620,9 +658,8 @@ def test_zero_windows_skip_transforms(monkeypatch):
     # the lines of the 49 probes that see nonzero data, and no more
     live = [k for k, c in enumerate(centers) if (arr * reference_window(sc, c)).any()]
     assert len(live) == 49 and not zero[live].any()
-    layout = in_force(sc, arr)
-    assert lines == schedule_lines(sc, layout, centers, live)
-    assert lines < schedule_lines(sc, layout, centers, range(len(centers)))
+    assert lines == schedule_lines(sc, centers, live)
+    assert lines < schedule_lines(sc, centers, range(len(centers)))
 
 
 class _CountedTakes(np.ndarray):
@@ -729,10 +766,9 @@ def test_probe_tables_floor_skips_transforms(monkeypatch):
     skips = {}
     for name, u in (("layer", rotation_layer(m, 0.3125)), ("smooth", smooth_field(m, 3, 0))):
         arr = rasterize(u, mollified=True)
-        layout = in_force(sc, arr)
         lines.clear()
         exact, exact_slopes = _probe_tables(sc, arr, centers)
-        assert lines == schedule_lines(sc, layout, centers, everything)
+        assert lines == schedule_lines(sc, centers, everything)
         lines.clear()
         tables, slopes = _probe_tables(sc, arr, centers, floor)
         skipped = ~tables.any(axis=(1, 2))
@@ -746,8 +782,8 @@ def test_probe_tables_floor_skips_transforms(monkeypatch):
         norms = _window_norms(sc, arr, _places(sc, m.grid_shape, centers), centers)
         top = int(np.argmax(norms))
         rest = [k for k in np.flatnonzero(~skipped) if k != top]
-        assert lines == (schedule_lines(sc, layout, centers, [top])
-                         + schedule_lines(sc, layout, centers, rest))
+        assert lines == (schedule_lines(sc, centers, [top])
+                         + schedule_lines(sc, centers, rest))
     assert skips["layer"] > 0 and skips["smooth"] == 0
 
 
