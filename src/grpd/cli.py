@@ -2,7 +2,8 @@
 built-in demo scenarios (one per acceptance property bundle).
 
 Exit codes: 0 all asserted properties pass, 1 usage/validation error (any
-``GrpdError``, the command line's included), 2 property failure.
+``GrpdError``, the command line's included, or a path that cannot be read or
+written), 2 property failure.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
         if "wf" in params:
             spec["wf_params"] = params["wf"]
         return run_scenario(spec, Path(args.out))
-    except (GrpdError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GrpdError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

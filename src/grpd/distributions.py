@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DomainError, ModelMismatchError, ModelUnsupportedError, OrderCapError,
                      finite_grid, integer)
 from .models import GroupoidModel, Structure, Unit, grid_index, pair_circle
-from .spectral import band_limited_field, spectral_derivative
+from .spectral import band_limited_field, freq_integers, spectral_derivative
 
 ORDER_CAP = 4            # public constructor cap
 _INTERNAL_ORDER_CAP = 8  # products of layers may carry up to twice the cap
@@ -344,7 +344,7 @@ def _nyquist_taper(n: int) -> np.ndarray:
     """Near-Gaussian roll-off from 1 at |k| = n/4 to 0 at Nyquist (identity
     below n/4, so shells up to n/4 are untouched; the Gaussian shape keeps
     the spatial tails of mollified combs at the 1e-4 level)."""
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    k = np.abs(freq_integers(n))
     t = np.maximum(k - n / 4.0, 0.0) / (n / 12.0)
     g = np.exp(-t * t)
     g0 = math.exp(-9.0)          # value the ramp reaches at Nyquist
@@ -406,7 +406,7 @@ def counterexample_distribution(n: int) -> Distribution:
     if n < 64:
         raise DomainError("counterexample needs n >= 64")
     model = pair_circle(n)
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = freq_integers(n)
     xi = k[:, None]
     eta = k[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -21,7 +21,7 @@ axis's profile and transforms it once, and each probe then gathers its
 rows of that output and multiplies them by the other axes' profiles
 before the remaining passes.  Each axis in turn is swapped to the last
 position and written, by at most two slices, into full-length lines of
-one zero buffer that the worker reuses for every pass and zeroes again
+one zero buffer that the kernel reuses for every pass and zeroes again
 after each transform, so the 1-d transforms run along contiguous lines;
 the first pass takes at most as many lines at a time as that buffer
 holds.  The kernel reads a raster as real planes, which share every
@@ -42,12 +42,9 @@ reads; cones overlap and shells are closed, so a point sits in several
 bins, and the plan groups the points into membership classes (the points
 read by exactly the same bins).  Per probe the kernel takes each point's
 modulus once, the max over each class, then the max of each bin over its
-classes; ``max`` is exact in any order.  Where one plane's probe
-transform covers at least ``POOL_MIN_POINTS`` points, a pool of at most
-``GRPD_THREADS`` workers takes one contiguous run of whole columns per
-worker, balanced by probe count, and each worker writes its own rows of
-one table; below it, every column runs on the calling thread.  A row's
-bits do not depend on the other probes of its column, on the worker or
+classes; ``max`` is exact in any order.  The columns run one after
+another on the calling thread, each probe writing its own row of one
+table.  A row's bits do not depend on the other probes of its column or
 on which probes are skipped.
 
 A probe whose support box holds no nonzero value keeps its zero row and
@@ -99,8 +96,6 @@ the containment tolerance of the product-bound verifier.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, reduce
 from itertools import product
@@ -415,9 +410,6 @@ class _Scaffold:
                    for a, (k, i) in enumerate(zip(kept, at))]
         read = np.ravel_multi_index([box_idx[a] for a in self.order], self.swaps[-1][2])
         self.keep = [(read, None) if a == last else (k, -1) for a, k in enumerate(kept)]
-        # the points one plane's probe transform covers, which
-        # ``_probe_tables`` weighs against ``POOL_MIN_POINTS``
-        self.probe_points = sum(math.prod(lines) for _, _, lines in self.swaps)
         self.read_starts = np.flatnonzero(new)
         # classes to bins: the classes of the k-th non-empty bin, in
         # row-major (direction, shell) order, are
@@ -486,37 +478,6 @@ def _plan(model: GroupoidModel, p: WfParams) -> _Scaffold:
     return _Scaffold(model, p)
 
 
-# The fewest points one plane's probe transform (``_Scaffold.probe_points``)
-# must cover for the probe pool to run.  Workers hand the GIL back and forth
-# between numpy calls, and below this size the calls are too short for a
-# second worker to win: on 2 CPUs two workers ran the kernel at 0.45-0.90x
-# of one at n=64 and 128 and at pair_times_z(32, 8) (3,072, 8,192 and
-# 16,488 points), 0.74-1.08x at pair_times_z(64, 8) (28,168), and
-# 1.07-1.94x at n=256 and 512 (32,768 and 131,072); those times are from
-# an older kernel that transformed complex lines throughout, and the
-# one-plane kernel ran pooled at 0.92-0.96x of serial at n=128 and
-# 0.94-1.30x at n=256.  circle_group(32768), 16 probes of 32,768 points,
-# ran pooled at 0.69-1.01x of serial.
-POOL_MIN_POINTS = 32_768
-
-
-def _max_workers() -> int:
-    """The probe pool's cap: ``GRPD_THREADS``, where 0 (or unset) means
-    min(8, the CPUs this process may run on).  ``_probe_tables`` reads it
-    on every call and runs the pool only at or above ``POOL_MIN_POINTS``."""
-    env = os.environ.get("GRPD_THREADS") or "0"
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise DomainError(f"GRPD_THREADS must be a non-negative integer, got {env!r}")
-    if cap:
-        return cap
-    affinity = getattr(os, "sched_getaffinity", None)     # not on every platform
-    return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
-
-
 def _places(sc: _Scaffold, shape: tuple[int, ...], centers: list[tuple[int, ...]]):
     """Per axis, a dict from each distinct probe coordinate x to the
     window's support rows about x and the one or two (axis slice, support
@@ -578,15 +539,6 @@ def _column_groups(places, shape: tuple[int, ...], centers: list[tuple[int, ...]
     return out
 
 
-def _balanced_blocks(groups: list, workers: int) -> list[list]:
-    """At most ``workers`` contiguous runs of ``groups``, whole groups
-    each, cut where the running probe count crosses each equal share."""
-    ends = np.cumsum([len(members) for _, members, _, _ in groups])
-    cuts = np.searchsorted(ends, np.arange(1, workers) * ends[-1] / workers) + 1
-    bounds = sorted({0, len(groups), *cuts.tolist()})
-    return [groups[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
 def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]],
                   floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The estimator's spectrum-and-slope kernel: ``(tables, slopes)``.
@@ -611,7 +563,7 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
     coordinate (``_column_groups``).  Per group, the first pass windows
     each row of the union of the group's support rows, plane by plane, by
     the last axis's profile, places it on a full-length real line of the
-    worker's zero buffer, at most as many lines at a time as the buffer
+    kernel's zero buffer, at most as many lines at a time as the buffer
     holds, and keeps the read frequencies of one ``np.fft.rfft``.  Per
     probe, the kernel then gathers its rows of that output, multiplies
     them by the outer product of the other axes' profiles (``sc.cross``)
@@ -620,10 +572,7 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
     kept frequencies, the last axis's at the read points.  Two planes are
     combined by ``sc.imag_unit``; ``abs``, one ``maximum.reduceat`` into
     classes and one over ``sc.bin_classes`` into bins then fill the
-    probe's row.  The groups run on a pool capped by ``GRPD_THREADS`` when
-    ``sc.probe_points`` reaches ``POOL_MIN_POINTS``, in whole groups
-    balanced by probe count, and on the calling thread below it; the cap
-    is checked on every call.
+    probe's row.  Every group runs on the calling thread.
     """
     n_dir, n_shells = len(sc.dirs), len(sc.shells)
     # a real raster is one plane, read through a view; any other is two
@@ -640,10 +589,10 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
     buffer = n_planes * max(math.prod(shape) for _, _, shape in sc.swaps)
 
     def run(groups):
-        # the worker's buffers, allocated once: the zero buffer, which
-        # holds every pass's full-length lines in turn (the first pass's
-        # as real lines, over the same memory), and the first pass's
-        # output over the largest union
+        # the buffers of one run of columns: the zero buffer, which holds
+        # every pass's full-length lines in turn (the first pass's as real
+        # lines, over the same memory), and the first pass's output over
+        # the largest union
         zeros = np.zeros(buffer, dtype=complex)
         lane = zeros.view(float)
         spans = [n_planes * math.prod(map(len, unions)) for _, _, unions, _ in groups]
@@ -709,16 +658,8 @@ def _probe_tables(sc: _Scaffold, arr: np.ndarray, centers: list[tuple[int, ...]]
         top = todo[np.argmax(norms[todo])]
         run(_column_groups(places, arr.shape, centers, np.array([top])))
         todo = todo[(2 * norms[todo] >= floor * out[top].max()) & (todo != top)]
-    cap = _max_workers()        # read, and so checked, below the threshold too
     if len(todo):
-        groups = _column_groups(places, arr.shape, centers, todo)
-        workers = min(cap if sc.probe_points >= POOL_MIN_POINTS else 1, len(groups))
-        blocks = _balanced_blocks(groups, workers)
-        if len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-                list(pool.map(run, blocks))
-        else:
-            run(groups)
+        run(_column_groups(places, arr.shape, centers, todo))
     tables = out.reshape(len(centers), n_dir, n_shells)
     return tables, _fit_slopes(sc, tables)
 

@@ -240,18 +240,28 @@ def test_wide_cone_half_angle_is_a_usage_error(tmp_path):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
 
 
-@pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
-def test_invalid_thread_cap_is_a_usage_error(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("GRPD_THREADS", threads)
-    spec = {"version": 1, "name": "threads", "seed": 0,
-            "model": {"kind": "PAIR_CIRCLE", "n": 64},
-            "operation": "wf-estimate",
-            "inputs": [{"catalog": "rotation-layer", "params": {"theta": 0.25}}]}
-    with pytest.raises(DomainError, match="GRPD_THREADS"):
-        run_scenario(spec, tmp_path / "direct")
-    path = tmp_path / "threads.json"
-    path.write_text(json.dumps(spec))
-    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+def _written(path, data=b""):
+    path.write_bytes(data)
+    return str(path)
+
+
+# a command line that names a path grpd cannot read or write, by case
+BAD_PATHS = {
+    "run-directory": lambda tmp: ["run", str(tmp)],
+    "run-non-utf8": lambda tmp: ["run", _written(tmp / "latin1.json", b'{"name": "caf\xe9"}')],
+    "wf-estimate-out-is-a-file": lambda tmp: ["wf-estimate", "--n", "64",
+                                              "--out", _written(tmp / "taken")],
+    "demo-out-is-a-file": lambda tmp: ["demo", "roundtrip", "--n", "64",
+                                       "--out", _written(tmp / "taken")],
+}
+
+
+@pytest.mark.parametrize("case", BAD_PATHS)
+def test_bad_paths_are_usage_errors(case, tmp_path, capsys):
+    # each raised a traceback out of main
+    assert run_cli(*BAD_PATHS[case](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_zero_window_radius_is_a_usage_error(tmp_path, capsys):

@@ -1,8 +1,8 @@
-import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -497,121 +497,6 @@ def test_fit_range_matches_min_max():
     assert np.array_equal(hi, fit.max(axis=2), equal_nan=True)
 
 
-def _count_pool_blocks(monkeypatch) -> list:
-    """Patch the probe pool to record the number of blocks of each run."""
-    runs = []
-
-    class Pool(grpd.wavefront.ThreadPoolExecutor):
-        def map(self, fn, blocks):
-            blocks = list(blocks)
-            runs.append(len(blocks))
-            return super().map(fn, blocks)
-    monkeypatch.setattr(grpd.wavefront, "ThreadPoolExecutor", Pool)
-    return runs
-
-
-def test_probe_blocks_join_in_order(monkeypatch):
-    # 16 probes, each its own column in 1-d: blocks of 16, 8 + 8 and
-    # 6 + 5 + 5; the grid is far below the pool's size rule, which is
-    # lowered so that the pool runs
-    monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
-    runs = _count_pool_blocks(monkeypatch)
-    u = make_layer(circle_group(64), 0.25, 1.0, 0)
-    sc = _Scaffold(u.model, WfParams(probe_stride=4).resolve(u.model))
-    arr = rasterize(u, mollified=True)
-    centers = sc.probe_centers()
-    assert len(centers) == 16
-    results = []
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("GRPD_THREADS", threads)
-        results.append(_probe_tables(sc, arr, centers))
-    assert runs == [2, 3]
-    for tables, slopes in results[1:]:
-        assert np.array_equal(tables, results[0][0])
-        assert np.array_equal(slopes, results[0][1])
-
-
-def test_probe_workers_write_their_own_rows(monkeypatch):
-    # more workers than CPUs, switching threads often, all writing rows of
-    # one table: a lost or misplaced row would change the tables; the pool's
-    # size rule is lowered so that the n=64 probes run on it
-    monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
-    runs = _count_pool_blocks(monkeypatch)
-    u = rotation_layer(pair_circle(64), 0.3125)
-    p = WfParams(probe_stride=4).resolve(u.model)
-    sc = _Scaffold(u.model, p)
-    arr = rasterize(u, mollified=True)
-    centers = sc.probe_centers()
-    floor = min(p.min_level, p.anchor_level)
-    monkeypatch.setenv("GRPD_THREADS", "1")
-    serial = [_probe_tables(sc, arr, centers, f) for f in (0.0, floor)]
-    assert not serial[1][0].any(axis=(1, 2)).all()     # some rows are skipped
-    assert runs == []
-    monkeypatch.setenv("GRPD_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            for f, (tables, slopes) in zip((0.0, floor), serial):
-                got = _probe_tables(sc, arr, centers, f)
-                assert np.array_equal(got[0], tables) and np.array_equal(got[1], slopes)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(runs) == 6 and min(runs) > 1
-
-
-# one row per pool decision at the default knobs: (grid, points per
-# plane's probe transform, pooled)
-POOL_DECISIONS = [
-    (pair_circle(64), 3_072, False),
-    (pair_circle(128), 8_192, False),
-    (pair_times_z(32, 8), 16_488, False),
-    (pair_times_z(64, 8), 28_168, False),       # two threads tied or lost here
-    (pair_times_z(32, 16), 31_024, False),
-    (pair_circle(256), 32_768, True),           # the smallest pooled grid in use
-    (pair_circle(512), 131_072, True),
-    (circle_group(32768), 32_768, True),
-]
-
-
-def test_probe_pool_runs_only_from_its_size(monkeypatch):
-    # the rule reads the plan's points per probe transform, not the host
-    for model, points, pooled in POOL_DECISIONS:
-        sc = _Scaffold(model, WfParams().resolve(model))
-        assert sc.probe_points == points
-        assert (sc.probe_points >= grpd.wavefront.POOL_MIN_POINTS) == pooled, model
-    # at a cap of 8, the n=128 estimate runs every probe on the calling
-    # thread, and n=256 splits them
-    runs = _count_pool_blocks(monkeypatch)
-    large = _Scaffold(pair_circle(256), WfParams().resolve(pair_circle(256)))
-    monkeypatch.setenv("GRPD_THREADS", "8")
-    assert estimate_wavefront(rotation_layer(pair_circle(128), 0.3125)).estimated.cells
-    assert runs == []
-    u = rotation_layer(pair_circle(256), 0.3125)
-    arr = rasterize(u, mollified=True)
-    centers = large.probe_centers()
-    floor = min(large.p.min_level, large.p.anchor_level)
-    pooled = _probe_tables(large, arr, centers, floor)
-    assert len(runs) == 1 and runs[0] > 1
-    monkeypatch.setenv("GRPD_THREADS", "1")
-    serial = _probe_tables(large, arr, centers, floor)
-    assert len(runs) == 1
-    assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
-
-
-def test_worker_cap_counts_the_cpus_this_process_may_run_on(monkeypatch):
-    # pinned to one CPU of four, the auto cap is one worker
-    monkeypatch.delenv("GRPD_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert grpd.wavefront._max_workers() == 1
-    # where the platform has no affinity call, the CPU count decides
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert grpd.wavefront._max_workers() == 4
-    monkeypatch.setenv("GRPD_THREADS", "3")
-    assert grpd.wavefront._max_workers() == 3
-
-
 def count_fft_lines(monkeypatch) -> Counter:
     """Patch ``np.fft.fft`` and ``np.fft.rfft`` to add up the 1-d lines
     each transforms, by name."""
@@ -646,7 +531,6 @@ def schedule_lines(sc, centers, probes):
 
 
 def test_zero_windows_skip_transforms(monkeypatch):
-    monkeypatch.setenv("GRPD_THREADS", "1")
     u, params = KERNEL_CASES["2d-quarter-support"]()
     sc = _Scaffold(u.model, params.resolve(u.model))
     arr = rasterize(u, mollified=True)
@@ -678,7 +562,6 @@ def test_zero_raster_gathers_no_windows(model, monkeypatch):
     # a zero product (verify-pair's disjoint points) has no nonzero window:
     # at the estimator's floor the largest norm's table max is 0, and
     # 2 * norm >= floor * 0 once admitted every probe to a gather
-    monkeypatch.setenv("GRPD_THREADS", "1")
     p = WfParams().resolve(model)
     sc = grpd.wavefront._plan(model, p)       # the estimate below reuses it
     centers = sc.probe_centers()
@@ -695,28 +578,36 @@ def test_zero_raster_gathers_no_windows(model, monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_kernel_bits_hold_across_threads_and_floor(case, monkeypatch):
-    # the pool's size rule is lowered so that every case runs on it; a
-    # probe's rows and slopes are the same bits whatever the other probes
-    # of its column, the worker or the floor
-    monkeypatch.setattr(grpd.wavefront, "POOL_MIN_POINTS", 0)
+def test_kernel_bits_hold_across_floor(case):
+    # a probe's rows and slopes are the same bits whatever the other probes
+    # of its column or the floor; a skipped probe keeps its zero row
     u, params = KERNEL_CASES[case]()
     p = params.resolve(u.model)
     sc = _Scaffold(u.model, p)
     arr = rasterize(u, mollified=True)
     centers = sc.probe_centers()
     floor = min(p.min_level, p.anchor_level)
-    got = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv("GRPD_THREADS", threads)
-        got[threads] = [_probe_tables(sc, arr, centers, f) for f in (0.0, floor)]
-    for (tables, slopes), (pooled, pooled_slopes) in zip(got["1"], got["8"]):
-        assert np.array_equal(tables, pooled) and np.array_equal(slopes, pooled_slopes)
-    (exact, exact_slopes), (tables, slopes) = got["1"]
+    (exact, exact_slopes), (tables, slopes) = [_probe_tables(sc, arr, centers, f)
+                                               for f in (0.0, floor)]
     done = tables.any(axis=(1, 2))
     assert np.array_equal(tables[done], exact[done])
     assert np.array_equal(slopes[done], exact_slopes[done])
     assert not tables[~done].any()
+
+
+def test_estimator_starts_no_thread(monkeypatch):
+    # the probe kernel runs every column on the calling thread, at the
+    # sizes the benchmark's scenarios use too
+    def refuse(self):
+        raise AssertionError("the estimator started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert estimate_wavefront(rotation_layer(pair_circle(256), 0.3125)).estimated.cells
+    model = pair_circle(512)
+    p = WfParams().resolve(model)
+    sc = _Scaffold(model, p)
+    arr = rasterize(smooth_field(model, 3, 0), mollified=True)
+    tables, _ = _probe_tables(sc, arr, sc.probe_centers(), min(p.min_level, p.anchor_level))
+    assert tables.any()
 
 
 def _layer_case(n, order):
@@ -755,7 +646,6 @@ def test_skipped_probes_keep_the_estimate(case, monkeypatch):
 
 
 def test_probe_tables_floor_skips_transforms(monkeypatch):
-    monkeypatch.setenv("GRPD_THREADS", "1")
     m = pair_circle(128)
     p = WfParams().resolve(m)
     sc = _Scaffold(m, p)
@@ -1084,36 +974,20 @@ def test_verify_product_bound_zero_case():
     assert rep.estimated.is_empty
 
 
-def test_determinism_and_thread_cap():
+def test_determinism_across_processes():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
-        "import json, numpy as np\n"
+        "import json\n"
         "from grpd.catalog import rotation_layer\n"
         "from grpd.models import pair_circle\n"
         "from grpd.wavefront import estimate_wavefront\n"
-        "import grpd.wavefront as wf\n"
-        "blocks = []\n"
-        "class Pool(wf.ThreadPoolExecutor):\n"
-        "    def map(self, fn, parts):\n"
-        "        parts = list(parts)\n"
-        "        blocks.append(len(parts))\n"
-        "        return super().map(fn, parts)\n"
-        "wf.ThreadPoolExecutor = Pool\n"
         "rep = estimate_wavefront(rotation_layer(pair_circle(256), 0.25))\n"
-        "print(json.dumps(blocks))\n"
         "print(json.dumps(rep.estimated.to_json(), sort_keys=True))\n")
-    outs = []
-    for threads in ("1", "4"):
-        env["GRPD_THREADS"] = threads
-        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                           text=True, env=env, check=True)
-        blocks, estimate = r.stdout.split("\n", 1)
-        outs.append((json.loads(blocks), estimate))
-    # n=256 is above the pool's size rule, so the cap of 4 splits the probes
-    assert outs[0][0] == [] and outs[1][0] and min(outs[1][0]) > 1
-    assert outs[0][1] == outs[1][1]
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env, check=True).stdout for _ in range(2)]
+    assert outs[0] and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("theta1,theta2", [(3 / 128, 5 / 128), (0.3125, 0.4375),
