@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from . import catalog
-from .cones import (DIRECTION_SETS, ConeCell, ConeSet, CircInterval, Transversality,
-                    a_star_units, cone_product_bar, transversality)
+from .cones import (DIRECTION_SETS, ConeSet, Transversality, a_star_units, cone_product_bar,
+                    transversality)
 from .convolution import (GOperator, apply_operator, convolve,
                           equivariance_defect, module_property_check, recover_kernel)
 from .cotangent import (CotangentPoint, KernelKind, anchor_jacobian, annihilates,
@@ -402,13 +402,12 @@ def check_product_bound_catalog(n: int = 128, seed: int = 7) -> dict:
 
 def random_cone_set(model: GroupoidModel, rng: np.random.Generator,
                     max_cells: int = 2) -> ConeSet:
-    cells = []
+    boxes, sets = [], []
     for _ in range(int(rng.integers(1, max_cells + 1))):
-        base = tuple(CircInterval(float(rng.uniform(0, 1)),
-                                  float(rng.uniform(0, 0.3)))
-                     for _ in range(model.dim))
-        cells.append(ConeCell(base, DIRECTION_SETS[model.dim].random(rng)))
-    return ConeSet(model, tuple(cells))
+        boxes.append([(rng.uniform(0, 1), rng.uniform(0, 0.3)) for _ in range(model.dim)])
+        sets.append(DIRECTION_SETS[model.dim].random(rng))
+    boxes = np.array(boxes).reshape(len(sets), model.dim, 2)
+    return ConeSet.from_boxes(model, boxes[..., 0], boxes[..., 1], sets, range(len(sets)))
 
 
 def check_cone_heredity(pairs: int = 500, seed: int = 8, n: int = 64) -> dict:

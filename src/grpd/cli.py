@@ -310,10 +310,17 @@ def main(argv=None) -> int:
         if args.command == "demo":
             return run_demo(args.name, Path(args.out), args.seed, args.n)
         if args.command == "run":
-            spec = json.loads(Path(args.scenario).read_text())
+            try:
+                spec = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SerializationError(f"scenario {args.scenario} is not UTF-8 JSON: "
+                                         f"{exc}") from exc
             return run_scenario(spec, Path(args.out))
         name, _, input_flags, cone_flags, _ = COMMANDS[args.command]
-        params = json.loads(args.params) if args.params else {}
+        try:
+            params = json.loads(args.params) if args.params else {}
+        except json.JSONDecodeError as exc:
+            raise SerializationError(f"--params of {args.command} is not JSON: {exc}") from exc
         only_keys(params, [*input_flags, *cone_flags, "wf"], f"--params of {args.command}",
                   SerializationError)
 
@@ -326,7 +333,7 @@ def main(argv=None) -> int:
         if "wf" in params:
             spec["wf_params"] = params["wf"]
         return run_scenario(spec, Path(args.out))
-    except (GrpdError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (GrpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

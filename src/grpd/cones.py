@@ -17,16 +17,17 @@ once, as are the anchor kernels ker s_Gamma and ker r_Gamma (``KER_S``,
 ``KER_R``).  Transversality asks of each distinct direction set whether
 its ``kernel_part`` is empty.
 
-A ConeSet is held as arrays: its base boxes as (cells, dim) arrays of
+A ConeSet holds only arrays: its base boxes as (cells, dim) arrays of
 starts and widths (``boxes``), and its distinct direction sets with each
 cell's index into them (``dir_table``); its ``ConeCell``s are a view,
-built when first read.  The estimator, the products and the catalog
-build sets from arrays (``ConeSet.from_boxes``).  The gate and the
-product find the cell pairs whose bases meet by one broadcast over
-W1 x W2; the gate reads one row of kernel pairs per distinct set, the
-product composes each distinct pair of sets once and forms all boxes at
-once (the model's ``box_product`` on interval arrays), and the bar
-product's zero-section terms are found once per distinct set.
+built when first read.  Every builder but ``from_json`` passes arrays
+(``ConeSet.from_boxes``).  The gate and the product find the cell pairs
+whose bases meet by one broadcast over W1 x W2; the gate reads one row
+of kernel pairs per distinct set, the product forms all boxes at once
+(the model's ``box_product`` on interval arrays) and composes each
+distinct pair of sets through one cache keyed by their values
+(``_composed``), and the bar product's zero-section terms are found
+once per distinct set.
 Containment tests all base points of A against B's dilated boxes in one
 chunked broadcast, and unites and tests directions once per distinct
 (multiset of holders' sets, A's set).
@@ -51,13 +52,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, product
 
 import numpy as np
 
-from .errors import (DomainError, ModelMismatchError, ModelUnsupportedError, finite_vector,
-                     is_real, real)
+from .errors import (DomainError, ModelMismatchError, ModelUnsupportedError,
+                     SerializationError, finite_vector, is_real, only_keys, real)
 from .models import GroupoidModel
 
 TWO_PI = 2.0 * math.pi
@@ -290,14 +291,8 @@ class _DirSet:
     directions (d1 on the s side, d2 on the r side) of covector pairs in
     ker m_Gamma = N*G^(2), found to ``KERNEL_TOL``.
 
-    A set is a frozen dataclass, equal and hashed by its parts.  It keeps
-    each composition it makes (``composed``) for as long as it lives, so
-    the product and the bar product of the same sets compose each pair
-    once.
+    A set is a frozen dataclass, equal and hashed by its parts.
     """
-
-    def __post_init__(self):
-        object.__setattr__(self, "_composed", {})
 
     def __iter__(self):
         return iter(self.parts)
@@ -308,13 +303,6 @@ class _DirSet:
     def union(self, *others):
         return type(self)(tuple(chain(self, *others)))
 
-    def composed(self, other):
-        """``self.compose(other)``, computed on the first call only."""
-        out = self._composed.get(other)
-        if out is None:
-            out = self._composed[other] = self.compose(other)
-        return out
-
 
 @dataclass(frozen=True)
 class Signs(_DirSet):
@@ -324,7 +312,6 @@ class Signs(_DirSet):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", frozenset(self.parts))
-        super().__post_init__()
 
     @staticmethod
     def full() -> "Signs":
@@ -383,7 +370,6 @@ class Arcs(_DirSet):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(merge_arcs(list(self.parts))))
-        super().__post_init__()
 
     @staticmethod
     def full() -> "Arcs":
@@ -608,16 +594,15 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, init=False, eq=False)
 class ConeSet:
-    """A finite union of cells, held as arrays: ``boxes``, the base boxes
-    as (cells, dim) arrays of starts and widths, normalised as
+    """A finite union of cells, held as arrays only: ``boxes``, the base
+    boxes as (cells, dim) arrays of starts and widths, normalised as
     ``CircInterval`` does, and ``dir_table``, the distinct direction sets
     in order of first occurrence with each cell's index into them.
     ``cells`` is a view of the same cells as ``ConeCell``s, built on its
-    first read (or kept, for a set built from cells).  Cells with no
-    directions are dropped; sets are equal when models and cells are."""
+    first read.  Cells with no directions are dropped; sets are equal when
+    models and cells are, and hash by the model and the boxes' floats."""
 
     model: GroupoidModel
-    cells: tuple[ConeCell, ...]     # a field, read through the view below
 
     def __init__(self, model: GroupoidModel, cells=()):
         try:
@@ -630,7 +615,7 @@ class ConeSet:
                               f"CircInterval base intervals")
         made = ConeSet.from_boxes(model, box[..., 0], box[..., 1], [c.dirs for c in cells],
                                   range(len(cells)))
-        self.__dict__.update(made.__dict__, cells=tuple(c for c in cells if c.dirs))
+        self.__dict__.update(made.__dict__)
 
     @classmethod
     def from_boxes(cls, model: GroupoidModel, starts, widths, sets, index) -> "ConeSet":
@@ -683,7 +668,7 @@ class ConeSet:
                 and all(sets1[a] == sets2[b] for a, b in set(zip(k1.tolist(), k2.tolist()))))
 
     def __hash__(self):
-        return hash((self.model, self.cells))
+        return hash((self.model, *(tuple(v.ravel().tolist()) for v in self.boxes)))
 
     # -- serialization ----------------------------------------------------
 
@@ -696,10 +681,33 @@ class ConeSet:
 
     @staticmethod
     def from_json(d: dict) -> "ConeSet":
-        model = GroupoidModel.from_json(d["model"])
+        """The set ``to_json`` wrote.  A part of ``d`` that is missing,
+        unknown or misshapen is a SerializationError that names it; a bad
+        model or a non-real number stays a DomainError."""
+        only_keys(d, ("model", "cells"), "a cone set", SerializationError)
+        model = _parsed(d, "model", "a cone set", GroupoidModel.from_json)
         dirs_type = DIRECTION_SETS[model.dim]
-        return ConeSet(model, tuple(ConeCell(tuple(interval(lo, hi) for lo, hi in c["base_box"]),
-                                             dirs_type.from_json(c)) for c in d["cells"]))
+        (key,) = dirs_type().to_json()
+        cells = []
+        for i, c in enumerate(_parsed(d, "cells", "a cone set", list)):
+            what = f"cone set cell {i}"
+            only_keys(c, ("base_box", key), what, SerializationError)
+            base = _parsed(c, "base_box", what,
+                           lambda box: tuple(interval(lo, hi) for lo, hi in box))
+            dirs = _parsed(c, key, what, lambda v: dirs_type.from_json({key: v}))
+            cells.append(ConeCell(base, dirs))
+        return ConeSet(model, tuple(cells))
+
+
+def _parsed(d: dict, key: str, what: str, parse):
+    """``parse(d[key])``; a SerializationError naming ``key`` of ``what``
+    where it is missing or ``parse`` finds it misshapen."""
+    if key not in d:
+        raise SerializationError(f"{what} has no {key!r}")
+    try:
+        return parse(d[key])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SerializationError(f"{what} has a malformed {key!r}: {d[key]!r}") from exc
 
 
 def _meeting(w1: ConeSet, w2: ConeSet) -> np.ndarray:
@@ -732,14 +740,12 @@ def a_star_units(model: GroupoidModel) -> ConeSet:
     of G^(0), the box from 1_x to 1_(x+1) (a point where G^(0) is one)."""
     if model.continuous:
         raise ModelUnsupportedError("a_star_units needs a grid model")
-    embed = model.structure.unit_embed
-    dirs = a_star_directions(model)
-    cells = []
-    for x in product(*map(range, model.unit_shape)):
-        lo, hi = embed(x), embed(tuple(k + 1 for k in x))
-        cells.append(ConeCell(tuple(CircInterval(a / size, (b - a) / size)
-                                    for a, b, size in zip(lo, hi, model.grid_shape)), dirs))
-    return ConeSet(model, tuple(cells))
+    embed, units = model.structure.unit_embed, list(product(*map(range, model.unit_shape)))
+    lo, hi = (np.array([embed(tuple(k + step for k in x)) for x in units], dtype=float)
+              for step in (0, 1))
+    size = np.array(model.grid_shape)
+    return ConeSet.from_boxes(model, lo / size, (hi - lo) / size, [a_star_directions(model)],
+                              np.zeros(len(units), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +957,12 @@ def compose_direction_caps(caps1, caps2) -> list[Cap]:
 # cone_product and cone_product_bar
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)     # one composed set of caps can take megabytes
+def _composed(d1, d2):
+    """``d1.compose(d2)``, kept by the sets' values, on which alone it depends."""
+    return d1.compose(d2)
+
+
 def _product_cells(w1: ConeSet, w2: ConeSet):
     """The cells of m_Gamma((W1 x W2) cap Gamma^(2)) as ``from_boxes``
     takes them: each pair of cells whose bases meet gives the model's
@@ -973,7 +985,7 @@ def _product_cells(w1: ConeSet, w2: ConeSet):
     ok = np.stack([np.broadcast_to(reduce(np.logical_and, [iv.ok for iv in box]), rows.shape)
                    for box in boxes], axis=1)
     return (starts[ok], widths[ok],
-            [sets1[a].composed(sets2[b]) for a, b in pairs[first].tolist()],
+            [_composed(sets1[a], sets2[b]) for a, b in pairs[first].tolist()],
             np.repeat(which[:, None], len(boxes), axis=1)[ok])
 
 

@@ -86,9 +86,11 @@ from test_wavefront import KERNEL_CASES                               # noqa: E4
 
 def plain(x):
     """``x`` as JSON data, exactly: dataclasses field by field (floats by
-    ``repr``, which round-trips), anything with ``columns()`` (a slope
-    table) by its columns, sets sorted, any other non-string sequence as
-    a list, arrays as raw bytes."""
+    ``repr``, which round-trips), a cone set by its model and cells,
+    anything with ``columns()`` (a slope table) by its columns, sets
+    sorted, any other non-string sequence as a list, arrays as raw bytes."""
+    if isinstance(x, cones.ConeSet):
+        return {"model": plain(x.model), "cells": plain(x.cells)}
     if hasattr(x, "columns"):
         return plain(x.columns())
     if dataclasses.is_dataclass(x) and not isinstance(x, type):

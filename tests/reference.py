@@ -1,8 +1,9 @@
 """Reference implementations that the library's array code must agree
 with: the interval test of two circular intervals, containment as a loop
-over A's cells and each of their base points, and the estimator's cell
-extraction as one report and one cell per anchored probe.  Tests compare
-verdicts and cone sets against them.
+over A's cells and each of their base points, the estimator's cell
+extraction as one report and one cell per anchored probe, and the unit
+cone and random cone sets built cell by cell.  Tests compare verdicts and
+cone sets against them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from grpd.cones import DIRECTION_SETS, CircInterval, ConeCell, ConeSet
+from grpd.cones import DIRECTION_SETS, CircInterval, ConeCell, ConeSet, a_star_directions
 from grpd.errors import DomainError, ModelMismatchError, is_real
 from grpd.wavefront import (WfParams, _as_distribution, _fit_range, _flags, _plan,
                             _probe_tables, _raster)
@@ -108,3 +109,27 @@ def estimate_by_probe(u, p: WfParams | None = None) -> ConeSet:
                  report(flagged[k], anchors[k], sc.dirs, p.cone_half_angle,
                         sc.ray_response_halfwidth))
         for k in np.flatnonzero(anchors.any(axis=1))))
+
+
+def a_star_units_by_cell(model) -> ConeSet:
+    """``a_star_units`` as one ``ConeCell`` per grid cell x of G^(0): the
+    box from 1_x to 1_(x+1), with the directions of A*G."""
+    embed = model.structure.unit_embed
+    dirs = a_star_directions(model)
+    cells = []
+    for x in product(*map(range, model.unit_shape)):
+        lo, hi = embed(x), embed(tuple(k + 1 for k in x))
+        cells.append(ConeCell(tuple(CircInterval(a / size, (b - a) / size)
+                                    for a, b, size in zip(lo, hi, model.grid_shape)), dirs))
+    return ConeSet(model, tuple(cells))
+
+
+def random_cone_set_by_cell(model, rng: np.random.Generator, max_cells: int = 2) -> ConeSet:
+    """``checks.random_cone_set`` as one ``ConeCell`` per draw, drawing
+    from ``rng`` in the same order."""
+    cells = []
+    for _ in range(int(rng.integers(1, max_cells + 1))):
+        base = tuple(CircInterval(float(rng.uniform(0, 1)), float(rng.uniform(0, 0.3)))
+                     for _ in range(model.dim))
+        cells.append(ConeCell(base, DIRECTION_SETS[model.dim].random(rng)))
+    return ConeSet(model, tuple(cells))

@@ -245,23 +245,30 @@ def _written(path, data=b""):
     return str(path)
 
 
-# a command line that names a path grpd cannot read or write, by case
+# a command line with a path or flag grpd cannot read or write, by case,
+# and that path or flag, which the error must name
 BAD_PATHS = {
-    "run-directory": lambda tmp: ["run", str(tmp)],
-    "run-non-utf8": lambda tmp: ["run", _written(tmp / "latin1.json", b'{"name": "caf\xe9"}')],
-    "wf-estimate-out-is-a-file": lambda tmp: ["wf-estimate", "--n", "64",
-                                              "--out", _written(tmp / "taken")],
-    "demo-out-is-a-file": lambda tmp: ["demo", "roundtrip", "--n", "64",
-                                       "--out", _written(tmp / "taken")],
+    "run-directory": lambda tmp: (["run", str(tmp)], str(tmp)),
+    "run-non-utf8": lambda tmp: (["run", (p := _written(tmp / "latin1.json",
+                                                        b'{"name": "caf\xe9"}'))], p),
+    "run-truncated": lambda tmp: (["run", (p := _written(tmp / "cut.json", b'{"name": '))], p),
+    "wf-estimate-out-is-a-file": lambda tmp: (["wf-estimate", "--n", "64",
+                                               "--out", (p := _written(tmp / "taken"))], p),
+    "demo-out-is-a-file": lambda tmp: (["demo", "roundtrip", "--n", "64",
+                                        "--out", (p := _written(tmp / "taken"))], p),
+    "params-not-json": lambda tmp: (["wf-estimate", "--n", "64", "--params", "{bad",
+                                     "--out", str(tmp / "out")], "--params of wf-estimate"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_PATHS)
 def test_bad_paths_are_usage_errors(case, tmp_path, capsys):
-    # each raised a traceback out of main
-    assert run_cli(*BAD_PATHS[case](tmp_path)) == 1
+    # each raised a traceback out of main, or an error that named neither
+    # the path nor the flag
+    argv, named = BAD_PATHS[case](tmp_path)
+    assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_zero_window_radius_is_a_usage_error(tmp_path, capsys):
@@ -513,6 +520,7 @@ def test_cone_product_composes_each_pair_of_direction_sets_once(tmp_path, monkey
         calls.append((arcs1, arcs2))
         return real(arcs1, arcs2)
     monkeypatch.setattr(grpd.cones, "compose_direction_arcs", counted)
+    grpd.cones._composed.cache_clear()
     assert run_cli("cone-product", "--n", "64", "--out", str(tmp_path)) == 0
     assert len(calls) == 1
 

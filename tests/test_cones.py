@@ -14,7 +14,8 @@ from grpd.checks import random_cone_set
 from grpd.cones import KER_S, SAMPLING_STEP, _base_points, _zero_terms
 from grpd.errors import DomainError
 from grpd.models import circle_group, pair_circle, pair_times_z
-from reference import base_grid_points, contains_by_point, intersects, point_interval
+from reference import (a_star_units_by_cell, base_grid_points, contains_by_point, intersects,
+                       point_interval, random_cone_set_by_cell)
 
 M = pair_circle(64)
 G = circle_group(64)
@@ -706,16 +707,72 @@ def test_directions_composed_once_per_distinct_pair(monkeypatch):
         return real(arcs1, arcs2)
     monkeypatch.setattr(grpd.cones, "compose_direction_arcs", counted)
     w1, w2 = rotation_cone(M, 0.25), rotation_cone(M, 0.125)
+    grpd.cones._composed.cache_clear()
     assert len(cone_product(w1, w2).cells) == 3 * M.n
     assert len(calls) == 1
     calls.clear()
     rng = np.random.default_rng(3)
     w1 = random_cone_set(M, rng, max_cells=4)
     w1 = ConeSet(M, w1.cells + rotation_cone(M, 0.5).cells)
+    grpd.cones._composed.cache_clear()
     cone_product(w1, w2)
     distinct = {(c1.dirs, c2.dirs) for c1 in w1.cells for c2 in w2.cells
                 if intersects(c1.base[1], c2.base[0])}
     assert len(calls) == len(distinct) == len(set(calls)) > 1
+
+
+def test_fresh_cones_with_equal_directions_share_a_composition(monkeypatch):
+    # each set kept its own compositions, so fresh cones composed again
+    import grpd.cones
+    calls = []
+    real = grpd.cones.compose_direction_arcs
+
+    def counted(arcs1, arcs2):
+        calls.append((arcs1, arcs2))
+        return real(arcs1, arcs2)
+    monkeypatch.setattr(grpd.cones, "compose_direction_arcs", counted)
+    grpd.cones._composed.cache_clear()
+    first = cone_product_bar(rotation_cone(M, 0.25), rotation_cone(M, 0.125))
+    second = cone_product_bar(rotation_cone(M, 0.5), rotation_cone(M, 0.375))
+    assert len(calls) == 1 and first != second
+
+
+def test_hashing_a_cone_set_builds_no_cell_view():
+    for w in (rotation_cone(M, 0.25), a_star_units(Z),
+              random_cone_set(G, np.random.default_rng(1))):
+        hash(w)
+        assert "cells" not in w.__dict__
+
+
+def _same_set(a: ConeSet, b: ConeSet):
+    """Equal, hashed alike, written alike, with bit-equal boxes and the
+    same distinct direction sets in the same order."""
+    assert a == b and hash(a) == hash(b) and a.to_json() == b.to_json()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.boxes, b.boxes))
+    assert a.dir_table[0] == b.dir_table[0] and np.array_equal(a.dir_table[1], b.dir_table[1])
+
+
+UNIT_MODELS = {**{f"pair_circle({n})": pair_circle(n) for n in (8, 16, 32, 64)},
+               "circle_group(64)": G, "pair_times_z(16, 8)": Z}
+
+
+@pytest.mark.parametrize("name", UNIT_MODELS)
+def test_a_star_units_equals_its_cell_by_cell_build(name):
+    model = UNIT_MODELS[name]
+    _same_set(a_star_units(model), a_star_units_by_cell(model))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_cone_set_equals_its_cell_by_cell_build(dim):
+    # criterion 8 and the cone-calculus draws read these sets and the
+    # generator after them
+    model = {1: G, 2: M, 3: Z}[dim]
+    for seed in range(20):
+        for max_cells in range(1, 5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _same_set(random_cone_set(model, rng, max_cells),
+                      random_cone_set_by_cell(model, ref, max_cells))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("tols", [(math.nan, 1.0), (0.1, math.nan), (-0.1, 1.0),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -94,6 +95,41 @@ def test_cone_set_json_with_an_unknown_model_key_is_refused(tmp_path):
     d["model"]["bogus"] = 1
     path.write_text(json.dumps(d))
     with pytest.raises(DomainError, match="bogus"):
+        gridio.load_cone_set(path)
+
+
+MODEL = pair_circle(32).to_json()
+CELL = {"base_box": [[0.0, 0.5], [0.25, 0.75]], "arcs": [[0.0, 1.0]]}
+# a cone-set document with one part missing, unknown or misshapen, and the
+# words of the error that name it
+BAD_CONE_JSON = {
+    "a list": ([{"model": MODEL, "cells": [CELL]}], "a cone set must be a JSON object"),
+    "no model": ({"cells": [CELL]}, "a cone set has no 'model'"),
+    "no cells": ({"model": MODEL}, "a cone set has no 'cells'"),
+    "cells not a list": ({"model": MODEL, "cells": 5}, "a cone set has a malformed 'cells'"),
+    "no base_box": ({"model": MODEL, "cells": [CELL, {"arcs": CELL["arcs"]}]},
+                    "cone set cell 1 has no 'base_box'"),
+    "one-number box": ({"model": MODEL, "cells": [{**CELL, "base_box": [[0.5], [0.5]]}]},
+                       "cone set cell 0 has a malformed 'base_box'"),
+    "no directions": ({"model": MODEL, "cells": [{"base_box": CELL["base_box"]}]},
+                      "cone set cell 0 has no 'arcs'"),
+    "signs on a pair model": ({"model": MODEL, "cells": [{"base_box": CELL["base_box"],
+                                                          "signs": [1]}]}, "not ['signs']"),
+    "string arc end": ({"model": MODEL, "cells": [{**CELL, "arcs": [[0.0, "x"]]}]},
+                       "cone set cell 0 has a malformed 'arcs'"),
+    "unknown cell key": ({"model": MODEL, "cells": [{**CELL, "bogus": 1}]}, "not ['bogus']"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONE_JSON)
+def test_malformed_cone_json_is_refused_by_name(tmp_path, case):
+    # each raised a KeyError, ValueError or TypeError, or loaded
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"model": MODEL, "cells": [CELL]}))
+    assert len(gridio.load_cone_set(path).cells) == 1
+    doc, named = BAD_CONE_JSON[case]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SerializationError, match=re.escape(named)):
         gridio.load_cone_set(path)
 
 

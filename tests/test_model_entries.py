@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from grpd import catalog, errors
-from grpd.cones import (Cap, CircInterval, ConeSet, Transversality, a_star_units,
-                        cone_contains, cone_product, cone_product_bar, hormander_gate,
-                        transversality)
+from grpd.cones import (DIRECTION_SETS, Cap, CircInterval, ConeSet, Transversality,
+                        a_star_units, cone_contains, cone_product, cone_product_bar,
+                        hormander_gate, transversality)
 from grpd.convolution import (GOperator, apply_operator, convolve, convolve_gated,
                               equivariance_defect, push_product, recover_kernel,
                               right_translate)
@@ -56,6 +56,20 @@ def _gamma(m):
 
 def _delta(m):
     return CotangentPoint(_gamma(m), (1.0,) * m.dim)
+
+
+def _cone(m, cells):
+    return ConeSet.from_json({"model": m.to_json(), "cells": cells})
+
+
+def _box(m):
+    return {"base_box": [[0.0, 0.5]] * m.dim}
+
+
+def _dirs(m, own=True):
+    """The JSON of the full direction set of ``m``'s dimension, or of
+    another dimension."""
+    return DIRECTION_SETS[m.dim if own else 1 + m.dim % 2].full().to_json()
 
 
 FALSY = ([], 0, "", False)
@@ -113,6 +127,18 @@ CALLS = {
     "CircInterval non-real width": lambda m: CircInterval(0.5, "x"),
     "ConeSet.from_json non-real end": lambda m: ConeSet.from_json(
         {"model": m.to_json(), "cells": [{"base_box": [[0.0, "x"]] * m.dim}]}),
+    # cone JSON with a part missing, unknown or misshapen
+    "ConeSet.from_json a list": lambda m: ConeSet.from_json([m.to_json()]),
+    "ConeSet.from_json no cells": lambda m: ConeSet.from_json({"model": m.to_json()}),
+    "ConeSet.from_json cells not a list": lambda m: _cone(m, 5),
+    "ConeSet.from_json no base_box": lambda m: _cone(m, [_dirs(m)]),
+    "ConeSet.from_json one-number box": lambda m: _cone(m, [{"base_box": [[0.5]] * m.dim,
+                                                              **_dirs(m)}]),
+    "ConeSet.from_json no directions": lambda m: _cone(m, [_box(m)]),
+    "ConeSet.from_json other directions": lambda m: _cone(m, [{**_box(m), **_dirs(m, False)}]),
+    "ConeSet.from_json string arc end": lambda m: _cone(m, [{**_box(m), "arcs": [[0.0, "x"]]}]),
+    "ConeSet.from_json unknown cell key": lambda m: _cone(m, [{**_box(m), **_dirs(m),
+                                                                "bogus": 1}]),
     "WfParams narrow cone": lambda m: WfParams(cone_half_angle=0.01).resolve(m),
     "from_json bad kind": lambda m: GroupoidModel.from_json({**m.to_json(), "kind": "x"}),
     "CATALOG unknown": lambda m: catalog.build_distribution("bogus", m),
@@ -188,6 +214,9 @@ REFUSALS = {
     "Cap inf radius": EVERY,
     "CircInterval nan start": EVERY, "CircInterval non-real width": EVERY,
     "ConeSet.from_json non-real end": EVERY,
+    **{f"ConeSet.from_json {case}": dict.fromkeys(MODELS, "SerializationError") for case in (
+        "a list", "no cells", "cells not a list", "no base_box", "one-number box",
+        "no directions", "other directions", "string arc end", "unknown cell key")},
     "WfParams narrow cone": EVERY,
     "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
     "CATALOG unknown key": EVERY, "CONE_CATALOG unknown key": EVERY,
