@@ -167,7 +167,9 @@ def _demo_unit_laws(out: Path, seed: int, n: int) -> tuple[bool, dict]:
 def _demo_g_operators(out: Path, seed: int, n: int) -> tuple[bool, dict]:
     res = checks.check_g_operators(min(n, 64), seed)
     ok = all(v < 1e-9 for k, v in res.items() if k.startswith("module"))
-    ok &= all(v < 1e-12 for k, v in res.items() if k.startswith("equivariance"))
+    # exact on the delta and the layers, to rounding on the smooth kernel
+    ok &= all(v < 1e-12 if "smooth" in k else v == 0.0
+              for k, v in res.items() if k.startswith("equivariance"))
     ok &= all(v < 1e-9 for k, v in res.items() if k.startswith("recover"))
     return ok, res
 
@@ -181,8 +183,11 @@ def _demo_remark_counterexample(out: Path, seed: int, n: int) -> tuple[bool, dic
     res, report = checks.check_counterexample(max(n, 128), seed)
     gridio.write_artifacts(out, {"counterexample_slopes.csv": report.slopes,
                                  "counterexample_wf.json": report.estimated})
+    # the estimated cone holds a direction within 10 degrees of (+-1, 0)
+    cone_hit = any(d.contains(0.0, math.pi / 18.0) or d.contains(math.pi, math.pi / 18.0)
+                   for d in report.estimated.dir_table[0])
     ok = (res["pushforward_tail"] < 1e-8
-          and res["best_axis_deviation"] <= math.pi / 18.0)
+          and res["best_axis_deviation"] <= math.pi / 18.0 and cone_hit)
     return ok, {k: v for k, v in res.items()}
 
 
@@ -202,7 +207,8 @@ def _demo_wf_product_layers(out: Path, seed: int, n: int) -> tuple[bool, dict]:
 
 def _demo_cone_heredity(out: Path, seed: int, n: int) -> tuple[bool, dict]:
     res = checks.check_cone_heredity(500, seed, min(n, 64))
-    ok = res["violations"] == 0 and res["a_star_bi_transversal"]
+    ok = (res["violations"] == 0 and res["a_star_bi_transversal"]
+          and res["tested_s"] + res["tested_r"] >= 500)
     return ok, res
 
 

@@ -20,17 +20,17 @@ its ``kernel_part`` is empty.
 A ConeSet holds only arrays: its base boxes as (cells, dim) arrays of
 starts and widths (``boxes``), and its distinct direction sets with each
 cell's index into them (``dir_table``); its ``ConeCell``s are a view,
-built when first read.  Every builder but ``from_json`` passes arrays
-(``ConeSet.from_boxes``).  The gate and the product find the cell pairs
-whose bases meet by one broadcast over W1 x W2; the gate reads one row
-of kernel pairs per distinct set, the product forms all boxes at once
-(the model's ``box_product`` on interval arrays) and composes each
-distinct pair of sets through one cache keyed by their values
-(``_composed``), and the bar product's zero-section terms are found
-once per distinct set.
+built when first read.  Every builder passes arrays
+(``ConeSet.from_boxes``), ``from_json`` its base boxes' ends as rows.
+The gate and the product find the cell pairs whose bases meet by one
+broadcast over W1 x W2; the gate reads one row of kernel pairs per
+distinct set, the product forms all boxes at once (the model's
+``box_product`` on interval arrays) and composes each distinct pair of
+sets through one cache keyed by their values (``_composed``), and the
+bar product's zero-section terms are found once per distinct set.
 Containment tests all base points of A against B's dilated boxes in one
 chunked broadcast, and unites and tests directions once per distinct
-(multiset of holders' sets, A's set).
+(set of holders' sets, A's set).
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
 ``cone_product_bar`` adds the two zero-section terms.  What differs
@@ -58,7 +58,7 @@ from itertools import chain, product
 import numpy as np
 
 from .errors import (DomainError, ModelMismatchError, ModelUnsupportedError,
-                     SerializationError, finite_vector, is_real, only_keys, real)
+                     SerializationError, finite_vector, integer, is_real, only_keys, real)
 from .models import GroupoidModel
 
 TWO_PI = 2.0 * math.pi
@@ -149,29 +149,21 @@ class _Spans:
         return pieces
 
 
-def interval(lo: float, hi: float) -> CircInterval:
-    """Interval of the unit circle from lo to hi going counterclockwise (hi
-    may wrap past lo; hi = lo + 1 means the full circle, hi = lo a point)."""
-    width = (real(hi, "interval end") - real(lo, "interval start")) % 1.0
-    if width == 0.0 and hi != lo:
-        width = 1.0
-    return CircInterval(lo, width)
-
-
 def full_interval(period: float = 1.0) -> CircInterval:
     return CircInterval(0.0, period, period)
 
 
 def merge_arcs(arcs: list[CircInterval]) -> list[CircInterval]:
     """Normalize a union of arcs: merge those that overlap or lie within
-    1e-12 of each other."""
+    1e-12 of each other.  Exact duplicates count once, so a union of equal
+    arc sets is that set."""
     arcs = [a for a in arcs if a is not None]
     if not arcs:
         return []
     p = arcs[0].period
     if any(a.is_full for a in arcs):
         return [full_interval(p)]
-    evs = sorted((a.start, a.width) for a in arcs)
+    evs = sorted({(a.start, a.width) for a in arcs})
     merged: list[list[float]] = []
     for s, w in evs:
         if merged and s <= merged[-1][0] + merged[-1][1] + 1e-12:
@@ -358,7 +350,10 @@ class Signs(_DirSet):
 
     @staticmethod
     def from_json(d: dict) -> "Signs":
-        return Signs(d["signs"])
+        signs = [integer(s, "a sign") for s in _json_list(d["signs"])]
+        if not set(signs) <= {1, -1}:
+            raise DomainError(f"signs must be 1 or -1, got {signs!r}")
+        return Signs(signs)
 
 
 @dataclass(frozen=True)
@@ -448,7 +443,8 @@ class Arcs(_DirSet):
 
     @staticmethod
     def from_json(d: dict) -> "Arcs":
-        return Arcs(tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in d["arcs"]))
+        ends = [[real(v, "an arc end") for v in _json_list(a, 2)] for a in _json_list(d["arcs"])]
+        return Arcs(tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in ends))
 
 
 @dataclass(frozen=True)
@@ -548,7 +544,8 @@ class Caps(_DirSet):
 
     @staticmethod
     def from_json(d: dict) -> "Caps":
-        return Caps(tuple(Cap(tuple(v[:3]), v[3]) for v in d["caps"]))
+        caps = [_json_list(c, 4) for c in _json_list(d["caps"])]
+        return Caps(tuple(Cap(tuple(c[:3]), c[3]) for c in caps))
 
 
 DIRECTION_SETS = {1: Signs, 2: Arcs, 3: Caps}
@@ -681,22 +678,27 @@ class ConeSet:
 
     @staticmethod
     def from_json(d: dict) -> "ConeSet":
-        """The set ``to_json`` wrote.  A part of ``d`` that is missing,
-        unknown or misshapen is a SerializationError that names it; a bad
-        model or a non-real number stays a DomainError."""
+        """The set ``to_json`` wrote; a base box axis ``[lo, hi]`` runs
+        from lo to hi counterclockwise (hi = lo + 1 is the whole circle).
+        A part of ``d`` that is missing, unknown or misshapen is a
+        SerializationError that names it; a bad model, or a value its rule
+        refuses (a non-real number, a sign not 1 or -1), is a DomainError."""
         only_keys(d, ("model", "cells"), "a cone set", SerializationError)
         model = _parsed(d, "model", "a cone set", GroupoidModel.from_json)
         dirs_type = DIRECTION_SETS[model.dim]
         (key,) = dirs_type().to_json()
-        cells = []
+        ends, sets = [], []
         for i, c in enumerate(_parsed(d, "cells", "a cone set", list)):
             what = f"cone set cell {i}"
             only_keys(c, ("base_box", key), what, SerializationError)
-            base = _parsed(c, "base_box", what,
-                           lambda box: tuple(interval(lo, hi) for lo, hi in box))
-            dirs = _parsed(c, key, what, lambda v: dirs_type.from_json({key: v}))
-            cells.append(ConeCell(base, dirs))
-        return ConeSet(model, tuple(cells))
+            ends.append(_parsed(c, "base_box", what, lambda box: [
+                (real(lo, "a base box end"), real(hi, "a base box end"))
+                for lo, hi in _json_list(box, model.dim)]))
+            sets.append(_parsed(c, key, what, lambda v: dirs_type.from_json({key: v})))
+        lo, hi = np.moveaxis(np.array(ends, dtype=float).reshape(len(sets), model.dim, 2), -1, 0)
+        widths = (hi - lo) % 1.0
+        widths[(widths == 0.0) & (hi != lo)] = 1.0
+        return ConeSet.from_boxes(model, lo, widths, sets, range(len(sets)))
 
 
 def _parsed(d: dict, key: str, what: str, parse):
@@ -708,6 +710,15 @@ def _parsed(d: dict, key: str, what: str, parse):
         return parse(d[key])
     except (TypeError, ValueError, IndexError) as exc:
         raise SerializationError(f"{what} has a malformed {key!r}: {d[key]!r}") from exc
+
+
+def _json_list(value, length: int | None = None) -> list:
+    """``value`` if it is a JSON list (of ``length`` entries) with no string
+    in it, else a ValueError, which ``_parsed`` reports as misshapen."""
+    if (not isinstance(value, list) or length not in (None, len(value))
+            or any(isinstance(v, str) for v in value)):
+        raise ValueError(f"not a list of {length or 'any number of'} non-strings")
+    return value
 
 
 def _meeting(w1: ConeSet, w2: ConeSet) -> np.ndarray:
@@ -1080,12 +1091,9 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     Every base point of A (``_base_points``) is tested against B's dilated
     boxes with the float operations of ``CircInterval.contains(x, 1e-12)``,
     on each axis once per distinct coordinate and interval, in chunks of
-    points.  The directions over a point are the union of its holders'
-    dilated sets (each distinct set of B dilated once), formed once per
-    multiset of holders' sets and tested once per pair of multiset and set
-    of A.  Duplicates are kept, as merging an exact duplicate arc can round
-    its width up by an ulp; a set held more than twice counts twice, as
-    ``merge_arcs`` extends an arc by the same amount for each later copy.
+    points.  The directions over a point are the union of the dilated
+    distinct sets of B that hold it (each dilated once), formed once per
+    set of holders and tested once per pair of holders and set of A.
     """
     if a.model != b.model:
         raise ModelMismatchError("cone sets on different models")
@@ -1107,8 +1115,8 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     nothing = DIRECTION_SETS[model.dim]()
     a_sets, a_number_of = a.dir_table
     covers = [dirs.cover_test(angular_tol) for dirs in a_sets]
-    # per base point of A, how often each distinct set of B holds it (a
-    # full interval, start 0 and width 1, holds all)
+    # per base point of A, which distinct sets of B hold it (a full
+    # interval, start 0 and width 1, holds all)
     points, owner = _base_points(a)
     spans = [distinct_rows(np.stack([starts[:, ax], widths[:, ax]], axis=1))
              for ax in range(model.dim)]
@@ -1122,13 +1130,13 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
             off = (xs[:, None] - starts[first, ax]) % 1.0
             held_ax = (off <= widths[first, ax] + 1e-12) | (off >= 1.0 - 1e-12)
             inside = inside & held_ax[np.ix_(at, which)]
-        held[lo:lo + rows] = np.minimum(inside @ per_set, 2)
-    avail = {}          # sorted holder numbers -> the union of their sets
+        held[lo:lo + rows] = np.minimum(inside @ per_set, 1)
+    avail = {}          # a row of held -> the union of those sets
     keys = np.column_stack([held, a_number_of[owner]])
-    for *counts, k in keys[distinct_rows(keys)[0]].tolist():
-        holders = tuple(np.repeat(np.arange(len(sets)), counts).tolist())
-        if holders not in avail:
-            avail[holders] = nothing.union(*(grown[i] for i in holders))
-        if not covers[k](avail[holders]):
+    for *holds, k in keys[distinct_rows(keys)[0]].tolist():
+        holds = tuple(holds)
+        if holds not in avail:
+            avail[holds] = nothing.union(*(g for g, h in zip(grown, holds) if h))
+        if not covers[k](avail[holds]):
             return False
     return True

@@ -29,6 +29,9 @@ It hashes:
 * every artifact of one scenario-sweep pass and every ``VerifyReport``
   field of verify-pair, at seeds 1 and 9001 (the benchmark's workloads,
   imported read-only from ``perfbench.workloads``);
+* every cone JSON file of those artifacts read back through
+  ``gridio.load_cone_set``: the reloaded set's JSON, and whether it
+  equals the set written;
 * the estimate, the slope table and the probe kernel's tables and
   slopes for the 1-d, 2-d and 3-d ``KERNEL_CASES`` of ``test_wavefront``;
 * estimates under non-default report levels (``FLOOR_CASES``): the
@@ -66,7 +69,7 @@ import subprocess
 import sys
 import tempfile
 from collections.abc import Sequence
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +77,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from grpd import checks, cli, cones, cotangent, models                # noqa: E402
+from grpd import checks, cli, cones, cotangent, gridio, models        # noqa: E402
 from grpd.errors import GrpdError                                     # noqa: E402
 from grpd.catalog import rotation_layer                               # noqa: E402
 from grpd.distributions import rasterize, smooth_distribution         # noqa: E402
@@ -136,6 +139,32 @@ def artifacts(tmp: Path) -> dict:
         code = cli.main(["demo", name, "--out", str(out)])
         found[f"demo {name}"] = {"exit": code, "files": hash_tree(out)}
     return found
+
+
+@contextmanager
+def recorded_cone_writes(written: dict):
+    """Record in ``written`` each cone set ``gridio`` writes, by path."""
+    save = gridio.save_cone_set
+
+    def record(path, cone):
+        written[Path(path)] = cone
+        save(path, cone)
+    gridio.save_cone_set = record
+    try:
+        yield
+    finally:
+        gridio.save_cone_set = save
+
+
+def reloaded_cones(tmp: Path, written: dict) -> dict:
+    """Every cone JSON file written under ``tmp`` read back through
+    ``gridio.load_cone_set``: the reloaded set's ``to_json()``, and whether
+    the reloaded set equals the one written."""
+    found = {}
+    for path, cone in sorted(written.items()):
+        back = gridio.load_cone_set(path)
+        found[str(path.relative_to(tmp))] = [hash_json(back.to_json()), back == cone]
+    return {"reloaded cone json": found}
 
 
 def benchmark_workloads(tmp: Path) -> dict:
@@ -428,11 +457,13 @@ def only_verdicts(found: dict) -> dict:
 def fingerprint(verdicts: bool = False) -> dict:
     # the CLI prints progress with timings; keep it out of the JSON
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
-        tmp = Path(tmp)
-        found = artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases() | floor_cases()
+        tmp, written = Path(tmp), {}
+        with recorded_cone_writes(written):
+            found = artifacts(tmp) | benchmark_workloads(tmp) | kernel_cases() | floor_cases()
         if verdicts:    # no estimate runs in the parts below
             return only_verdicts(found)
-        return found | cone_sets() | structures() | layers_and_cones()
+        return (found | reloaded_cones(tmp, written) | cone_sets() | structures()
+                | layers_and_cones())
 
 
 def against(rev: str, verdicts: bool = False) -> int:

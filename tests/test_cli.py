@@ -38,6 +38,48 @@ def test_demo_unknown(tmp_path):
     assert run_cli("demo", "no-such-demo", "--out", str(tmp_path)) == 1
 
 
+# The demos named after acceptance criteria 4, 6 and 8 apply their rules.
+
+@pytest.mark.parametrize("key, defect, code", [
+    ("equivariance[layer0]", 0.0, 0), ("equivariance[layer0]", 1e-13, 2),
+    ("equivariance[delta]", 1e-13, 2), ("equivariance[smooth]", 1e-13, 0)])
+def test_demo_g_operators_needs_exact_equivariance_on_delta_and_layers(
+        tmp_path, monkeypatch, key, defect, code):
+    import grpd.checks
+    res = {"module[layer0]": 0.0, "equivariance[delta]": 0.0, "equivariance[layer0]": 0.0,
+           "equivariance[smooth]": 0.0, "recover[layer0]": 0.0}
+    monkeypatch.setattr(grpd.checks, "check_g_operators",
+                        lambda n, seed: {**res, key: defect})
+    assert run_cli("demo", "g-operators", "--out", str(tmp_path)) == code
+
+
+@pytest.mark.parametrize("tested, code", [(499, 2), (500, 0)])
+def test_demo_cone_heredity_needs_500_qualifying_pairs(tmp_path, monkeypatch, tested, code):
+    import grpd.checks
+    monkeypatch.setattr(grpd.checks, "check_cone_heredity", lambda pairs, seed, n: {
+        "pairs": pairs, "tested_s": tested - 200, "tested_r": 200, "violations": 0,
+        "a_star_bi_transversal": True})
+    assert run_cli("demo", "cone-heredity", "--out", str(tmp_path)) == code
+
+
+def test_demo_remark_counterexample_needs_an_estimated_axis_direction(tmp_path, monkeypatch):
+    # the check's own numbers pass; the estimate is swapped for one that
+    # holds only the direction (0, 1), 90 degrees from (+-1, 0)
+    import dataclasses
+    import math
+
+    import grpd.checks
+    from grpd.cones import TWO_PI, Arcs, CircInterval, ConeSet
+    check = grpd.checks.check_counterexample
+    res, report = check(128, 0)
+    assert run_cli("demo", "remark-counterexample", "--out", str(tmp_path / "a")) == 0
+    up = Arcs((CircInterval(math.pi / 2.0, 0.0, TWO_PI),))
+    off_axis = ConeSet.from_boxes(report.estimated.model, [[0.0, 0.0]], [[1.0, 1.0]], [up], [0])
+    monkeypatch.setattr(grpd.checks, "check_counterexample", lambda n, seed: (
+        res, dataclasses.replace(report, estimated=off_axis)))
+    assert run_cli("demo", "remark-counterexample", "--out", str(tmp_path / "b")) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--bogus", "1"], ["verify", "--n", "abc"], ["convolve", "--m-z", "1.5"], [],
     # demo reads only --n, --seed and --out

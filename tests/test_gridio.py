@@ -111,6 +111,12 @@ BAD_CONE_JSON = {
                     "cone set cell 1 has no 'base_box'"),
     "one-number box": ({"model": MODEL, "cells": [{**CELL, "base_box": [[0.5], [0.5]]}]},
                        "cone set cell 0 has a malformed 'base_box'"),
+    "one-axis box": ({"model": MODEL, "cells": [{**CELL, "base_box": [[0.0, 0.5]]}]},
+                     "cone set cell 0 has a malformed 'base_box'"),
+    "three-axis box": ({"model": MODEL, "cells": [{**CELL, "base_box": [[0.0, 0.5]] * 3}]},
+                       "cone set cell 0 has a malformed 'base_box'"),
+    "ragged cells": ({"model": MODEL, "cells": [CELL, {**CELL, "base_box": [[0.0, 0.5]]}]},
+                     "cone set cell 1 has a malformed 'base_box'"),
     "no directions": ({"model": MODEL, "cells": [{"base_box": CELL["base_box"]}]},
                       "cone set cell 0 has no 'arcs'"),
     "signs on a pair model": ({"model": MODEL, "cells": [{"base_box": CELL["base_box"],

@@ -139,6 +139,14 @@ CALLS = {
     "ConeSet.from_json string arc end": lambda m: _cone(m, [{**_box(m), "arcs": [[0.0, "x"]]}]),
     "ConeSet.from_json unknown cell key": lambda m: _cone(m, [{**_box(m), **_dirs(m),
                                                                 "bogus": 1}]),
+    # direction values that break their set's rule
+    "ConeSet.from_json string signs": lambda m: _cone(m, [{**_box(m), "signs": ["x", "ab"]}]),
+    "ConeSet.from_json signs a string": lambda m: _cone(m, [{**_box(m), "signs": "ab"}]),
+    "ConeSet.from_json bool sign": lambda m: _cone(m, [{**_box(m), "signs": [True]}]),
+    "ConeSet.from_json sign 2": lambda m: _cone(m, [{**_box(m), "signs": [2]}]),
+    "ConeSet.from_json bool arc end": lambda m: _cone(m, [{**_box(m), "arcs": [[0.0, True]]}]),
+    "ConeSet.from_json 5-number cap": lambda m: _cone(m, [{**_box(m),
+                                                          "caps": [[1.0, 0.0, 0.0, 0.1, 0.2]]}]),
     "WfParams narrow cone": lambda m: WfParams(cone_half_angle=0.01).resolve(m),
     "from_json bad kind": lambda m: GroupoidModel.from_json({**m.to_json(), "kind": "x"}),
     "CATALOG unknown": lambda m: catalog.build_distribution("bogus", m),
@@ -183,6 +191,7 @@ MU, DE, MM = "ModelUnsupportedError", "DomainError", "ModelMismatchError"
 GRID = {"AFFINE_GROUP": MU}                          # refused off the grid
 LAYERED = {"PAIR_TIMES_Z": MU, "AFFINE_GROUP": MU}   # refused without layers
 EVERY = dict.fromkeys(MODELS, DE)                    # refused on every model
+SE = dict.fromkeys(MODELS, "SerializationError")
 # The error each call raises, per model; every other call returns.
 REFUSALS = {
     "make_layer": LAYERED, "unit_delta": LAYERED, "Layer": LAYERED,
@@ -214,9 +223,14 @@ REFUSALS = {
     "Cap inf radius": EVERY,
     "CircInterval nan start": EVERY, "CircInterval non-real width": EVERY,
     "ConeSet.from_json non-real end": EVERY,
-    **{f"ConeSet.from_json {case}": dict.fromkeys(MODELS, "SerializationError") for case in (
+    **{f"ConeSet.from_json {case}": SE for case in (
         "a list", "no cells", "cells not a list", "no base_box", "one-number box",
-        "no directions", "other directions", "string arc end", "unknown cell key")},
+        "no directions", "other directions", "string arc end", "unknown cell key",
+        "string signs", "signs a string", "5-number cap")},
+    # a DomainError where the key is the model's own, else an unknown key
+    "ConeSet.from_json bool sign": {**SE, "CIRCLE_GROUP": DE},
+    "ConeSet.from_json sign 2": {**SE, "CIRCLE_GROUP": DE},
+    "ConeSet.from_json bool arc end": {**SE, "PAIR_CIRCLE": DE, "AFFINE_GROUP": DE},
     "WfParams narrow cone": EVERY,
     "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
     "CATALOG unknown key": EVERY, "CONE_CATALOG unknown key": EVERY,
