@@ -30,7 +30,9 @@ sets through one cache keyed by their values (``_composed``), and the
 bar product's zero-section terms are found once per distinct set.
 Containment tests all base points of A against B's dilated boxes in one
 chunked broadcast, and unites and tests directions once per distinct
-(set of holders' sets, A's set).
+(set of holders' sets, A's set).  One function over arrays makes each
+circle decision: interval ends (``_from_ends``), membership (``_holds``),
+normal form and dilation (``_normalized``) and cap hits (``Caps.hits``).
 
 ``cone_product`` implements m_Gamma((W1 x W2) cap Gamma^(2)) and
 ``cone_product_bar`` adds the two zero-section terms.  What differs
@@ -63,9 +65,6 @@ from .models import GroupoidModel
 
 TWO_PI = 2.0 * math.pi
 SAMPLING_STEP = TWO_PI / 256.0     # angular step for non-closed-form models
-# Caps.hits: a dot product off by a few ulps near +-1 moves its arccos by
-# up to ~1e-7 rad, so angles this close to a cap's radius are re-decided
-_HIT_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +93,7 @@ class CircInterval:
         return self.width >= self.period
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
-        if self.is_full:
-            return True
-        off = (x - self.start) % self.period
-        return off <= self.width + tol or off >= self.period - tol
+        return bool(_holds(x, self.start, self.width, self.period, tol))
 
     def dilate(self, eps: float) -> "CircInterval":
         if eps <= 0.0:
@@ -115,6 +111,22 @@ def _normalized(starts, widths, period: float = 1.0):
     """Interval starts and widths as ``CircInterval`` stores them."""
     widths = np.minimum(np.maximum(widths, 0.0), period)
     return np.where(widths >= period, 0.0, starts % period % period), widths
+
+
+def _from_ends(lo: np.ndarray, hi: np.ndarray, period: float):
+    """Starts and widths of the intervals counterclockwise from ``lo`` to
+    ``hi``: whole where ``hi - lo >= period`` or hi wraps exactly onto a
+    different lo, else of width ``(hi - lo) % period`` (``hi - lo`` bit
+    for bit where ``0 <= hi - lo < period``)."""
+    widths = (hi - lo) % period
+    return lo, np.where((hi - lo >= period) | (widths == 0.0) & (hi != lo), period, widths)
+
+
+def _holds(x, starts, widths, period: float, tol: float):
+    """Whether each closed interval holds ``x`` to ``tol``, over arrays or
+    scalars: the one membership rule (a whole interval holds every x)."""
+    off = (x - starts) % period
+    return (off <= widths + tol) | (off >= period - tol)
 
 
 class _Spans:
@@ -230,12 +242,6 @@ class Cap:
         object.__setattr__(self, "center", tuple(float(v) for v in c))
         object.__setattr__(self, "radius", min(max(real(self.radius, "cap radius"), 0.0),
                                                math.pi))
-
-    def contains(self, d, tol: float = 0.0) -> bool:
-        d = np.asarray(d, dtype=float)
-        d = d / np.linalg.norm(d)
-        ang = math.acos(min(1.0, max(-1.0, float(np.dot(d, self.center)))))
-        return ang <= self.radius + tol
 
     def dilate(self, eps: float) -> "Cap":
         return Cap(self.center, self.radius + eps)
@@ -444,7 +450,8 @@ class Arcs(_DirSet):
     @staticmethod
     def from_json(d: dict) -> "Arcs":
         ends = [[real(v, "an arc end") for v in _json_list(a, 2)] for a in _json_list(d["arcs"])]
-        return Arcs(tuple(CircInterval(lo, hi - lo, TWO_PI) for lo, hi in ends))
+        starts, widths = _from_ends(*np.array(ends, dtype=float).reshape(-1, 2).T, TWO_PI)
+        return Arcs(tuple(CircInterval(s, w, TWO_PI) for s, w in zip(starts, widths)))
 
 
 @dataclass(frozen=True)
@@ -459,7 +466,7 @@ class Caps(_DirSet):
                           [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
 
     def contains(self, d, tol: float = 0.0) -> bool:
-        return any(cap.contains(d, tol) for cap in self.parts)
+        return bool(self.hits(np.asarray(d, dtype=float).reshape(1, 3), tol)[0])
 
     def dilate(self, eps: float) -> "Caps":
         return Caps(tuple(cap.dilate(eps) for cap in self.parts))
@@ -479,18 +486,15 @@ class Caps(_DirSet):
             return True
         return covered
 
-    def hits(self, ds: np.ndarray) -> np.ndarray:
-        """``[self.contains(d) for d in ds]`` as one array product.  An
-        angle within ``_HIT_MARGIN`` of a radius is decided by
-        ``Cap.contains`` itself, whose rounding the product does not share."""
+    def hits(self, ds: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        """Per row of ``ds`` (nonzero directions), whether a cap holds it
+        to ``tol``, the one cap membership rule: summed axis by axis, a
+        row's dot products, so its verdict, do not depend on other rows."""
         centers = np.array([cap.center for cap in self.parts]).reshape(-1, 3)
         radii = np.array([cap.radius for cap in self.parts])
         units = ds / np.linalg.norm(ds, axis=1)[:, None]
-        ang = np.arccos(np.clip(units @ centers.T, -1.0, 1.0))
-        hit = ang <= radii
-        for i, j in zip(*np.nonzero(np.abs(ang - radii) <= _HIT_MARGIN)):
-            hit[i, j] = self.parts[j].contains(ds[i])
-        return hit.any(axis=1)
+        dots = sum(units[:, k, None] * centers[None, :, k] for k in range(3))
+        return (np.arccos(np.clip(dots, -1.0, 1.0)) <= radii + tol).any(axis=1)
 
     # the circle mu -> (0, cos mu, sin mu), (-cos mu, 0, -sin mu), sampled
     KERNEL_PAIRS = tuple(((0.0, math.cos(mu), math.sin(mu)), (-math.cos(mu), 0.0, -math.sin(mu)))
@@ -692,13 +696,11 @@ class ConeSet:
             what = f"cone set cell {i}"
             only_keys(c, ("base_box", key), what, SerializationError)
             ends.append(_parsed(c, "base_box", what, lambda box: [
-                (real(lo, "a base box end"), real(hi, "a base box end"))
-                for lo, hi in _json_list(box, model.dim)]))
+                [real(v, "a base box end") for v in _json_list(axis, 2)]
+                for axis in _json_list(box, model.dim)]))
             sets.append(_parsed(c, key, what, lambda v: dirs_type.from_json({key: v})))
         lo, hi = np.moveaxis(np.array(ends, dtype=float).reshape(len(sets), model.dim, 2), -1, 0)
-        widths = (hi - lo) % 1.0
-        widths[(widths == 0.0) & (hi != lo)] = 1.0
-        return ConeSet.from_boxes(model, lo, widths, sets, range(len(sets)))
+        return ConeSet.from_boxes(model, *_from_ends(lo, hi, 1.0), sets, range(len(sets)))
 
 
 def _parsed(d: dict, key: str, what: str, parse):
@@ -713,11 +715,10 @@ def _parsed(d: dict, key: str, what: str, parse):
 
 
 def _json_list(value, length: int | None = None) -> list:
-    """``value`` if it is a JSON list (of ``length`` entries) with no string
-    in it, else a ValueError, which ``_parsed`` reports as misshapen."""
-    if (not isinstance(value, list) or length not in (None, len(value))
-            or any(isinstance(v, str) for v in value)):
-        raise ValueError(f"not a list of {length or 'any number of'} non-strings")
+    """``value`` if it is a JSON list (of ``length`` entries), else a
+    ValueError, which ``_parsed`` reports as misshapen."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ValueError(f"not a list of {length or 'any number of'} entries")
     return value
 
 
@@ -1088,9 +1089,10 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     axis; ``angular_tol`` dilates B's direction sets.  Both must be finite
     and >= 0.
 
-    Every base point of A (``_base_points``) is tested against B's dilated
-    boxes with the float operations of ``CircInterval.contains(x, 1e-12)``,
-    on each axis once per distinct coordinate and interval, in chunks of
+    B's boxes are dilated on all axes at once by ``_normalized``.  Every
+    base point of A (``_base_points``) is tested against them by
+    ``_holds`` at tol 1e-12, the rule of ``CircInterval.contains``, on
+    each axis once per distinct coordinate and interval, in chunks of
     points.  The directions over a point are the union of the dilated
     distinct sets of B that hold it (each dilated once), formed once per
     set of holders and tested once per pair of holders and set of A.
@@ -1103,13 +1105,9 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
     if a.is_empty:
         return True
     model = a.model
-    # B's base boxes dilated as CircInterval.dilate does, axis by axis
-    starts, widths = (v.copy() for v in b.boxes)
-    for ax, n in enumerate(model.grid_shape):
-        eps = base_tol_cells / n
-        if eps > 0.0:
-            starts[:, ax], widths[:, ax] = _normalized(starts[:, ax] - eps,
-                                                       widths[:, ax] + 2.0 * eps)
+    # B's boxes dilated as CircInterval.dilate does (at eps = 0, unchanged)
+    eps = base_tol_cells / np.array(model.grid_shape, dtype=float)
+    starts, widths = _normalized(b.boxes[0] - eps, b.boxes[1] + 2.0 * eps)
     sets, number_of = b.dir_table
     grown = [dirs.dilate(angular_tol) for dirs in sets]
     nothing = DIRECTION_SETS[model.dim]()
@@ -1127,8 +1125,7 @@ def cone_contains(a: ConeSet, b: ConeSet, angular_tol: float,
         inside = True
         for ax, (first, which) in enumerate(spans):
             xs, at = np.unique(points[lo:lo + rows, ax], return_inverse=True)
-            off = (xs[:, None] - starts[first, ax]) % 1.0
-            held_ax = (off <= widths[first, ax] + 1e-12) | (off >= 1.0 - 1e-12)
+            held_ax = _holds(xs[:, None], starts[first, ax], widths[first, ax], 1.0, 1e-12)
             inside = inside & held_ax[np.ix_(at, which)]
         held[lo:lo + rows] = np.minimum(inside @ per_set, 1)
     avail = {}          # a row of held -> the union of those sets

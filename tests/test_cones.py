@@ -360,6 +360,24 @@ def test_cone_set_json_of_no_cells_is_the_empty_set():
         assert ConeSet.from_json({"model": model.to_json(), "cells": []}) == ConeSet(model)
 
 
+def test_a_cone_json_arc_runs_counterclockwise_from_lo_to_hi():
+    # [5, 1] loaded as one ray at 5 rad: the width was hi - lo, clamped at 0
+    (arc,) = Arcs.from_json({"arcs": [[5.0, 1.0]]}).parts
+    assert arc.start == 5.0 and arc.width == pytest.approx(1.0 + TWO_PI - 5.0, abs=1e-15)
+    assert arc.contains(0.0) and arc.contains(6.0) and not arc.contains(3.0)
+
+
+def test_a_cone_json_box_axis_a_circle_or_longer_is_whole():
+    # [0.1, 1.3] loaded as width 0.2: the width was (hi - lo) % 1
+    cone = ConeSet.from_json({"model": M.to_json(), "cells": [
+        {"base_box": [[0.1, 1.3], [0.25, 1.25]], "arcs": [[0.0, 1.0]]}]})
+    assert [iv.is_full for iv in cone.cells[0].base] == [True, True]
+
+
+def test_a_cone_json_arc_longer_than_the_circle_stays_whole():
+    assert Arcs.from_json({"arcs": [[1.0, 1.0 + TWO_PI + 0.5]]}) == Arcs.full()
+
+
 def test_cap_composition_is_the_same_in_any_chunk_size(monkeypatch):
     # a small chunk dedupes the output directions many times mid-stream
     import grpd.cones
@@ -377,6 +395,34 @@ def test_cap_composition_over_the_pair_budget_is_refused():
     cap = Caps.full().parts[0]
     with pytest.raises(DomainError, match="60777616 sample pairs"):
         compose_direction_caps([cap], [cap])
+
+
+def _in_cap(cap, d, tol=0.0):
+    """Cap membership one direction at a time, with scalar float
+    operations: the angle from the center is at most the radius + tol."""
+    d = np.asarray(d, dtype=float)
+    cos = float(np.dot(d / np.linalg.norm(d), cap.center))
+    return math.acos(min(1.0, max(-1.0, cos))) <= cap.radius + tol
+
+
+def test_caps_contains_is_caps_hits():
+    # directions on each cap's rim and 1e-9 inside and outside it, turned
+    # from the center toward a random direction: contains, one direction
+    # at a time, gives the verdicts of hits on all of them at once
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        caps = Caps.random(rng)
+        ds = []
+        for cap in caps:
+            c = np.asarray(cap.center)
+            axis = np.cross(c, rng.standard_normal(3))
+            axis /= np.linalg.norm(axis)
+            for ang in (cap.radius - 1e-9, cap.radius, cap.radius + 1e-9):
+                ds.append(math.cos(ang) * c + math.sin(ang) * axis)
+        ds = np.array(ds)
+        assert caps.hits(ds).tolist()[::3] == [True] * len(caps)
+        for tol in (0.0, 1e-9):
+            assert caps.hits(ds, tol).tolist() == [caps.contains(d, tol) for d in ds]
 
 
 def test_cap_composition_sound_against_dense_oracle():
@@ -399,7 +445,7 @@ def test_cap_composition_sound_against_dense_oracle():
                 nrm = np.linalg.norm(vec)
                 if nrm > 1e-12:
                     vec = vec / nrm
-                    assert any(c.contains(vec, 1e-9) for c in out)
+                    assert any(_in_cap(c, vec, 1e-9) for c in out)
 
 
 def test_cell_direction_type_and_base_length_checked():
@@ -463,7 +509,7 @@ def _reference_contains(a, b, angular_tol, base_tol_cells):
             else:
                 for cap in cell.dirs.parts:
                     for d in cap.samples(max(angular_tol / 4.0, 1e-3)):
-                        if not any(c.contains(d) for c in avail_caps):
+                        if not any(_in_cap(c, d) for c in avail_caps):
                             return False
     return True
 

@@ -101,7 +101,8 @@ def test_cone_set_json_with_an_unknown_model_key_is_refused(tmp_path):
 MODEL = pair_circle(32).to_json()
 CELL = {"base_box": [[0.0, 0.5], [0.25, 0.75]], "arcs": [[0.0, 1.0]]}
 # a cone-set document with one part missing, unknown or misshapen, and the
-# words of the error that name it
+# words of the SerializationError that name it; or with a value its rule
+# refuses, the words of the error, and its type
 BAD_CONE_JSON = {
     "a list": ([{"model": MODEL, "cells": [CELL]}], "a cone set must be a JSON object"),
     "no model": ({"cells": [CELL]}, "a cone set has no 'model'"),
@@ -122,7 +123,7 @@ BAD_CONE_JSON = {
     "signs on a pair model": ({"model": MODEL, "cells": [{"base_box": CELL["base_box"],
                                                           "signs": [1]}]}, "not ['signs']"),
     "string arc end": ({"model": MODEL, "cells": [{**CELL, "arcs": [[0.0, "x"]]}]},
-                       "cone set cell 0 has a malformed 'arcs'"),
+                       "an arc end must be a finite real number, got 'x'", DomainError),
     "unknown cell key": ({"model": MODEL, "cells": [{**CELL, "bogus": 1}]}, "not ['bogus']"),
 }
 
@@ -133,9 +134,9 @@ def test_malformed_cone_json_is_refused_by_name(tmp_path, case):
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"model": MODEL, "cells": [CELL]}))
     assert len(gridio.load_cone_set(path).cells) == 1
-    doc, named = BAD_CONE_JSON[case]
+    doc, named, error = (*BAD_CONE_JSON[case], SerializationError)[:3]
     path.write_text(json.dumps(doc))
-    with pytest.raises(SerializationError, match=re.escape(named)):
+    with pytest.raises(error, match=re.escape(named)):
         gridio.load_cone_set(path)
 
 

@@ -147,6 +147,10 @@ CALLS = {
     "ConeSet.from_json bool arc end": lambda m: _cone(m, [{**_box(m), "arcs": [[0.0, True]]}]),
     "ConeSet.from_json 5-number cap": lambda m: _cone(m, [{**_box(m),
                                                           "caps": [[1.0, 0.0, 0.0, 0.1, 0.2]]}]),
+    "ConeSet.from_json string cap number": lambda m: _cone(m, [{**_box(m),
+                                                               "caps": [[1.0, "x", 0.0, 0.1]]}]),
+    "ConeSet.from_json string cap radius": lambda m: _cone(m, [{**_box(m),
+                                                               "caps": [[1.0, 0.0, 0.0, "x"]]}]),
     "WfParams narrow cone": lambda m: WfParams(cone_half_angle=0.01).resolve(m),
     "from_json bad kind": lambda m: GroupoidModel.from_json({**m.to_json(), "kind": "x"}),
     "CATALOG unknown": lambda m: catalog.build_distribution("bogus", m),
@@ -225,12 +229,15 @@ REFUSALS = {
     "ConeSet.from_json non-real end": EVERY,
     **{f"ConeSet.from_json {case}": SE for case in (
         "a list", "no cells", "cells not a list", "no base_box", "one-number box",
-        "no directions", "other directions", "string arc end", "unknown cell key",
-        "string signs", "signs a string", "5-number cap")},
+        "no directions", "other directions", "unknown cell key", "signs a string",
+        "5-number cap")},
     # a DomainError where the key is the model's own, else an unknown key
-    "ConeSet.from_json bool sign": {**SE, "CIRCLE_GROUP": DE},
-    "ConeSet.from_json sign 2": {**SE, "CIRCLE_GROUP": DE},
-    "ConeSet.from_json bool arc end": {**SE, "PAIR_CIRCLE": DE, "AFFINE_GROUP": DE},
+    **{f"ConeSet.from_json {case}": {**SE, "CIRCLE_GROUP": DE} for case in (
+        "bool sign", "sign 2", "string signs")},
+    **{f"ConeSet.from_json {case}": {**SE, "PAIR_CIRCLE": DE, "AFFINE_GROUP": DE}
+       for case in ("bool arc end", "string arc end")},
+    **{f"ConeSet.from_json {case}": {**SE, "PAIR_TIMES_Z": DE} for case in (
+        "string cap number", "string cap radius")},
     "WfParams narrow cone": EVERY,
     "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
     "CATALOG unknown key": EVERY, "CONE_CATALOG unknown key": EVERY,
