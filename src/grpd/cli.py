@@ -192,17 +192,18 @@ def _demo_remark_counterexample(out: Path, seed: int, n: int) -> tuple[bool, dic
 
 
 def _demo_wf_product_layers(out: Path, seed: int, n: int) -> tuple[bool, dict]:
-    model = checks.pair_circle(max(n, 128))
-    lam1 = catalog.rotation_layer(model, 0.25)
-    lam2 = catalog.rotation_layer(model, 0.125)
-    rep = verify_product_bound(lam1, lam2, catalog.rotation_cone(model, 0.25),
-                               catalog.rotation_cone(model, 0.125))
+    res = checks.check_product_bound_catalog(max(n, 128), seed)
+    reports, layers = res["reports"], res["reports"]["layer*layer"]
+    model = layers.estimated.model
     gridio.write_artifacts(out, {"w1.json": catalog.rotation_cone(model, 0.25),
                                  "w2.json": catalog.rotation_cone(model, 0.125),
-                                 "estimated.json": rep.estimated,
-                                 "predicted.json": rep.predicted})
-    return rep.passed, {"passed": rep.passed, "gate": rep.used_gated_route,
-                        "product_norm": rep.product_norm}
+                                 "estimated.json": layers.estimated,
+                                 "predicted.json": layers.predicted})
+    # criterion 7: all five cases pass and the disjoint product vanishes
+    ok = (all(v for k, v in res.items() if k.startswith("passed"))
+          and res["zero_product_norm"] < 1e-12)
+    return ok, {k: v for k, v in res.items() if k != "reports"} | {
+        f"product_norm[{k}]": r.product_norm for k, r in reports.items()}
 
 
 def _demo_cone_heredity(out: Path, seed: int, n: int) -> tuple[bool, dict]:
@@ -242,7 +243,7 @@ DEMOS = {
     "remark-counterexample": (_demo_remark_counterexample,
                               "transversal distribution with conormal wave front"),
     "wf-product-layers": (_demo_wf_product_layers,
-                          "microlocal product bound for two rotation layers"),
+                          "microlocal product bound on its five catalog cases"),
     "cone-heredity": (_demo_cone_heredity, "transversality heredity of the cone product"),
     "roundtrip": (_demo_roundtrip, "deterministic serialization round trips"),
 }

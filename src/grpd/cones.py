@@ -80,8 +80,10 @@ class CircInterval:
     period: float = 1.0
 
     def __post_init__(self):
-        p = self.period
-        w = min(max(real(self.width, "interval width"), 0.0), p)
+        p, w = self.period, real(self.width, "interval width")
+        if w < 0.0:
+            raise DomainError(f"interval width must be >= 0, got {w!r}")
+        w = min(w, p)
         s = real(self.start, "interval start") % p % p   # -1e-20 % 1.0 rounds to 1.0
         if w >= p:
             s, w = 0.0, p
@@ -240,8 +242,10 @@ class Cap:
         if abs(nrm - 1.0) > 1e-12:
             c = c / nrm
         object.__setattr__(self, "center", tuple(float(v) for v in c))
-        object.__setattr__(self, "radius", min(max(real(self.radius, "cap radius"), 0.0),
-                                               math.pi))
+        radius = real(self.radius, "cap radius")
+        if radius < 0.0:
+            raise DomainError(f"cap radius must be >= 0, got {radius!r}")
+        object.__setattr__(self, "radius", min(radius, math.pi))
 
     def dilate(self, eps: float) -> "Cap":
         return Cap(self.center, self.radius + eps)
@@ -621,17 +625,17 @@ class ConeSet:
     @classmethod
     def from_boxes(cls, model: GroupoidModel, starts, widths, sets, index) -> "ConeSet":
         """The cells ``starts[i], widths[i] x sets[index[i]]``, from (cells,
-        dim) rows of finite base starts and widths; ``sets`` may repeat."""
+        dim) rows of finite base starts and widths >= 0; ``sets`` may repeat."""
         dim, dirs_type = model.dim, DIRECTION_SETS[model.dim]
         index = np.asarray(index, dtype=np.int64).reshape(-1)
         try:
             starts, widths = (np.asarray(v, dtype=float) for v in (starts, widths))
         except (TypeError, ValueError, OverflowError):
             starts = widths = np.full(1, math.nan)
-        if not (starts.shape == widths.shape == (len(index), dim)
-                and np.isfinite(starts).all() and np.isfinite(widths).all()):
+        if not (starts.shape == widths.shape == (len(index), dim) and np.isfinite(starts).all()
+                and np.isfinite(widths).all() and (widths >= 0.0).all()):
             raise DomainError(f"dim-{dim} cells need {len(index)} rows of {dim} finite "
-                              f"base starts and widths")
+                              f"base starts and widths >= 0")
         if (any(type(d) is not dirs_type for d in sets)
                 or len(index) and not 0 <= index.min() <= index.max() < len(sets)):
             raise DomainError(f"dim-{dim} cells need {dirs_type.__name__} directions")

@@ -62,6 +62,24 @@ def test_demo_cone_heredity_needs_500_qualifying_pairs(tmp_path, monkeypatch, te
     assert run_cli("demo", "cone-heredity", "--out", str(tmp_path)) == code
 
 
+@pytest.mark.parametrize("key, value, code", [
+    (None, None, 0), ("zero_product_norm", 1e-12, 2),
+    *((f"passed[{case}]", False, 2) for case in (
+        "layer*layer", "delta*layer", "layer*smooth", "smooth*smooth", "disjoint-points"))])
+def test_demo_wf_product_layers_needs_all_five_cases(tmp_path, monkeypatch, key, value, code):
+    # it ran layer*layer alone; a catalog with one case failing passed
+    import grpd.checks
+    res = grpd.checks.check_product_bound_catalog(128, 0)
+    assert all(v for k, v in res.items() if k.startswith("passed"))
+    monkeypatch.setattr(grpd.checks, "check_product_bound_catalog",
+                        lambda n, seed: {**res, **({key: value} if key else {})})
+    assert run_cli("demo", "wf-product-layers", "--out", str(tmp_path)) == code
+    results = json.loads((tmp_path / "wf-product-layers.json").read_text())["results"]
+    assert "reports" not in results and len(results) == 11
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "estimated.json", "predicted.json", "w1.json", "w2.json", "wf-product-layers.json"]
+
+
 def test_demo_remark_counterexample_needs_an_estimated_axis_direction(tmp_path, monkeypatch):
     # the check's own numbers pass; the estimate is swapped for one that
     # holds only the direction (0, 1), 90 degrees from (+-1, 0)

@@ -123,8 +123,12 @@ CALLS = {
     "Cap nan center": lambda m: Cap((math.nan, 0.0, 0.0), 0.1),
     "Cap scalar center": lambda m: Cap(1.0, 0.1),
     "Cap inf radius": lambda m: Cap((1.0, 0.0, 0.0), math.inf),
+    "Cap negative radius": lambda m: Cap((1.0, 0.0, 0.0), -1.0),
     "CircInterval nan start": lambda m: CircInterval(math.nan, 0.1),
     "CircInterval non-real width": lambda m: CircInterval(0.5, "x"),
+    "CircInterval negative width": lambda m: CircInterval(0.0, -0.1),
+    "ConeSet.from_boxes negative width": lambda m: ConeSet.from_boxes(
+        m, [[0.5] * m.dim], [[0.1] * (m.dim - 1) + [-0.1]], [DIRECTION_SETS[m.dim].full()], [0]),
     "ConeSet.from_json non-real end": lambda m: ConeSet.from_json(
         {"model": m.to_json(), "cells": [{"base_box": [[0.0, "x"]] * m.dim}]}),
     # cone JSON with a part missing, unknown or misshapen
@@ -151,6 +155,8 @@ CALLS = {
                                                                "caps": [[1.0, "x", 0.0, 0.1]]}]),
     "ConeSet.from_json string cap radius": lambda m: _cone(m, [{**_box(m),
                                                                "caps": [[1.0, 0.0, 0.0, "x"]]}]),
+    "ConeSet.from_json negative cap radius": lambda m: _cone(m, [{**_box(m),
+                                                                 "caps": [[1, 0, 0, -0.5]]}]),
     "WfParams narrow cone": lambda m: WfParams(cone_half_angle=0.01).resolve(m),
     "from_json bad kind": lambda m: GroupoidModel.from_json({**m.to_json(), "kind": "x"}),
     "CATALOG unknown": lambda m: catalog.build_distribution("bogus", m),
@@ -224,7 +230,8 @@ REFUSALS = {
     "make_layer non-integer order": EVERY,      # checked before the model
     "convolve a non-distribution": EVERY, "transversality unknown kind": EVERY,
     "Cap zero center": EVERY, "Cap nan center": EVERY, "Cap scalar center": EVERY,
-    "Cap inf radius": EVERY,
+    "Cap inf radius": EVERY, "Cap negative radius": EVERY,
+    "CircInterval negative width": EVERY, "ConeSet.from_boxes negative width": EVERY,
     "CircInterval nan start": EVERY, "CircInterval non-real width": EVERY,
     "ConeSet.from_json non-real end": EVERY,
     **{f"ConeSet.from_json {case}": SE for case in (
@@ -237,7 +244,7 @@ REFUSALS = {
     **{f"ConeSet.from_json {case}": {**SE, "PAIR_CIRCLE": DE, "AFFINE_GROUP": DE}
        for case in ("bool arc end", "string arc end")},
     **{f"ConeSet.from_json {case}": {**SE, "PAIR_TIMES_Z": DE} for case in (
-        "string cap number", "string cap radius")},
+        "string cap number", "string cap radius", "negative cap radius")},
     "WfParams narrow cone": EVERY,
     "from_json bad kind": EVERY, "CATALOG unknown": EVERY, "CONE_CATALOG unknown": EVERY,
     "CATALOG unknown key": EVERY, "CONE_CATALOG unknown key": EVERY,
